@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 
 import numpy as np
 
@@ -19,10 +20,13 @@ from .rod import RodModel, SnapshotMatrix
 
 
 def fmt(value):
-    """Format one float: 17 significant digits, range-dependent notation."""
+    """Format one float: 17 significant digits, range-dependent notation.
+
+    A negative zero is written '-0' so that it reads back as -0.0.
+    """
     value = float(value)
     if value == 0.0:
-        return "0"
+        return "-0" if math.copysign(1.0, value) < 0 else "0"
     mag = abs(value)
     if 1e-3 <= mag < 1e4:
         return "%.17g" % value
@@ -50,12 +54,11 @@ def write_snapshot_csv(path, snap, meta=None):
     self-contained.  A meta dict, when given, is written next to the
     data as '<path>.meta' with one 'key = value' line per entry.
     """
-    lines = ["x," + ",".join(fmt(t) for t in snap.t)]
-    for i in range(snap.values.shape[0]):
-        row = snap.values[i]
-        lines.append(fmt(snap.x[i]) + "," + ",".join(fmt(v) for v in row))
     with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("x," + ",".join(fmt(t) for t in snap.t) + "\n")
+        for i in range(snap.values.shape[0]):
+            row = snap.values[i]
+            handle.write(fmt(snap.x[i]) + "," + ",".join(fmt(v) for v in row) + "\n")
     if meta is not None:
         with open(str(path) + ".meta", "w") as handle:
             for key, value in meta.items():
@@ -153,10 +156,11 @@ def write_model(path, model):
         handle.write("\n".join(parts) + "\n")
 
 
-def _parse_pair_row(cells, line_no, path):
-    if len(cells) % 2:
+def _parse_pair_row(cells, line_no, path, pairs):
+    if len(cells) != 2 * pairs:
         raise ValueError(
-            "%s:%d: odd cell count, expected (re,im) pairs" % (path, line_no)
+            "%s:%d: expected %d (re,im) pairs, found %d cells"
+            % (path, line_no, pairs, len(cells))
         )
     try:
         flat = np.array([float(c) for c in cells])
@@ -205,18 +209,18 @@ def read_model(path):
     if len(rows) != nx:
         raise ValueError("%s: [modes] must have %d rows" % (path, nx))
     for i, (line_no, cells) in enumerate(rows):
-        modes[i] = _parse_pair_row(cells, line_no, path)
+        modes[i] = _parse_pair_row(cells, line_no, path, rank)
     amp = np.empty((rank, nt + 1), dtype=complex)
     rows = sections["amplitudes"]
     if len(rows) != rank:
         raise ValueError("%s: [amplitudes] must have %d rows" % (path, rank))
     for i, (line_no, cells) in enumerate(rows):
-        amp[i] = _parse_pair_row(cells, line_no, path)
+        amp[i] = _parse_pair_row(cells, line_no, path, nt + 1)
     rows = sections["eigenvalues"]
     if len(rows) != rank:
         raise ValueError("%s: [eigenvalues] must have %d rows" % (path, rank))
     eigenvalues = np.array(
-        [_parse_pair_row(cells, line_no, path)[0] for line_no, cells in rows]
+        [_parse_pair_row(cells, line_no, path, 1)[0] for line_no, cells in rows]
     )
     dx = float(header["dx"])
     dt = float(header["dt"])

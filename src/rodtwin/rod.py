@@ -3,23 +3,29 @@
 A twin data model represents a space-time field u(x, t_i) as a short
 modal sum u_twin(x, t_i) = sum_j a_j(t_i) phi_j(x).  The construction
 used here: split the snapshots into the time-shifted pair (V0, V1),
-take a seeded randomized SVD of V0, form the one-step propagator
-S = U^H V1 W Sigma^{-1}, eigendecompose S, map eigenvectors through U
-into unit-norm spatial modes, and least-squares fit the amplitudes
-against every snapshot column.  Real data makes the eigenvalues come
-in conjugate pairs, so the modal sum is real up to rounding; the
-reconstruction keeps the real part and checks the imaginary residue.
+sketch an orthonormal basis Q of the range of V0 with the seeded
+randomized range finder, and project every snapshot column once,
+P = Q^T V.  The rest of the fit runs on the rank-sized P: the SVD
+P0 = T Sigma W^H of its leading columns, the one-step propagator
+S = T^H P1 W Sigma^{-1}, its eigendecomposition S X = X Lambda, the
+mode coefficients B = T X at unit discrete-L2 norm, and the amplitudes
+A minimizing ||B A - P||_F.  The modes Q B are formed once at the end.
+Because Q B lies in range(Q), the amplitudes equal the least-squares
+fit of the modes against the full snapshot matrix.  Real data makes the
+eigenvalues come in conjugate pairs, so the modal sum is real up to
+rounding; the reconstruction keeps the real part and checks the
+imaginary residue.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenPairs, SvdFactors, eig_general, least_squares, qr_factor
-from .rsvd import rsvd
+from .linalg import SvdFactors, eig_general, least_squares, qr_factor, svd_economy
+from .rsvd import range_finder
 
 
 class FitStageError(RuntimeError):
@@ -104,7 +110,7 @@ class RodModel:
     modes: (nx, rank) complex, unit discrete-L2-norm columns.
     amplitudes: (rank, nt + 1) complex, one row per mode.
     eigenvalues: (rank,) complex spectrum of the propagator.
-    ls_residual: Frobenius residual of the amplitude fit.
+    gram_deviation: mode_gram_deviation of the modes at fit time.
     """
 
     modes: np.ndarray
@@ -114,8 +120,7 @@ class RodModel:
     seed: int
     x: np.ndarray
     t: np.ndarray
-    ls_residual: float = 0.0
-    gram_deviation: float = field(default=0.0)
+    gram_deviation: float = 0.0
 
     @property
     def dx(self):
@@ -155,7 +160,13 @@ def _drop_tiny_singular(svd):
 
 
 def propagator(svd, v1):
-    """One-step propagator S = U^H V1 W Sigma^{-1} in the reduced basis."""
+    """One-step propagator S = U^H V1 W Sigma^{-1} in the reduced basis.
+
+    Directions with negligible singular values are dropped first (with a
+    warning), so S is square in the number of kept directions, which
+    are the leading columns of U.  The fit passes the factors of the
+    projected data, U = T and V1 = Q^T V1, which give the same S.
+    """
     svd = _drop_tiny_singular(svd)
     v1 = np.asarray(v1)
     if v1.shape[0] != svd.U.shape[0] or v1.shape[1] != svd.W.shape[0]:
@@ -163,8 +174,16 @@ def propagator(svd, v1):
     return svd.U.conj().T @ v1 @ (svd.W / svd.sigma)
 
 
-def _mode_columns(svd, eig, ip):
-    raw = svd.U @ eig.vectors
+def rod_modes(basis, eig, ip):
+    """Spatial modes: basis-weighted eigenvector combinations at unit L2 norm.
+
+    Column i is basis @ X[:, i] scaled to unit norm under ip.  A column
+    whose norm underflows (defective pairing) is dropped with a warning.
+    Lifting by a Q with orthonormal columns keeps these norms, so the
+    fit passes T and gets the coefficients B of the modes Q B.
+    Returns (modes, eigenvalues of the kept modes).
+    """
+    raw = np.asarray(basis) @ eig.vectors
     norms = np.sqrt(ip.dx * np.sum(np.abs(raw) ** 2, axis=0))
     keep = norms > 1e-14 * max(float(norms.max()), 1e-300)
     if not keep.all():
@@ -175,28 +194,23 @@ def _mode_columns(svd, eig, ip):
         )
         if not keep.any():
             raise ValueError("all mode columns degenerate")
-    return raw[:, keep] / norms[keep], keep
+    return raw[:, keep] / norms[keep], eig.values[keep]
 
 
-def rod_modes(svd, eig, ip):
-    """Spatial modes: U-weighted eigenvector combinations at unit L2 norm.
-
-    Column i is U @ X[:, i] scaled to unit norm under ip.  A column whose
-    norm underflows (defective pairing) is dropped with a warning.
-    """
-    return _mode_columns(svd, eig, ip)[0]
-
-
-def amplitudes(modes, snap, ip):
-    """Amplitude matrix minimizing ||modes @ A - V||_F over all columns.
+def amplitudes(modes, values):
+    """Amplitude matrix minimizing ||modes @ A - values||_F over all columns.
 
     The least-squares weight is dx-uniform, so the plain solve is
     identical to the weighted one.  Orthonormal modes reduce this to
     inner-product projection.  An ill-conditioned basis (condition
     beyond 1e12) still yields the minimum-norm solution, with a warning.
+    The fit passes the mode coefficients B and the projected data
+    P = Q^T V: Q has orthonormal columns, so cond(Q B) = cond(B) and the
+    part of V outside range(Q) does not move the minimizer.
     """
     modes = np.asarray(modes)
-    if modes.shape[1] > snap.values.shape[1]:
+    values = np.asarray(values)
+    if modes.shape[1] > values.shape[1]:
         raise ValueError("more modes than snapshot columns")
     s = np.linalg.svd(modes, compute_uv=False)
     if s[-1] <= 0 or s[0] / s[-1] > 1e12:
@@ -206,7 +220,7 @@ def amplitudes(modes, snap, ip):
             RuntimeWarning,
             stacklevel=2,
         )
-    return least_squares(modes, snap.values)
+    return least_squares(modes, values)
 
 
 def mode_gram_deviation(modes, ip):
@@ -228,22 +242,25 @@ def fit(
     seed,
     oversampling=0,
     power_iterations=0,
-    orthonormalize_sample=True,
     reorthonormalize=False,
 ):
     """Fit a twin data model of the given rank.
 
-    Runs the full pipeline on the snapshot matrix: time-shift split,
-    randomized SVD of V0 at the given rank and seed, propagator,
-    eigendecomposition, modes, amplitudes.  With reorthonormalize=True
-    the mode basis is replaced by its QR orthonormalization (the
-    amplitudes are refit accordingly).
+    Runs the full pipeline on the snapshot matrix in one pass over the
+    data after the sketch: time-shift split, the randomized range
+    finder on V0 at the given rank and seed, the projection P = Q^T V of
+    all nt + 1 columns, then in rank-sized arrays only: the SVD of the
+    first nt columns of P, the propagator from the last nt, its
+    eigendecomposition, the mode coefficients B, and the amplitudes.
+    The modes Q B are formed once at the end.  With
+    reorthonormalize=True the mode basis is replaced by its QR
+    orthonormalization (the amplitudes are refit accordingly).
 
     Raises FitStageError naming the failing stage on computational
     failures; precondition violations raise ValueError directly.
     """
     rank = int(rank)
-    v0, v1 = shift_split(snap)
+    v0 = shift_split(snap)[0]
     if not 1 <= rank <= min(v0.shape):
         raise ValueError(
             "rank %d outside [1, %d] for this snapshot matrix"
@@ -259,35 +276,44 @@ def fit(
         except Exception as exc:
             raise FitStageError("stage '%s' failed: %s" % (name, exc)) from exc
 
-    factors = stage(
+    q = stage(
         "rsvd",
-        rsvd,
+        range_finder,
         v0,
         rank,
         seed,
         oversampling=oversampling,
         power_iterations=power_iterations,
-        orthonormalize_sample=orthonormalize_sample,
     )
-    factors = _drop_tiny_singular(factors)
-    prop = stage("propagator", propagator, factors, v1)
+    proj = q.T @ snap.values
+    inner = stage("rsvd", svd_economy, proj[:, :-1])
+    factors = SvdFactors(
+        U=inner.U[:, :rank],
+        sigma=inner.sigma[:rank],
+        W=inner.W[:, :rank],
+        rank_used=rank,
+    )
+    prop = stage("propagator", propagator, factors, proj[:, 1:])
     eig = stage("eigendecomposition", eig_general, prop)
-    modes_mat, kept = stage("modes", _mode_columns, factors, eig, ip)
+    # the propagator keeps the leading directions of T
+    kept = factors.U[:, : prop.shape[0]]
+    coeff, eigenvalues = stage("modes", rod_modes, kept, eig, ip)
     if reorthonormalize:
-        q = qr_factor(modes_mat)[0]
-        modes_mat = q / np.sqrt(ip.dx)
-    amp = stage("amplitudes", amplitudes, modes_mat, snap, ip)
-    resid = float(np.linalg.norm(modes_mat @ amp - snap.values))
+        coeff = qr_factor(coeff)[0] / np.sqrt(ip.dx)
+    amp = stage("amplitudes", amplitudes, coeff, proj)
+    r = coeff.shape[1]
+    lifted = q @ np.hstack([coeff.real, coeff.imag])
+    modes = lifted[:, :r] + 1j * lifted[:, r:]
     return RodModel(
-        modes=modes_mat,
+        modes=modes,
         amplitudes=amp,
-        eigenvalues=eig.values[kept].copy(),
-        rank=int(modes_mat.shape[1]),
+        eigenvalues=eigenvalues,
+        rank=r,
         seed=int(seed),
         x=snap.x.copy(),
         t=snap.t.copy(),
-        ls_residual=resid,
-        gram_deviation=mode_gram_deviation(modes_mat, ip),
+        # from the stored modes, as a reloaded model recomputes it (O(nx r^2))
+        gram_deviation=mode_gram_deviation(modes, ip),
     )
 
 
@@ -296,11 +322,17 @@ def reconstruct(model):
 
     The sum is complex; conjugate eigenpair structure makes it real up
     to rounding.  The real part is returned and an imaginary residue
-    above 1e-6 of the field scale triggers a warning.
+    above 1e-6 of the field scale triggers a warning.  Both parts come
+    from real products, modes.real @ amp.real - modes.imag @ amp.imag
+    and modes.real @ amp.imag + modes.imag @ amp.real, each as one
+    stacked product.
     """
-    total = model.modes @ model.amplitudes
-    scale = float(np.abs(total.real).max())
-    residue = float(np.abs(total.imag).max())
+    mr, mi = model.modes.real, model.modes.imag
+    ar, ai = model.amplitudes.real, model.amplitudes.imag
+    real = np.hstack([mr, -mi]) @ np.vstack([ar, ai])
+    imag = np.hstack([mr, mi]) @ np.vstack([ai, ar])
+    scale = float(max(real.max(), -real.min()))
+    residue = float(max(imag.max(), -imag.min()))
     if scale > 0 and residue > 1e-6 * scale:
         warnings.warn(
             "imaginary residue %.3e exceeds 1e-6 of the field scale %.3e"
@@ -308,4 +340,4 @@ def reconstruct(model):
             RuntimeWarning,
             stacklevel=2,
         )
-    return SnapshotMatrix(values=total.real.copy(), x=model.x.copy(), t=model.t.copy())
+    return SnapshotMatrix(values=real, x=model.x.copy(), t=model.t.copy())

@@ -61,7 +61,7 @@ def gaussian_test_matrix(n_rows, k, seed):
     return z[:total].reshape((n_rows, k), order="F")
 
 
-def rsvd(
+def range_finder(
     v0,
     target_rank,
     seed,
@@ -69,27 +69,16 @@ def rsvd(
     power_iterations=0,
     orthonormalize_sample=True,
 ):
-    """Randomized economy SVD of a real matrix, truncated to target_rank.
+    """Sketch basis Q of the range of a real matrix: the sampling half of rsvd.
 
-    Pipeline: draw a Gaussian test matrix M, sample the range Q = V0 M,
-    orthonormalize Q (on by default; turn off for the literal
-    un-orthonormalized variant), project P = Q^T V0, take the
-    deterministic SVD of the small P, and lift U = Q T.  Optional
-    oversampling widens the sample; optional power iterations sharpen it
-    on slowly decaying spectra.
+    Draws the Gaussian test matrix M, samples Q = V0 M, orthonormalizes
+    Q (on by default), and runs the optional power iterations.  The
+    inputs are validated as rsvd documents.  An all-zero matrix has no
+    range to sample: a RuntimeWarning is raised and an arbitrary
+    orthonormal frame of target_rank columns is returned.
 
-    Parameters
-    ----------
-    v0 : array_like, real, shape (nx, nt)
-    target_rank : int, 1 <= target_rank <= min(nx, nt)
-    seed : int, selects the sampling stream
-    oversampling : int, extra sample columns beyond target_rank
-    power_iterations : int, subspace iteration count
-    orthonormalize_sample : bool, QR-orthonormalize the sampled range
-
-    Returns
-    -------
-    SvdFactors with U (nx, k), sigma (k,), W (nt, k), rank_used = k.
+    Returns Q of shape (nx, target_rank + oversampling), or
+    (nx, target_rank) for an all-zero matrix.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.ndim != 2 or v0.size == 0:
@@ -110,22 +99,64 @@ def rsvd(
         raise ValueError("power_iterations must be nonnegative")
 
     if not v0.any():
-        # no range to sample; return an arbitrary orthonormal frame
-        warnings.warn("rsvd of an all-zero matrix", RuntimeWarning, stacklevel=2)
-        u = qr_factor(gaussian_test_matrix(nx, k, seed))[0]
-        w = qr_factor(gaussian_test_matrix(nt, k, seed + 1))[0]
-        return SvdFactors(U=u, sigma=np.zeros(k), W=w, rank_used=k)
+        warnings.warn("rsvd of an all-zero matrix", RuntimeWarning, stacklevel=3)
+        return qr_factor(gaussian_test_matrix(nx, k, seed))[0]
 
-    m = gaussian_test_matrix(nt, k + p, seed)
-    q = v0 @ m
+    q = v0 @ gaussian_test_matrix(nt, k + p, seed)
     if orthonormalize_sample:
         q = qr_factor(q)[0]
     for _ in range(int(power_iterations)):
         q = v0 @ (v0.T @ q)
         if orthonormalize_sample:
             q = qr_factor(q)[0]
-    proj = q.T @ v0
-    inner = svd_economy(proj)
+    return q
+
+
+def rsvd(
+    v0,
+    target_rank,
+    seed,
+    oversampling=0,
+    power_iterations=0,
+    orthonormalize_sample=True,
+):
+    """Randomized economy SVD of a real matrix, truncated to target_rank.
+
+    Pipeline: range_finder draws a Gaussian test matrix M, samples the
+    range Q = V0 M and orthonormalizes Q (on by default; turn off for
+    the literal un-orthonormalized variant); then project P = Q^T V0,
+    take the deterministic SVD of the small P, and lift U = Q T.
+    Optional oversampling widens the sample; optional power iterations
+    sharpen it on slowly decaying spectra.
+
+    Parameters
+    ----------
+    v0 : array_like, real, shape (nx, nt)
+    target_rank : int, 1 <= target_rank <= min(nx, nt)
+    seed : int, selects the sampling stream
+    oversampling : int, extra sample columns beyond target_rank
+    power_iterations : int, subspace iteration count
+    orthonormalize_sample : bool, QR-orthonormalize the sampled range
+
+    Returns
+    -------
+    SvdFactors with U (nx, k), sigma (k,), W (nt, k), rank_used = k.
+    An all-zero v0 gives zero sigma between arbitrary orthonormal frames.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    q = range_finder(
+        v0,
+        target_rank,
+        seed,
+        oversampling=oversampling,
+        power_iterations=power_iterations,
+        orthonormalize_sample=orthonormalize_sample,
+    )
+    k = int(target_rank)
+    if not v0.any():
+        w = qr_factor(gaussian_test_matrix(v0.shape[1], k, seed + 1))[0]
+        return SvdFactors(U=q, sigma=np.zeros(k), W=w, rank_used=k)
+    inner = svd_economy(q.T @ v0)
     return SvdFactors(
         U=(q @ inner.U)[:, :k],
         sigma=inner.sigma[:k].copy(),

@@ -265,6 +265,38 @@ class TestEvaluate:
         assert amp_lines[0].split(",")[:3] == ["t", "a1_re", "a1_im"]
         assert len(amp_lines) == 302
 
+    def test_report_matches_fit_at_rank_15(self, ws, tmp_path, capsys):
+        argv = ["--input", str(ws / "burgers.csv"), "--output"]
+        assert main(["fit"] + argv + [str(tmp_path / "m.txt"), "--rank", "15"]) == 0
+        fit_stdout = capsys.readouterr().out
+        rc = main(
+            ["evaluate", "--model", str(tmp_path / "m.txt")]
+            + argv
+            + [str(tmp_path / "twin")]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == fit_stdout
+
+    def test_malformed_model_row_reports_line(self, ws, tmp_path, capsys):
+        lines = (ws / "model.txt").read_text().splitlines()
+        line_no = lines.index("[amplitudes]") + 3
+        lines[line_no - 1] = lines[line_no - 1].rsplit(",", 2)[0]
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(
+            [
+                "evaluate",
+                "--input",
+                str(ws / "burgers.csv"),
+                "--model",
+                str(bad),
+                "--output",
+                str(tmp_path / "t"),
+            ]
+        )
+        assert rc == 2
+        assert "bad_model.txt:%d:" % line_no in capsys.readouterr().err
+
     def test_model_grid_mismatch(self, ws, tmp_path, capsys):
         small = tmp_path / "small.csv"
         assert (

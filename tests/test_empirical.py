@@ -160,6 +160,17 @@ class TestCompareProjections:
         direct = rt.mean_projection_norm(f.psi, v0, ip, mode_count=9)
         assert four == pytest.approx(direct, rel=1e-14)
 
+    @pytest.mark.parametrize("same_rank", [False, True])
+    def test_mismatched_fourier_modes_rejected(self, rng, same_rank):
+        snap = make_snapshot(rng.standard_normal((9, 6)))
+        ip = rt.InnerProduct(snap.dx)
+        v0 = snap.values[:, :-1]
+        modes = rng.standard_normal((9, 2))
+        for values in (snap.values[:, :-1], snap.values[1:]):
+            f = rt.fourier_decomposition(make_snapshot(values))
+            with pytest.raises(ValueError, match="do not match"):
+                rt.compare_projections(modes, f, v0, ip, same_rank=same_rank)
+
     def test_rank_one_bases_agree(self, rng):
         u0 = rng.standard_normal(13)
         values = np.column_stack([u0 * 0.9**i for i in range(6)])

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
@@ -11,7 +15,7 @@ from conftest import make_snapshot
 class TestFmt:
     def test_zero(self):
         assert io.fmt(0.0) == "0"
-        assert io.fmt(-0.0) == "0"
+        assert io.fmt(-0.0) == "-0"
 
     def test_plain_range(self):
         assert io.fmt(1.5) == "1.5"
@@ -30,6 +34,15 @@ class TestFmt:
         samples += list(rng.standard_normal(50) * np.logspace(-20, 20, 50))
         for v in samples:
             assert float(io.fmt(v)) == v
+
+    @given(st.floats(allow_nan=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072009e-308)
+    @example(float("inf"))
+    @example(float("-inf"))
+    def test_round_trip_bit_identity(self, value):
+        assert struct.pack("<d", float(io.fmt(value))) == struct.pack("<d", value)
 
 
 class TestSnapshotCsv:
@@ -119,6 +132,18 @@ class TestModelFile:
         # grids are rebuilt from spacings; agreement to rounding only
         assert_allclose(back.x, burgers_model.x, atol=1e-12)
         assert_allclose(back.t, burgers_model.t, atol=1e-12)
+
+    @pytest.mark.parametrize("section", ["modes", "amplitudes", "eigenvalues"])
+    def test_wrong_pair_count_reports_line(self, tmp_path, rng, section):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        lines = path.read_text().splitlines()
+        line_no = lines.index("[%s]" % section) + 2
+        lines[line_no - 1] += ",1,0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"model\.txt:%d: expected" % line_no):
+            io.read_model(path)
 
     def test_missing_section(self, tmp_path, rng):
         model = self._small_model(rng)

@@ -124,6 +124,36 @@ class TestQualityReport:
         assert rep.gram_deviation == burgers_model.gram_deviation
         assert rep.rod_projection_norm > rep.fourier_projection_norm
 
+    def test_fourier_score_matches_projection_of_psi(
+        self, burgers_snapshot, burgers_model, burgers_fourier, burgers_ip
+    ):
+        rep = rt.quality_report(
+            burgers_snapshot, burgers_model, burgers_fourier, burgers_ip
+        )
+        direct = rt.mean_projection_norm(
+            burgers_fourier.psi,
+            burgers_snapshot.values[:, :-1],
+            burgers_ip,
+            mode_count=burgers_snapshot.n_space,
+        )
+        assert rep.fourier_projection_norm == pytest.approx(direct, rel=1e-12)
+
+    def test_mismatched_fourier_modes_rejected(
+        self, burgers_snapshot, burgers_model, burgers_ip
+    ):
+        other = rt.SnapshotMatrix(
+            values=burgers_snapshot.values[:, :-1],
+            x=burgers_snapshot.x,
+            t=burgers_snapshot.t[:-1],
+        )
+        with pytest.raises(ValueError, match="do not match"):
+            rt.quality_report(
+                burgers_snapshot,
+                burgers_model,
+                rt.fourier_decomposition(other),
+                burgers_ip,
+            )
+
     def test_text_round_trip(
         self, burgers_snapshot, burgers_model, burgers_fourier, burgers_ip
     ):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
@@ -88,7 +90,8 @@ class TestModes:
         f = rsvd(v0, 4, seed=1)
         ip = rt.InnerProduct(0.1)
         eye_pairs = rt.EigenPairs(values=np.ones(4), vectors=np.eye(4))
-        modes = rt.rod_modes(f, eye_pairs, ip)
+        modes, values = rt.rod_modes(f.U, eye_pairs, ip)
+        assert_allclose(values, np.ones(4))
         expected = f.U / np.sqrt(0.1)
         assert_allclose(modes, expected.astype(complex), atol=1e-12)
 
@@ -119,7 +122,7 @@ class TestAmplitudes:
         ip = rt.InnerProduct(0.05)
         phi = phi / ip.norm(phi[:, 0])
         snap = make_snapshot(np.column_stack([phi[:, 0], phi[:, 0]]), dx=0.05)
-        a = rt.amplitudes(phi.astype(complex), snap, ip)
+        a = rt.amplitudes(phi.astype(complex), snap.values)
         assert_allclose(a, np.ones((1, 2)), atol=1e-10)
 
     def test_orthonormal_projection_oracle(self, rng):
@@ -127,7 +130,7 @@ class TestAmplitudes:
         ip = rt.InnerProduct(0.2)
         phi = (basis / np.sqrt(0.2)).astype(complex)
         snap = make_snapshot(rng.standard_normal((25, 6)), dx=0.2)
-        a = rt.amplitudes(phi, snap, ip)
+        a = rt.amplitudes(phi, snap.values)
         direct = np.array(
             [
                 [ip.dot(snap.values[:, i], phi[:, j]) for i in range(6)]
@@ -141,7 +144,7 @@ class TestAmplitudes:
         phi = np.column_stack([col, col * (1 + 1e-15)]).astype(complex)
         snap = make_snapshot(rng.standard_normal((15, 4)))
         with pytest.warns(RuntimeWarning):
-            rt.amplitudes(phi, snap, rt.InnerProduct(snap.dx))
+            rt.amplitudes(phi, snap.values)
 
 
 class TestFit:
@@ -219,6 +222,56 @@ class TestFit:
         twin = rt.reconstruct(model)
         # the reconstruction spans the same subspace, so accuracy survives
         assert rt.absolute_error(burgers_snapshot, twin) <= 1e-4
+
+
+def dense_reference(snap, rank, seed):
+    """The nx-sized pipeline: lifted U = Q T, modes U X at unit norm, and
+    amplitudes from a least-squares fit against the full snapshot matrix."""
+    v0, v1 = rt.shift_split(snap)
+    f = rsvd(v0, rank, seed)
+    s = rt.propagator(f, v1)
+    pairs = eig_general(s)
+    raw = f.U[:, : s.shape[0]] @ pairs.vectors
+    modes = raw / np.sqrt(snap.dx * np.sum(np.abs(raw) ** 2, axis=0))
+    amp = np.linalg.lstsq(modes, snap.values, rcond=None)[0]
+    return modes, amp, pairs.values
+
+
+class TestReducedFit:
+    @pytest.mark.parametrize("case", ["benchmark", "random_tall"])
+    def test_matches_dense_reference(self, case, burgers_snapshot, rng):
+        if case == "benchmark":
+            snap, rank, seed = burgers_snapshot, 10, DEFAULT_SEED
+        else:
+            snap, rank, seed = make_snapshot(rng.standard_normal((400, 31))), 12, 5
+        modes, amp, values = dense_reference(snap, rank, seed)
+        model = rt.fit(snap, rank, seed)
+        assert np.abs(model.modes - modes).max() <= 1e-9
+        assert_allclose(model.eigenvalues, values, rtol=1e-12, atol=0)
+        dense = (modes @ amp).real
+        twin = rt.reconstruct(model).values
+        assert np.linalg.norm(twin - dense) <= 1e-12 * np.linalg.norm(dense)
+        gram = rt.mode_gram_deviation(modes, rt.InnerProduct(snap.dx))
+        assert model.gram_deviation == pytest.approx(gram, rel=1e-6, abs=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.integers(1, 8),
+        extra_rows=st.integers(0, 40),
+        extra_cols=st.integers(1, 30),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_exact_rank_data_reproduced(self, r, extra_rows, extra_cols, data_seed, seed):
+        # generalises acceptance criterion 7 to any shape, rank and seed
+        g = np.random.default_rng(data_seed)
+        values = g.standard_normal((max(2, r + extra_rows), r)) @ g.standard_normal(
+            (r, r + extra_cols + 1)
+        )
+        model = rt.fit(make_snapshot(values), r, seed)
+        assert model.rank == r
+        err = np.linalg.norm(rt.reconstruct(model).values - values)
+        assert err <= 1e-6 * np.linalg.norm(values)
 
 
 class TestReconstruct:
