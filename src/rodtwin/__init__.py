@@ -10,7 +10,7 @@ a CLI (`rodtwin`) covering the full pipeline.
 
 from .burgers import BurgersConfig, QuadratureRule, exact_u, gauss_hermite, generate_snapshots, phi0
 from .empirical import FourierModes, compare_projections, fourier_decomposition, mean_projection_norm, project
-from .linalg import EigenPairs, LinalgError, SvdFactors, eig_general, eig_sym_tridiag, least_squares, qr_factor, svd_economy
+from .linalg import EigenPairs, LinalgError
 from .metrics import QualityReport, absolute_error, correlation, quality_report, time_average
 from .rank_select import ParetoPoint, objectives, pareto_sweep, select_rank
 from .rod import (
@@ -26,7 +26,7 @@ from .rod import (
     rod_modes,
     shift_split,
 )
-from .rsvd import gaussian_test_matrix, rsvd
+from .rsvd import rsvd
 
 __version__ = "0.1.0"
 
@@ -42,20 +42,15 @@ __all__ = [
     "QuadratureRule",
     "RodModel",
     "SnapshotMatrix",
-    "SvdFactors",
     "absolute_error",
     "amplitudes",
     "compare_projections",
     "correlation",
-    "eig_general",
-    "eig_sym_tridiag",
     "exact_u",
     "fit",
     "fourier_decomposition",
     "gauss_hermite",
-    "gaussian_test_matrix",
     "generate_snapshots",
-    "least_squares",
     "mean_projection_norm",
     "mode_gram_deviation",
     "objectives",
@@ -63,13 +58,11 @@ __all__ = [
     "phi0",
     "project",
     "propagator",
-    "qr_factor",
     "quality_report",
     "reconstruct",
     "rod_modes",
     "rsvd",
     "select_rank",
     "shift_split",
-    "svd_economy",
     "time_average",
 ]

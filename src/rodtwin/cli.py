@@ -14,14 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import Callable, NamedTuple, Optional
 
 from . import burgers, empirical, io, metrics, rank_select, rod
 
 DEFAULT_SEED = 1
-
-
-class UsageError(ValueError):
-    """Bad flag or config value, detected before any computation."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -29,6 +26,36 @@ class _Parser(argparse.ArgumentParser):
         # argparse exits with 2 by default; usage problems are exit 1 here
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
+def _boolean(text):
+    lowered = str(text).strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("needs a boolean, got %r" % text)
+
+
+def _positive(value):
+    return value > 0
+
+
+class _Flag(NamedTuple):
+    """One subcommand setting: flag --key (dashes for underscores) and config key.
+
+    convert turns flag and config text alike into the value; check, and
+    choices when given, then accept or reject it.  A _boolean flag takes
+    no argument on the command line.
+    """
+
+    key: str
+    convert: Callable = str
+    default: object = None
+    check: Optional[Callable] = None
+    help: str = ""
+    metavar: Optional[str] = None
+    choices: Optional[tuple] = None
 
 
 def _build_parser():
@@ -39,184 +66,57 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    def add(name, help_text, flags):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for args, kwargs in flags:
-            p.add_argument(*args, **kwargs)
+        for flag in flags:
+            option = "--" + flag.key.replace("_", "-")
+            if flag.convert is _boolean:
+                p.add_argument(
+                    option, action="store_true", default=argparse.SUPPRESS, help=flag.help
+                )
+            else:
+                p.add_argument(
+                    option,
+                    type=flag.convert,
+                    choices=flag.choices,
+                    metavar=flag.metavar,
+                    default=argparse.SUPPRESS,
+                    help="%s (default %s)" % (flag.help, flag.default),
+                )
         p.add_argument("--config", metavar="FILE", help="key = value defaults file")
-        return p
-
-    opt_int = {"type": int, "default": None}
-    opt_float = {"type": float, "default": None}
-    opt_str = {"default": None}
-
-    add(
-        "generate",
-        "write the benchmark snapshot CSV and its metadata sidecar",
-        [
-            (("--output",), dict(opt_str, metavar="CSV")),
-            (("--nu",), dict(opt_float, help="viscosity (default 0.01)")),
-            (("--quad-order",), dict(opt_int, help="quadrature order (default 100)")),
-            (("--grid-points",), dict(opt_int, help="spatial points (default 101)")),
-            (("--dt",), dict(opt_float, help="time step (default 0.01)")),
-            (("--t-final",), dict(opt_float, help="final time (default 3.0)")),
-        ],
-    )
-    add(
-        "fit",
-        "fit a twin model to a snapshot CSV and print its quality report",
-        [
-            (("--input",), dict(opt_str, metavar="CSV")),
-            (("--output",), dict(opt_str, metavar="MODEL")),
-            (("--rank",), dict(opt_int, help="model rank (default 10)")),
-            (("--seed",), dict(opt_int, help="sampling seed (default %d)" % DEFAULT_SEED)),
-            (
-                ("--reorthonormalize",),
-                {"action": "store_true", "default": None,
-                 "help": "QR-orthonormalize the mode basis"},
-            ),
-            (
-                ("--correlation-variant",),
-                dict(opt_str, choices=["paper", "cosine"]),
-            ),
-        ],
-    )
-    add(
-        "sweep",
-        "sweep ranks, write the Pareto CSV, print the selected rank",
-        [
-            (("--input",), dict(opt_str, metavar="CSV")),
-            (("--output",), dict(opt_str, metavar="CSV")),
-            (("--max-rank",), dict(opt_int, help="largest rank to try (default 20)")),
-            (("--tol",), dict(opt_float, help="error tolerance for selection (default 1e-5)")),
-            (("--seed",), dict(opt_int)),
-        ],
-    )
-    add(
-        "evaluate",
-        "reconstruct a fitted model and emit plot-data CSVs",
-        [
-            (("--input",), dict(opt_str, metavar="CSV")),
-            (("--model",), dict(opt_str, metavar="MODEL")),
-            (("--output",), dict(opt_str, metavar="PREFIX")),
-            (
-                ("--correlation-variant",),
-                dict(opt_str, choices=["paper", "cosine"]),
-            ),
-        ],
-    )
-    add(
-        "compare",
-        "score model modes against the Fourier baseline",
-        [
-            (("--input",), dict(opt_str, metavar="CSV")),
-            (("--model",), dict(opt_str, metavar="MODEL")),
-            (
-                ("--self-test",),
-                {"action": "store_true", "default": None,
-                 "help": "compare the Fourier basis against itself"},
-            ),
-        ],
-    )
     return parser
 
 
-_DEFAULTS = {
-    "generate": {
-        "output": "burgers.csv",
-        "nu": 0.01,
-        "quad_order": 100,
-        "grid_points": 101,
-        "dt": 0.01,
-        "t_final": 3.0,
-    },
-    "fit": {
-        "input": "burgers.csv",
-        "output": "model.txt",
-        "rank": 10,
-        "seed": DEFAULT_SEED,
-        "reorthonormalize": False,
-        "correlation_variant": "paper",
-    },
-    "sweep": {
-        "input": "burgers.csv",
-        "output": "sweep.csv",
-        "max_rank": 20,
-        "tol": 1e-5,
-        "seed": DEFAULT_SEED,
-    },
-    "evaluate": {
-        "input": "burgers.csv",
-        "model": "model.txt",
-        "output": "twin",
-        "correlation_variant": "paper",
-    },
-    "compare": {
-        "input": "burgers.csv",
-        "model": "model.txt",
-        "self_test": False,
-    },
-}
-
-_BOOL_KEYS = ("reorthonormalize", "self_test")
-
-
-def _coerce(key, value):
-    if key in _BOOL_KEYS:
-        lowered = str(value).strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise UsageError("config key '%s' needs a boolean, got %r" % (key, value))
-    defaults = None
-    for block in _DEFAULTS.values():
-        if key in block:
-            defaults = block[key]
-            break
-    if isinstance(defaults, int) and not isinstance(defaults, bool):
-        return int(value)
-    if isinstance(defaults, float):
-        return float(value)
-    return value
-
-
 def _resolve(args):
-    """Merge flag values over config-file values over hard defaults."""
-    merged = dict(_DEFAULTS[args.command])
+    """Merge flag values over config-file values over the declared defaults.
+
+    Every value is checked, wherever it came from.  A config key that no
+    subcommand declares is an error; one that another subcommand
+    declares is ignored, so one file can configure the whole pipeline.
+    """
+    flags = {f.key: f for f in _COMMANDS[args.command][2]}
+    cfg = {key: f.default for key, f in flags.items()}
     if args.config:
-        for key, value in io.read_meta(args.config).items():
+        known = {f.key for _, _, declared in _COMMANDS.values() for f in declared}
+        for key, text in io.read_meta(args.config).items():
             key = key.replace("-", "_")
-            if key in merged:
+            if key not in known:
+                raise ValueError("%s: unknown config key '%s'" % (args.config, key))
+            if key in flags:
                 try:
-                    merged[key] = _coerce(key, value)
-                except (TypeError, ValueError) as exc:
-                    raise UsageError("config key '%s': %s" % (key, exc))
-    for key in merged:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
-
-
-def _validate(command, cfg):
-    checks = {
-        "nu": lambda v: v > 0,
-        "quad_order": lambda v: 1 <= v <= 500,
-        "grid_points": lambda v: v >= 2,
-        "dt": lambda v: v > 0,
-        "t_final": lambda v: v > 0,
-        "rank": lambda v: v >= 1,
-        "max_rank": lambda v: v >= 1,
-        "tol": lambda v: v > 0,
-        "correlation_variant": lambda v: v in ("paper", "cosine"),
-    }
-    for key, ok in checks.items():
-        if key in cfg and not ok(cfg[key]):
-            raise UsageError(
-                "invalid value for --%s: %r" % (key.replace("_", "-"), cfg[key])
+                    cfg[key] = flags[key].convert(text)
+                except ValueError as exc:
+                    raise ValueError(
+                        "%s: config key '%s' %s" % (args.config, key, exc)
+                    ) from exc
+    cfg.update((key, value) for key, value in vars(args).items() if key in flags)
+    for key, f in flags.items():
+        value = cfg[key]
+        if (f.choices and value not in f.choices) or (f.check and not f.check(value)):
+            raise ValueError(
+                "invalid value for --%s: %r" % (key.replace("_", "-"), value)
             )
+    return cfg
 
 
 def _load_model_for(dataset, model_path):
@@ -239,13 +139,7 @@ def _load_model_for(dataset, model_path):
     ) > 1e-12 * scale:
         raise ValueError("model spacing does not match the dataset grid")
     # serialized grids are origin-zero; adopt the dataset's actual grids
-    ip = rod.InnerProduct(dataset.dx)
-    return dataclasses.replace(
-        model,
-        x=dataset.x.copy(),
-        t=dataset.t.copy(),
-        gram_deviation=rod.mode_gram_deviation(model.modes, ip),
-    )
+    return dataclasses.replace(model, x=dataset.x.copy(), t=dataset.t.copy())
 
 
 def _print_report(dataset, model, variant):
@@ -309,33 +203,10 @@ def cmd_evaluate(cfg):
     twin = rod.reconstruct(model)
     prefix = cfg["output"]
     io.write_snapshot_csv(prefix + "_reconstruction.csv", twin)
-
-    header = ["x"]
-    for j in range(model.rank):
-        header += ["mode%d_re" % (j + 1), "mode%d_im" % (j + 1)]
-    lines = [",".join(header)]
-    for i in range(model.modes.shape[0]):
-        cells = [io.fmt(model.x[i])]
-        for j in range(model.rank):
-            z = model.modes[i, j]
-            cells += [io.fmt(z.real), io.fmt(z.imag)]
-        lines.append(",".join(cells))
-    with open(prefix + "_modes.csv", "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-    header = ["t"]
-    for j in range(model.rank):
-        header += ["a%d_re" % (j + 1), "a%d_im" % (j + 1)]
-    lines = [",".join(header)]
-    for i in range(model.amplitudes.shape[1]):
-        cells = [io.fmt(model.t[i])]
-        for j in range(model.rank):
-            z = model.amplitudes[j, i]
-            cells += [io.fmt(z.real), io.fmt(z.imag)]
-        lines.append(",".join(cells))
-    with open(prefix + "_amplitudes.csv", "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
-
+    io.write_modal_csv(prefix + "_modes.csv", "x", model.x, "mode", model.modes)
+    io.write_modal_csv(
+        prefix + "_amplitudes.csv", "t", model.t, "a", model.amplitudes.T
+    )
     _print_report(dataset, model, cfg["correlation_variant"])
     return 0
 
@@ -361,26 +232,94 @@ def cmd_compare(cfg):
     return 0 if dominates else 2
 
 
+_INPUT = _Flag("input", default="burgers.csv", help="snapshot CSV", metavar="CSV")
+_MODEL = _Flag("model", default="model.txt", help="model file", metavar="MODEL")
+_SEED = _Flag("seed", int, DEFAULT_SEED, help="sampling seed")
+_VARIANT = _Flag(
+    "correlation_variant",
+    default="paper",
+    help="correlation functional",
+    choices=("paper", "cosine"),
+)
+
+# name: (handler, help, flags); each flag's default, type and check is here only
 _COMMANDS = {
-    "generate": cmd_generate,
-    "fit": cmd_fit,
-    "sweep": cmd_sweep,
-    "evaluate": cmd_evaluate,
-    "compare": cmd_compare,
+    "generate": (
+        cmd_generate,
+        "write the benchmark snapshot CSV and its metadata sidecar",
+        (
+            _Flag("output", default="burgers.csv", help="snapshot CSV", metavar="CSV"),
+            _Flag("nu", float, 0.01, _positive, "viscosity"),
+            _Flag("quad_order", int, 100, lambda v: 1 <= v <= 500, "quadrature order"),
+            _Flag("grid_points", int, 101, lambda v: v >= 2, "spatial points"),
+            _Flag("dt", float, 0.01, _positive, "time step"),
+            _Flag("t_final", float, 3.0, _positive, "final time"),
+        ),
+    ),
+    "fit": (
+        cmd_fit,
+        "fit a twin model to a snapshot CSV and print its quality report",
+        (
+            _INPUT,
+            _Flag("output", default="model.txt", help="model file", metavar="MODEL"),
+            _Flag("rank", int, 10, lambda v: v >= 1, "model rank"),
+            _SEED,
+            _Flag(
+                "reorthonormalize",
+                _boolean,
+                False,
+                help="QR-orthonormalize the mode basis",
+            ),
+            _VARIANT,
+        ),
+    ),
+    "sweep": (
+        cmd_sweep,
+        "sweep ranks, write the Pareto CSV, print the selected rank",
+        (
+            _INPUT,
+            _Flag("output", default="sweep.csv", help="sweep CSV", metavar="CSV"),
+            _Flag("max_rank", int, 20, lambda v: v >= 1, "largest rank to try"),
+            _Flag("tol", float, 1e-5, _positive, "error tolerance for selection"),
+            _SEED,
+        ),
+    ),
+    "evaluate": (
+        cmd_evaluate,
+        "reconstruct a fitted model and emit plot-data CSVs",
+        (
+            _INPUT,
+            _MODEL,
+            _Flag("output", default="twin", help="prefix of the CSVs", metavar="PREFIX"),
+            _VARIANT,
+        ),
+    ),
+    "compare": (
+        cmd_compare,
+        "score model modes against the Fourier baseline",
+        (
+            _INPUT,
+            _MODEL,
+            _Flag(
+                "self_test",
+                _boolean,
+                False,
+                help="compare the Fourier basis against itself",
+            ),
+        ),
+    ),
 }
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        _validate(args.command, cfg)
-    except (UsageError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write("rodtwin %s: error: %s\n" % (args.command, exc))
         return 1
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except Exception as exc:
         sys.stderr.write("rodtwin %s: error: %s\n" % (args.command, exc))
         return 2

@@ -1,4 +1,5 @@
-"""Plain-text serialization: snapshot CSV, model files, sweep CSV, reports.
+"""Plain-text serialization: snapshot CSV, plot-data CSVs, model files,
+sweep CSV, reports.
 
 Every number is written with 17 significant digits so float64 values
 survive a write/read cycle bit-exactly.  Magnitudes outside
@@ -115,6 +116,23 @@ def read_meta(path):
             key, _, value = stripped.partition("=")
             out[key.strip()] = value.strip()
     return out
+
+
+def write_modal_csv(path, axis_name, axis, label, columns):
+    """Plot-data CSV of complex per-mode values along one grid axis.
+
+    columns has shape (axis size, number of modes).  The header is
+    axis_name,<label>1_re,<label>1_im,...; row i holds axis[i], then
+    the (re,im) pair of each mode.
+    """
+    header = [axis_name]
+    for j in range(columns.shape[1]):
+        header += ["%s%d_re" % (label, j + 1), "%s%d_im" % (label, j + 1)]
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for value, row in zip(axis, columns):
+            cells = ",".join(_fmt_complex_pair(z) for z in row)
+            handle.write(fmt(value) + "," + cells + "\n")
 
 
 # ------------------------------------------------------------------- models
@@ -305,12 +323,3 @@ def parse_report_text(text):
         seed=int(values["seed"]),
     )
 
-
-def report_csv(report):
-    """QualityReport as a two-line CSV: header row plus one value row."""
-    header = ",".join(QualityReport.FIELDS)
-    cells = []
-    for name in QualityReport.FIELDS:
-        value = getattr(report, name)
-        cells.append("%d" % value if name in ("rank", "seed") else fmt(value))
-    return header + "\n" + ",".join(cells) + "\n"

@@ -6,16 +6,34 @@ eigensolver, and least squares.  The wrappers pin the conventions the
 rest of the package relies on: validated finite inputs, nonincreasing
 singular values, ascending tridiagonal eigenvalues, unit-norm
 eigenvectors with conjugate pairs adjacent, and minimum-norm solves
-for rank-deficient systems.
+for rank-deficient systems.  `warn` raises the package's
+RuntimeWarnings on behalf of the caller outside it.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def warn(message):
+    """Raise a RuntimeWarning attributed to the first caller outside rodtwin.
+
+    A fixed stacklevel is right for one call path only; walking out of
+    the package's files serves every path into it.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 class LinalgError(RuntimeError):
@@ -69,11 +87,7 @@ def qr_factor(a):
     q, r = np.linalg.qr(a)
     small = int(np.count_nonzero(np.abs(np.diag(r)) < 1e-12))
     if small:
-        warnings.warn(
-            "rank-deficient QR: %d negligible diagonal entries in R" % small,
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warn("rank-deficient QR: %d negligible diagonal entries in R" % small)
     return q, r
 
 
@@ -152,10 +166,8 @@ def least_squares(a, b, rcond=1e-12):
         )
     x, _, rank, _ = np.linalg.lstsq(a, b2, rcond=rcond)
     if rank < a.shape[1]:
-        warnings.warn(
+        warn(
             "rank-deficient least squares (rank %d of %d): minimum-norm solution"
-            % (rank, a.shape[1]),
-            RuntimeWarning,
-            stacklevel=2,
+            % (rank, a.shape[1])
         )
     return x[:, 0] if vector_rhs else x

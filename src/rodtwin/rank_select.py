@@ -57,11 +57,11 @@ def _flag_dominated(points):
         )
 
 
-def pareto_sweep(snap, rank_max, seed, **fit_options):
+def pareto_sweep(snap, rank_max, seed):
     """Fit every rank 1..rank_max at the given seed and flag dominance.
 
-    Per-rank failures are recorded in the point's error field instead of
-    aborting the sweep.  Extra keyword arguments pass through to fit.
+    Each rank is a plain fit(snap, rank, seed).  Per-rank failures are
+    recorded in the point's error field instead of aborting the sweep.
     """
     rank_max = int(rank_max)
     limit = min(snap.values.shape[0], snap.values.shape[1] - 1)
@@ -70,7 +70,7 @@ def pareto_sweep(snap, rank_max, seed, **fit_options):
     points = []
     for rank in range(1, rank_max + 1):
         try:
-            model = fit(snap, rank, seed, **fit_options)
+            model = fit(snap, rank, seed)
             j1, j2 = objectives(snap, model)
             points.append(ParetoPoint(rank=rank, j1=j1, j2=j2))
         except Exception as exc:

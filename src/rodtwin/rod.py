@@ -19,12 +19,18 @@ imaginary residue.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdFactors, eig_general, least_squares, qr_factor, svd_economy
+from .linalg import (
+    SvdFactors,
+    eig_general,
+    least_squares,
+    qr_factor,
+    svd_economy,
+    warn,
+)
 from .rsvd import range_finder
 
 
@@ -110,7 +116,6 @@ class RodModel:
     modes: (nx, rank) complex, unit discrete-L2-norm columns.
     amplitudes: (rank, nt + 1) complex, one row per mode.
     eigenvalues: (rank,) complex spectrum of the propagator.
-    gram_deviation: mode_gram_deviation of the modes at fit time.
     """
 
     modes: np.ndarray
@@ -120,7 +125,6 @@ class RodModel:
     seed: int
     x: np.ndarray
     t: np.ndarray
-    gram_deviation: float = 0.0
 
     @property
     def dx(self):
@@ -129,6 +133,11 @@ class RodModel:
     @property
     def dt(self):
         return float((self.t[-1] - self.t[0]) / (self.t.size - 1))
+
+    @property
+    def gram_deviation(self):
+        """mode_gram_deviation of the modes under the grid's inner product."""
+        return mode_gram_deviation(self.modes, InnerProduct(self.dx))
 
 
 def shift_split(snap):
@@ -148,11 +157,9 @@ def _drop_tiny_singular(svd):
     kept = int(np.count_nonzero(keep))
     if kept == 0:
         raise ValueError("all singular values are negligible; nothing to propagate")
-    warnings.warn(
+    warn(
         "truncating %d near-zero singular directions before inversion"
-        % (sigma.size - kept),
-        RuntimeWarning,
-        stacklevel=3,
+        % (sigma.size - kept)
     )
     return SvdFactors(
         U=svd.U[:, :kept], sigma=sigma[:kept], W=svd.W[:, :kept], rank_used=kept
@@ -187,11 +194,7 @@ def rod_modes(basis, eig, ip):
     norms = np.sqrt(ip.dx * np.sum(np.abs(raw) ** 2, axis=0))
     keep = norms > 1e-14 * max(float(norms.max()), 1e-300)
     if not keep.all():
-        warnings.warn(
-            "dropping %d zero-norm mode column(s)" % int((~keep).sum()),
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warn("dropping %d zero-norm mode column(s)" % int((~keep).sum()))
         if not keep.any():
             raise ValueError("all mode columns degenerate")
     return raw[:, keep] / norms[keep], eig.values[keep]
@@ -214,11 +217,9 @@ def amplitudes(modes, values):
         raise ValueError("more modes than snapshot columns")
     s = np.linalg.svd(modes, compute_uv=False)
     if s[-1] <= 0 or s[0] / s[-1] > 1e12:
-        warnings.warn(
+        warn(
             "ill-conditioned mode basis (condition %.3e): minimum-norm amplitudes"
-            % (np.inf if s[-1] <= 0 else s[0] / s[-1]),
-            RuntimeWarning,
-            stacklevel=2,
+            % (np.inf if s[-1] <= 0 else s[0] / s[-1])
         )
     return least_squares(modes, values)
 
@@ -236,25 +237,18 @@ def mode_gram_deviation(modes, ip):
     return float(off.max()) if off.size > 1 else 0.0
 
 
-def fit(
-    snap,
-    rank,
-    seed,
-    oversampling=0,
-    power_iterations=0,
-    reorthonormalize=False,
-):
+def fit(snap, rank, seed, reorthonormalize=False):
     """Fit a twin data model of the given rank.
 
     Runs the full pipeline on the snapshot matrix in one pass over the
     data after the sketch: time-shift split, the randomized range
-    finder on V0 at the given rank and seed, the projection P = Q^T V of
-    all nt + 1 columns, then in rank-sized arrays only: the SVD of the
-    first nt columns of P, the propagator from the last nt, its
-    eigendecomposition, the mode coefficients B, and the amplitudes.
-    The modes Q B are formed once at the end.  With
-    reorthonormalize=True the mode basis is replaced by its QR
-    orthonormalization (the amplitudes are refit accordingly).
+    finder on V0 at the given rank and seed (no oversampling, no power
+    iterations), the projection P = Q^T V of all nt + 1 columns, then
+    in rank-sized arrays only: the SVD of the first nt columns of P,
+    the propagator from the last nt, its eigendecomposition, the mode
+    coefficients B, and the amplitudes.  The modes Q B are formed once
+    at the end.  With reorthonormalize=True the mode basis is replaced
+    by its QR orthonormalization (the amplitudes are refit accordingly).
 
     Raises FitStageError naming the failing stage on computational
     failures; precondition violations raise ValueError directly.
@@ -276,15 +270,7 @@ def fit(
         except Exception as exc:
             raise FitStageError("stage '%s' failed: %s" % (name, exc)) from exc
 
-    q = stage(
-        "rsvd",
-        range_finder,
-        v0,
-        rank,
-        seed,
-        oversampling=oversampling,
-        power_iterations=power_iterations,
-    )
+    q = stage("rsvd", range_finder, v0, rank, seed)
     proj = q.T @ snap.values
     inner = stage("rsvd", svd_economy, proj[:, :-1])
     factors = SvdFactors(
@@ -312,8 +298,6 @@ def fit(
         seed=int(seed),
         x=snap.x.copy(),
         t=snap.t.copy(),
-        # from the stored modes, as a reloaded model recomputes it (O(nx r^2))
-        gram_deviation=mode_gram_deviation(modes, ip),
     )
 
 
@@ -334,10 +318,8 @@ def reconstruct(model):
     scale = float(max(real.max(), -real.min()))
     residue = float(max(imag.max(), -imag.min()))
     if scale > 0 and residue > 1e-6 * scale:
-        warnings.warn(
+        warn(
             "imaginary residue %.3e exceeds 1e-6 of the field scale %.3e"
-            % (residue, scale),
-            RuntimeWarning,
-            stacklevel=2,
+            % (residue, scale)
         )
     return SnapshotMatrix(values=real, x=model.x.copy(), t=model.t.copy())

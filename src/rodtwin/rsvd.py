@@ -16,11 +16,9 @@ the same seed; rank sweeps therefore sample nested subspaces.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .linalg import SvdFactors, qr_factor, svd_economy
+from .linalg import SvdFactors, qr_factor, svd_economy, warn
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -99,7 +97,7 @@ def range_finder(
         raise ValueError("power_iterations must be nonnegative")
 
     if not v0.any():
-        warnings.warn("rsvd of an all-zero matrix", RuntimeWarning, stacklevel=3)
+        warn("rsvd of an all-zero matrix")
         return qr_factor(gaussian_test_matrix(nx, k, seed))[0]
 
     q = v0 @ gaussian_test_matrix(nt, k + p, seed)

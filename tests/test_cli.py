@@ -93,6 +93,17 @@ class TestGenerate:
         )
         assert "(21x6)" in capsys.readouterr().out
 
+    def test_config_keys_of_other_commands_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("grid-points = 31\ndt = 0.1\nt-final = 0.5\nrank = 3\n")
+        data = tmp_path / "c.csv"
+        assert main(["generate", "--output", str(data), "--config", str(cfg)]) == 0
+        assert "(31x6)" in capsys.readouterr().out
+        model = tmp_path / "m.txt"
+        argv = ["--input", str(data), "--output", str(model), "--config", str(cfg)]
+        assert main(["fit"] + argv) == 0
+        assert io.parse_report_text(capsys.readouterr().out).rank == 3
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = main(
             ["generate", "--output", str(tmp_path / "x.csv"), "--config", "nope.cfg"]
@@ -399,6 +410,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["fit", "--correlation-variant", "pearson"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize(
+        "text, named", [("grid_point = 31\n", "'grid_point'"), ("grid-points 31\n", ":1:")]
+    )
+    def test_bad_config_key_or_line(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        rc = main(["generate", "--output", str(out), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err
+        assert named in err
+        assert not out.exists()
 
     def test_bad_config_boolean(self, ws, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -133,6 +133,17 @@ class TestModelFile:
         assert_allclose(back.x, burgers_model.x, atol=1e-12)
         assert_allclose(back.t, burgers_model.t, atol=1e-12)
 
+    @pytest.mark.parametrize("rank, reorthonormalize", [(10, False), (15, True)])
+    def test_gram_deviation_survives_reload(
+        self, tmp_path, burgers_snapshot, rank, reorthonormalize
+    ):
+        model = rt.fit(burgers_snapshot, rank, 1, reorthonormalize=reorthonormalize)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        back = io.read_model(path)
+        bits = struct.Struct("<d").pack
+        assert bits(back.gram_deviation) == bits(model.gram_deviation)
+
     @pytest.mark.parametrize("section", ["modes", "amplitudes", "eigenvalues"])
     def test_wrong_pair_count_reports_line(self, tmp_path, rng, section):
         model = self._small_model(rng)

@@ -163,14 +163,3 @@ class TestQualityReport:
         text = io.report_text(rep)
         back = io.parse_report_text(text)
         assert back == rep
-
-    def test_csv_has_header_and_one_row(
-        self, burgers_snapshot, burgers_model, burgers_fourier, burgers_ip
-    ):
-        rep = rt.quality_report(
-            burgers_snapshot, burgers_model, burgers_fourier, burgers_ip
-        )
-        lines = io.report_csv(rep).strip().splitlines()
-        assert lines[0] == ",".join(rt.QualityReport.FIELDS)
-        assert len(lines) == 2
-        assert lines[1].split(",")[0] == "10"

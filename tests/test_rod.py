@@ -289,3 +289,20 @@ class TestReconstruct:
         twin = rt.reconstruct(burgers_model)
         assert np.array_equal(twin.x, burgers_snapshot.x)
         assert np.array_equal(twin.t, burgers_snapshot.t)
+
+
+_WARNING_CASES = {
+    "propagator": lambda v: rt.propagator(rsvd(v, 2, seed=0), v),
+    "fit": lambda v: rt.fit(make_snapshot(v), 2, seed=0),
+    "pareto_sweep": lambda v: rt.pareto_sweep(make_snapshot(v), 3, seed=0),
+    "rsvd_all_zero": lambda v: rsvd(np.zeros_like(v), 2, seed=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WARNING_CASES))
+def test_warnings_point_at_caller(case, rng):
+    u0 = rng.standard_normal(20)
+    values = np.column_stack([u0 * 0.85**i for i in range(9)])
+    with pytest.warns(RuntimeWarning) as record:
+        _WARNING_CASES[case](values)
+    assert {w.filename for w in record} == {__file__}
