@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from typing import Callable, NamedTuple, Optional
 
 from . import burgers, empirical, io, metrics, rank_select, rod
@@ -138,7 +139,8 @@ def _load_model_for(dataset, model_path):
         model.dt - dataset.dt
     ) > 1e-12 * scale:
         raise ValueError("model spacing does not match the dataset grid")
-    # serialized grids are origin-zero; adopt the dataset's actual grids
+    # files without a format line have origin-zero grids, and the report
+    # compares against the dataset's grid points: adopt those
     return dataclasses.replace(model, x=dataset.x.copy(), t=dataset.t.copy())
 
 
@@ -319,10 +321,33 @@ def main(argv=None):
         sys.stderr.write("rodtwin %s: error: %s\n" % (args.command, exc))
         return 1
     try:
-        return _COMMANDS[args.command][0](cfg)
+        return _run_reporting_warnings(args.command, cfg)
     except Exception as exc:
         sys.stderr.write("rodtwin %s: error: %s\n" % (args.command, exc))
         return 2
+
+
+def _run_reporting_warnings(command, cfg):
+    """Run a subcommand, printing each distinct RuntimeWarning once as
+    'rodtwin <command>: warning: <message>'.
+
+    Under the CLI every frame below main lies inside the package, so the
+    usual file:line attribution would name the interpreter's launcher.
+    Other warning categories are shown as usual.
+    """
+    show = warnings.showwarning
+    seen = set()
+
+    def show_runtime(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, RuntimeWarning):
+            return show(message, category, filename, lineno, file, line)
+        if str(message) not in seen:
+            seen.add(str(message))
+            sys.stderr.write("rodtwin %s: warning: %s\n" % (command, message))
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_runtime
+        return _COMMANDS[command][0](cfg)
 
 
 def entry():

@@ -8,49 +8,77 @@ over modes and columns gives the score used to compare mode families.
 The averaging conventions differ on purpose: the model side divides by
 its own mode count, the Fourier side by the full grid dimension with
 absent modes contributing zero.
+
+The baseline spans the data columns, so by Parseval every column
+projects fully onto it and the Fourier score is the column count over
+nx.  The score is computed in that closed form whenever a bound shows
+the truncated tail is negligible; the SVD itself runs only when the
+basis, its singular values or its coefficients are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import svd_economy
 
+# singular values below RANK_CUTOFF times the largest are discarded
+RANK_CUTOFF = 1e-12
+
 
 @dataclass(frozen=True)
 class FourierModes:
-    """Unit-norm empirical basis psi with singular values and coefficients.
+    """Empirical basis of a snapshot matrix, decomposed on first use.
 
-    Reconstruction sum_i coefficients[i, j] * psi[:, i] reproduces
-    column j of the decomposed data.
+    Holds the decomposed values (by reference, not copied) and the grid
+    spacing dx.  psi (unit-norm basis), sigma (singular values) and
+    coefficients come from one SVD, run the first time any of them is
+    read.  Reconstruction sum_i coefficients[i, j] * psi[:, i]
+    reproduces column j of values.
     """
 
-    psi: np.ndarray
-    sigma: np.ndarray
-    coefficients: np.ndarray
+    values: np.ndarray
+    dx: float
+
+    @cached_property
+    def _expansion(self):
+        factors = svd_economy(self.values)
+        sigma = factors.sigma
+        if sigma.size and sigma[0] > 0:
+            r = int(np.count_nonzero(sigma > RANK_CUTOFF * sigma[0]))
+        else:
+            r = 0
+        r = max(r, 1)
+        root_dx = np.sqrt(self.dx)
+        psi = factors.U[:, :r] / root_dx
+        coeff = root_dx * sigma[:r, None] * factors.W[:, :r].conj().T
+        return psi, sigma[:r].copy(), coeff
+
+    @property
+    def psi(self):
+        return self._expansion[0]
+
+    @property
+    def sigma(self):
+        return self._expansion[1]
+
+    @property
+    def coefficients(self):
+        return self._expansion[2]
 
 
-def fourier_decomposition(snap, rank_cutoff=1e-12):
-    """Deterministic SVD expansion of a snapshot matrix.
+def fourier_decomposition(snap):
+    """Deterministic SVD expansion of a snapshot matrix, computed lazily.
 
-    Keeps the numerical rank: singular values below rank_cutoff times
+    Keeps the numerical rank: singular values below RANK_CUTOFF times
     the largest are discarded.  Modes are rescaled to unit discrete-L2
     norm and the coefficients absorb the inverse scaling, so the
     reconstruction identity is preserved exactly.
     """
-    factors = svd_economy(snap.values)
-    sigma = factors.sigma
-    if sigma.size and sigma[0] > 0:
-        r = int(np.count_nonzero(sigma > rank_cutoff * sigma[0]))
-    else:
-        r = 0
-    r = max(r, 1)
-    root_dx = np.sqrt(snap.dx)
-    psi = factors.U[:, :r] / root_dx
-    coeff = root_dx * sigma[:r, None] * factors.W[:, :r].conj().T
-    return FourierModes(psi=psi, sigma=sigma[:r].copy(), coefficients=coeff)
+    return FourierModes(values=snap.values, dx=snap.dx)
 
 
 def project(phi, u, ip):
@@ -72,23 +100,15 @@ def _column_energies(v0, ip):
     return col_sq
 
 
-def _mean_score(inner, col_sq, present, mode_count):
-    m = present if mode_count is None else int(mode_count)
-    if m < present:
-        raise ValueError("mode_count below the number of modes present")
-    return float(np.sum(np.abs(inner) ** 2 / col_sq) / m)
-
-
-def _fourier_inner(fourier, v0):
-    """<psi_i, u_j> for the columns of v0, read from the coefficients."""
-    coeff = np.asarray(fourier.coefficients)
-    if fourier.psi.shape[0] != v0.shape[0] or coeff.shape[1] != v0.shape[1] + 1:
+def _check_baseline(fourier, v0):
+    """fourier must decompose v0 plus one final column; read from the
+    stored values, so the check never forces the SVD."""
+    nx, ncols = fourier.values.shape
+    if nx != v0.shape[0] or ncols != v0.shape[1] + 1:
         raise ValueError(
             "Fourier modes of a %dx%d snapshot matrix do not match %dx%d data"
-            " plus one final column"
-            % (fourier.psi.shape[0], coeff.shape[1], v0.shape[0], v0.shape[1])
+            " plus one final column" % (nx, ncols, v0.shape[0], v0.shape[1])
         )
-    return coeff[:, :-1]
 
 
 def mean_projection_norm(modes, v0, ip, mode_count=None):
@@ -105,23 +125,34 @@ def mean_projection_norm(modes, v0, ip, mode_count=None):
     col_sq = _column_energies(v0, ip)
     parts = [modes.real.T, modes.imag.T] if np.iscomplexobj(modes) else [modes.T]
     inner = ip.dx * (np.vstack(parts) @ v0)
-    return _mean_score(inner, col_sq, modes.shape[1], mode_count)
+    m = modes.shape[1] if mode_count is None else int(mode_count)
+    if m < modes.shape[1]:
+        raise ValueError("mode_count below the number of modes present")
+    return float(np.sum(np.abs(inner) ** 2 / col_sq) / m)
 
 
 def fourier_projection_norm(fourier, v0, ip):
-    """mean_projection_norm(fourier.psi, v0, ip, mode_count=nx), read from
-    the coefficients.
+    """mean_projection_norm(fourier.psi, v0, ip, mode_count=nx).
 
-    fourier must decompose the snapshot matrix whose first columns are
+    fourier must decompose the snapshot matrix V whose first columns are
     v0, which has one column more than v0; any other shape raises
-    ValueError.  coefficients[i, j] equals <psi_i, u_j>, so no product
-    with the data is needed.
+    ValueError.  psi spans every column up to the singular directions
+    dropped below RANK_CUTOFF * sigma_0, so column j falls short of a
+    full projection by at most RANK_CUTOFF^2 sigma_0^2 / ||u_j||^2, and
+    sigma_0 <= ||V||_F.  When that bound is within machine epsilon the
+    score is the closed form (number of columns) / nx.  Otherwise psi is
+    computed and multiplied with v0: the coefficients hold <psi_i, u_j>
+    only to rounding relative to sigma_0, which is no accuracy at all
+    for a column far smaller than the largest.
     """
     v0 = np.asarray(v0, dtype=float)
-    inner = _fourier_inner(fourier, v0)
-    return _mean_score(
-        inner, _column_energies(v0, ip), inner.shape[0], v0.shape[0]
-    )
+    _check_baseline(fourier, v0)
+    col_sq = _column_energies(v0, ip)
+    last = fourier.values[:, -1]
+    frobenius_sq = col_sq.sum() + ip.dx * float(last @ last)
+    if RANK_CUTOFF**2 * frobenius_sq <= np.finfo(float).eps * col_sq.min():
+        return v0.shape[1] / v0.shape[0]
+    return mean_projection_norm(fourier.psi, v0, ip, mode_count=v0.shape[0])
 
 
 def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
@@ -129,16 +160,17 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
 
     fourier decomposes the snapshot matrix whose first columns are v0.
     Returns (rho_rod, rho_fourier, dominates).  By default the Fourier
-    mean runs over the full grid dimension and is read from the
-    coefficients.  same_rank=True instead truncates the baseline to the
-    model's rank and averages both sides over that rank, a like-for-like
-    diagnostic; there the truncated basis is scored by the same product
-    as the model modes, so a basis compared with itself ties exactly.
+    mean runs over the full grid dimension and is fourier_projection_norm,
+    which needs no SVD.  same_rank=True instead truncates the baseline to
+    the model's rank and averages both sides over that rank, a
+    like-for-like diagnostic; there the truncated basis is scored by the
+    same product as the model modes, so a basis compared with itself ties
+    exactly.
     """
     rod_modes = np.asarray(rod_modes)
     v0 = np.asarray(v0, dtype=float)
     if same_rank:
-        _fourier_inner(fourier, v0)  # the shape contract of the default path
+        _check_baseline(fourier, v0)
         k = min(rod_modes.shape[1], fourier.psi.shape[1])
         rho_fourier = mean_projection_norm(
             fourier.psi[:, :k], v0, ip, mode_count=rod_modes.shape[1]

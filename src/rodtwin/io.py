@@ -137,20 +137,27 @@ def write_modal_csv(path, axis_name, axis, label, columns):
 
 # ------------------------------------------------------------------- models
 
+_MODEL_FORMAT = "2"
 _MODEL_HEADER_KEYS = ("nx", "nt", "rank", "seed", "dx", "dt", "length", "t_final")
+_MODEL_GRID_KEYS = ("x0", "x_end", "t0", "t_end")
 
 
 def write_model(path, model):
     """Single-file model format: key=value header, then bracketed sections.
 
-    [modes] has nx rows of rank (re,im) pairs, [amplitudes] rank rows of
-    nt+1 pairs, [eigenvalues] rank rows of one pair each.
+    The header opens with 'format = 2' and ends with the grid ends x0,
+    x_end, t0, t_end.  [modes] has nx rows of rank (re,im) pairs,
+    [amplitudes] rank rows of nt+1 pairs, [eigenvalues] rank rows of
+    one pair each.
     """
     nx = model.modes.shape[0]
     nt = model.amplitudes.shape[1] - 1
     length = float(model.x[-1] - model.x[0])
     t_final = float(model.t[-1] - model.t[0])
+    # dx, dt, length and t_final are what a reader of the format-less
+    # files needs, so such a reader still loads this file
     header = {
+        "format": _MODEL_FORMAT,
         "nx": nx,
         "nt": nt,
         "rank": model.rank,
@@ -159,8 +166,12 @@ def write_model(path, model):
         "dt": fmt(model.dt),
         "length": fmt(length),
         "t_final": fmt(t_final),
+        "x0": fmt(model.x[0]),
+        "x_end": fmt(model.x[-1]),
+        "t0": fmt(model.t[0]),
+        "t_end": fmt(model.t[-1]),
     }
-    parts = ["%s = %s" % (k, header[k]) for k in _MODEL_HEADER_KEYS]
+    parts = ["%s = %s" % item for item in header.items()]
     parts.append("[modes]")
     for i in range(nx):
         parts.append(",".join(_fmt_complex_pair(z) for z in model.modes[i]))
@@ -190,7 +201,12 @@ def _parse_pair_row(cells, line_no, path, pairs):
 def read_model(path):
     """Parse a model file written by write_model.
 
-    Grids are rebuilt from the header spacings with origin zero.
+    Grids are rebuilt with np.linspace between the saved ends, so the
+    ends, dx, dt and everything dx-weighted reload bit for bit (and so
+    does a grid that was itself built by np.linspace).  A file without
+    a format line predates the saved ends: its grids are rebuilt from
+    the header spacings with origin zero.  Any other format value is
+    rejected with its path:line.
     """
     with open(path) as handle:
         lines = [ln.rstrip("\n") for ln in handle]
@@ -211,9 +227,15 @@ def read_model(path):
                 )
             key, _, value = stripped.partition("=")
             header[key.strip()] = value.strip()
+            if key.strip() == "format" and value.strip() != _MODEL_FORMAT:
+                raise ValueError(
+                    "%s:%d: unsupported model format %r (expected %s)"
+                    % (path, line_no, value.strip(), _MODEL_FORMAT)
+                )
         else:
             sections[current].append((line_no, stripped.split(",")))
-    missing = [k for k in _MODEL_HEADER_KEYS if k not in header]
+    required = _MODEL_HEADER_KEYS + (_MODEL_GRID_KEYS if "format" in header else ())
+    missing = [k for k in required if k not in header]
     if missing:
         raise ValueError("%s: missing header keys %s" % (path, missing))
     for name in ("modes", "amplitudes", "eigenvalues"):
@@ -240,16 +262,20 @@ def read_model(path):
     eigenvalues = np.array(
         [_parse_pair_row(cells, line_no, path, 1)[0] for line_no, cells in rows]
     )
-    dx = float(header["dx"])
-    dt = float(header["dt"])
+    if "format" in header:
+        x = np.linspace(float(header["x0"]), float(header["x_end"]), nx)
+        t = np.linspace(float(header["t0"]), float(header["t_end"]), nt + 1)
+    else:
+        x = np.arange(nx) * float(header["dx"])
+        t = np.arange(nt + 1) * float(header["dt"])
     return RodModel(
         modes=modes,
         amplitudes=amp,
         eigenvalues=eigenvalues,
         rank=rank,
         seed=int(header["seed"]),
-        x=np.arange(nx) * dx,
-        t=np.arange(nt + 1) * dt,
+        x=x,
+        t=t,
     )
 
 

@@ -102,9 +102,9 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     """Assemble the QualityReport for a fitted model against exact data.
 
     Projection scores are computed on V0 (all snapshot columns but the
-    last); the Fourier mean runs over the grid dimension and reads the
-    inner products from fourier.coefficients, so fourier must decompose
-    exact itself (ValueError otherwise).
+    last); the Fourier mean runs over the grid dimension and is
+    empirical.fourier_projection_norm, so fourier must decompose exact
+    itself (ValueError otherwise).
     """
     from .rod import reconstruct
 

@@ -4,13 +4,14 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rodtwin as rt
-from rodtwin import io
+from rodtwin import cli, io
 from rodtwin.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -308,6 +309,25 @@ class TestEvaluate:
         assert rc == 2
         assert "bad_model.txt:%d:" % line_no in capsys.readouterr().err
 
+    def test_unknown_model_format_reports_line(self, ws, tmp_path, capsys):
+        text = (ws / "model.txt").read_text()
+        bad = tmp_path / "future_model.txt"
+        bad.write_text(text.replace("format = 2\n", "format = 3\n", 1))
+        rc = main(
+            [
+                "evaluate",
+                "--input",
+                str(ws / "burgers.csv"),
+                "--model",
+                str(bad),
+                "--output",
+                str(tmp_path / "t"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "future_model.txt:1: unsupported model format" in err
+
     def test_model_grid_mismatch(self, ws, tmp_path, capsys):
         small = tmp_path / "small.csv"
         assert (
@@ -443,6 +463,56 @@ class TestUsageErrors:
         assert "boolean" in capsys.readouterr().err
 
 
+def _rank_one_csv(path):
+    x = np.linspace(0.0, 1.0, 40)
+    values = np.column_stack([np.sin(np.pi * x) * 0.9**k for k in range(12)])
+    io.write_snapshot_csv(path, rt.SnapshotMatrix(values, x, np.arange(12) * 0.1))
+
+
+def _checkout_env():
+    """Environment whose PYTHONPATH puts the tested checkout first."""
+    pkg_parent = str(Path(rt.__file__).resolve().parents[1])
+    pythonpath = filter(None, [pkg_parent, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+
+
+class TestWarnings:
+    def test_module_run_names_the_command(self, tmp_path):
+        # under python -m every frame below main lies inside the package
+        _rank_one_csv(tmp_path / "r1.csv")
+        argv = ["fit", "--rank", "2", "--input", "r1.csv", "--output", "m.txt"]
+        result = subprocess.run(
+            [sys.executable, "-m", "rodtwin.cli"] + argv,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=_checkout_env(),
+            cwd=tmp_path,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.splitlines()
+        assert lines == [
+            "rodtwin fit: warning: rank-deficient QR: 1 negligible diagonal "
+            "entries in R",
+            "rodtwin fit: warning: truncating 1 near-zero singular directions "
+            "before inversion",
+        ]
+        assert "rank = 1" in result.stdout
+
+    def test_each_warning_printed_once(self, monkeypatch, capsys):
+        def noisy(cfg):
+            for _ in range(3):
+                warnings.warn("same message", RuntimeWarning)
+            warnings.warn("not a runtime warning", UserWarning)
+            return 0
+
+        _, help_text, flags = cli._COMMANDS["generate"]
+        monkeypatch.setitem(cli._COMMANDS, "generate", (noisy, help_text, flags))
+        with pytest.warns(UserWarning, match="not a runtime warning"):
+            assert main(["generate"]) == 0
+        assert capsys.readouterr().err == "rodtwin generate: warning: same message\n"
+
+
 # What pip's generated console-script wrapper runs, plus a check that the
 # child imports the same rodtwin checkout the suite is testing.
 _WRAPPER = """\
@@ -494,9 +564,7 @@ class TestConsoleScript:
         wrapper = _WRAPPER.format(
             pkg_parent=pkg_parent, module=ep.module, attr=ep.attr
         )
-        pythonpath = filter(None, [pkg_parent, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
-        _assert_prints_help([sys.executable, "-c", wrapper], env=env)
+        _assert_prints_help([sys.executable, "-c", wrapper], env=_checkout_env())
 
         # An installed script, where there is one, must behave the same.
         exe = shutil.which("rodtwin")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
+from rodtwin import empirical
 
 from conftest import make_snapshot
 
@@ -193,3 +196,73 @@ class TestCompareProjections:
         )
         assert dominates is True
         assert rod > four
+
+
+def _forbid_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Fourier SVD was computed")
+
+    monkeypatch.setattr(empirical, "svd_economy", refuse)
+
+
+class TestLazyBaseline:
+    def test_report_and_compare_never_decompose(self, rng, monkeypatch):
+        snap = make_snapshot(rng.standard_normal((30, 12)))
+        model = rt.fit(snap, 3, seed=1)
+        ip = rt.InnerProduct(snap.dx)
+        v0 = snap.values[:, :-1]
+        _forbid_svd(monkeypatch)
+        f = rt.fourier_decomposition(snap)
+        report = rt.quality_report(snap, model, f, ip)
+        assert report.fourier_projection_norm == 11 / 30
+        _, four, _ = rt.compare_projections(model.modes, f, v0, ip)
+        assert four == 11 / 30
+        other = rt.fourier_decomposition(make_snapshot(snap.values[1:]))
+        with pytest.raises(ValueError, match="do not match"):
+            rt.compare_projections(model.modes, other, v0, ip)
+        with pytest.raises(ValueError, match="do not match"):
+            rt.compare_projections(model.modes, other, v0, ip, same_rank=True)
+        zero = v0.copy()
+        zero[:, 4] = 0.0
+        with pytest.raises(ValueError, match=r"index \[4\]"):
+            rt.compare_projections(model.modes, f, zero, ip)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.integers(2, 40),
+        ncols=st.integers(2, 40),
+        rank=st.integers(1, 40),
+        dx=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_equals_psi_score(self, nx, ncols, rank, dx, seed):
+        # covers nx < nt, nx > nt and, for rank < min(nx, ncols), rank-deficient data
+        rng = np.random.default_rng(seed)
+        rank = min(rank, nx, ncols)
+        values = rng.standard_normal((nx, rank)) @ rng.standard_normal((rank, ncols))
+        snap = make_snapshot(values, dx=dx)
+        ip = rt.InnerProduct(snap.dx)
+        v0 = values[:, :-1]
+        f = rt.fourier_decomposition(snap)
+        score = empirical.fourier_projection_norm(f, v0, ip)
+        assert score == (ncols - 1) / nx
+        direct = rt.mean_projection_norm(f.psi, v0, ip, mode_count=nx)
+        assert score == pytest.approx(direct, rel=1e-12)
+
+    def test_tiny_column_scores_with_psi(self, rng, monkeypatch):
+        # the bound fails, so psi is computed; every column still lies in
+        # its span, and the psi product keeps the tiny column's accuracy
+        values = rng.standard_normal((25, 10))
+        values[:, 3] *= 1e-9
+        snap = make_snapshot(values)
+        ip = rt.InnerProduct(snap.dx)
+        v0 = values[:, :-1]
+        with monkeypatch.context() as patch:
+            _forbid_svd(patch)
+            with pytest.raises(AssertionError, match="SVD was computed"):
+                f = rt.fourier_decomposition(snap)
+                empirical.fourier_projection_norm(f, v0, ip)
+        f = rt.fourier_decomposition(snap)
+        score = empirical.fourier_projection_norm(f, v0, ip)
+        assert score == rt.mean_projection_norm(f.psi, v0, ip, mode_count=25)
+        assert score == pytest.approx(9 / 25, rel=1e-12)

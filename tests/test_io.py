@@ -1,8 +1,10 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -129,7 +131,8 @@ class TestModelFile:
         back = io.read_model(path)
         assert np.array_equal(back.modes, burgers_model.modes)
         assert np.array_equal(back.amplitudes, burgers_model.amplitudes)
-        # grids are rebuilt from spacings; agreement to rounding only
+        # the generator's t is arange * dt and reloads as a linspace between
+        # its ends; agreement to rounding only
         assert_allclose(back.x, burgers_model.x, atol=1e-12)
         assert_allclose(back.t, burgers_model.t, atol=1e-12)
 
@@ -143,6 +146,83 @@ class TestModelFile:
         back = io.read_model(path)
         bits = struct.Struct("<d").pack
         assert bits(back.gram_deviation) == bits(model.gram_deviation)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.integers(2, 399),
+        nt=st.integers(1, 30),
+        rank=st.integers(1, 4),
+        dx=st.floats(1e-4, 1.0, exclude_max=True),
+        dt=st.floats(1e-4, 1.0, exclude_max=True),
+        x0=st.floats(-10.0, 10.0),
+        t0=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # grids whose last point x0 + (n - 1) * dx misses the saved end by a bit
+    @example(
+        nx=370,
+        nt=23,
+        rank=2,
+        dx=0.12749026874800143,
+        dt=0.6893755110402859,
+        x0=-8.528741893387359,
+        t0=-5.632888102633751,
+        seed=5,
+    )
+    def test_write_read_identity(self, nx, nt, rank, dx, dt, x0, t0, seed):
+        rng = np.random.default_rng(seed)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        model = rt.RodModel(
+            modes=cplx(nx, rank),
+            amplitudes=cplx(rank, nt + 1),
+            eigenvalues=cplx(rank),
+            rank=rank,
+            seed=seed,
+            x=np.linspace(x0, x0 + (nx - 1) * dx, nx),
+            t=np.linspace(t0, t0 + nt * dt, nt + 1),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.txt")
+            io.write_model(path, model)
+            back = io.read_model(path)
+        for name in ("x", "t", "modes", "amplitudes", "eigenvalues"):
+            assert np.array_equal(getattr(back, name), getattr(model, name)), name
+        bits = struct.Struct("<d").pack
+        for name in ("dx", "dt", "gram_deviation"):
+            assert bits(getattr(back, name)) == bits(getattr(model, name)), name
+        assert (back.rank, back.seed) == (rank, seed)
+
+    def test_file_without_format_line_parses(self, tmp_path, rng):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        new_keys = ("format", "x0", "x_end", "t0", "t_end")
+        lines = [
+            ln
+            for ln in path.read_text().splitlines()
+            if ln.partition("=")[0].strip() not in new_keys
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        back = io.read_model(path)
+        assert np.array_equal(back.modes, model.modes)
+        assert np.array_equal(back.amplitudes, model.amplitudes)
+        assert np.array_equal(back.eigenvalues, model.eigenvalues)
+        assert np.array_equal(back.x, np.arange(12) * 0.5)
+        assert np.array_equal(back.t, np.arange(9) * 0.125)
+
+    @pytest.mark.parametrize("value", ["1", "3", ""])
+    def test_unknown_format_reports_line(self, tmp_path, rng, value):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        text = path.read_text()
+        assert text.startswith("format = 2\n")
+        path.write_text("format = %s\n" % value + text.partition("\n")[2])
+        with pytest.raises(ValueError, match=r"model\.txt:1: unsupported model format"):
+            io.read_model(path)
 
     @pytest.mark.parametrize("section", ["modes", "amplitudes", "eigenvalues"])
     def test_wrong_pair_count_reports_line(self, tmp_path, rng, section):
