@@ -1,13 +1,13 @@
 """Dense linear-algebra kernels used by every other module.
 
-Thin wrappers over LAPACK (through numpy and scipy): Householder QR,
-economy SVD, a general real eigensolver, the symmetric tridiagonal
-eigensolver, and least squares.  The wrappers pin the conventions the
-rest of the package relies on: validated finite inputs, nonincreasing
-singular values, ascending tridiagonal eigenvalues, unit-norm
-eigenvectors with conjugate pairs adjacent, and minimum-norm solves
-for rank-deficient systems.  `warn` raises the package's
-RuntimeWarnings on behalf of the caller outside it.
+Thin wrappers over LAPACK (through numpy): Householder QR, economy
+SVD, a general real eigensolver, the symmetric tridiagonal eigensolver,
+and least squares.  The wrappers pin the conventions the rest of the
+package relies on: validated finite inputs, nonincreasing singular
+values, ascending tridiagonal eigenvalues, unit-norm eigenvectors with
+conjugate pairs adjacent, and minimum-norm solves for rank-deficient
+systems.  `warn` raises the package's RuntimeWarnings on behalf of the
+caller outside it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
@@ -45,14 +44,13 @@ class SvdFactors:
     """Economy SVD triple: A is approximately U @ diag(sigma) @ W conjugate-transposed.
 
     U has orthonormal columns spanning the (approximate) range, sigma is
-    nonincreasing and nonnegative, W has orthonormal columns, and
-    rank_used records how many triplets are kept.
+    nonincreasing and nonnegative, and W has orthonormal columns; the
+    number of triplets kept is sigma.size.
     """
 
     U: np.ndarray
     sigma: np.ndarray
     W: np.ndarray
-    rank_used: int
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ def svd_economy(a):
         u, s, wh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise LinalgError("SVD did not converge: %s" % exc) from exc
-    return SvdFactors(U=u, sigma=s, W=wh.conj().T, rank_used=int(min(a.shape)))
+    return SvdFactors(U=u, sigma=s, W=wh.conj().T)
 
 
 def eig_general(s):
@@ -132,8 +130,9 @@ def eig_general(s):
 def eig_sym_tridiag(diag, offdiag):
     """Eigendecomposition of a symmetric tridiagonal matrix.
 
-    Uses the implicit-shift QL/QR driver.  Eigenvalues are ascending and
-    the eigenvector matrix is orthogonal.
+    Solved as the dense symmetric matrix: the callers' matrices are at
+    most 500x500, where that is no slower than a tridiagonal driver.
+    Eigenvalues are ascending and the eigenvector matrix is orthogonal.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
@@ -143,18 +142,16 @@ def eig_sym_tridiag(diag, offdiag):
         raise ValueError("offdiagonal length must be diagonal length - 1")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("tridiagonal input contains non-finite entries")
-    if d.size == 1:
-        return d.copy(), np.ones((1, 1))
-    values, vectors = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stev")
-    return values, vectors
+    return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
 def least_squares(a, b, rcond=1e-12):
     """Minimize ||A X - B||_F column by column.
 
-    Solved through the SVD pseudo-inverse; singular values below
-    rcond * sigma_max are cut, which turns rank-deficient systems into
-    minimum-norm solutions (reported with a warning).
+    Solved through the SVD pseudo-inverse; singular values at or below
+    rcond * sigma_max are cut, which turns rank-deficient and
+    ill-conditioned systems into minimum-norm solutions, reported with
+    one warning that names the rank and the condition number.
     """
     a = _checked(a, "A")
     b_arr = np.asarray(b)
@@ -164,10 +161,12 @@ def least_squares(a, b, rcond=1e-12):
         raise ValueError(
             "row mismatch: A has %d rows, B has %d" % (a.shape[0], b2.shape[0])
         )
-    x, _, rank, _ = np.linalg.lstsq(a, b2, rcond=rcond)
+    x, _, rank, s = np.linalg.lstsq(a, b2, rcond=rcond)
     if rank < a.shape[1]:
+        # a wide A is singular beyond its min(rows, cols) singular values
+        cond = s[0] / s[-1] if s.size == a.shape[1] and s[-1] > 0 else np.inf
         warn(
-            "rank-deficient least squares (rank %d of %d): minimum-norm solution"
-            % (rank, a.shape[1])
+            "rank-deficient least squares (rank %d of %d, condition %.3e):"
+            " minimum-norm solution" % (rank, a.shape[1], cond)
         )
     return x[:, 0] if vector_rhs else x

@@ -161,9 +161,7 @@ def _drop_tiny_singular(svd):
         "truncating %d near-zero singular directions before inversion"
         % (sigma.size - kept)
     )
-    return SvdFactors(
-        U=svd.U[:, :kept], sigma=sigma[:kept], W=svd.W[:, :kept], rank_used=kept
-    )
+    return SvdFactors(U=svd.U[:, :kept], sigma=sigma[:kept], W=svd.W[:, :kept])
 
 
 def propagator(svd, v1):
@@ -206,21 +204,16 @@ def amplitudes(modes, values):
     The least-squares weight is dx-uniform, so the plain solve is
     identical to the weighted one.  Orthonormal modes reduce this to
     inner-product projection.  An ill-conditioned basis (condition
-    beyond 1e12) still yields the minimum-norm solution, with a warning.
-    The fit passes the mode coefficients B and the projected data
-    P = Q^T V: Q has orthonormal columns, so cond(Q B) = cond(B) and the
-    part of V outside range(Q) does not move the minimizer.
+    1e12 or beyond) still yields the minimum-norm solution, with the one
+    warning of least_squares.  The fit passes the mode coefficients B
+    and the projected data P = Q^T V: Q has orthonormal columns, so
+    cond(Q B) = cond(B) and the part of V outside range(Q) does not
+    move the minimizer.
     """
     modes = np.asarray(modes)
     values = np.asarray(values)
     if modes.shape[1] > values.shape[1]:
         raise ValueError("more modes than snapshot columns")
-    s = np.linalg.svd(modes, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > 1e12:
-        warn(
-            "ill-conditioned mode basis (condition %.3e): minimum-norm amplitudes"
-            % (np.inf if s[-1] <= 0 else s[0] / s[-1])
-        )
     return least_squares(modes, values)
 
 
@@ -273,16 +266,10 @@ def fit(snap, rank, seed, reorthonormalize=False):
     q = stage("rsvd", range_finder, v0, rank, seed)
     proj = q.T @ snap.values
     inner = stage("rsvd", svd_economy, proj[:, :-1])
-    factors = SvdFactors(
-        U=inner.U[:, :rank],
-        sigma=inner.sigma[:rank],
-        W=inner.W[:, :rank],
-        rank_used=rank,
-    )
-    prop = stage("propagator", propagator, factors, proj[:, 1:])
+    prop = stage("propagator", propagator, inner, proj[:, 1:])
     eig = stage("eigendecomposition", eig_general, prop)
     # the propagator keeps the leading directions of T
-    kept = factors.U[:, : prop.shape[0]]
+    kept = inner.U[:, : prop.shape[0]]
     coeff, eigenvalues = stage("modes", rod_modes, kept, eig, ip)
     if reorthonormalize:
         coeff = qr_factor(coeff)[0] / np.sqrt(ip.dx)

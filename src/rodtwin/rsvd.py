@@ -138,7 +138,7 @@ def rsvd(
 
     Returns
     -------
-    SvdFactors with U (nx, k), sigma (k,), W (nt, k), rank_used = k.
+    SvdFactors with U (nx, k), sigma (k,) and W (nt, k).
     An all-zero v0 gives zero sigma between arbitrary orthonormal frames.
     """
     v0 = np.asarray(v0, dtype=float)
@@ -153,11 +153,10 @@ def rsvd(
     k = int(target_rank)
     if not v0.any():
         w = qr_factor(gaussian_test_matrix(v0.shape[1], k, seed + 1))[0]
-        return SvdFactors(U=q, sigma=np.zeros(k), W=w, rank_used=k)
+        return SvdFactors(U=q, sigma=np.zeros(k), W=w)
     inner = svd_economy(q.T @ v0)
     return SvdFactors(
         U=(q @ inner.U)[:, :k],
         sigma=inner.sigma[:k].copy(),
         W=inner.W[:, :k].copy(),
-        rank_used=k,
     )

@@ -556,6 +556,26 @@ def _assert_prints_help(cmd, env=None):
 
 
 class TestConsoleScript:
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; a fresh interpreter shows it
+        pkg_parent = str(Path(rt.__file__).resolve().parents[1])
+        code = (
+            "import os, sys\n"
+            "import rodtwin, rodtwin.cli\n"
+            "here = os.path.realpath(rodtwin.__file__)\n"
+            "assert here.startswith(%r + os.sep), here\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        ) % pkg_parent
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=_checkout_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_installed_entry_point(self):
         # The declared script, run as the installer's wrapper would run it,
         # against the checkout under test: this needs no install.

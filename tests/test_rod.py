@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
+from rodtwin import rod
 from rodtwin.cli import DEFAULT_SEED
 from rodtwin.linalg import eig_general
 from rodtwin.rsvd import rsvd
@@ -143,8 +146,12 @@ class TestAmplitudes:
         col = rng.standard_normal(15)
         phi = np.column_stack([col, col * (1 + 1e-15)]).astype(complex)
         snap = make_snapshot(rng.standard_normal((15, 4)))
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as record:
             rt.amplitudes(phi, snap.values)
+        # one fact, one warning: the rank and the condition in one message
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert re.search(r"rank 1 of 2, condition (inf|\d\.\d{3}e\+\d+)", message)
 
 
 class TestFit:
@@ -222,6 +229,27 @@ class TestFit:
         twin = rt.reconstruct(model)
         # the reconstruction spans the same subspace, so accuracy survives
         assert rt.absolute_error(burgers_snapshot, twin) <= 1e-4
+
+    def test_stage_failure_names_the_stage(self, rng, monkeypatch):
+        def boom(s):
+            raise rt.LinalgError("boom")
+
+        monkeypatch.setattr(rod, "eig_general", boom)
+        snap = make_snapshot(rng.standard_normal((20, 9)))
+        with pytest.raises(rt.FitStageError) as info:
+            rt.fit(snap, 3, seed=1)
+        assert "stage 'eigendecomposition' failed: boom" in str(info.value)
+        assert isinstance(info.value.__cause__, rt.LinalgError)
+
+    def test_stage_value_error_passes_through(self, rng, monkeypatch):
+        def reject(s):
+            raise ValueError("bad propagator")
+
+        monkeypatch.setattr(rod, "eig_general", reject)
+        snap = make_snapshot(rng.standard_normal((20, 9)))
+        with pytest.raises(ValueError, match="bad propagator") as info:
+            rt.fit(snap, 3, seed=1)
+        assert type(info.value) is ValueError
 
 
 def dense_reference(snap, rank, seed):
