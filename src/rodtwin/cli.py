@@ -241,7 +241,7 @@ _VARIANT = _Flag(
     "correlation_variant",
     default="paper",
     help="correlation functional",
-    choices=("paper", "cosine"),
+    choices=metrics.VARIANTS,
 )
 
 # name: (handler, help, flags); each flag's default, type and check is here only

@@ -91,7 +91,10 @@ def project(phi, u, ip):
 
 def _column_energies(v0, ip):
     """<u_j, u_j> of every data column; a zero column is rejected."""
-    col_sq = ip.dx * np.einsum("ij,ij->j", v0, v0)
+    return _nonzero_energies(ip.dx * np.einsum("ij,ij->j", v0, v0))
+
+
+def _nonzero_energies(col_sq):
     zero_cols = np.flatnonzero(col_sq <= 0)
     if zero_cols.size:
         raise ValueError(
@@ -111,6 +114,19 @@ def _check_baseline(fourier, v0):
         )
 
 
+def _real_parts(modes):
+    """The modes' real and imaginary parts as the rows of one real matrix
+    (only the real part for real modes)."""
+    parts = [modes.real.T, modes.imag.T] if np.iscomplexobj(modes) else [modes.T]
+    return np.vstack(parts)
+
+
+def _projection_score(inner, col_sq, mode_count):
+    """(1/m) * sum_i sum_j |<phi_i, u_j>|^2 / <u_j, u_j> from the inner
+    products of _real_parts(modes) with the columns."""
+    return float(np.sum(np.abs(inner) ** 2 / col_sq) / mode_count)
+
+
 def mean_projection_norm(modes, v0, ip, mode_count=None):
     """Mean over modes of summed squared projection norms onto data columns.
 
@@ -123,12 +139,11 @@ def mean_projection_norm(modes, v0, ip, mode_count=None):
     modes = np.asarray(modes)
     v0 = np.asarray(v0, dtype=float)
     col_sq = _column_energies(v0, ip)
-    parts = [modes.real.T, modes.imag.T] if np.iscomplexobj(modes) else [modes.T]
-    inner = ip.dx * (np.vstack(parts) @ v0)
+    inner = ip.dx * (_real_parts(modes) @ v0)
     m = modes.shape[1] if mode_count is None else int(mode_count)
     if m < modes.shape[1]:
         raise ValueError("mode_count below the number of modes present")
-    return float(np.sum(np.abs(inner) ** 2 / col_sq) / m)
+    return _projection_score(inner, col_sq, m)
 
 
 def fourier_projection_norm(fourier, v0, ip):
@@ -136,20 +151,30 @@ def fourier_projection_norm(fourier, v0, ip):
 
     fourier must decompose the snapshot matrix V whose first columns are
     v0, which has one column more than v0; any other shape raises
-    ValueError.  psi spans every column up to the singular directions
-    dropped below RANK_CUTOFF * sigma_0, so column j falls short of a
-    full projection by at most RANK_CUTOFF^2 sigma_0^2 / ||u_j||^2, and
+    ValueError.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    _check_baseline(fourier, v0)
+    last = fourier.values[:, -1]
+    return _fourier_score(
+        fourier, v0, ip, _column_energies(v0, ip), ip.dx * float(last @ last)
+    )
+
+
+def _fourier_score(fourier, v0, ip, col_sq, last_sq):
+    """fourier_projection_norm given the energies col_sq of the columns of
+    v0 and last_sq of V's final column.
+
+    psi spans every column up to the singular directions dropped below
+    RANK_CUTOFF * sigma_0, so column j falls short of a full projection
+    by at most RANK_CUTOFF^2 sigma_0^2 / ||u_j||^2, and
     sigma_0 <= ||V||_F.  When that bound is within machine epsilon the
     score is the closed form (number of columns) / nx.  Otherwise psi is
     computed and multiplied with v0: the coefficients hold <psi_i, u_j>
     only to rounding relative to sigma_0, which is no accuracy at all
     for a column far smaller than the largest.
     """
-    v0 = np.asarray(v0, dtype=float)
-    _check_baseline(fourier, v0)
-    col_sq = _column_energies(v0, ip)
-    last = fourier.values[:, -1]
-    frobenius_sq = col_sq.sum() + ip.dx * float(last @ last)
+    frobenius_sq = col_sq.sum() + last_sq
     if RANK_CUTOFF**2 * frobenius_sq <= np.finfo(float).eps * col_sq.min():
         return v0.shape[1] / v0.shape[0]
     return mean_projection_norm(fourier.psi, v0, ip, mode_count=v0.shape[0])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .metrics import QualityReport
 from .rank_select import ParetoPoint
-from .rod import RodModel, SnapshotMatrix
+from .rod import RodModel, SnapshotMatrix, grid_fault
 
 
 def fmt(value):
@@ -69,7 +69,9 @@ def write_snapshot_csv(path, snap, meta=None):
 def read_snapshot_csv(path):
     """Parse a snapshot CSV back into a SnapshotMatrix.
 
-    Malformed content raises ValueError carrying path and line number.
+    Malformed content raises ValueError carrying path and line number,
+    including what SnapshotMatrix rejects: a time grid names the header,
+    a non-finite cell or a bad x step the first row at fault.
     """
     with open(path) as handle:
         raw_lines = [ln.rstrip("\n") for ln in handle]
@@ -100,7 +102,23 @@ def read_snapshot_csv(path):
             values[row_index] = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ValueError("%s:%d: bad cell (%s)" % (path, line_no, exc))
-    return SnapshotMatrix(values=values, x=x, t=t)
+    try:
+        return SnapshotMatrix(values=values, x=x, t=t)
+    except ValueError as exc:
+        line_no = _snapshot_fault_line(lines, x, t, values)
+        raise ValueError("%s:%d: %s" % (path, line_no, exc))
+
+
+def _snapshot_fault_line(lines, x, t, values):
+    """Line of the first fault SnapshotMatrix reports, checked in its order."""
+    fault = grid_fault(x, "x")
+    if fault:
+        return lines[1 + fault[1]][0]
+    if grid_fault(t, "t") is None:
+        bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad_rows.size:
+            return lines[1 + bad_rows[0]][0]
+    return lines[0][0]
 
 
 def read_meta(path):
@@ -302,15 +320,21 @@ def read_sweep_csv(path):
         for row in reader:
             if not row:
                 continue
-            points.append(
-                ParetoPoint(
-                    rank=int(row[0]),
-                    j1=float(row[1]),
-                    j2=float(row[2]),
-                    dominated=bool(int(row[3])),
-                    error=row[4],
+            where = "%s:%d" % (path, reader.line_num)
+            if len(row) != 5:
+                raise ValueError("%s: expected 5 cells, found %d" % (where, len(row)))
+            try:
+                points.append(
+                    ParetoPoint(
+                        rank=int(row[0]),
+                        j1=float(row[1]),
+                        j2=float(row[2]),
+                        dominated=bool(int(row[3])),
+                        error=row[4],
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError("%s: bad cell (%s)" % (where, exc))
     return points
 
 

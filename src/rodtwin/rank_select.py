@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .rod import fit, reconstruct
+from .rod import fit
 
 
 @dataclass
@@ -36,11 +36,10 @@ class ParetoPoint:
 
 
 def objectives(snap, model):
-    """(j1, j2) for a fitted model: absolute error and negated correlation."""
-    twin = reconstruct(model)
-    j1 = metrics.absolute_error(snap, twin)
-    j2 = -metrics.correlation(snap, twin)
-    return j1, j2
+    """(j1, j2) for a fitted model: absolute error and negated correlation,
+    streamed from the model without forming its twin."""
+    j1, corr = metrics.twin_scores(snap, model)
+    return j1, -corr
 
 
 def _flag_dominated(points):

@@ -19,6 +19,7 @@ imaginary residue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +35,41 @@ from .linalg import (
 from .rsvd import range_finder
 
 
+NON_FINITE = "snapshot values contain non-finite entries"
+
+
 class FitStageError(RuntimeError):
     """A stage of the fit pipeline failed; the message names the stage."""
 
 
-def _uniform_grid(g, name):
+def grid_fault(g, name):
+    """Why g is not a usable grid, as (message, index of the first
+    offending point), or None for at least 2 finite, strictly increasing,
+    uniformly spaced points."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 1 or g.size < 2:
-        raise ValueError("%s grid needs at least 2 points" % name)
+        return "%s grid needs at least 2 points" % name, 0
+    finite = np.isfinite(g)
+    if not finite.all():
+        return "%s grid contains non-finite entries" % name, int(np.argmin(finite))
     steps = np.diff(g)
     if steps.min() <= 0:
-        raise ValueError("%s grid must be strictly increasing" % name)
+        return (
+            "%s grid must be strictly increasing" % name,
+            int(np.argmax(steps <= 0)) + 1,
+        )
     scale = max(abs(float(g[0])), abs(float(g[-1])), 1.0)
-    if np.abs(steps - steps[0]).max() > 1e-12 * scale:
-        raise ValueError("%s grid must be uniformly spaced" % name)
+    uneven = np.abs(steps - steps[0]) > 1e-12 * scale
+    if uneven.any():
+        return "%s grid must be uniformly spaced" % name, int(np.argmax(uneven)) + 1
+    return None
+
+
+def _uniform_grid(g, name):
+    g = np.asarray(g, dtype=float)
+    fault = grid_fault(g, name)
+    if fault:
+        raise ValueError(fault[0])
     return g
 
 
@@ -72,7 +94,7 @@ class SnapshotMatrix:
                 % (values.shape, x.size, t.size)
             )
         if not np.isfinite(values).all():
-            raise ValueError("snapshot values contain non-finite entries")
+            raise ValueError(NON_FINITE)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
@@ -288,25 +310,61 @@ def fit(snap, rank, seed, reorthonormalize=False):
     )
 
 
+class ModalSum:
+    """The modal sum of a model in real arithmetic, evaluated row block by
+    row block.
+
+    The sum is complex; conjugate eigenpair structure makes it real up
+    to rounding.  Both parts come from real products,
+    modes.real @ amp.real - modes.imag @ amp.imag and
+    modes.real @ amp.imag + modes.imag @ amp.real, each as one stacked
+    product.  rows() returns the real part of the requested rows; it
+    rejects non-finite entries as SnapshotMatrix does and tracks the
+    field scale and the imaginary residue over every row evaluated, which
+    warn_residue() then checks once.
+    """
+
+    def __init__(self, model):
+        mr, mi = model.modes.real, model.modes.imag
+        ar, ai = model.amplitudes.real, model.amplitudes.imag
+        self._real = (np.hstack([mr, -mi]), np.vstack([ar, ai]))
+        self._imag = (np.hstack([mr, mi]), np.vstack([ai, ar]))
+        self.shape = (mr.shape[0], ar.shape[1])
+        self.scale = 0.0
+        self.residue = 0.0
+
+    def rows(self, start, stop, out=None):
+        """Real part of rows start:stop.  out, a (2, stop - start, nt + 1)
+        buffer, receives the real and imaginary parts instead of new arrays."""
+        real, imag = (None, None) if out is None else out
+        left, right = self._real
+        real = np.matmul(left[start:stop], right, out=real)
+        left, right = self._imag
+        imag = np.matmul(left[start:stop], right, out=imag)
+        high, low = float(real.max()), float(real.min())
+        if not (math.isfinite(high) and math.isfinite(low)):
+            raise ValueError(NON_FINITE)
+        self.scale = max(self.scale, high, -low)
+        # np.max keeps a NaN residue, which never warns
+        self.residue = float(np.max([self.residue, imag.max(), -imag.min()]))
+        return real
+
+    def warn_residue(self):
+        """Warn when the imaginary residue exceeds 1e-6 of the field scale."""
+        if self.scale > 0 and self.residue > 1e-6 * self.scale:
+            warn(
+                "imaginary residue %.3e exceeds 1e-6 of the field scale %.3e"
+                % (self.residue, self.scale)
+            )
+
+
 def reconstruct(model):
     """Evaluate the modal sum on the stored grid, returning a SnapshotMatrix.
 
-    The sum is complex; conjugate eigenpair structure makes it real up
-    to rounding.  The real part is returned and an imaginary residue
-    above 1e-6 of the field scale triggers a warning.  Both parts come
-    from real products, modes.real @ amp.real - modes.imag @ amp.imag
-    and modes.real @ amp.imag + modes.imag @ amp.real, each as one
-    stacked product.
+    The real part of ModalSum is returned, and an imaginary residue
+    above 1e-6 of the field scale triggers a warning.
     """
-    mr, mi = model.modes.real, model.modes.imag
-    ar, ai = model.amplitudes.real, model.amplitudes.imag
-    real = np.hstack([mr, -mi]) @ np.vstack([ar, ai])
-    imag = np.hstack([mr, mi]) @ np.vstack([ai, ar])
-    scale = float(max(real.max(), -real.min()))
-    residue = float(max(imag.max(), -imag.min()))
-    if scale > 0 and residue > 1e-6 * scale:
-        warn(
-            "imaginary residue %.3e exceeds 1e-6 of the field scale %.3e"
-            % (residue, scale)
-        )
+    modal = ModalSum(model)
+    real = modal.rows(0, modal.shape[0])
+    modal.warn_residue()
     return SnapshotMatrix(values=real, x=model.x.copy(), t=model.t.copy())

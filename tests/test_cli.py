@@ -361,6 +361,51 @@ class TestEvaluate:
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_twin_built_once(self, ws, tmp_path, monkeypatch, capsys):
+        calls = []
+        build = rt.rod.reconstruct
+
+        def counted(model):
+            calls.append(model.rank)
+            return build(model)
+
+        monkeypatch.setattr(rt.rod, "reconstruct", counted)
+        argv = ["--input", str(ws / "burgers.csv")]
+        assert main(["fit"] + argv + ["--output", str(tmp_path / "m.txt")]) == 0
+        assert calls == []
+        rc = main(
+            ["evaluate"]
+            + argv
+            + ["--model", str(tmp_path / "m.txt"), "--output", str(tmp_path / "t")]
+        )
+        assert rc == 0
+        assert calls == [10]
+
+
+class TestSnapshotFaults:
+    """What SnapshotMatrix rejects in a snapshot CSV exits 2 at its path:line."""
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("x,0,1,2\n0,1,2,3\n1,1,nan,3\n2,inf,2,3\n", 3, "non-finite"),
+            ("x,0,1,2\n0,1,2,3\n1,1,2,3\n2,1,2,-inf\n", 4, "non-finite"),
+            ("x,0,1,3\n0,1,2,3\n1,1,2,3\n", 1, "t grid must be uniformly spaced"),
+            ("x,0\n0,1\n1,2\n", 1, "t grid needs at least 2 points"),
+            ("x,0,1\n0,1,2\n1,1,2\n3,1,2\n", 4, "x grid must be uniformly"),
+            ("x,0,1\n0,1,2\n1,1,2\n1,1,2\n", 4, "x grid must be strictly"),
+            ("x,0,1\n0,1,2\nnan,1,2\n2,1,2\n", 3, "x grid contains non-finite"),
+        ],
+    )
+    def test_fault_reports_line(self, tmp_path, capsys, text, line_no, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        rc = main(["fit", "--input", str(path), "--output", str(tmp_path / "m.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data.csv:%d: " % line_no in err
+        assert message in err
+
 
 class TestCompare:
     def test_model_dominates(self, ws, capsys):

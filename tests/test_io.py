@@ -297,6 +297,19 @@ class TestSweepCsv:
         with pytest.raises(ValueError, match="header"):
             io.read_sweep_csv(path)
 
+    def test_short_row_reports_line(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("rank,j1,j2,dominated,error\n1,0.5,-0.5,0,\n2,0.5\n")
+        expect = r"sweep\.csv:3: expected 5 cells, found 2"
+        with pytest.raises(ValueError, match=expect):
+            io.read_sweep_csv(path)
+
+    def test_bad_float_reports_line(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("rank,j1,j2,dominated,error\n1,0.5,oops,0,\n")
+        with pytest.raises(ValueError, match=r"sweep\.csv:2: bad cell .*oops"):
+            io.read_sweep_csv(path)
+
 
 class TestReportParsing:
     def test_missing_field_rejected(self):

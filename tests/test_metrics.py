@@ -1,10 +1,16 @@
 import dataclasses
+import tracemalloc
+import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rodtwin as rt
-from rodtwin import io
+from rodtwin import io, metrics
+from rodtwin.metrics import BLOCK_ROWS
 
 from conftest import make_snapshot
 
@@ -163,3 +169,196 @@ class TestQualityReport:
         text = io.report_text(rep)
         back = io.parse_report_text(text)
         assert back == rep
+
+
+# row counts around the block boundaries of the streamed pass
+BLOCK_EDGES = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3)
+
+
+def _rel(value, reference):
+    return abs(value - reference) / max(abs(reference), 1e-300)
+
+
+def _dense_scores(exact, twin, variant):
+    """Error and correlation written out on the whole matrices."""
+    a, b = exact[:, 1:], twin[:, 1:]
+    error = np.mean(np.linalg.norm(a - b, axis=0))
+    if variant == "paper":
+        num = np.sum((a * b) ** 2, axis=0)
+        den = np.sqrt(np.sum(a**4, axis=0)) * np.sqrt(np.sum(b**4, axis=0))
+    else:
+        num = np.sum(a * b, axis=0) ** 2
+        den = np.sum(a**2, axis=0) * np.sum(b**2, axis=0)
+    return error, np.mean(num / den)
+
+
+def _dense_projection_score(modes, v0, dx, mode_count):
+    inner = dx * (modes.conj().T @ v0)
+    return np.sum(np.abs(inner) ** 2 / (dx * np.sum(v0**2, axis=0))) / mode_count
+
+
+class TestStreamedPass:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.sampled_from((1,) + BLOCK_EDGES),
+        ncols=st.integers(2, 12),
+        variant=st.sampled_from(rt.metrics.VARIANTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sums_match_dense(self, nx, ncols, variant, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((nx, ncols))
+        b = rng.standard_normal((nx, ncols))
+        parts = rng.standard_normal((4, nx))
+        # any object with values serves: a SnapshotMatrix needs 2 rows
+        exact = types.SimpleNamespace(values=a)
+        sums = metrics._stream(exact, lambda i, j: b[i:j], variant, parts)
+        a1, b1 = a[:, 1:], b[:, 1:]
+        if variant == "paper":
+            expect = [(a1 * b1) ** 2, a1**4, b1**4]
+        else:
+            expect = [a1 * b1, a1**2, b1**2]
+        expect = [(a1 - b1) ** 2] + expect + [a**2]
+        got = [sums.diff_sq, sums.cross, sums.exact_pow, sums.twin_pow, sums.energy]
+        for value, terms in zip(got, expect):
+            np.testing.assert_allclose(value, terms.sum(axis=0), rtol=1e-12)
+        inner = parts @ a[:, :-1]
+        np.testing.assert_allclose(sums.inner, inner, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nx=st.sampled_from((2,) + BLOCK_EDGES),
+        ncols=st.integers(3, 14),
+        rank=st.integers(1, 4),
+        variant=st.sampled_from(rt.metrics.VARIANTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_and_objectives_match_dense(self, nx, ncols, rank, variant, seed):
+        rng = np.random.default_rng(seed)
+        snap = make_snapshot(rng.standard_normal((nx, ncols)))
+        rank = min(rank, nx, ncols - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = rt.fit(snap, rank, seed=seed % 1000)
+            fourier = rt.fourier_decomposition(snap)
+            ip = rt.InnerProduct(snap.dx)
+            report = rt.quality_report(snap, model, fourier, ip, variant=variant)
+            j1, j2 = rt.objectives(snap, model)
+            twin = rt.reconstruct(model).values
+        error, corr = _dense_scores(snap.values, twin, variant)
+        v0 = snap.values[:, :-1]
+        psi = np.linalg.svd(snap.values, full_matrices=False)[0] / np.sqrt(snap.dx)
+        assert _rel(report.absolute_error, error) <= 1e-12
+        assert _rel(report.correlation, corr) <= 1e-12
+        assert _rel(
+            report.rod_projection_norm,
+            _dense_projection_score(model.modes, v0, snap.dx, model.modes.shape[1]),
+        ) <= 1e-12
+        assert _rel(
+            report.fourier_projection_norm,
+            _dense_projection_score(psi, v0, snap.dx, nx),
+        ) <= 1e-12
+        assert report.gram_deviation == model.gram_deviation
+        assert _rel(j1, error) <= 1e-12
+        assert _rel(j2, -_dense_scores(snap.values, twin, "paper")[1]) <= 1e-12
+
+
+class TestStreamedEdges:
+    @pytest.fixture()
+    def tall(self, rng):
+        """A rank-3 field whose rows span three blocks, and its model."""
+        nx, ncols = 2 * BLOCK_ROWS + 3, 9
+        values = rng.standard_normal((nx, 3)) @ rng.standard_normal((3, ncols))
+        snap = make_snapshot(values)
+        return snap, rt.fit(snap, 3, seed=1)
+
+    def _report(self, snap, model):
+        return rt.quality_report(
+            snap, model, rt.fourier_decomposition(snap), rt.InnerProduct(snap.dx)
+        )
+
+    def test_zero_twin_column_same_message(self, tall):
+        snap, model = tall
+        amp = model.amplitudes.copy()
+        amp[:, 4] = 0.0
+        zeroed = dataclasses.replace(model, amplitudes=amp)
+        twin = rt.reconstruct(zeroed)
+        with pytest.raises(ValueError) as public:
+            rt.correlation(snap, twin)
+        assert "time index [4]" in str(public.value)
+        with pytest.raises(ValueError, match=r"time index \[4\]") as streamed:
+            self._report(snap, zeroed)
+        assert str(streamed.value) == str(public.value)
+        with pytest.raises(ValueError, match=r"time index \[4\]"):
+            rt.objectives(snap, zeroed)
+
+    def test_zero_data_column_same_message(self, tall):
+        snap, model = tall
+        values = snap.values.copy()
+        values[:, 0] = 0.0
+        zero_first = make_snapshot(values)
+        with pytest.raises(ValueError) as public:
+            rt.mean_projection_norm(
+                model.modes, values[:, :-1], rt.InnerProduct(snap.dx)
+            )
+        with pytest.raises(ValueError, match=r"index \[0\]") as streamed:
+            self._report(zero_first, model)
+        assert str(streamed.value) == str(public.value)
+        values[:, 6] = 0.0
+        with pytest.raises(ValueError, match=r"time index \[6\]"):
+            self._report(make_snapshot(values), model)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_amplitude_rejected(self, tall, bad):
+        snap, model = tall
+        amp = model.amplitudes.copy()
+        amp[1, 5] = bad
+        broken = dataclasses.replace(model, amplitudes=amp)
+        for call in (
+            lambda: self._report(snap, broken),
+            lambda: rt.objectives(snap, broken),
+            lambda: rt.reconstruct(broken),
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+
+    def test_imaginary_residue_warns_once(self, tall):
+        snap, model = tall
+        tilted = dataclasses.replace(model, amplitudes=model.amplitudes * (1 + 1j))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._report(snap, tilted)
+        residue = [w for w in caught if "imaginary residue" in str(w.message)]
+        assert len(residue) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rt.reconstruct(tilted)
+        assert [str(w.message) for w in caught] == [str(residue[0].message)]
+
+    def test_public_functions_take_row_blocks_of_the_twin(self, tall):
+        snap, model = tall
+        twin = rt.reconstruct(model)
+        error, corr = rt.metrics.twin_scores(snap, model)
+        assert _rel(rt.absolute_error(snap, twin), error) <= 1e-12
+        assert _rel(rt.correlation(snap, twin), corr) <= 1e-12
+
+
+def test_report_allocates_under_half_the_field():
+    rng = np.random.default_rng(4001)
+    nx, ncols, rank = 4001, 1001, 10
+    basis = np.linalg.qr(rng.standard_normal((nx, rank)))[0]
+    snap = rt.SnapshotMatrix(
+        values=basis @ rng.standard_normal((rank, ncols)),
+        x=np.linspace(0.0, 1.0, nx),
+        t=np.arange(ncols) * 0.01,
+    )
+    model = rt.fit(snap, rank, seed=1)
+    fourier = rt.fourier_decomposition(snap)
+    ip = rt.InnerProduct(snap.dx)
+    tracemalloc.start()
+    try:
+        rt.quality_report(snap, model, fourier, ip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * snap.values.nbytes
