@@ -91,10 +91,7 @@ def project(phi, u, ip):
 
 def _column_energies(v0, ip):
     """<u_j, u_j> of every data column; a zero column is rejected."""
-    return _nonzero_energies(ip.dx * np.einsum("ij,ij->j", v0, v0))
-
-
-def _nonzero_energies(col_sq):
+    col_sq = ip.dx * np.einsum("ij,ij->j", v0, v0)
     zero_cols = np.flatnonzero(col_sq <= 0)
     if zero_cols.size:
         raise ValueError(
@@ -114,16 +111,13 @@ def _check_baseline(fourier, v0):
         )
 
 
-def _real_parts(modes):
-    """The modes' real and imaginary parts as the rows of one real matrix
-    (only the real part for real modes)."""
+def _score(modes, v0, ip, col_sq, mode_count):
+    """(1/m) * sum_i sum_j |<phi_i, u_j>|^2 / <u_j, u_j> given the column
+    energies col_sq.  The data are real, so the real and imaginary parts
+    of <phi_i, u_j> come from one real product with modes.real and
+    modes.imag stacked."""
     parts = [modes.real.T, modes.imag.T] if np.iscomplexobj(modes) else [modes.T]
-    return np.vstack(parts)
-
-
-def _projection_score(inner, col_sq, mode_count):
-    """(1/m) * sum_i sum_j |<phi_i, u_j>|^2 / <u_j, u_j> from the inner
-    products of _real_parts(modes) with the columns."""
+    inner = ip.dx * (np.vstack(parts) @ v0)
     return float(np.sum(np.abs(inner) ** 2 / col_sq) / mode_count)
 
 
@@ -133,74 +127,54 @@ def mean_projection_norm(modes, v0, ip, mode_count=None):
     Equals (1/m) * sum_i sum_j |<phi_i, u_j>|^2 / <u_j, u_j> with m the
     mode count; pass mode_count to average over a nominal mode total
     larger than the columns actually present (the absent ones add zero).
-    The data are real, so the real and imaginary parts of <phi_i, u_j>
-    come from real products with modes.real and modes.imag.
     """
     modes = np.asarray(modes)
     v0 = np.asarray(v0, dtype=float)
     col_sq = _column_energies(v0, ip)
-    inner = ip.dx * (_real_parts(modes) @ v0)
     m = modes.shape[1] if mode_count is None else int(mode_count)
     if m < modes.shape[1]:
         raise ValueError("mode_count below the number of modes present")
-    return _projection_score(inner, col_sq, m)
-
-
-def fourier_projection_norm(fourier, v0, ip):
-    """mean_projection_norm(fourier.psi, v0, ip, mode_count=nx).
-
-    fourier must decompose the snapshot matrix V whose first columns are
-    v0, which has one column more than v0; any other shape raises
-    ValueError.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    _check_baseline(fourier, v0)
-    last = fourier.values[:, -1]
-    return _fourier_score(
-        fourier, v0, ip, _column_energies(v0, ip), ip.dx * float(last @ last)
-    )
-
-
-def _fourier_score(fourier, v0, ip, col_sq, last_sq):
-    """fourier_projection_norm given the energies col_sq of the columns of
-    v0 and last_sq of V's final column.
-
-    psi spans every column up to the singular directions dropped below
-    RANK_CUTOFF * sigma_0, so column j falls short of a full projection
-    by at most RANK_CUTOFF^2 sigma_0^2 / ||u_j||^2, and
-    sigma_0 <= ||V||_F.  When that bound is within machine epsilon the
-    score is the closed form (number of columns) / nx.  Otherwise psi is
-    computed and multiplied with v0: the coefficients hold <psi_i, u_j>
-    only to rounding relative to sigma_0, which is no accuracy at all
-    for a column far smaller than the largest.
-    """
-    frobenius_sq = col_sq.sum() + last_sq
-    if RANK_CUTOFF**2 * frobenius_sq <= np.finfo(float).eps * col_sq.min():
-        return v0.shape[1] / v0.shape[0]
-    return mean_projection_norm(fourier.psi, v0, ip, mode_count=v0.shape[0])
+    return _score(modes, v0, ip, col_sq, m)
 
 
 def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     """Score the model modes against the Fourier baseline on V0.
 
-    fourier decomposes the snapshot matrix whose first columns are v0.
-    Returns (rho_rod, rho_fourier, dominates).  By default the Fourier
-    mean runs over the full grid dimension and is fourier_projection_norm,
-    which needs no SVD.  same_rank=True instead truncates the baseline to
-    the model's rank and averages both sides over that rank, a
-    like-for-like diagnostic; there the truncated basis is scored by the
-    same product as the model modes, so a basis compared with itself ties
-    exactly.
+    fourier must decompose the snapshot matrix V whose first columns are
+    v0, which has one column more than v0; any other shape raises
+    ValueError.  Returns (rho_rod, rho_fourier, dominates), both scores
+    from the column energies of v0, summed once.
+
+    By default the Fourier mean runs over the full grid dimension:
+    mean_projection_norm(fourier.psi, v0, ip, mode_count=nx).  psi spans
+    every column up to the singular directions dropped below
+    RANK_CUTOFF * sigma_0, so column j falls short of a full projection
+    by at most RANK_CUTOFF^2 sigma_0^2 / ||u_j||^2, and
+    sigma_0 <= ||V||_F.  When that bound is within machine epsilon the
+    score is the closed form (number of columns) / nx and no SVD runs.
+    Otherwise psi is computed and multiplied with v0: the coefficients
+    hold <psi_i, u_j> only to rounding relative to sigma_0, which is no
+    accuracy at all for a column far smaller than the largest.
+
+    same_rank=True instead truncates the baseline to the model's rank
+    and averages both sides over that rank, a like-for-like diagnostic;
+    there the truncated basis is scored by the same product as the
+    model modes, so a basis compared with itself ties exactly.
     """
     rod_modes = np.asarray(rod_modes)
     v0 = np.asarray(v0, dtype=float)
+    _check_baseline(fourier, v0)
+    col_sq = _column_energies(v0, ip)
+    nx, m = v0.shape[0], rod_modes.shape[1]
     if same_rank:
-        _check_baseline(fourier, v0)
-        k = min(rod_modes.shape[1], fourier.psi.shape[1])
-        rho_fourier = mean_projection_norm(
-            fourier.psi[:, :k], v0, ip, mode_count=rod_modes.shape[1]
-        )
+        k = min(m, fourier.psi.shape[1])
+        rho_fourier = _score(fourier.psi[:, :k], v0, ip, col_sq, m)
     else:
-        rho_fourier = fourier_projection_norm(fourier, v0, ip)
-    rho_rod = mean_projection_norm(rod_modes, v0, ip)
+        last = fourier.values[:, -1]
+        frobenius_sq = col_sq.sum() + ip.dx * float(last @ last)
+        if RANK_CUTOFF**2 * frobenius_sq <= np.finfo(float).eps * col_sq.min():
+            rho_fourier = v0.shape[1] / nx
+        else:
+            rho_fourier = _score(fourier.psi, v0, ip, col_sq, nx)
+    rho_rod = _score(rod_modes, v0, ip, col_sq, m)
     return rho_rod, rho_fourier, bool(rho_rod > rho_fourier)

@@ -216,6 +216,24 @@ def _parse_pair_row(cells, line_no, path, pairs):
     return flat[0::2] + 1j * flat[1::2]
 
 
+def _count(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError("negative count %d" % value)
+    return value
+
+
+def _header_number(header, key, convert, path):
+    """convert applied to a header value; a failure names its path:line."""
+    line_no, text = header[key]
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(
+            "%s:%d: bad %s value (%s)" % (path, line_no, key, exc)
+        ) from None
+
+
 def read_model(path):
     """Parse a model file written by write_model.
 
@@ -244,7 +262,7 @@ def read_model(path):
                     "%s:%d: expected 'key = value' before sections" % (path, line_no)
                 )
             key, _, value = stripped.partition("=")
-            header[key.strip()] = value.strip()
+            header[key.strip()] = (line_no, value.strip())
             if key.strip() == "format" and value.strip() != _MODEL_FORMAT:
                 raise ValueError(
                     "%s:%d: unsupported model format %r (expected %s)"
@@ -259,9 +277,10 @@ def read_model(path):
     for name in ("modes", "amplitudes", "eigenvalues"):
         if name not in sections:
             raise ValueError("%s: missing [%s] section" % (path, name))
-    nx = int(header["nx"])
-    nt = int(header["nt"])
-    rank = int(header["rank"])
+    nx = _header_number(header, "nx", _count, path)
+    nt = _header_number(header, "nt", _count, path)
+    rank = _header_number(header, "rank", _count, path)
+    seed = _header_number(header, "seed", int, path)
     modes = np.empty((nx, rank), dtype=complex)
     rows = sections["modes"]
     if len(rows) != nx:
@@ -281,17 +300,20 @@ def read_model(path):
         [_parse_pair_row(cells, line_no, path, 1)[0] for line_no, cells in rows]
     )
     if "format" in header:
-        x = np.linspace(float(header["x0"]), float(header["x_end"]), nx)
-        t = np.linspace(float(header["t0"]), float(header["t_end"]), nt + 1)
+        x0, x_end, t0, t_end = (
+            _header_number(header, key, float, path) for key in _MODEL_GRID_KEYS
+        )
+        x = np.linspace(x0, x_end, nx)
+        t = np.linspace(t0, t_end, nt + 1)
     else:
-        x = np.arange(nx) * float(header["dx"])
-        t = np.arange(nt + 1) * float(header["dt"])
+        x = np.arange(nx) * _header_number(header, "dx", float, path)
+        t = np.arange(nt + 1) * _header_number(header, "dt", float, path)
     return RodModel(
         modes=modes,
         amplitudes=amp,
         eigenvalues=eigenvalues,
         rank=rank,
-        seed=int(header["seed"]),
+        seed=seed,
         x=x,
         t=t,
     )

@@ -6,11 +6,12 @@ excluded).  Column norms here are plain Euclidean vector norms, not
 dx-weighted; this convention is pinned because the reported magnitudes
 depend on it.
 
-Every functional is built from per-column sums that one pass over the
-data accumulates in blocks of BLOCK_ROWS rows.  The twin side of a block
-is either a slice of a reconstructed SnapshotMatrix or the rows of a
-model's modal sum, evaluated one block at a time, so the quality report
-and the sweep objectives never hold an nx x nt twin.
+Error and correlation are built from per-column sums that one pass
+over the data accumulates in blocks of BLOCK_ROWS rows.  The twin side
+of a block is either a slice of a reconstructed SnapshotMatrix or the
+rows of a model's modal sum, evaluated one block at a time, so the
+quality report and the sweep objectives never hold an nx x nt twin.
+The report's projection scores are empirical.compare_projections.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .empirical import (
-    _check_baseline,
-    _fourier_score,
-    _nonzero_energies,
-    _projection_score,
-    _real_parts,
-)
+from .empirical import compare_projections
 from .rod import ModalSum
 
 # Rows per block of the streamed pass: a block's temporaries stay in
@@ -62,8 +57,6 @@ class _Sums(NamedTuple):
     cross: Optional[np.ndarray]
     exact_pow: Optional[np.ndarray]
     twin_pow: Optional[np.ndarray]
-    energy: Optional[np.ndarray]
-    inner: Optional[np.ndarray]
 
 
 def _add_column_sums(total, block):
@@ -77,39 +70,29 @@ def _add_column_sums(total, block):
     np.add.reduce(block, axis=0, out=total)
 
 
-def _stream(exact, twin_rows, variant=None, parts=None):
+def _stream(exact, twin_rows, variant=None):
     """Per-column sums of exact (a) against a twin (b) in one pass of
     BLOCK_ROWS-row blocks.
 
     twin_rows(start, stop) returns the twin's rows start:stop.  Over the
     columns from t_1 on it sums (a - b)^2, and for variant "paper" also
-    (ab)^2, a^4 and b^4, for "cosine" ab, a^2 and b^2.  With parts, the
-    _real_parts of the model modes, it also sums the energy of every
-    column of exact and the inner products of parts with V0.
+    (ab)^2, a^4 and b^4, for "cosine" ab, a^2 and b^2.
     """
     values = exact.values
     nx, ncols = values.shape
     diff_sq = np.zeros(ncols - 1)
-    cross = exact_pow = twin_pow = energy = inner = None
+    cross = exact_pow = twin_pow = None
     if variant is not None:
         cross, exact_pow, twin_pow = np.zeros((3, ncols - 1))
-    if parts is not None:
-        energy = np.zeros(ncols)
-        inner = np.zeros((parts.shape[0], ncols - 1))
     # one buffer for every temporary: fresh block-sized arrays made the
     # pass over the 101x301 benchmark 1.6 times slower
-    scratch = np.empty(min(BLOCK_ROWS, nx) * ncols)
+    scratch = np.empty(min(BLOCK_ROWS, nx) * (ncols - 1))
     for start in range(0, nx, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, nx)
-        block = values[start:stop]
-        a, b = block[:, 1:], twin_rows(start, stop)[:, 1:]
+        a, b = values[start:stop, 1:], twin_rows(start, stop)[:, 1:]
         # contiguous, so that every ufunc runs as one flat loop
         buf = scratch[: (stop - start) * (ncols - 1)].reshape(stop - start, -1)
         _add_column_sums(diff_sq, np.square(np.subtract(a, b, out=buf), out=buf))
-        if parts is not None:
-            full = scratch[: (stop - start) * ncols].reshape(stop - start, -1)
-            _add_column_sums(energy, np.square(block, out=full))
-            inner += parts[:, start:stop] @ block[:, :-1]
         if variant == "paper":
             _add_column_sums(cross, np.square(np.multiply(a, b, out=buf), out=buf))
             _add_column_sums(exact_pow, np.square(np.square(a, out=buf), out=buf))
@@ -118,7 +101,7 @@ def _stream(exact, twin_rows, variant=None, parts=None):
             _add_column_sums(cross, np.multiply(a, b, out=buf))
             _add_column_sums(exact_pow, np.square(a, out=buf))
             _add_column_sums(twin_pow, np.square(b, out=buf))
-    return _Sums(diff_sq, cross, exact_pow, twin_pow, energy, inner)
+    return _Sums(diff_sq, cross, exact_pow, twin_pow)
 
 
 def _error(sums):
@@ -150,7 +133,7 @@ def _snapshot_sums(exact, twin, variant=None):
     return _stream(exact, lambda start, stop: twin.values[start:stop], variant)
 
 
-def _model_sums(exact, model, variant, parts=None):
+def _model_sums(exact, model, variant):
     """Sums of exact against the modal sum of model, warning once about
     its imaginary residue."""
     modal = ModalSum(model)
@@ -160,7 +143,7 @@ def _model_sums(exact, model, variant, parts=None):
     def twin_rows(start, stop):
         return modal.rows(start, stop, out[:, : stop - start])
 
-    sums = _stream(exact, twin_rows, variant, parts)
+    sums = _stream(exact, twin_rows, variant)
     modal.warn_residue()
     return sums
 
@@ -218,31 +201,24 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     """Assemble the QualityReport for a fitted model against exact data.
 
     One pass over the data gives the error and correlation of the
-    model's twin, which is never formed, and the column energies and
-    mode inner products of the projection scores.  Those are computed
-    on V0 (all snapshot columns but the last): rod_projection_norm is
-    empirical.mean_projection_norm of the modes, and the Fourier mean
-    runs over the grid dimension and is
-    empirical.fourier_projection_norm, so fourier must decompose exact
-    itself (ValueError otherwise).
+    model's twin, which is never formed.  The projection scores are
+    those of empirical.compare_projections on V0 (all snapshot columns
+    but the last), so fourier must decompose exact itself (ValueError
+    otherwise).
     """
     _check_variant(variant)
-    v0 = exact.values[:, :-1]
-    _check_baseline(fourier, v0)
-    parts = _real_parts(model.modes)
-    sums = _model_sums(exact, model, variant, parts)
+    sums = _model_sums(exact, model, variant)
+    # a zero twin column is reported before a zero data column
     corr = _correlation(sums, variant)
-    col_sq = _nonzero_energies(ip.dx * sums.energy[:-1])
+    rho_rod, rho_fourier, _ = compare_projections(
+        model.modes, fourier, exact.values[:, :-1], ip
+    )
     return QualityReport(
         rank=int(model.rank),
         absolute_error=_error(sums),
         correlation=corr,
-        rod_projection_norm=_projection_score(
-            ip.dx * sums.inner, col_sq, model.modes.shape[1]
-        ),
-        fourier_projection_norm=_fourier_score(
-            fourier, v0, ip, col_sq, ip.dx * sums.energy[-1]
-        ),
+        rod_projection_norm=rho_rod,
+        fourier_projection_norm=rho_fourier,
         gram_deviation=float(model.gram_deviation),
         seed=int(model.seed),
     )

@@ -257,9 +257,9 @@ def fit(snap, rank, seed, reorthonormalize=False):
 
     Runs the full pipeline on the snapshot matrix in one pass over the
     data after the sketch: time-shift split, the randomized range
-    finder on V0 at the given rank and seed (no oversampling, no power
-    iterations), the projection P = Q^T V of all nt + 1 columns, then
-    in rank-sized arrays only: the SVD of the first nt columns of P,
+    finder on V0 at the given rank and seed (no oversampling), the
+    projection P = Q^T V of all nt + 1 columns, then in rank-sized
+    arrays only: the SVD of the first nt columns of P,
     the propagator from the last nt, its eigendecomposition, the mode
     coefficients B, and the amplitudes.  The modes Q B are formed once
     at the end.  With reorthonormalize=True the mode basis is replaced

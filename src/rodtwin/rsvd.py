@@ -59,21 +59,13 @@ def gaussian_test_matrix(n_rows, k, seed):
     return z[:total].reshape((n_rows, k), order="F")
 
 
-def range_finder(
-    v0,
-    target_rank,
-    seed,
-    oversampling=0,
-    power_iterations=0,
-    orthonormalize_sample=True,
-):
+def range_finder(v0, target_rank, seed, oversampling=0):
     """Sketch basis Q of the range of a real matrix: the sampling half of rsvd.
 
-    Draws the Gaussian test matrix M, samples Q = V0 M, orthonormalizes
-    Q (on by default), and runs the optional power iterations.  The
-    inputs are validated as rsvd documents.  An all-zero matrix has no
-    range to sample: a RuntimeWarning is raised and an arbitrary
-    orthonormal frame of target_rank columns is returned.
+    Draws the Gaussian test matrix M, samples V0 M and orthonormalizes
+    it into Q.  The inputs are validated as rsvd documents.  An all-zero
+    matrix has no range to sample: a RuntimeWarning is raised and an
+    arbitrary orthonormal frame of target_rank columns is returned.
 
     Returns Q of shape (nx, target_rank + oversampling), or
     (nx, target_rank) for an all-zero matrix.
@@ -93,39 +85,21 @@ def range_finder(
     p = int(oversampling)
     if p < 0 or k + p > nt:
         raise ValueError("oversampling must satisfy 0 <= p and k + p <= nt")
-    if int(power_iterations) < 0:
-        raise ValueError("power_iterations must be nonnegative")
 
     if not v0.any():
         warn("rsvd of an all-zero matrix")
         return qr_factor(gaussian_test_matrix(nx, k, seed))[0]
 
-    q = v0 @ gaussian_test_matrix(nt, k + p, seed)
-    if orthonormalize_sample:
-        q = qr_factor(q)[0]
-    for _ in range(int(power_iterations)):
-        q = v0 @ (v0.T @ q)
-        if orthonormalize_sample:
-            q = qr_factor(q)[0]
-    return q
+    return qr_factor(v0 @ gaussian_test_matrix(nt, k + p, seed))[0]
 
 
-def rsvd(
-    v0,
-    target_rank,
-    seed,
-    oversampling=0,
-    power_iterations=0,
-    orthonormalize_sample=True,
-):
+def rsvd(v0, target_rank, seed, oversampling=0):
     """Randomized economy SVD of a real matrix, truncated to target_rank.
 
     Pipeline: range_finder draws a Gaussian test matrix M, samples the
-    range Q = V0 M and orthonormalizes Q (on by default; turn off for
-    the literal un-orthonormalized variant); then project P = Q^T V0,
+    range V0 M and orthonormalizes it into Q; then project P = Q^T V0,
     take the deterministic SVD of the small P, and lift U = Q T.
-    Optional oversampling widens the sample; optional power iterations
-    sharpen it on slowly decaying spectra.
+    Optional oversampling widens the sample.
 
     Parameters
     ----------
@@ -133,8 +107,6 @@ def rsvd(
     target_rank : int, 1 <= target_rank <= min(nx, nt)
     seed : int, selects the sampling stream
     oversampling : int, extra sample columns beyond target_rank
-    power_iterations : int, subspace iteration count
-    orthonormalize_sample : bool, QR-orthonormalize the sampled range
 
     Returns
     -------
@@ -142,14 +114,7 @@ def rsvd(
     An all-zero v0 gives zero sigma between arbitrary orthonormal frames.
     """
     v0 = np.asarray(v0, dtype=float)
-    q = range_finder(
-        v0,
-        target_rank,
-        seed,
-        oversampling=oversampling,
-        power_iterations=power_iterations,
-        orthonormalize_sample=orthonormalize_sample,
-    )
+    q = range_finder(v0, target_rank, seed, oversampling=oversampling)
     k = int(target_rank)
     if not v0.any():
         w = qr_factor(gaussian_test_matrix(v0.shape[1], k, seed + 1))[0]

@@ -309,6 +309,17 @@ class TestEvaluate:
         assert rc == 2
         assert "bad_model.txt:%d:" % line_no in capsys.readouterr().err
 
+    def test_bad_header_value_reports_line(self, ws, tmp_path, capsys):
+        lines = (ws / "model.txt").read_text().splitlines()
+        line_no = [ln.partition(" =")[0] for ln in lines].index("rank") + 1
+        lines[line_no - 1] = "rank = 2.5"
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["--input", str(ws / "burgers.csv"), "--model", str(bad)]
+        rc = main(["evaluate"] + argv + ["--output", str(tmp_path / "t")])
+        assert rc == 2
+        assert "bad_model.txt:%d: bad rank value" % line_no in capsys.readouterr().err
+
     def test_unknown_model_format_reports_line(self, ws, tmp_path, capsys):
         text = (ws / "model.txt").read_text()
         bad = tmp_path / "future_model.txt"
@@ -408,21 +419,23 @@ class TestSnapshotFaults:
 
 
 class TestCompare:
-    def test_model_dominates(self, ws, capsys):
-        rc = main(
-            [
-                "compare",
-                "--input",
-                str(ws / "burgers.csv"),
-                "--model",
-                str(ws / "model.txt"),
-            ]
-        )
+    def test_model_dominates(self, ws, tmp_path, capsys):
+        argv = ["--input", str(ws / "burgers.csv")]
+        assert main(["fit"] + argv + ["--output", str(tmp_path / "m.txt")]) == 0
+        report = capsys.readouterr().out
+        rc = main(["compare"] + argv + ["--model", str(tmp_path / "m.txt")])
         out = capsys.readouterr().out
         assert rc == 0
         assert "dominates = true" in out
         ratio = float(re.search(r"ratio = (\S+)", out).group(1))
         assert ratio > 5.0
+        # fit's report and compare print the same projection numbers
+        for fit_key, compare_key in (
+            ("rod_projection_norm", "rho_rod"),
+            ("fourier_projection_norm", "rho_fourier"),
+        ):
+            printed = re.search(r"%s = (\S+)" % fit_key, report).group(1)
+            assert re.search(r"%s = (\S+)" % compare_key, out).group(1) == printed
 
     def test_self_test_ties(self, ws, capsys):
         rc = main(["compare", "--input", str(ws / "burgers.csv"), "--self-test"])

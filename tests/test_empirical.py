@@ -186,6 +186,29 @@ class TestCompareProjections:
         )
         assert rod == pytest.approx(four, rel=1e-8)
 
+    def test_column_energies_summed_once(self, rng, monkeypatch):
+        snap = make_snapshot(rng.standard_normal((30, 12)))
+        model = rt.fit(snap, 3, seed=1)
+        ip = rt.InnerProduct(snap.dx)
+        f = rt.fourier_decomposition(snap)
+        v0 = snap.values[:, :-1]
+        energies = empirical._column_energies
+        passes = []
+
+        def counted(data, inner_product):
+            passes.append(data.shape)
+            return energies(data, inner_product)
+
+        monkeypatch.setattr(empirical, "_column_energies", counted)
+        for call in (
+            lambda: rt.compare_projections(model.modes, f, v0, ip),
+            lambda: rt.compare_projections(model.modes, f, v0, ip, same_rank=True),
+            lambda: rt.quality_report(snap, model, f, ip),
+        ):
+            passes.clear()
+            call()
+            assert passes == [(30, 11)]
+
     def test_benchmark_model_dominates(
         self, burgers_snapshot, burgers_model, burgers_fourier
     ):
@@ -246,9 +269,9 @@ class TestLazyBaseline:
         ip = rt.InnerProduct(snap.dx)
         v0 = values[:, :-1]
         f = rt.fourier_decomposition(snap)
-        score = empirical.fourier_projection_norm(f, v0, ip)
+        score = rt.compare_projections(v0[:, :1], f, v0, ip)[1]
         direct = rt.mean_projection_norm(f.psi, v0, ip, mode_count=nx)
-        # the documented bound, evaluated as fourier_projection_norm does
+        # the documented bound, evaluated as compare_projections does
         col_sq = ip.dx * np.einsum("ij,ij->j", v0, v0)
         frobenius_sq = col_sq.sum() + ip.dx * float(values[:, -1] @ values[:, -1])
         cutoff_sq = empirical.RANK_CUTOFF**2
@@ -270,8 +293,8 @@ class TestLazyBaseline:
             _forbid_svd(patch)
             with pytest.raises(AssertionError, match="SVD was computed"):
                 f = rt.fourier_decomposition(snap)
-                empirical.fourier_projection_norm(f, v0, ip)
+                rt.compare_projections(v0[:, :1], f, v0, ip)
         f = rt.fourier_decomposition(snap)
-        score = empirical.fourier_projection_norm(f, v0, ip)
+        score = rt.compare_projections(v0[:, :1], f, v0, ip)[1]
         assert score == rt.mean_projection_norm(f.psi, v0, ip, mode_count=25)
         assert score == pytest.approx(9 / 25, rel=1e-12)

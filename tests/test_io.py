@@ -236,6 +236,23 @@ class TestModelFile:
         with pytest.raises(ValueError, match=r"model\.txt:%d: expected" % line_no):
             io.read_model(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("nx", "six"), ("rank", "2.5"), ("seed", "x"), ("x0", "zero"), ("nx", "-6")],
+    )
+    def test_bad_header_value_reports_line(self, tmp_path, rng, key, value):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        lines = path.read_text().splitlines()
+        line_no = [ln.partition(" =")[0] for ln in lines].index(key) + 1
+        lines[line_no - 1] = "%s = %s" % (key, value)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError, match=r"model\.txt:%d: bad %s value" % (line_no, key)
+        ):
+            io.read_model(path)
+
     def test_missing_section(self, tmp_path, rng):
         model = self._small_model(rng)
         path = tmp_path / "model.txt"

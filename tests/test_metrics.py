@@ -209,21 +209,18 @@ class TestStreamedPass:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((nx, ncols))
         b = rng.standard_normal((nx, ncols))
-        parts = rng.standard_normal((4, nx))
         # any object with values serves: a SnapshotMatrix needs 2 rows
         exact = types.SimpleNamespace(values=a)
-        sums = metrics._stream(exact, lambda i, j: b[i:j], variant, parts)
+        sums = metrics._stream(exact, lambda i, j: b[i:j], variant)
         a1, b1 = a[:, 1:], b[:, 1:]
         if variant == "paper":
             expect = [(a1 * b1) ** 2, a1**4, b1**4]
         else:
             expect = [a1 * b1, a1**2, b1**2]
-        expect = [(a1 - b1) ** 2] + expect + [a**2]
-        got = [sums.diff_sq, sums.cross, sums.exact_pow, sums.twin_pow, sums.energy]
+        expect = [(a1 - b1) ** 2] + expect
+        got = [sums.diff_sq, sums.cross, sums.exact_pow, sums.twin_pow]
         for value, terms in zip(got, expect):
             np.testing.assert_allclose(value, terms.sum(axis=0), rtol=1e-12)
-        inner = parts @ a[:, :-1]
-        np.testing.assert_allclose(sums.inner, inner, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -261,6 +258,33 @@ class TestStreamedPass:
         assert report.gram_deviation == model.gram_deviation
         assert _rel(j1, error) <= 1e-12
         assert _rel(j2, -_dense_scores(snap.values, twin, "paper")[1]) <= 1e-12
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.sampled_from((2,) + BLOCK_EDGES),
+        ncols=st.integers(3, 14),
+        rank=st.integers(1, 4),
+        variant=st.sampled_from(rt.metrics.VARIANTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_scores_are_compare_projections(
+        self, nx, ncols, rank, variant, seed
+    ):
+        rng = np.random.default_rng(seed)
+        snap = make_snapshot(rng.standard_normal((nx, ncols)))
+        rank = min(rank, nx, ncols - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = rt.fit(snap, rank, seed=seed % 1000)
+            fourier = rt.fourier_decomposition(snap)
+            ip = rt.InnerProduct(snap.dx)
+            report = rt.quality_report(snap, model, fourier, ip, variant=variant)
+        rho_rod, rho_fourier, _ = rt.compare_projections(
+            model.modes, fourier, snap.values[:, :-1], ip
+        )
+        assert report.rod_projection_norm == rho_rod
+        assert report.fourier_projection_norm == rho_fourier
 
 
 class TestStreamedEdges:
