@@ -12,12 +12,19 @@ against exp(-z^2), which n-point Gauss-Hermite quadrature evaluates as
 
     u(x, t) = [ sum_i w_i 4 nu z_i g(z_i) ] / [ sqrt(4 nu t) sum_i w_i g(z_i) ]
 
-with g(z) = exp(-cos(pi (x - z sqrt(4 nu t))) / (2 nu pi)).  At
-nu = 0.01 the exponent spans roughly +-15.9; numerator and denominator
-share that factor, so both sums are shifted by the maximum exponent
-before exponentiation and the shift cancels in the ratio.  Below
-t = 1e-12 the ratio degenerates (sqrt(4 nu t) in the denominator) and
-the analytic limit, the initial condition itself, is returned.
+with g(z) = exp(-cos(pi (x - z sqrt(4 nu t))) / (2 nu pi)).  The
+cosine is taken by the angle sum cos(pi x) cos(pi z s) + sin(pi x)
+sin(pi z s), s = sqrt(4 nu t): per time that is one (points, 2) @ (2,
+nodes) product of O(points + nodes) sines and cosines instead of a
+cosine per (point, node) pair, and numerator and denominator come from
+one product of g with the columns w z and w.  At nu = 0.01 the exponent
+spans roughly +-15.9; numerator and denominator share that factor, so
+each point's exponents are shifted by their maximum before
+exponentiation and the shift cancels in the ratio.  A constant shift
+by c = 1/(2 nu pi) would underflow every term of some points once
+2c > 745, i.e. below nu ~ 4.3e-4.  Below t = 1e-12 the ratio
+degenerates (sqrt(4 nu t) in the denominator) and the analytic limit,
+the initial condition itself, is returned.
 
 Nodes and weights come from the Golub-Welsch construction: eigenvalues
 and first eigenvector components of the Jacobi matrix of the Hermite
@@ -59,6 +66,9 @@ class BurgersConfig:
     quad_order: int = 100
 
     def __post_init__(self):
+        for name in ("nu", "t_final", "dt", "length"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         if self.t_final <= 0 or self.dt <= 0:
@@ -128,13 +138,19 @@ def exact_u(x, t, cfg=None, rule=None):
         return out if out.ndim else float(out)
     spread = math.sqrt(4.0 * cfg.nu * t)
     c = 1.0 / (2.0 * cfg.nu * math.pi)
-    # exponents reach +-1/(2 nu pi); shift by the row max before exp,
-    # the shift cancels between numerator and denominator
-    expo = -np.cos(np.pi * (x[..., None] - rule.nodes * spread)) * c
-    shift = expo.max(axis=-1, keepdims=True)
-    g = np.exp(expo - shift)
-    numer = 4.0 * cfg.nu * np.sum(g * (rule.weights * rule.nodes), axis=-1)
-    denom = spread * np.sum(g * rule.weights, axis=-1)
+    # -c cos(pi (x - z s)) by the angle sum: one (..., 2) @ (2, n) product
+    # from O(size x + n) sines and cosines
+    angle = np.pi * rule.nodes * spread
+    expo = np.stack((np.cos(np.pi * x), np.sin(np.pi * x)), axis=-1) @ (
+        -c * np.stack((np.cos(angle), np.sin(angle)))
+    )
+    # exponents reach +-c; shift by the row max before exp, the shift
+    # cancels between numerator and denominator
+    expo -= expo.max(axis=-1, keepdims=True)
+    g = np.exp(expo, out=expo)
+    sums = g @ np.stack((rule.weights * rule.nodes, rule.weights), axis=-1)
+    numer = 4.0 * cfg.nu * sums[..., 0]
+    denom = spread * sums[..., 1]
     if np.any(np.abs(denom) < 1e-300):
         raise ArithmeticError("quadrature denominator underflow")
     out = numer / denom

@@ -42,6 +42,10 @@ def _positive(value):
     return value > 0
 
 
+def _finite_positive(value):
+    return 0 < value < float("inf")
+
+
 class _Flag(NamedTuple):
     """One subcommand setting: flag --key (dashes for underscores) and config key.
 
@@ -251,11 +255,11 @@ _COMMANDS = {
         "write the benchmark snapshot CSV and its metadata sidecar",
         (
             _Flag("output", default="burgers.csv", help="snapshot CSV", metavar="CSV"),
-            _Flag("nu", float, 0.01, _positive, "viscosity"),
+            _Flag("nu", float, 0.01, _finite_positive, "viscosity"),
             _Flag("quad_order", int, 100, lambda v: 1 <= v <= 500, "quadrature order"),
             _Flag("grid_points", int, 101, lambda v: v >= 2, "spatial points"),
-            _Flag("dt", float, 0.01, _positive, "time step"),
-            _Flag("t_final", float, 3.0, _positive, "final time"),
+            _Flag("dt", float, 0.01, _finite_positive, "time step"),
+            _Flag("t_final", float, 3.0, _finite_positive, "final time"),
         ),
     ),
     "fit": (

@@ -20,22 +20,31 @@ from .rank_select import ParetoPoint
 from .rod import RodModel, SnapshotMatrix, grid_fault
 
 
+_PLAIN = "%.17g"
+_SCI = "%.16e"
+
+
 def fmt(value):
     """Format one float: 17 significant digits, range-dependent notation.
 
-    A negative zero is written '-0' so that it reads back as -0.0.
+    Zeros and magnitudes in [1e-3, 1e4) use %.17g, which writes a
+    negative zero '-0' so that it reads back as -0.0; everything else,
+    inf and nan included, uses %.16e.
     """
     value = float(value)
-    if value == 0.0:
-        return "-0" if math.copysign(1.0, value) < 0 else "0"
-    mag = abs(value)
-    if 1e-3 <= mag < 1e4:
-        return "%.17g" % value
-    return "%.16e" % value
+    return (_PLAIN if value == 0.0 or 1e-3 <= abs(value) < 1e4 else _SCI) % value
 
 
-def _fmt_complex_pair(z):
-    return fmt(z.real) + "," + fmt(z.imag)
+def _fmt_row(row):
+    """A float64 row as its fmt cells joined by ',', formatted by one %."""
+    mag = np.abs(row)
+    plain = ((mag >= 1e-3) & (mag < 1e4) | (row == 0.0)).tolist()
+    return ",".join([_PLAIN if p else _SCI for p in plain]) % tuple(row.tolist())
+
+
+def _interleaved(values):
+    """A complex vector as float64 re, im, re, im, ..."""
+    return np.stack((values.real, values.imag), axis=-1).ravel()
 
 
 def file_sha256(path):
@@ -56,10 +65,9 @@ def write_snapshot_csv(path, snap, meta=None):
     data as '<path>.meta' with one 'key = value' line per entry.
     """
     with open(path, "w", newline="") as handle:
-        handle.write("x," + ",".join(fmt(t) for t in snap.t) + "\n")
-        for i in range(snap.values.shape[0]):
-            row = snap.values[i]
-            handle.write(fmt(snap.x[i]) + "," + ",".join(fmt(v) for v in row) + "\n")
+        handle.write("x," + _fmt_row(snap.t) + "\n")
+        for x, row in zip(snap.x, snap.values):
+            handle.write(fmt(x) + "," + _fmt_row(row) + "\n")
     if meta is not None:
         with open(str(path) + ".meta", "w") as handle:
             for key, value in meta.items():
@@ -149,8 +157,7 @@ def write_modal_csv(path, axis_name, axis, label, columns):
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for value, row in zip(axis, columns):
-            cells = ",".join(_fmt_complex_pair(z) for z in row)
-            handle.write(fmt(value) + "," + cells + "\n")
+            handle.write(fmt(value) + "," + _fmt_row(_interleaved(row)) + "\n")
 
 
 # ------------------------------------------------------------------- models
@@ -189,18 +196,16 @@ def write_model(path, model):
         "t0": fmt(model.t[0]),
         "t_end": fmt(model.t[-1]),
     }
-    parts = ["%s = %s" % item for item in header.items()]
-    parts.append("[modes]")
-    for i in range(nx):
-        parts.append(",".join(_fmt_complex_pair(z) for z in model.modes[i]))
-    parts.append("[amplitudes]")
-    for i in range(model.rank):
-        parts.append(",".join(_fmt_complex_pair(z) for z in model.amplitudes[i]))
-    parts.append("[eigenvalues]")
-    for z in model.eigenvalues:
-        parts.append(_fmt_complex_pair(z))
     with open(path, "w", newline="") as handle:
-        handle.write("\n".join(parts) + "\n")
+        handle.writelines("%s = %s\n" % item for item in header.items())
+        for name, rows in (
+            ("modes", model.modes),
+            ("amplitudes", model.amplitudes),
+            ("eigenvalues", model.eigenvalues[:, None]),
+        ):
+            handle.write("[%s]\n" % name)
+            for row in rows:
+                handle.write(_fmt_row(_interleaved(row)) + "\n")
 
 
 def _parse_pair_row(cells, line_no, path, pairs):
@@ -223,6 +228,20 @@ def _count(text):
     return value
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("%s is not finite" % value)
+    return value
+
+
+def _step(text):
+    value = _finite(text)
+    if value <= 0:
+        raise ValueError("%s is not positive" % value)
+    return value
+
+
 def _header_number(header, key, convert, path):
     """convert applied to a header value; a failure names its path:line."""
     line_no, text = header[key]
@@ -234,6 +253,18 @@ def _header_number(header, key, convert, path):
         ) from None
 
 
+def _saved_grid(header, start_key, end_key, size, path):
+    """np.linspace between finite, increasing saved grid ends."""
+    start = _header_number(header, start_key, _finite, path)
+    end = _header_number(header, end_key, _finite, path)
+    if not end > start:
+        raise ValueError(
+            "%s:%d: bad %s value (%s is not above %s = %s)"
+            % (path, header[end_key][0], end_key, end, start_key, start)
+        )
+    return np.linspace(start, end, size)
+
+
 def read_model(path):
     """Parse a model file written by write_model.
 
@@ -241,8 +272,9 @@ def read_model(path):
     ends, dx, dt and everything dx-weighted reload bit for bit (and so
     does a grid that was itself built by np.linspace).  A file without
     a format line predates the saved ends: its grids are rebuilt from
-    the header spacings with origin zero.  Any other format value is
-    rejected with its path:line.
+    the header spacings with origin zero.  Any other format value, a
+    non-finite or non-increasing pair of grid ends and a non-finite or
+    non-positive spacing are rejected with their path:line.
     """
     with open(path) as handle:
         lines = [ln.rstrip("\n") for ln in handle]
@@ -300,14 +332,11 @@ def read_model(path):
         [_parse_pair_row(cells, line_no, path, 1)[0] for line_no, cells in rows]
     )
     if "format" in header:
-        x0, x_end, t0, t_end = (
-            _header_number(header, key, float, path) for key in _MODEL_GRID_KEYS
-        )
-        x = np.linspace(x0, x_end, nx)
-        t = np.linspace(t0, t_end, nt + 1)
+        x = _saved_grid(header, "x0", "x_end", nx, path)
+        t = _saved_grid(header, "t0", "t_end", nt + 1, path)
     else:
-        x = np.arange(nx) * _header_number(header, "dx", float, path)
-        t = np.arange(nt + 1) * _header_number(header, "dt", float, path)
+        x = np.arange(nx) * _header_number(header, "dx", _step, path)
+        t = np.arange(nt + 1) * _header_number(header, "dt", _step, path)
     return RodModel(
         modes=modes,
         amplitudes=amp,

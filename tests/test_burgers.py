@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
@@ -15,6 +17,18 @@ def hermite_value(n, x):
     for k in range(1, n):
         h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
     return h
+
+
+def direct_cosine_u(x, t, cfg, rule):
+    """exact_u's quadrature with one cosine per (x, node) pair: the
+    exponent -cos(pi (x - z s)) / (2 nu pi) formed directly."""
+    spread = math.sqrt(4.0 * cfg.nu * t)
+    c = 1.0 / (2.0 * cfg.nu * math.pi)
+    expo = -np.cos(np.pi * (x[:, None] - rule.nodes * spread)) * c
+    g = np.exp(expo - expo.max(axis=-1, keepdims=True))
+    numer = 4.0 * cfg.nu * np.sum(g * (rule.weights * rule.nodes), axis=-1)
+    denom = spread * np.sum(g * rule.weights, axis=-1)
+    return numer / denom
 
 
 def gaussian_moment(m):
@@ -148,6 +162,40 @@ class TestExactU:
         with pytest.raises(ValueError):
             rt.exact_u(0.5, -0.1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=16),
+        t=st.floats(0.01, 3.0),
+        nu=st.floats(1e-3, 1.0),
+        order=st.sampled_from([20, 100, 200]),
+    )
+    def test_angle_sum_matches_direct_cosine(self, x, t, nu, order):
+        cfg = rt.BurgersConfig(nu=nu, quad_order=order)
+        rule = rt.gauss_hermite(order)
+        x = np.array(x)
+        got = rt.exact_u(x, t, cfg, rule)
+        want = direct_cosine_u(x, t, cfg, rule)
+        # relative to max|u| of the field, max|u(x, 0)| = 1 by the maximum
+        # principle; the solution has exact zeros, so no pointwise bound
+        assert np.abs(got - want).max() <= 1e-10
+
+    def test_small_viscosity_stays_finite(self):
+        # a fixed shift by 1/(2 nu pi) would underflow every term of some x
+        cfg = rt.BurgersConfig(nu=1e-4)
+        rule = rt.gauss_hermite(cfg.quad_order)
+        x = np.linspace(0, 2, 101)
+        for t in (0.01, 1.0, 3.0):
+            u = rt.exact_u(x, t, cfg, rule)
+            assert np.isfinite(u).all()
+            assert np.abs(u - direct_cosine_u(x, t, cfg, rule)).max() <= 1e-10
+
+    def test_array_shape_kept(self):
+        x = np.linspace(0, 2, 12)
+        for t in (0.0, 0.7):
+            grid = rt.exact_u(x.reshape(3, 4), t)
+            assert grid.shape == (3, 4)
+            assert_allclose(grid.ravel(), rt.exact_u(x, t), rtol=0, atol=1e-15)
+
 
 class TestGenerateSnapshots:
     def test_reference_grid(self, burgers_snapshot):
@@ -175,6 +223,19 @@ class TestGenerateSnapshots:
         snap = rt.generate_snapshots(cfg)
         assert snap.values.shape == (11, 3)
         assert snap.dx == pytest.approx(0.2)
+
+    def test_columns_are_exact_u(self):
+        cfg = rt.BurgersConfig(grid_points=31, t_final=0.5, dt=0.05)
+        rule = rt.gauss_hermite(cfg.quad_order)
+        snap = rt.generate_snapshots(cfg)
+        for j, t in enumerate(snap.t):
+            assert np.array_equal(snap.values[:, j], rt.exact_u(snap.x, t, cfg, rule))
+
+    @pytest.mark.parametrize("name", ["nu", "t_final", "dt", "length"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_config_rejected(self, name, value):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            rt.BurgersConfig(**{name: value})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,27 @@ class TestGenerate:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("nu", "inf"),
+            ("nu", "-inf"),
+            ("nu", "nan"),
+            ("t_final", "inf"),
+            ("dt", "inf"),
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        option = "--" + flag.replace("_", "-")
+        argv = ["generate", "--output", str(tmp_path / "x.csv")]
+        assert main(argv + [option + "=" + value]) == 1
+        assert "invalid value for %s" % option in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        config = tmp_path / "g.cfg"
+        config.write_text("%s = %s\n" % (flag, value))
+        assert main(argv + ["--config", str(config)]) == 1
+        assert "invalid value for %s" % option in capsys.readouterr().err
+
 
 class TestFit:
     def test_report_on_stdout(self, ws, tmp_path, capsys):
@@ -319,6 +340,24 @@ class TestEvaluate:
         rc = main(["evaluate"] + argv + ["--output", str(tmp_path / "t")])
         assert rc == 2
         assert "bad_model.txt:%d: bad rank value" % line_no in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize(
+        "key, value", [("x0", "nan"), ("x_end", "inf"), ("t_end", "0")]
+    )
+    def test_bad_grid_end_reports_line(self, ws, tmp_path, capsys, command, key, value):
+        lines = (ws / "model.txt").read_text().splitlines()
+        line_no = [ln.partition(" =")[0] for ln in lines].index(key) + 1
+        lines[line_no - 1] = "%s = %s" % (key, value)
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["--input", str(ws / "burgers.csv"), "--model", str(bad)]
+        if command == "evaluate":
+            argv += ["--output", str(tmp_path / "t")]
+        assert main([command] + argv) == 2
+        err = capsys.readouterr().err
+        assert "bad_model.txt:%d: bad %s value" % (line_no, key) in err
+        assert "warning" not in err
 
     def test_unknown_model_format_reports_line(self, ws, tmp_path, capsys):
         text = (ws / "model.txt").read_text()

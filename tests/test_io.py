@@ -47,6 +47,77 @@ class TestFmt:
         assert struct.pack("<d", float(io.fmt(value))) == struct.pack("<d", value)
 
 
+def nextafter_pair(value):
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+
+EDGE_VALUES = (
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072009e-308]
+    + [np.inf, -np.inf, np.nan, 1.5, -250.0, 1e300]
+    + nextafter_pair(1e-3)
+    + nextafter_pair(-1e-3)
+    + nextafter_pair(1e4)
+    + nextafter_pair(-1e4)
+)
+
+
+def fmt_cells(values):
+    """The per-cell reference: fmt of each value, joined by ','."""
+    return ",".join(io.fmt(v) for v in values)
+
+
+class TestFmtRow:
+    @given(st.lists(st.floats(), max_size=40))
+    @example(EDGE_VALUES)
+    def test_equals_per_cell_fmt(self, values):
+        row = np.array(values, dtype=float)
+        assert io._fmt_row(row) == fmt_cells(values)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_single_cell(self, value):
+        assert io._fmt_row(np.array([value])) == io.fmt(value)
+
+    def test_edge_texts(self):
+        assert io._fmt_row(np.array([0.0, -0.0, np.inf, -np.inf, np.nan])) == (
+            "0,-0,inf,-inf,nan"
+        )
+        assert io._fmt_row(np.array(nextafter_pair(1e-3))) == (
+            "9.9999999999999980e-04,0.001,0.0010000000000000002"
+        )
+        assert io._fmt_row(np.array(nextafter_pair(1e4))) == (
+            "9999.9999999999982,1.0000000000000000e+04,1.0000000000000002e+04"
+        )
+        assert io._fmt_row(np.array([5e-324])) == "4.9406564584124654e-324"
+
+
+class TestCsvBytes:
+    """Each CSV writer's bytes equal a per-cell fmt rendering of the data."""
+
+    def test_snapshot_csv(self, tmp_path, rng):
+        values = rng.standard_normal((7, 5)) * np.logspace(-6, 6, 5)
+        values[0] = [0.0, -0.0, 1e-3, 1e4, 5e-324]
+        snap = make_snapshot(values, dx=0.125, dt=0.001)
+        path = tmp_path / "snap.csv"
+        io.write_snapshot_csv(path, snap)
+        expected = "x," + fmt_cells(snap.t) + "\n"
+        for x, row in zip(snap.x, snap.values):
+            expected += io.fmt(x) + "," + fmt_cells(row) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_modal_csv(self, tmp_path, rng):
+        columns = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        columns[0, 0] = complex(-0.0, 1e4)
+        axis = np.linspace(-1.0, 1.0, 6)
+        path = tmp_path / "modes.csv"
+        # a transposed (non-contiguous) block, as evaluate writes amplitudes
+        io.write_modal_csv(path, "t", axis, "a", columns.T.copy().T)
+        expected = "t,a1_re,a1_im,a2_re,a2_im,a3_re,a3_im\n"
+        for value, row in zip(axis, columns):
+            cells = [part for z in row for part in (z.real, z.imag)]
+            expected += io.fmt(value) + "," + fmt_cells(cells) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+
 class TestSnapshotCsv:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         snap = make_snapshot(rng.standard_normal((6, 5)) * 1e-4, dx=0.125, dt=0.25)
@@ -135,6 +206,35 @@ class TestModelFile:
         # its ends; agreement to rounding only
         assert_allclose(back.x, burgers_model.x, atol=1e-12)
         assert_allclose(back.t, burgers_model.t, atol=1e-12)
+
+    def test_bytes_equal_per_cell_fmt(self, tmp_path, rng):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+
+        def pairs(row):
+            return fmt_cells([part for z in row for part in (z.real, z.imag)])
+
+        x, t = model.x, model.t
+        expected = "format = 2\nnx = 12\nnt = 8\nrank = 2\nseed = 7\n"
+        for key, value in [
+            ("dx", model.dx),
+            ("dt", model.dt),
+            ("length", x[-1] - x[0]),
+            ("t_final", t[-1] - t[0]),
+            ("x0", x[0]),
+            ("x_end", x[-1]),
+            ("t0", t[0]),
+            ("t_end", t[-1]),
+        ]:
+            expected += "%s = %s\n" % (key, io.fmt(value))
+        expected += "[modes]\n"
+        expected += "".join(pairs(row) + "\n" for row in model.modes)
+        expected += "[amplitudes]\n"
+        expected += "".join(pairs(row) + "\n" for row in model.amplitudes)
+        expected += "[eigenvalues]\n"
+        expected += "".join(pairs([z]) + "\n" for z in model.eigenvalues)
+        assert path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("rank, reorthonormalize", [(10, False), (15, True)])
     def test_gram_deviation_survives_reload(
@@ -247,6 +347,50 @@ class TestModelFile:
         lines = path.read_text().splitlines()
         line_no = [ln.partition(" =")[0] for ln in lines].index(key) + 1
         lines[line_no - 1] = "%s = %s" % (key, value)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError, match=r"model\.txt:%d: bad %s value" % (line_no, key)
+        ):
+            io.read_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("x0", "nan", "nan is not finite"),
+            ("x_end", "inf", "inf is not finite"),
+            ("t0", "-inf", "-inf is not finite"),
+            ("t_end", "0", "0.0 is not above t0 = 0.0"),
+            ("x_end", "-1", "-1.0 is not above x0 = 0.0"),
+        ],
+    )
+    def test_bad_grid_end_reports_line(self, tmp_path, rng, key, value, reason):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        lines = path.read_text().splitlines()
+        line_no = [ln.partition(" =")[0] for ln in lines].index(key) + 1
+        lines[line_no - 1] = "%s = %s" % (key, value)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == "%s:%d: bad %s value (%s)" % (
+            path,
+            line_no,
+            key,
+            reason,
+        )
+
+    @pytest.mark.parametrize("key, value", [("dx", "nan"), ("dt", "0"), ("dx", "-0.5")])
+    def test_bad_spacing_without_format_line(self, tmp_path, rng, key, value):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        lines = [
+            "%s = %s" % (key, value) if ln.startswith(key + " =") else ln
+            for ln in path.read_text().splitlines()
+            if not ln.startswith("format =")
+        ]
+        line_no = [ln.partition(" =")[0] for ln in lines].index(key) + 1
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(
             ValueError, match=r"model\.txt:%d: bad %s value" % (line_no, key)
