@@ -148,10 +148,13 @@ def eig_sym_tridiag(diag, offdiag):
 def least_squares(a, b, rcond=1e-12):
     """Minimize ||A X - B||_F column by column.
 
-    Solved through the SVD pseudo-inverse; singular values at or below
-    rcond * sigma_max are cut, which turns rank-deficient and
-    ill-conditioned systems into minimum-norm solutions, reported with
-    one warning that names the rank and the condition number.
+    Solved through the SVD A = U diag(s) V^H as X = V diag(1/s) U^H B
+    over the singular values above rcond * sigma_max, the cutoff of
+    numpy's lstsq.  The cut turns rank-deficient and ill-conditioned
+    systems into minimum-norm solutions, reported with one warning that
+    names the rank and the condition number.  The callers' A is
+    rank-sized, so its SVD is cheap, and the many right-hand sides cost
+    two matrix products.
     """
     a = _checked(a, "A")
     b_arr = np.asarray(b)
@@ -161,7 +164,10 @@ def least_squares(a, b, rcond=1e-12):
         raise ValueError(
             "row mismatch: A has %d rows, B has %d" % (a.shape[0], b2.shape[0])
         )
-    x, _, rank, s = np.linalg.lstsq(a, b2, rcond=rcond)
+    svd = svd_economy(a)
+    s = svd.sigma
+    rank = int(np.count_nonzero(s > rcond * s[0]))
+    x = (svd.W[:, :rank] / s[:rank]) @ (svd.U[:, :rank].conj().T @ b2)
     if rank < a.shape[1]:
         # a wide A is singular beyond its min(rows, cols) singular values
         cond = s[0] / s[-1] if s.size == a.shape[1] and s[-1] > 0 else np.inf

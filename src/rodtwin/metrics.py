@@ -9,8 +9,9 @@ depend on it.
 Error and correlation are built from per-column sums that one pass
 over the data accumulates in blocks of BLOCK_ROWS rows.  The twin side
 of a block is either a slice of a reconstructed SnapshotMatrix or the
-rows of a model's modal sum, evaluated one block at a time, so the
-quality report and the sweep objectives never hold an nx x nt twin.
+rows of a rod.ModalSum (a model's modal sum, or a sweep rank's sketch
+basis times its rank-space coefficients), evaluated one block at a
+time, so the quality report and the sweep never hold an nx x nt twin.
 The report's projection scores are empirical.compare_projections.
 """
 
@@ -22,11 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .empirical import compare_projections
-from .rod import ModalSum
-
-# Rows per block of the streamed pass: a block's temporaries stay in
-# cache.  A constant, so the sums do not depend on the machine.
-BLOCK_ROWS = 128
+from .rod import BLOCK_ROWS, ModalSum
 
 VARIANTS = ("paper", "cosine")
 
@@ -133,11 +130,9 @@ def _snapshot_sums(exact, twin, variant=None):
     return _stream(exact, lambda start, stop: twin.values[start:stop], variant)
 
 
-def _model_sums(exact, model, variant):
-    """Sums of exact against the modal sum of model, warning once about
-    its imaginary residue."""
-    modal = ModalSum(model)
-    _check_matched(exact, modal.shape, model.x, model.t)
+def _modal_sums(exact, modal, variant):
+    """Sums of exact against a ModalSum on exact's grids, warning once
+    about its imaginary residue."""
     out = np.empty((2, min(BLOCK_ROWS, modal.shape[0]), modal.shape[1]))
 
     def twin_rows(start, stop):
@@ -146,6 +141,13 @@ def _model_sums(exact, model, variant):
     sums = _stream(exact, twin_rows, variant)
     modal.warn_residue()
     return sums
+
+
+def _model_modal(exact, model):
+    """The modal sum of model, which must be on exact's grids."""
+    modal = ModalSum.from_model(model)
+    _check_matched(exact, modal.shape, model.x, model.t)
+    return modal
 
 
 def absolute_error(exact, twin):
@@ -166,12 +168,17 @@ def correlation(exact, twin, variant="paper"):
     return _correlation(_snapshot_sums(exact, twin, variant), variant)
 
 
-def twin_scores(exact, model, variant="paper"):
-    """(absolute_error, correlation) of the model's twin against exact,
-    from one pass that never forms the twin."""
+def modal_scores(exact, modal, variant="paper"):
+    """(absolute_error, correlation) of a ModalSum whose rows are on
+    exact's grids, from one pass that never forms the twin."""
     _check_variant(variant)
-    sums = _model_sums(exact, model, variant)
+    sums = _modal_sums(exact, modal, variant)
     return _error(sums), _correlation(sums, variant)
+
+
+def twin_scores(exact, model, variant="paper"):
+    """modal_scores of the model's modal sum."""
+    return modal_scores(exact, _model_modal(exact, model), variant)
 
 
 @dataclass(frozen=True)
@@ -207,7 +214,7 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     otherwise).
     """
     _check_variant(variant)
-    sums = _model_sums(exact, model, variant)
+    sums = _modal_sums(exact, _model_modal(exact, model), variant)
     # a zero twin column is reported before a zero data column
     corr = _correlation(sums, variant)
     rho_rod, rho_fourier, _ = compare_projections(

@@ -4,6 +4,13 @@ Both fitness values, the reconstruction error j1 and the negated
 correlation j2, are fully determined by (data, rank, seed), so the
 candidate set is just the integer ranks.  Sweeping them all yields the
 exact Pareto front; a selection rule then picks the model order.
+
+The sweep shares one nested sketch: the range finder's test matrix
+fills column by column and Householder QR keeps a column prefix, so
+the rank-k sketch is the first k columns of the rank-k_max one, up to
+rounding (Halko, Martinsson and Tropp, SIAM Review 2011, section 4).
+The sweep runs fit's sketch step once at rank_max and its rank-space
+step on the leading k rows of the projection for every rank k.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .rod import fit
+from .rod import InnerProduct, ModalSum, rank_space_fit, sketch
 
 
 @dataclass
@@ -57,21 +64,37 @@ def _flag_dominated(points):
 
 
 def pareto_sweep(snap, rank_max, seed):
-    """Fit every rank 1..rank_max at the given seed and flag dominance.
+    """Score every rank 1..rank_max at the given seed and flag dominance.
 
-    Each rank is a plain fit(snap, rank, seed).  Per-rank failures are
-    recorded in the point's error field instead of aborting the sweep.
+    One sketch of V0 at rank_max serves every rank (see the module
+    docstring).  Rank k runs fit's rank-space step on the first k rows
+    of the projection P and scores the twin Q[:, :k] C_k, C_k = B_k A_k,
+    block by block as objectives scores a fitted model, so the points
+    match objectives(snap, fit(snap, k, seed)) up to rounding.  A
+    per-rank failure is recorded in that point's error field instead of
+    aborting the sweep; a failed sketch fails every point.
     """
     rank_max = int(rank_max)
     limit = min(snap.values.shape[0], snap.values.shape[1] - 1)
     if not 1 <= rank_max <= limit:
         raise ValueError("rank_max %d outside [1, %d]" % (rank_max, limit))
+    ranks = range(1, rank_max + 1)
+    try:
+        q, proj = sketch(snap, rank_max, seed)
+    except Exception as exc:
+        return [
+            ParetoPoint(rank=rank, j1=np.inf, j2=np.inf, error=str(exc))
+            for rank in ranks
+        ]
+    ip = InnerProduct(snap.dx)
     points = []
-    for rank in range(1, rank_max + 1):
+    for rank in ranks:
         try:
-            model = fit(snap, rank, seed)
-            j1, j2 = objectives(snap, model)
-            points.append(ParetoPoint(rank=rank, j1=j1, j2=j2))
+            coeff, _, amp = rank_space_fit(proj[:rank], ip)
+            c = coeff @ amp
+            twin = ModalSum(q[:, :rank], c.real, c.imag)
+            j1, corr = metrics.modal_scores(snap, twin)
+            points.append(ParetoPoint(rank=rank, j1=j1, j2=-corr))
         except Exception as exc:
             points.append(
                 ParetoPoint(rank=rank, j1=np.inf, j2=np.inf, error=str(exc))

@@ -11,7 +11,11 @@ S = T^H P1 W Sigma^{-1}, its eigendecomposition S X = X Lambda, the
 mode coefficients B = T X at unit discrete-L2 norm, and the amplitudes
 A minimizing ||B A - P||_F.  The modes Q B are formed once at the end.
 Because Q B lies in range(Q), the amplitudes equal the least-squares
-fit of the modes against the full snapshot matrix.  Real data makes the
+fit of the modes against the full snapshot matrix.  fit is two steps:
+sketch returns Q and P, and rank_space_fit returns B, the eigenvalues
+and A from P alone.  The sketch is nested in its rank, so a rank sweep
+sketches once at its largest rank and runs the rank-space step on the
+leading k rows of P for every k.  Real data makes the
 eigenvalues come in conjugate pairs, so the modal sum is real up to
 rounding; the reconstruction keeps the real part and checks the
 imaginary residue.
@@ -252,50 +256,76 @@ def mode_gram_deviation(modes, ip):
     return float(off.max()) if off.size > 1 else 0.0
 
 
+def _stage(name, func, *args):
+    """Run one fit stage; a computational failure becomes a FitStageError
+    naming the stage, while precondition violations (ValueError) pass."""
+    try:
+        return func(*args)
+    except ValueError:
+        raise
+    except Exception as exc:
+        raise FitStageError("stage '%s' failed: %s" % (name, exc)) from exc
+
+
+def sketch(snap, rank_max, seed):
+    """Sketch step of fit: the basis Q of V0 and the projection P = Q^T V.
+
+    Runs the randomized range finder on V0 at rank_max columns and the
+    seed (no oversampling) and projects all nt + 1 snapshot columns
+    once.  The test matrix fills column by column and Householder QR
+    keeps a column prefix, so Q[:, :k] and P[:k] are the sketch at rank
+    k up to rounding: one sketch at rank_max serves every k <= rank_max.
+    Returns (Q, P) of shapes (nx, rank_max) and (rank_max, nt + 1).
+    """
+    rank_max = int(rank_max)
+    v0 = shift_split(snap)[0]
+    if not 1 <= rank_max <= min(v0.shape):
+        raise ValueError(
+            "rank %d outside [1, %d] for this snapshot matrix"
+            % (rank_max, min(v0.shape))
+        )
+    q = _stage("rsvd", range_finder, v0, rank_max, seed)
+    return q, q.T @ snap.values
+
+
+def rank_space_fit(proj, ip, reorthonormalize=False):
+    """Rank-space step of fit: everything after the sketch on the rank x
+    (nt + 1) projection P.
+
+    The SVD of the first nt columns of P, the propagator from the last
+    nt, its eigendecomposition, the mode coefficients B at unit norm
+    under ip, the optional reorthonormalization of B, and the
+    amplitudes A minimizing ||B A - P||_F.  Returns (B, eigenvalues of
+    the kept modes, A); the modes are Q B.
+    """
+    inner = _stage("rsvd", svd_economy, proj[:, :-1])
+    prop = _stage("propagator", propagator, inner, proj[:, 1:])
+    eig = _stage("eigendecomposition", eig_general, prop)
+    # the propagator keeps the leading directions of T
+    kept = inner.U[:, : prop.shape[0]]
+    coeff, eigenvalues = _stage("modes", rod_modes, kept, eig, ip)
+    if reorthonormalize:
+        coeff = qr_factor(coeff)[0] / np.sqrt(ip.dx)
+    amp = _stage("amplitudes", amplitudes, coeff, proj)
+    return coeff, eigenvalues, amp
+
+
 def fit(snap, rank, seed, reorthonormalize=False):
     """Fit a twin data model of the given rank.
 
-    Runs the full pipeline on the snapshot matrix in one pass over the
-    data after the sketch: time-shift split, the randomized range
-    finder on V0 at the given rank and seed (no oversampling), the
-    projection P = Q^T V of all nt + 1 columns, then in rank-sized
-    arrays only: the SVD of the first nt columns of P,
-    the propagator from the last nt, its eigendecomposition, the mode
-    coefficients B, and the amplitudes.  The modes Q B are formed once
-    at the end.  With reorthonormalize=True the mode basis is replaced
-    by its QR orthonormalization (the amplitudes are refit accordingly).
+    The sketch step at rank_max = rank (one pass over the data after
+    the range finder), the rank-space step on the projection, and the
+    lift of the modes Q B, formed once at the end.  With
+    reorthonormalize=True the mode basis is replaced by its QR
+    orthonormalization (the amplitudes are refit accordingly).
 
     Raises FitStageError naming the failing stage on computational
     failures; precondition violations raise ValueError directly.
     """
-    rank = int(rank)
-    v0 = shift_split(snap)[0]
-    if not 1 <= rank <= min(v0.shape):
-        raise ValueError(
-            "rank %d outside [1, %d] for this snapshot matrix"
-            % (rank, min(v0.shape))
-        )
-    ip = InnerProduct(snap.dx)
-
-    def stage(name, func, *args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except ValueError:
-            raise
-        except Exception as exc:
-            raise FitStageError("stage '%s' failed: %s" % (name, exc)) from exc
-
-    q = stage("rsvd", range_finder, v0, rank, seed)
-    proj = q.T @ snap.values
-    inner = stage("rsvd", svd_economy, proj[:, :-1])
-    prop = stage("propagator", propagator, inner, proj[:, 1:])
-    eig = stage("eigendecomposition", eig_general, prop)
-    # the propagator keeps the leading directions of T
-    kept = inner.U[:, : prop.shape[0]]
-    coeff, eigenvalues = stage("modes", rod_modes, kept, eig, ip)
-    if reorthonormalize:
-        coeff = qr_factor(coeff)[0] / np.sqrt(ip.dx)
-    amp = stage("amplitudes", amplitudes, coeff, proj)
+    q, proj = sketch(snap, rank, seed)
+    coeff, eigenvalues, amp = rank_space_fit(
+        proj, InnerProduct(snap.dx), reorthonormalize
+    )
     r = coeff.shape[1]
     lifted = q @ np.hstack([coeff.real, coeff.imag])
     modes = lifted[:, :r] + 1j * lifted[:, r:]
@@ -310,37 +340,51 @@ def fit(snap, rank, seed, reorthonormalize=False):
     )
 
 
-class ModalSum:
-    """The modal sum of a model in real arithmetic, evaluated row block by
-    row block.
+# Rows per block wherever a modal sum is evaluated block by block: a
+# block's temporaries stay in cache.  A constant, so the sums do not
+# depend on the machine.
+BLOCK_ROWS = 128
 
-    The sum is complex; conjugate eigenpair structure makes it real up
-    to rounding.  Both parts come from real products,
-    modes.real @ amp.real - modes.imag @ amp.imag and
-    modes.real @ amp.imag + modes.imag @ amp.real, each as one stacked
-    product.  rows() returns the real part of the requested rows; it
+
+class ModalSum:
+    """A modal sum L @ (R_re + i R_im) in real arithmetic, evaluated row
+    block by row block.
+
+    L is a real (nx, m) left factor, R_re and R_im the real and
+    imaginary (m, nt + 1) right factors.  A model gives L = [Mr, Mi]
+    with R_re = [Ar; -Ai] and R_im = [Ai; Ar] (from_model); a sweep
+    rank gives the sketch basis Q_k with the parts of C = B A.  Each
+    part of a block is one product of its rows of L; two products
+    into contiguous blocks measured faster than one product with
+    [R_re, R_im], whose strided halves slow every later pass.  The sum
+    is complex; conjugate eigenpair structure makes it real up to
+    rounding.  rows() returns the real part of the requested rows; it
     rejects non-finite entries as SnapshotMatrix does and tracks the
-    field scale and the imaginary residue over every row evaluated, which
-    warn_residue() then checks once.
+    field scale and the imaginary residue over every row evaluated,
+    which warn_residue() then checks once.
     """
 
-    def __init__(self, model):
-        mr, mi = model.modes.real, model.modes.imag
-        ar, ai = model.amplitudes.real, model.amplitudes.imag
-        self._real = (np.hstack([mr, -mi]), np.vstack([ar, ai]))
-        self._imag = (np.hstack([mr, mi]), np.vstack([ai, ar]))
-        self.shape = (mr.shape[0], ar.shape[1])
+    def __init__(self, left, right_real, right_imag):
+        self._left = left
+        self._right = (right_real, right_imag)
+        self.shape = (left.shape[0], right_real.shape[1])
         self.scale = 0.0
         self.residue = 0.0
 
+    @classmethod
+    def from_model(cls, model):
+        mr, mi = model.modes.real, model.modes.imag
+        ar, ai = model.amplitudes.real, model.amplitudes.imag
+        return cls(np.hstack([mr, mi]), np.vstack([ar, -ai]), np.vstack([ai, ar]))
+
     def rows(self, start, stop, out=None):
-        """Real part of rows start:stop.  out, a (2, stop - start, nt + 1)
-        buffer, receives the real and imaginary parts instead of new arrays."""
+        """Real part of rows start:stop.  out, a pair of (stop - start,
+        nt + 1) buffers such as a (2, stop - start, nt + 1) array,
+        receives the real and imaginary parts instead of new arrays."""
         real, imag = (None, None) if out is None else out
-        left, right = self._real
-        real = np.matmul(left[start:stop], right, out=real)
-        left, right = self._imag
-        imag = np.matmul(left[start:stop], right, out=imag)
+        left = self._left[start:stop]
+        real = np.matmul(left, self._right[0], out=real)
+        imag = np.matmul(left, self._right[1], out=imag)
         high, low = float(real.max()), float(real.min())
         if not (math.isfinite(high) and math.isfinite(low)):
             raise ValueError(NON_FINITE)
@@ -362,9 +406,16 @@ def reconstruct(model):
     """Evaluate the modal sum on the stored grid, returning a SnapshotMatrix.
 
     The real part of ModalSum is returned, and an imaginary residue
-    above 1e-6 of the field scale triggers a warning.
+    above 1e-6 of the field scale triggers a warning.  The real part
+    is written block by block into the result, and the imaginary part,
+    needed only for its residue, is never held whole.
     """
-    modal = ModalSum(model)
-    real = modal.rows(0, modal.shape[0])
+    modal = ModalSum.from_model(model)
+    nx, ncols = modal.shape
+    real = np.empty((nx, ncols))
+    imag = np.empty((min(BLOCK_ROWS, nx), ncols))
+    for start in range(0, nx, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, nx)
+        modal.rows(start, stop, (real[start:stop], imag[: stop - start]))
     modal.warn_residue()
     return SnapshotMatrix(values=real, x=model.x.copy(), t=model.t.copy())

@@ -59,6 +59,10 @@ def gaussian_test_matrix(n_rows, k, seed):
     return z[:total].reshape((n_rows, k), order="F")
 
 
+def _all_zero(a):
+    return not a.any()
+
+
 def range_finder(v0, target_rank, seed, oversampling=0):
     """Sketch basis Q of the range of a real matrix: the sampling half of rsvd.
 
@@ -86,11 +90,13 @@ def range_finder(v0, target_rank, seed, oversampling=0):
     if p < 0 or k + p > nt:
         raise ValueError("oversampling must satisfy 0 <= p and k + p <= nt")
 
-    if not v0.any():
+    sample = v0 @ gaussian_test_matrix(nt, k + p, seed)
+    # a nonzero sample proves V0 nonzero, so only a zero sample pays for
+    # the scan of V0
+    if _all_zero(sample) and _all_zero(v0):
         warn("rsvd of an all-zero matrix")
         return qr_factor(gaussian_test_matrix(nx, k, seed))[0]
-
-    return qr_factor(v0 @ gaussian_test_matrix(nt, k + p, seed))[0]
+    return qr_factor(sample)[0]
 
 
 def rsvd(v0, target_rank, seed, oversampling=0):

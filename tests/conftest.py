@@ -21,6 +21,12 @@ def burgers_snapshot():
 
 
 @pytest.fixture(scope="session")
+def burgers_2001():
+    """The benchmark field on the 2001-point grid of the scaled case."""
+    return rt.generate_snapshots(rt.BurgersConfig(grid_points=2001))
+
+
+@pytest.fixture(scope="session")
 def burgers_ip(burgers_snapshot):
     return rt.InnerProduct(burgers_snapshot.dx)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,25 @@ class TestGenerateSnapshots:
         snap = rt.generate_snapshots(cfg)
         for j, t in enumerate(snap.t):
             assert np.array_equal(snap.values[:, j], rt.exact_u(snap.x, t, cfg, rule))
+
+    @pytest.mark.parametrize("nu", [0.05, 0.01, 0.007, 0.005, 0.004])
+    def test_resolved_viscosity_is_silent(self, nu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            snap = rt.generate_snapshots(rt.BurgersConfig(nu=nu))
+        assert np.abs(snap.values).max() <= 1.0
+
+    @pytest.mark.parametrize("nu", [3e-3, 1e-3])
+    def test_maximum_principle_breach_warns_once(self, nu):
+        with pytest.warns(RuntimeWarning) as record:
+            snap = rt.generate_snapshots(rt.BurgersConfig(nu=nu))
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "quad_order 100" in message
+        assert "nu = %g" % nu in message
+        assert record[0].filename == __file__
+        # the field is still returned, as computed
+        assert np.abs(snap.values).max() > 1.5
 
     @pytest.mark.parametrize("name", ["nu", "t_final", "dt", "length"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

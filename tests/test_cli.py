@@ -57,6 +57,23 @@ class TestGenerate:
         assert np.array_equal(back.x, burgers_snapshot.x)
         assert np.array_equal(back.t, burgers_snapshot.t)
 
+    def test_default_run_is_silent_and_unchanged(self, tmp_path, capsys, burgers_snapshot):
+        out = tmp_path / "data.csv"
+        assert main(["generate", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        plain = tmp_path / "plain.csv"
+        io.write_snapshot_csv(plain, burgers_snapshot)
+        assert out.read_bytes() == plain.read_bytes()
+
+    def test_unresolved_viscosity_warns_and_succeeds(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["generate", "--output", str(out), "--nu", "0.001"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("rodtwin generate: warning: max|u| = 2.03")
+        assert "quad_order 100" in lines[0] and "nu = 0.001" in lines[0]
+        assert io.read_snapshot_csv(out).values.shape == (101, 301)
+
     def test_defaults_equal_explicit_flags(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

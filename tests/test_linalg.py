@@ -252,3 +252,29 @@ class TestLeastSquares:
     def test_row_mismatch(self):
         with pytest.raises(ValueError):
             least_squares(np.eye(3), np.ones((4, 1)))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (12, 5), (40, 20), (3, 1)])
+    def test_matches_lstsq_with_many_right_hand_sides(self, rng, shape):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = rng.standard_normal((shape[0], 301))
+        want = np.linalg.lstsq(a, b, rcond=1e-12)[0]
+        got = least_squares(a, b)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_cutoff_is_that_of_lstsq(self, rng):
+        # one singular value just above and one just below 1e-12 sigma_max
+        u = np.linalg.qr(rng.standard_normal((8, 4)))[0]
+        w = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        a = (u * [1.0, 0.5, 2e-12, 5e-13]) @ w.T
+        b = rng.standard_normal((8, 3))
+        with pytest.warns(RuntimeWarning, match=r"rank 3 of 4") as record:
+            got = least_squares(a, b)
+        assert len(record) == 1
+        want, _, rank, _ = np.linalg.lstsq(a, b, rcond=1e-12)
+        assert rank == 3
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_zero_matrix_gives_zero_solution(self):
+        with pytest.warns(RuntimeWarning, match=r"rank 0 of 2, condition inf"):
+            x = least_squares(np.zeros((5, 2)), np.ones((5, 3)))
+        assert np.array_equal(x, np.zeros((2, 3)))

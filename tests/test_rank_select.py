@@ -1,9 +1,20 @@
+import importlib
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rodtwin as rt
+from rodtwin import rod
+from rodtwin.cli import DEFAULT_SEED
 
 from conftest import make_snapshot
+
+# the package exports the function rsvd under the module's name
+rsvd_module = importlib.import_module("rodtwin.rsvd")
 
 
 class TestObjectives:
@@ -116,3 +127,103 @@ class TestParetoSweep:
         assert 8 <= chosen <= 15
         j1 = {p.rank: p.j1 for p in points}
         assert j1[chosen] <= 1e-5
+
+
+class TestNestedSketch:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        nx=st.integers(3, 60),
+        ncols=st.integers(4, 40),
+        rank_max=st.integers(1, 10),
+        decay=st.floats(0.3, 1.0),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    # data_seed None stands for the 101x301 benchmark
+    @example(data_seed=None, nx=0, ncols=0, rank_max=20, decay=0.0, seed=DEFAULT_SEED)
+    def test_points_match_per_rank_fits(
+        self, burgers_snapshot, data_seed, nx, ncols, rank_max, decay, seed
+    ):
+        if data_seed is None:
+            snap = burgers_snapshot
+        else:
+            # below full rank, so that every j1 is well away from zero
+            rank_max = min(rank_max, nx - 1, ncols - 2)
+            g = np.random.default_rng(data_seed)
+            m = min(nx, ncols)
+            values = (g.standard_normal((nx, m)) * decay ** np.arange(m)) @ (
+                g.standard_normal((m, ncols))
+            )
+            snap = make_snapshot(values)
+        for p in rt.pareto_sweep(snap, rank_max, seed):
+            if p.failed:
+                continue
+            j1, j2 = rt.objectives(snap, rt.fit(snap, p.rank, seed))
+            assert p.j1 == pytest.approx(j1, rel=1e-6, abs=0)
+            assert p.j2 == pytest.approx(j2, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("reorthonormalize", [False, True])
+    def test_fit_is_sketch_then_rank_space_step(self, burgers_snapshot, reorthonormalize):
+        snap = burgers_snapshot
+        model = rt.fit(snap, 10, DEFAULT_SEED, reorthonormalize=reorthonormalize)
+        q, proj = rod.sketch(snap, 10, DEFAULT_SEED)
+        coeff, eigenvalues, amp = rod.rank_space_fit(
+            proj, rt.InnerProduct(snap.dx), reorthonormalize
+        )
+        lifted = q @ np.hstack([coeff.real, coeff.imag])
+        assert np.array_equal(model.modes.real, lifted[:, :10])
+        assert np.array_equal(model.modes.imag, lifted[:, 10:])
+        assert np.array_equal(model.eigenvalues, eigenvalues)
+        assert np.array_equal(model.amplitudes, amp)
+
+    def test_one_sketch_per_sweep(self, burgers_snapshot, monkeypatch):
+        calls = Counter()
+        for module, name in ((rod, "range_finder"), (rsvd_module, "gaussian_test_matrix")):
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
+        assert calls == {"range_finder": 1, "gaussian_test_matrix": 1}
+
+    def test_failing_rank_fails_only_its_point(self, rng, monkeypatch):
+        real = rod.eig_general
+
+        def fails_at_three(s):
+            if s.shape[0] == 3:
+                raise rt.LinalgError("boom")
+            return real(s)
+
+        monkeypatch.setattr(rod, "eig_general", fails_at_three)
+        points = rt.pareto_sweep(make_snapshot(rng.standard_normal((20, 9))), 5, 1)
+        assert [p.error for p in points] == [
+            "",
+            "",
+            "stage 'eigendecomposition' failed: boom",
+            "",
+            "",
+        ]
+        assert (points[2].j1, points[2].j2) == (np.inf, np.inf)
+        assert all(np.isfinite(p.j1) for p in points if not p.failed)
+
+    def test_failing_sketch_fails_every_point(self, rng, monkeypatch):
+        def broken(*args):
+            raise rt.LinalgError("boom")
+
+        monkeypatch.setattr(rod, "range_finder", broken)
+        points = rt.pareto_sweep(make_snapshot(rng.standard_normal((20, 9))), 4, 1)
+        assert [p.rank for p in points] == [1, 2, 3, 4]
+        assert {p.error for p in points} == {"stage 'rsvd' failed: boom"}
+        assert not any(p.dominated for p in points)
+
+    def test_sweep_allocates_under_half_the_field(self, burgers_2001):
+        tracemalloc.start()
+        try:
+            rt.pareto_sweep(burgers_2001, 20, DEFAULT_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * burgers_2001.values.nbytes

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,17 @@ class TestReconstruct:
         twin = rt.reconstruct(burgers_model)
         assert np.array_equal(twin.x, burgers_snapshot.x)
         assert np.array_equal(twin.t, burgers_snapshot.t)
+
+    def test_allocates_under_one_and_a_half_fields(self, burgers_2001):
+        model = rt.fit(burgers_2001, 10, DEFAULT_SEED)
+        tracemalloc.start()
+        try:
+            twin = rt.reconstruct(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the twin itself is one field; the imaginary part is never whole
+        assert peak < 1.5 * twin.values.nbytes
 
 
 _WARNING_CASES = {

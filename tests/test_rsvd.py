@@ -1,9 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rodtwin.linalg import svd_economy
-from rodtwin.rsvd import gaussian_test_matrix, rsvd
+from rodtwin.linalg import qr_factor, svd_economy
+from rodtwin.rsvd import gaussian_test_matrix, range_finder, rsvd
+
+# the package exports the function rsvd under the module's name
+rsvd_module = importlib.import_module("rodtwin.rsvd")
 
 
 class TestGaussianTestMatrix:
@@ -117,3 +122,32 @@ class TestRsvd:
             rsvd(v0, 9, seed=0)
         with pytest.raises(ValueError):
             rsvd(v0, 5, seed=0, oversampling=4)
+
+
+class TestRangeFinder:
+    @pytest.fixture()
+    def v0_scans(self, monkeypatch):
+        """Shapes of the arrays range_finder checks for all zeros."""
+        shapes = []
+        real = rsvd_module._all_zero
+
+        def spy(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(rsvd_module, "_all_zero", spy)
+        return shapes
+
+    def test_nonzero_data_is_not_scanned(self, rng, v0_scans):
+        v0 = rng.standard_normal((30, 20))
+        q = range_finder(v0, 4, seed=3)
+        assert v0_scans.count(v0.shape) == 0
+        assert np.array_equal(q, qr_factor(v0 @ gaussian_test_matrix(20, 4, 3))[0])
+
+    def test_zero_data_is_scanned_once(self, v0_scans):
+        with pytest.warns(RuntimeWarning, match="all-zero") as record:
+            q = range_finder(np.zeros((30, 20)), 4, seed=3)
+        assert len(record) == 1
+        assert v0_scans.count((30, 20)) == 1
+        # the seeded frame, as before the scan moved behind the sample
+        assert np.array_equal(q, qr_factor(gaussian_test_matrix(30, 4, 3))[0])
