@@ -104,10 +104,6 @@ def gauss_hermite(n):
     n = int(n)
     if not 1 <= n <= 500:
         raise ValueError("quadrature order must lie in [1, 500]")
-    if n == 1:
-        return QuadratureRule(
-            order=1, nodes=np.zeros(1), weights=np.array([math.sqrt(math.pi)])
-        )
     off = np.sqrt(np.arange(1, n) / 2.0)
     values, vectors = eig_sym_tridiag(np.zeros(n), off)
     weights = math.sqrt(math.pi) * vectors[0] ** 2

@@ -47,11 +47,8 @@ class FourierModes:
     def _expansion(self):
         factors = svd_economy(self.values)
         sigma = factors.sigma
-        if sigma.size and sigma[0] > 0:
-            r = int(np.count_nonzero(sigma > RANK_CUTOFF * sigma[0]))
-        else:
-            r = 0
-        r = max(r, 1)
+        # zero data keeps one direction, with sigma 0
+        r = max(1, int(np.count_nonzero(sigma > RANK_CUTOFF * sigma[0])))
         root_dx = np.sqrt(self.dx)
         psi = factors.U[:, :r] / root_dx
         coeff = root_dx * sigma[:r, None] * factors.W[:, :r].conj().T

@@ -313,24 +313,20 @@ def read_model(path):
     nt = _header_number(header, "nt", _count, path)
     rank = _header_number(header, "rank", _count, path)
     seed = _header_number(header, "seed", int, path)
-    modes = np.empty((nx, rank), dtype=complex)
-    rows = sections["modes"]
-    if len(rows) != nx:
-        raise ValueError("%s: [modes] must have %d rows" % (path, nx))
-    for i, (line_no, cells) in enumerate(rows):
-        modes[i] = _parse_pair_row(cells, line_no, path, rank)
-    amp = np.empty((rank, nt + 1), dtype=complex)
-    rows = sections["amplitudes"]
-    if len(rows) != rank:
-        raise ValueError("%s: [amplitudes] must have %d rows" % (path, rank))
-    for i, (line_no, cells) in enumerate(rows):
-        amp[i] = _parse_pair_row(cells, line_no, path, nt + 1)
-    rows = sections["eigenvalues"]
-    if len(rows) != rank:
-        raise ValueError("%s: [eigenvalues] must have %d rows" % (path, rank))
-    eigenvalues = np.array(
-        [_parse_pair_row(cells, line_no, path, 1)[0] for line_no, cells in rows]
-    )
+    blocks = []
+    for name, n_rows, pairs in (
+        ("modes", nx, rank),
+        ("amplitudes", rank, nt + 1),
+        ("eigenvalues", rank, 1),
+    ):
+        rows = sections[name]
+        if len(rows) != n_rows:
+            raise ValueError("%s: [%s] must have %d rows" % (path, name, n_rows))
+        block = np.empty((n_rows, pairs), dtype=complex)
+        for i, (line_no, cells) in enumerate(rows):
+            block[i] = _parse_pair_row(cells, line_no, path, pairs)
+        blocks.append(block)
+    modes, amp, eigenvalues = blocks
     if "format" in header:
         x = _saved_grid(header, "x0", "x_end", nx, path)
         t = _saved_grid(header, "t0", "t_end", nt + 1, path)
@@ -340,7 +336,7 @@ def read_model(path):
     return RodModel(
         modes=modes,
         amplitudes=amp,
-        eigenvalues=eigenvalues,
+        eigenvalues=eigenvalues[:, 0],
         rank=rank,
         seed=seed,
         x=x,

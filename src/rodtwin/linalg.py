@@ -21,6 +21,8 @@ import numpy as np
 
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+# least_squares keeps the singular values above _RCOND * sigma_max
+_RCOND = 1e-12
 
 
 def warn(message):
@@ -145,11 +147,11 @@ def eig_sym_tridiag(diag, offdiag):
     return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
-def least_squares(a, b, rcond=1e-12):
+def least_squares(a, b):
     """Minimize ||A X - B||_F column by column.
 
     Solved through the SVD A = U diag(s) V^H as X = V diag(1/s) U^H B
-    over the singular values above rcond * sigma_max, the cutoff of
+    over the singular values above 1e-12 * sigma_max, the cutoff of
     numpy's lstsq.  The cut turns rank-deficient and ill-conditioned
     systems into minimum-norm solutions, reported with one warning that
     names the rank and the condition number.  The callers' A is
@@ -166,7 +168,7 @@ def least_squares(a, b, rcond=1e-12):
         )
     svd = svd_economy(a)
     s = svd.sigma
-    rank = int(np.count_nonzero(s > rcond * s[0]))
+    rank = int(np.count_nonzero(s > _RCOND * s[0]))
     x = (svd.W[:, :rank] / s[:rank]) @ (svd.U[:, :rank].conj().T @ b2)
     if rank < a.shape[1]:
         # a wide A is singular beyond its min(rows, cols) singular values

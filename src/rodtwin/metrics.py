@@ -176,9 +176,9 @@ def modal_scores(exact, modal, variant="paper"):
     return _error(sums), _correlation(sums, variant)
 
 
-def twin_scores(exact, model, variant="paper"):
-    """modal_scores of the model's modal sum."""
-    return modal_scores(exact, _model_modal(exact, model), variant)
+def twin_scores(exact, model):
+    """modal_scores of the model's modal sum, with the paper correlation."""
+    return modal_scores(exact, _model_modal(exact, model))
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,9 @@ def pareto_sweep(snap, rank_max, seed):
     of the projection P and scores the twin Q[:, :k] C_k, C_k = B_k A_k,
     block by block as objectives scores a fitted model, so the points
     match objectives(snap, fit(snap, k, seed)) up to rounding.  A
-    per-rank failure is recorded in that point's error field instead of
-    aborting the sweep; a failed sketch fails every point.
+    per-rank failure, a non-finite j1 or j2 included, is recorded in
+    that point's error field instead of aborting the sweep; a failed
+    sketch fails every point.
     """
     rank_max = int(rank_max)
     limit = min(snap.values.shape[0], snap.values.shape[1] - 1)
@@ -94,6 +95,10 @@ def pareto_sweep(snap, rank_max, seed):
             c = coeff @ amp
             twin = ModalSum(q[:, :rank], c.real, c.imag)
             j1, corr = metrics.modal_scores(snap, twin)
+            if not (np.isfinite(j1) and np.isfinite(corr)):
+                raise ArithmeticError(
+                    "non-finite objectives j1=%s, j2=%s" % (j1, -corr)
+                )
             points.append(ParetoPoint(rank=rank, j1=j1, j2=-corr))
         except Exception as exc:
             points.append(

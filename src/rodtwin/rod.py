@@ -377,11 +377,11 @@ class ModalSum:
         ar, ai = model.amplitudes.real, model.amplitudes.imag
         return cls(np.hstack([mr, mi]), np.vstack([ar, -ai]), np.vstack([ai, ar]))
 
-    def rows(self, start, stop, out=None):
+    def rows(self, start, stop, out):
         """Real part of rows start:stop.  out, a pair of (stop - start,
         nt + 1) buffers such as a (2, stop - start, nt + 1) array,
-        receives the real and imaginary parts instead of new arrays."""
-        real, imag = (None, None) if out is None else out
+        receives the real and imaginary parts."""
+        real, imag = out
         left = self._left[start:stop]
         real = np.matmul(left, self._right[0], out=real)
         imag = np.matmul(left, self._right[1], out=imag)

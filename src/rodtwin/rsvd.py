@@ -67,9 +67,10 @@ def range_finder(v0, target_rank, seed, oversampling=0):
     """Sketch basis Q of the range of a real matrix: the sampling half of rsvd.
 
     Draws the Gaussian test matrix M, samples V0 M and orthonormalizes
-    it into Q.  The inputs are validated as rsvd documents.  An all-zero
-    matrix has no range to sample: a RuntimeWarning is raised and an
-    arbitrary orthonormal frame of target_rank columns is returned.
+    it into Q.  The inputs are validated as rsvd documents, V0's NaN and
+    inf through the sample, which they reach.  An all-zero matrix has
+    no range to sample: a RuntimeWarning is raised and an arbitrary
+    orthonormal frame of target_rank columns is returned.
 
     Returns Q of shape (nx, target_rank + oversampling), or
     (nx, target_rank) for an all-zero matrix.
@@ -77,8 +78,6 @@ def range_finder(v0, target_rank, seed, oversampling=0):
     v0 = np.asarray(v0, dtype=float)
     if v0.ndim != 2 or v0.size == 0:
         raise ValueError("v0 must be a nonempty 2-D real array")
-    if not np.isfinite(v0).all():
-        raise ValueError("v0 contains non-finite entries")
     nx, nt = v0.shape
     k = int(target_rank)
     if not 1 <= k <= min(nx, nt):
@@ -91,8 +90,10 @@ def range_finder(v0, target_rank, seed, oversampling=0):
         raise ValueError("oversampling must satisfy 0 <= p and k + p <= nt")
 
     sample = v0 @ gaussian_test_matrix(nt, k + p, seed)
-    # a nonzero sample proves V0 nonzero, so only a zero sample pays for
-    # the scan of V0
+    # only a non-finite or a zero sample pays for a scan of V0; a finite
+    # V0 whose sample overflows fails in qr_factor
+    if not np.isfinite(sample).all() and not np.isfinite(v0).all():
+        raise ValueError("v0 contains non-finite entries")
     if _all_zero(sample) and _all_zero(v0):
         warn("rsvd of an all-zero matrix")
         return qr_factor(gaussian_test_matrix(nx, k, seed))[0]
@@ -122,9 +123,6 @@ def rsvd(v0, target_rank, seed, oversampling=0):
     v0 = np.asarray(v0, dtype=float)
     q = range_finder(v0, target_rank, seed, oversampling=oversampling)
     k = int(target_rank)
-    if not v0.any():
-        w = qr_factor(gaussian_test_matrix(v0.shape[1], k, seed + 1))[0]
-        return SvdFactors(U=q, sigma=np.zeros(k), W=w)
     inner = svd_economy(q.T @ v0)
     return SvdFactors(
         U=(q @ inner.U)[:, :k],

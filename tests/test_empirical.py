@@ -40,6 +40,13 @@ class TestFourierDecomposition:
         assert f.sigma.shape == (2,)
         assert f.coefficients.shape == (2, 5)
 
+    def test_all_zero_data_keeps_one_direction(self):
+        f = rt.fourier_decomposition(make_snapshot(np.zeros((8, 5))))
+        assert f.psi.shape == (8, 1)
+        assert f.sigma.tolist() == [0.0]
+        assert f.coefficients.shape == (1, 5)
+        assert not f.coefficients.any()
+
     def test_sigma_descending(self, burgers_snapshot):
         f = rt.fourier_decomposition(burgers_snapshot)
         assert np.all(np.diff(f.sigma) <= 0)

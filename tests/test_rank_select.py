@@ -120,6 +120,52 @@ class TestParetoSweep:
         with pytest.raises(ValueError):
             rt.pareto_sweep(burgers_snapshot, 500, seed=1)
 
+    @staticmethod
+    def _two_mode_field(scale):
+        """Two damped oscillations on a 41x31 grid: numerical rank 4."""
+        x = np.linspace(0.0, 1.0, 41)
+        t = np.arange(31) * 0.05
+        values = sum(
+            np.outer(np.sin(m * np.pi * x), np.exp(-d * t) * wave(w * t))
+            for m, d, w, wave in [
+                (1, 0.3, 2.0, np.cos),
+                (2, 0.3, 2.0, np.sin),
+                (3, 0.1, 5.0, np.cos),
+                (4, 0.1, 5.0, np.sin),
+            ]
+        )
+        return rt.SnapshotMatrix(values=scale * values, x=x, t=t)
+
+    def test_non_finite_objectives_fail_their_point(self):
+        # scaled by 1e77 the paper correlation's a^4 overflows and j2 is NaN
+        snap = self._two_mode_field(1e77)
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = rt.pareto_sweep(snap, 4, seed=0)
+        assert [p.rank for p in points] == [1, 2, 3, 4]
+        for p in points:
+            assert p.failed
+            assert "non-finite objectives" in p.error and "j2=nan" in p.error
+            assert (p.j1, p.j2, p.dominated) == (np.inf, np.inf, False)
+        with pytest.raises(ValueError, match="no successful sweep points"):
+            rt.select_rank(points)
+
+    def test_finite_objectives_unchanged(self):
+        points = rt.pareto_sweep(self._two_mode_field(1.0), 4, seed=0)
+        assert not any(p.failed for p in points)
+        # the sound sweep of the field, pinned
+        expected = [
+            (4.431546070170989, -0.5198312964440832),
+            (3.322825336507391, -0.7137279394347901),
+            (2.2141503773575684, -0.8475271198309516),
+        ]
+        for p, (j1, j2) in zip(points, expected):
+            assert p.j1 == pytest.approx(j1, rel=1e-12)
+            assert p.j2 == pytest.approx(j2, rel=1e-12)
+        assert points[3].j1 < 1e-13
+        assert points[3].j2 == pytest.approx(-1.0, abs=1e-12)
+        assert [p.dominated for p in points] == [True, True, True, False]
+        assert rt.select_rank(points) == 4
+
     def test_benchmark_selects_usable_order(self, burgers_snapshot):
         points = rt.pareto_sweep(burgers_snapshot, 20, seed=1)
         assert all(not p.failed for p in points)

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,7 @@ class TestRsvd:
             f = rsvd(np.zeros((10, 6)), 3, seed=0)
         assert_allclose(f.sigma, np.zeros(3))
         assert np.abs(f.U.T @ f.U - np.eye(3)).max() <= 1e-8
+        assert np.abs(f.W.T @ f.W - np.eye(3)).max() <= 1e-8
 
     def test_option_validation(self, rng):
         v0 = rng.standard_normal((10, 8))
@@ -151,3 +153,44 @@ class TestRangeFinder:
         assert v0_scans.count((30, 20)) == 1
         # the seeded frame, as before the scan moved behind the sample
         assert np.array_equal(q, qr_factor(gaussian_test_matrix(30, 4, 3))[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("func", [range_finder, rsvd])
+    def test_non_finite_raw_array_rejected(self, rng, func, bad):
+        v0 = rng.standard_normal((30, 20))
+        v0[17, 6] = bad
+        with pytest.raises(ValueError, match="v0 contains non-finite entries"):
+            func(v0, 4, seed=3)
+
+    @pytest.mark.parametrize("func", [range_finder, rsvd])
+    def test_overflowing_sample_rejected(self, func):
+        # finite entries near the top of the float range whose sample
+        # V0 M overflows fail in qr_factor, not as non-finite input
+        v0 = np.full((30, 20), 1.5e308)
+        v0[::2] *= -1.0
+        assert np.isfinite(v0).all()
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(v0 @ gaussian_test_matrix(20, 4, 3)).all()
+            with pytest.raises(ValueError, match="^matrix contains non-finite"):
+                func(v0, 4, seed=3)
+
+    def test_finite_data_is_not_copied(self, rng):
+        # an elementwise scan of V0 (np.isfinite, V0 != 0, ...) allocates
+        # a V0.size-byte mask; freed before the sample is formed, it still
+        # lifts the peak by V0.size less the ~0.12 V0.size that the sample
+        # and its QR, run alone, take at rank 5
+        v0 = rng.standard_normal((2001, 1000))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sample_and_qr = peak(
+            lambda: qr_factor(v0 @ gaussian_test_matrix(1000, 5, 3))
+        )
+        sketch = peak(lambda: range_finder(v0, 5, seed=3))
+        assert sketch - sample_and_qr < v0.size // 4
