@@ -12,11 +12,14 @@ of a block is either a slice of a reconstructed SnapshotMatrix or the
 rows of a rod.ModalSum (a model's modal sum, or a sweep rank's sketch
 basis times its rank-space coefficients), evaluated one block at a
 time, so the quality report and the sweep never hold an nx x nt twin.
-The report's projection scores are empirical.compare_projections.
+The sweep's SweepScorer takes the part of each rank's error outside
+the sketch, and the data's a^4, from one pass per sweep.  The report's
+projection scores are empirical.compare_projections.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -143,6 +146,78 @@ def _modal_sums(exact, modal, variant):
     return sums
 
 
+def _sketch_sums(values, q, p1):
+    """Per-column sums over the columns from t_1 on, in one pass of
+    BLOCK_ROWS-row blocks: r_j = ||v_j - Q p_j||^2, the part of column j
+    outside range(Q), and the paper correlation's a^4, which is the same
+    for every twin.  p1 holds the columns of P = Q^T V from t_1 on."""
+    nx, ncols = values.shape[0], p1.shape[1]
+    resid, exact_pow = np.zeros((2, ncols))
+    fitted, scratch = np.empty((2, min(BLOCK_ROWS, nx), ncols))
+    for start in range(0, nx, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, nx)
+        a = values[start:stop, 1:]
+        b = np.matmul(q[start:stop], p1, out=fitted[: stop - start])
+        _add_column_sums(resid, np.square(np.subtract(a, b, out=b), out=b))
+        buf = scratch[: stop - start]
+        _add_column_sums(exact_pow, np.square(np.square(a, out=buf), out=buf))
+    return resid, exact_pow
+
+
+class SweepScorer:
+    """Absolute error and paper correlation of every twin Q[:, :k] Re C_k
+    of one sketch (Q, P = Q^T V) against exact, C_k being rank k's
+    (k, nt + 1) coefficients.
+
+    Q has orthonormal columns, so column j's error splits as
+
+        ||v_j - Q_k Re c_j||^2 = ||v_j - Q p_j||^2 + ||p_j - [Re c_j; 0]||^2.
+
+    One blocked pass per sweep gives the first term and the data's a^4
+    (_sketch_sums); the second term is rank space.  Per rank, one
+    blocked pass forms the twin rows Q_k Re C_k, rejects non-finite
+    entries and tracks the field scale as ModalSum does, and sums (ab)^2
+    and b^4.  No entry of Q_k Im c_j exceeds ||Im c_j||_2, so the exact
+    imaginary residue, with ModalSum's warning, is evaluated (by the
+    report's pass) only when that bound comes within a factor 2 of 1e-6
+    of the field scale.  The per-rank pass allocates no block buffers.
+    """
+
+    def __init__(self, exact, q, proj):
+        self._exact = exact
+        self._q = q
+        self._p1 = np.ascontiguousarray(proj[:, 1:])
+        self._resid, self._exact_pow = _sketch_sums(exact.values, q, self._p1)
+        rows = min(BLOCK_ROWS, q.shape[0])
+        self._twin = np.empty((rows, proj.shape[1]))
+        self._scratch = np.empty((rows, proj.shape[1] - 1))
+
+    def scores(self, c):
+        """(absolute_error, correlation) of the twin of the (k, nt + 1)
+        coefficients c."""
+        k = c.shape[0]
+        # contiguous, so that the twin rows are one BLAS product
+        real = np.ascontiguousarray(c.real)
+        modal = ModalSum(self._q[:, :k], real, c.imag)
+        values = self._exact.values
+        nx, ncols = modal.shape
+        cross, twin_pow = np.zeros((2, ncols - 1))
+        for start in range(0, nx, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, nx)
+            a = values[start:stop, 1:]
+            b = modal.real_rows(start, stop, self._twin[: stop - start])[:, 1:]
+            buf = self._scratch[: stop - start]
+            _add_column_sums(cross, np.square(np.multiply(a, b, out=buf), out=buf))
+            _add_column_sums(twin_pow, np.square(np.square(b, out=buf), out=buf))
+        if np.linalg.norm(c.imag, axis=0).max() > 0.5e-6 * modal.scale:
+            _modal_sums(self._exact, modal, None)
+        off = self._p1.copy()
+        off[:k] -= real[:, 1:]
+        diff_sq = self._resid + np.einsum("ij,ij->j", off, off)
+        sums = _Sums(diff_sq, cross, self._exact_pow, twin_pow)
+        return _error(sums), _correlation(sums, "paper")
+
+
 def _model_modal(exact, model):
     """The modal sum of model, which must be on exact's grids."""
     modal = ModalSum.from_model(model)
@@ -211,7 +286,8 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     model's twin, which is never formed.  The projection scores are
     those of empirical.compare_projections on V0 (all snapshot columns
     but the last), so fourier must decompose exact itself (ValueError
-    otherwise).
+    otherwise).  A field that is not finite, such as the correlation of
+    data whose a^4 overflows, raises ValueError naming the field.
     """
     _check_variant(variant)
     sums = _modal_sums(exact, _model_modal(exact, model), variant)
@@ -220,7 +296,7 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     rho_rod, rho_fourier, _ = compare_projections(
         model.modes, fourier, exact.values[:, :-1], ip
     )
-    return QualityReport(
+    report = QualityReport(
         rank=int(model.rank),
         absolute_error=_error(sums),
         correlation=corr,
@@ -229,3 +305,10 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
         gram_deviation=float(model.gram_deviation),
         seed=int(model.seed),
     )
+    for name in QualityReport.FIELDS:
+        value = getattr(report, name)
+        if not math.isfinite(value):
+            raise ValueError(
+                "quality report field %s is not finite (%r)" % (name, value)
+            )
+    return report

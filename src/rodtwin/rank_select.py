@@ -10,7 +10,8 @@ fills column by column and Householder QR keeps a column prefix, so
 the rank-k sketch is the first k columns of the rank-k_max one, up to
 rounding (Halko, Martinsson and Tropp, SIAM Review 2011, section 4).
 The sweep runs fit's sketch step once at rank_max and its rank-space
-step on the leading k rows of the projection for every rank k.
+step on the leading k rows of the projection for every rank k, through
+one rod.RankSpace, and scores every rank with one metrics.SweepScorer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .rod import InnerProduct, ModalSum, rank_space_fit, sketch
+from .rod import InnerProduct, RankSpace, sketch
 
 
 @dataclass
@@ -68,9 +69,9 @@ def pareto_sweep(snap, rank_max, seed):
 
     One sketch of V0 at rank_max serves every rank (see the module
     docstring).  Rank k runs fit's rank-space step on the first k rows
-    of the projection P and scores the twin Q[:, :k] C_k, C_k = B_k A_k,
-    block by block as objectives scores a fitted model, so the points
-    match objectives(snap, fit(snap, k, seed)) up to rounding.  A
+    of the projection P and scores the twin Q[:, :k] Re C_k,
+    C_k = B_k A_k, with metrics.SweepScorer, so the points match
+    objectives(snap, fit(snap, k, seed)) up to rounding.  A
     per-rank failure, a non-finite j1 or j2 included, is recorded in
     that point's error field instead of aborting the sweep; a failed
     sketch fails every point.
@@ -82,6 +83,8 @@ def pareto_sweep(snap, rank_max, seed):
     ranks = range(1, rank_max + 1)
     try:
         q, proj = sketch(snap, rank_max, seed)
+        shared = RankSpace(proj)
+        scorer = metrics.SweepScorer(snap, q, proj)
     except Exception as exc:
         return [
             ParetoPoint(rank=rank, j1=np.inf, j2=np.inf, error=str(exc))
@@ -91,10 +94,8 @@ def pareto_sweep(snap, rank_max, seed):
     points = []
     for rank in ranks:
         try:
-            coeff, _, amp = rank_space_fit(proj[:rank], ip)
-            c = coeff @ amp
-            twin = ModalSum(q[:, :rank], c.real, c.imag)
-            j1, corr = metrics.modal_scores(snap, twin)
+            coeff, _, amp = shared.fit(rank, ip)
+            j1, corr = scorer.scores(coeff @ amp)
             if not (np.isfinite(j1) and np.isfinite(corr)):
                 raise ArithmeticError(
                     "non-finite objectives j1=%s, j2=%s" % (j1, -corr)
@@ -120,7 +121,11 @@ def select_rank(points, error_tolerance=1e-5):
     """
     sound = [p for p in points if not p.failed]
     if not sound:
-        raise ValueError("no successful sweep points")
+        # name the first failure, so that a failed sweep says why
+        reason = ""
+        if points:
+            reason = "; rank %d failed: %s" % (points[0].rank, points[0].error)
+        raise ValueError("no successful sweep points" + reason)
     meeting = [p for p in sound if p.j1 <= error_tolerance]
     if meeting:
         return min(meeting, key=lambda p: p.rank).rank

@@ -15,7 +15,8 @@ fit of the modes against the full snapshot matrix.  fit is two steps:
 sketch returns Q and P, and rank_space_fit returns B, the eigenvalues
 and A from P alone.  The sketch is nested in its rank, so a rank sweep
 sketches once at its largest rank and runs the rank-space step on the
-leading k rows of P for every k.  Real data makes the
+leading k rows of P for every k, all from one QR factorization of the
+leading columns of P (RankSpace).  Real data makes the
 eigenvalues come in conjugate pairs, so the modal sum is real up to
 rounding; the reconstruction keeps the real part and checks the
 imaginary residue.
@@ -195,8 +196,9 @@ def propagator(svd, v1):
 
     Directions with negligible singular values are dropped first (with a
     warning), so S is square in the number of kept directions, which
-    are the leading columns of U.  The fit passes the factors of the
-    projected data, U = T and V1 = Q^T V1, which give the same S.
+    are the leading columns of U.  The fit passes the SVD T Sigma Y^T
+    of R^T from the QR P0^T = Z R of the projected data, with
+    V1 = P1 Z (see RankSpace); W = Z Y, so this is the same S.
     """
     svd = _drop_tiny_singular(svd)
     v1 = np.asarray(v1)
@@ -288,26 +290,46 @@ def sketch(snap, rank_max, seed):
     return q, q.T @ snap.values
 
 
+class RankSpace:
+    """The rank-space step of fit for every leading row block of one
+    rank_max x (nt + 1) projection P.
+
+    Householder QR factors P0^T = Z R and G = P1 Z once, with P0 and
+    P1 the first and last nt columns of P.  R^T is lower triangular, so
+    P0[:k] = R[:k, :k]^T Z[:, :k]^T for every k: the SVD
+    R[:k, :k]^T = T Sigma Y^T gives that of P0[:k] with W = Z[:, :k] Y,
+    and the propagator T^H P1[:k] W Sigma^{-1} is T^H G[:k, :k] Y
+    Sigma^{-1}.  Rank k therefore costs k x k factorizations and the
+    amplitude solve against P[:k], whatever nt is.
+    """
+
+    def __init__(self, proj):
+        self._proj = proj
+        z, self._r = _stage("rsvd", np.linalg.qr, proj[:, :-1].T)
+        self._g = proj[:, 1:] @ z
+
+    def fit(self, k, ip, reorthonormalize=False):
+        """Rank-space step on P[:k]: the SVD of P[:k, :-1], the
+        propagator, its eigendecomposition, the mode coefficients B at
+        unit norm under ip, the optional reorthonormalization of B, and
+        the amplitudes A minimizing ||B A - P[:k]||_F.  Returns (B,
+        eigenvalues of the kept modes, A); the modes are Q[:, :k] B."""
+        inner = _stage("rsvd", svd_economy, self._r[:k, :k].T)
+        prop = _stage("propagator", propagator, inner, self._g[:k, :k])
+        eig = _stage("eigendecomposition", eig_general, prop)
+        # the propagator keeps the leading directions of T
+        kept = inner.U[:, : prop.shape[0]]
+        coeff, eigenvalues = _stage("modes", rod_modes, kept, eig, ip)
+        if reorthonormalize:
+            coeff = qr_factor(coeff)[0] / np.sqrt(ip.dx)
+        amp = _stage("amplitudes", amplitudes, coeff, self._proj[:k])
+        return coeff, eigenvalues, amp
+
+
 def rank_space_fit(proj, ip, reorthonormalize=False):
     """Rank-space step of fit: everything after the sketch on the rank x
-    (nt + 1) projection P.
-
-    The SVD of the first nt columns of P, the propagator from the last
-    nt, its eigendecomposition, the mode coefficients B at unit norm
-    under ip, the optional reorthonormalization of B, and the
-    amplitudes A minimizing ||B A - P||_F.  Returns (B, eigenvalues of
-    the kept modes, A); the modes are Q B.
-    """
-    inner = _stage("rsvd", svd_economy, proj[:, :-1])
-    prop = _stage("propagator", propagator, inner, proj[:, 1:])
-    eig = _stage("eigendecomposition", eig_general, prop)
-    # the propagator keeps the leading directions of T
-    kept = inner.U[:, : prop.shape[0]]
-    coeff, eigenvalues = _stage("modes", rod_modes, kept, eig, ip)
-    if reorthonormalize:
-        coeff = qr_factor(coeff)[0] / np.sqrt(ip.dx)
-    amp = _stage("amplitudes", amplitudes, coeff, proj)
-    return coeff, eigenvalues, amp
+    (nt + 1) projection P, as RankSpace(P).fit at k = rank."""
+    return RankSpace(proj).fit(proj.shape[0], ip, reorthonormalize)
 
 
 def fit(snap, rank, seed, reorthonormalize=False):
@@ -361,7 +383,9 @@ class ModalSum:
     rounding.  rows() returns the real part of the requested rows; it
     rejects non-finite entries as SnapshotMatrix does and tracks the
     field scale and the imaginary residue over every row evaluated,
-    which warn_residue() then checks once.
+    which warn_residue() then checks once.  real_rows() forms the real
+    part alone and tracks only the scale: the sweep bounds the residue
+    of its orthonormal Q_k in rank space instead.
     """
 
     def __init__(self, left, right_real, right_imag):
@@ -377,18 +401,22 @@ class ModalSum:
         ar, ai = model.amplitudes.real, model.amplitudes.imag
         return cls(np.hstack([mr, mi]), np.vstack([ar, -ai]), np.vstack([ai, ar]))
 
-    def rows(self, start, stop, out):
-        """Real part of rows start:stop.  out, a pair of (stop - start,
-        nt + 1) buffers such as a (2, stop - start, nt + 1) array,
-        receives the real and imaginary parts."""
-        real, imag = out
-        left = self._left[start:stop]
-        real = np.matmul(left, self._right[0], out=real)
-        imag = np.matmul(left, self._right[1], out=imag)
+    def real_rows(self, start, stop, out):
+        """Real part of rows start:stop, written to the (stop - start,
+        nt + 1) buffer out; tracks the field scale, not the residue."""
+        real = np.matmul(self._left[start:stop], self._right[0], out=out)
         high, low = float(real.max()), float(real.min())
         if not (math.isfinite(high) and math.isfinite(low)):
             raise ValueError(NON_FINITE)
         self.scale = max(self.scale, high, -low)
+        return real
+
+    def rows(self, start, stop, out):
+        """Real part of rows start:stop.  out, a pair of (stop - start,
+        nt + 1) buffers such as a (2, stop - start, nt + 1) array,
+        receives the real and imaginary parts."""
+        real = self.real_rows(start, stop, out[0])
+        imag = np.matmul(self._left[start:stop], self._right[1], out=out[1])
         # np.max keeps a NaN residue, which never warns
         self.residue = float(np.max([self.residue, imag.max(), -imag.min()]))
         return real

@@ -53,3 +53,19 @@ def make_snapshot(values, dx=0.1, dt=0.05):
     return rt.SnapshotMatrix(
         values=values, x=np.arange(nx) * dx, t=np.arange(nt1) * dt
     )
+
+
+def two_mode_field(scale=1.0):
+    """Two damped oscillations on a 41x31 grid, times scale: numerical rank 4."""
+    x = np.linspace(0.0, 1.0, 41)
+    t = np.arange(31) * 0.05
+    values = sum(
+        np.outer(np.sin(m * np.pi * x), np.exp(-d * t) * wave(w * t))
+        for m, d, w, wave in [
+            (1, 0.3, 2.0, np.cos),
+            (2, 0.3, 2.0, np.sin),
+            (3, 0.1, 5.0, np.cos),
+            (4, 0.1, 5.0, np.sin),
+        ]
+    )
+    return rt.SnapshotMatrix(values=scale * values, x=x, t=t)

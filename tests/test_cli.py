@@ -14,6 +14,8 @@ import rodtwin as rt
 from rodtwin import cli, io
 from rodtwin.cli import main
 
+from conftest import two_mode_field
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -472,6 +474,51 @@ class TestSnapshotFaults:
         err = capsys.readouterr().err
         assert "data.csv:%d: " % line_no in err
         assert message in err
+
+
+class TestOverflowingData:
+    """On the two-mode field scaled by 1e77 the paper correlation's a^4
+    overflows: fit and evaluate name the non-finite report field, and
+    sweep names the first failed rank, each exiting 2."""
+
+    @pytest.fixture(scope="class")
+    def big_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("overflow") / "big.csv"
+        io.write_snapshot_csv(path, two_mode_field(1e77))
+        return path
+
+    REPORT_ERROR = "error: quality report field correlation is not finite (nan)"
+
+    def _fit(self, big_csv, model):
+        argv = ["fit", "--input", str(big_csv), "--output", str(model), "--rank", "4"]
+        return main(argv)
+
+    def test_fit_exits_2(self, big_csv, tmp_path, capsys):
+        assert self._fit(big_csv, tmp_path / "m.txt") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "rodtwin fit: " + self.REPORT_ERROR
+
+    def test_evaluate_exits_2(self, big_csv, tmp_path, capsys):
+        # fit writes the model before its report fails
+        model = tmp_path / "m.txt"
+        assert self._fit(big_csv, model) == 2
+        capsys.readouterr()
+        argv = ["evaluate", "--input", str(big_csv), "--model", str(model)]
+        assert main(argv + ["--output", str(tmp_path / "twin")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "rodtwin evaluate: " + self.REPORT_ERROR
+
+    def test_sweep_names_first_failed_rank(self, big_csv, tmp_path, capsys):
+        argv = ["sweep", "--input", str(big_csv), "--max-rank", "4"]
+        assert main(argv + ["--output", str(tmp_path / "s.csv")]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(
+            r"rodtwin sweep: error: no successful sweep points; rank 1 failed:"
+            r" non-finite objectives j1=.*, j2=nan",
+            last,
+        )
 
 
 class TestCompare:

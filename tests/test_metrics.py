@@ -12,7 +12,7 @@ import rodtwin as rt
 from rodtwin import io, metrics
 from rodtwin.metrics import BLOCK_ROWS
 
-from conftest import make_snapshot
+from conftest import make_snapshot, two_mode_field
 
 
 class TestTimeAverage:
@@ -158,6 +158,17 @@ class TestQualityReport:
                 burgers_model,
                 rt.fourier_decomposition(other),
                 burgers_ip,
+            )
+
+    def test_non_finite_field_raises(self):
+        # at 1e77 the paper correlation's a^4 overflows and it reads NaN
+        snap = two_mode_field(1e77)
+        model = rt.fit(snap, 4, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"^quality report field correlation is not finite \(nan\)$"
+        ):
+            rt.quality_report(
+                snap, model, rt.fourier_decomposition(snap), rt.InnerProduct(snap.dx)
             )
 
     def test_text_round_trip(

@@ -1,20 +1,35 @@
 import importlib
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 import rodtwin as rt
-from rodtwin import rod
+from rodtwin import metrics, rod
 from rodtwin.cli import DEFAULT_SEED
 
-from conftest import make_snapshot
+from conftest import make_snapshot, two_mode_field
 
 # the package exports the function rsvd under the module's name
 rsvd_module = importlib.import_module("rodtwin.rsvd")
+
+
+def _count_calls(monkeypatch, owner, name):
+    """A Counter of the calls to owner.name for the rest of the test."""
+    calls = Counter()
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestObjectives:
@@ -87,8 +102,12 @@ class TestSelectRank:
             rt.ParetoPoint(rank=2, j1=2e-6, j2=-0.9),
         ]
         assert rt.select_rank(points, error_tolerance=1e-5) == 2
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^no successful sweep points; rank 1 failed: boom$"
+        ):
             rt.select_rank([points[0]])
+        with pytest.raises(ValueError, match="^no successful sweep points$"):
+            rt.select_rank([])
 
 
 class TestParetoSweep:
@@ -96,7 +115,16 @@ class TestParetoSweep:
         u0 = rng.standard_normal(20)
         values = np.column_stack([u0 * 0.85**i for i in range(9)])
         snap = make_snapshot(values)
-        points = rt.pareto_sweep(snap, 5, seed=0)
+        with pytest.warns(RuntimeWarning) as record:
+            points = rt.pareto_sweep(snap, 5, seed=0)
+        # the sketch's QR warns once; each rank's k x k SVD then drops the
+        # k - 1 directions beyond the data's rank
+        assert [str(w.message) for w in record] == [
+            "rank-deficient QR: 4 negligible diagonal entries in R"
+        ] + [
+            "truncating %d near-zero singular directions before inversion" % n
+            for n in (1, 2, 3, 4)
+        ]
         assert [p.rank for p in points] == [1, 2, 3, 4, 5]
         # rank 1 already reproduces the data, so it must make the tolerance
         assert points[0].j1 <= 1e-10
@@ -120,25 +148,9 @@ class TestParetoSweep:
         with pytest.raises(ValueError):
             rt.pareto_sweep(burgers_snapshot, 500, seed=1)
 
-    @staticmethod
-    def _two_mode_field(scale):
-        """Two damped oscillations on a 41x31 grid: numerical rank 4."""
-        x = np.linspace(0.0, 1.0, 41)
-        t = np.arange(31) * 0.05
-        values = sum(
-            np.outer(np.sin(m * np.pi * x), np.exp(-d * t) * wave(w * t))
-            for m, d, w, wave in [
-                (1, 0.3, 2.0, np.cos),
-                (2, 0.3, 2.0, np.sin),
-                (3, 0.1, 5.0, np.cos),
-                (4, 0.1, 5.0, np.sin),
-            ]
-        )
-        return rt.SnapshotMatrix(values=scale * values, x=x, t=t)
-
     def test_non_finite_objectives_fail_their_point(self):
         # scaled by 1e77 the paper correlation's a^4 overflows and j2 is NaN
-        snap = self._two_mode_field(1e77)
+        snap = two_mode_field(1e77)
         with np.errstate(over="ignore", invalid="ignore"):
             points = rt.pareto_sweep(snap, 4, seed=0)
         assert [p.rank for p in points] == [1, 2, 3, 4]
@@ -146,11 +158,16 @@ class TestParetoSweep:
             assert p.failed
             assert "non-finite objectives" in p.error and "j2=nan" in p.error
             assert (p.j1, p.j2, p.dominated) == (np.inf, np.inf, False)
-        with pytest.raises(ValueError, match="no successful sweep points"):
+        # the error names the first failed rank and why it failed
+        with pytest.raises(
+            ValueError,
+            match=r"no successful sweep points; rank 1 failed: non-finite objectives"
+            r" j1=.*, j2=nan$",
+        ):
             rt.select_rank(points)
 
     def test_finite_objectives_unchanged(self):
-        points = rt.pareto_sweep(self._two_mode_field(1.0), 4, seed=0)
+        points = rt.pareto_sweep(two_mode_field(1.0), 4, seed=0)
         assert not any(p.failed for p in points)
         # the sound sweep of the field, pinned
         expected = [
@@ -223,17 +240,10 @@ class TestNestedSketch:
         assert np.array_equal(model.amplitudes, amp)
 
     def test_one_sketch_per_sweep(self, burgers_snapshot, monkeypatch):
-        calls = Counter()
-        for module, name in ((rod, "range_finder"), (rsvd_module, "gaussian_test_matrix")):
-            real = getattr(module, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+        finder = _count_calls(monkeypatch, rod, "range_finder")
+        draws = _count_calls(monkeypatch, rsvd_module, "gaussian_test_matrix")
         rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
-        assert calls == {"range_finder": 1, "gaussian_test_matrix": 1}
+        assert (finder["range_finder"], draws["gaussian_test_matrix"]) == (1, 1)
 
     def test_failing_rank_fails_only_its_point(self, rng, monkeypatch):
         real = rod.eig_general
@@ -273,3 +283,113 @@ class TestNestedSketch:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * burgers_2001.values.nbytes
+
+
+def _explicit_scores(snap, q, c):
+    """Error and paper correlation of the explicit twin Q_k Re C_k."""
+    twin = rt.SnapshotMatrix(values=q[:, : c.shape[0]] @ c.real, x=snap.x, t=snap.t)
+    return rt.absolute_error(snap, twin), rt.correlation(snap, twin)
+
+
+class TestRankSpaceScoring:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        nx=st.integers(3, 60),
+        ncols=st.integers(4, 40),
+        rank_max=st.integers(1, 10),
+        decay=st.floats(0.3, 1.0),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    # data_seed None stands for the 101x301 benchmark
+    @example(data_seed=None, nx=0, ncols=0, rank_max=20, decay=0.0, seed=DEFAULT_SEED)
+    def test_j1_is_streamed_error_of_explicit_twin(
+        self, burgers_snapshot, data_seed, nx, ncols, rank_max, decay, seed
+    ):
+        if data_seed is None:
+            snap = burgers_snapshot
+        else:
+            # below full rank, so that every j1 is well away from rounding
+            rank_max = min(rank_max, nx - 1, ncols - 2)
+            g = np.random.default_rng(data_seed)
+            m = min(nx, ncols)
+            values = (g.standard_normal((nx, m)) * decay ** np.arange(m)) @ (
+                g.standard_normal((m, ncols))
+            )
+            snap = make_snapshot(values)
+        q, proj = rod.sketch(snap, rank_max, seed)
+        shared = rod.RankSpace(proj)
+        scorer = metrics.SweepScorer(snap, q, proj)
+        ip = rt.InnerProduct(snap.dx)
+        for k in range(1, rank_max + 1):
+            coeff, _, amp = shared.fit(k, ip)
+            c = coeff @ amp
+            j1, corr = scorer.scores(c)
+            error, want_corr = _explicit_scores(snap, q, c)
+            # the split of the error through range(Q) rounds at
+            # ~eps ||v_j|| / ||v_j - Q_k Re c_j|| relative
+            assert j1 == pytest.approx(error, rel=1e-8, abs=0)
+            assert corr == pytest.approx(want_corr, rel=0, abs=1e-12)
+
+    # Im C = s P gives a residue of about s max|V| against the scale
+    # max|V|: above 1e-6 warns; at 0.6e-6 the bound max_j ||Im c_j||_2 is
+    # still ~sqrt(nx) times too large to rule the warning out
+    @pytest.mark.parametrize("imag_scale, warned", [(1e-3, 1), (0.6e-6, 0)])
+    def test_large_imaginary_part_warns_as_modal_sum(
+        self, burgers_snapshot, monkeypatch, imag_scale, warned
+    ):
+        snap = burgers_snapshot
+        q, proj = rod.sketch(snap, 10, DEFAULT_SEED)
+        coeff, _, amp = rod.RankSpace(proj).fit(10, rt.InnerProduct(snap.dx))
+        c = coeff @ amp + 1j * imag_scale * proj[:10]
+        scorer = metrics.SweepScorer(snap, q, proj)
+        calls = _count_calls(monkeypatch, rod.ModalSum, "rows")
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            scores = scorer.scores(c)
+        assert calls["rows"] == 1  # the exact residue pass ran
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            expected = metrics.modal_scores(snap, rod.ModalSum(q[:, :10], c.real, c.imag))
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        assert len(got) == warned
+        assert all("imaginary residue" in str(w.message) for w in got)
+        assert scores[0] == pytest.approx(expected[0], rel=1e-8)
+        assert scores[1] == pytest.approx(expected[1], abs=1e-12)
+
+    def test_benchmark_sweep_data_passes(self, burgers_snapshot, monkeypatch):
+        # one residual and a^4 pass per sweep; the bound rules out the
+        # imaginary residue at every rank, so no exact residue pass runs
+        sums = _count_calls(monkeypatch, metrics, "_sketch_sums")
+        rows = _count_calls(monkeypatch, rod.ModalSum, "rows")
+        points = rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
+        assert not any(p.failed for p in points)
+        assert (sums["_sketch_sums"], rows["rows"]) == (1, 0)
+
+    @pytest.mark.parametrize("nx", [127, 128, 129, 259])
+    def test_row_blocks(self, rng, nx):
+        # the per-sweep and per-rank passes both cross block boundaries
+        values = rng.standard_normal((nx, 8)) @ rng.standard_normal((8, 14))
+        snap = make_snapshot(values)
+        q, proj = rod.sketch(snap, 6, 3)
+        scorer = metrics.SweepScorer(snap, q, proj)
+        coeff, _, amp = rod.RankSpace(proj).fit(6, rt.InnerProduct(snap.dx))
+        c = coeff @ amp
+        j1, corr = scorer.scores(c)
+        error, want_corr = _explicit_scores(snap, q, c)
+        assert j1 == pytest.approx(error, rel=1e-8, abs=0)
+        assert corr == pytest.approx(want_corr, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 19, 20])
+    def test_shared_qr_matches_fresh_factorization(self, burgers_snapshot, k):
+        snap = burgers_snapshot
+        ip = rt.InnerProduct(snap.dx)
+        _, proj = rod.sketch(snap, 20, DEFAULT_SEED)
+        shared = rod.RankSpace(proj).fit(k, ip)
+        fresh = rod.rank_space_fit(proj[:k], ip)
+        # C = B A and the spectrum do not depend on the modes' phases
+        c_shared, c_fresh = shared[0] @ shared[2], fresh[0] @ fresh[2]
+        assert np.abs(c_shared - c_fresh).max() <= 1e-12 * np.abs(c_fresh).max()
+        assert_allclose(
+            np.sort_complex(shared[1]), np.sort_complex(fresh[1]), rtol=0, atol=1e-12
+        )

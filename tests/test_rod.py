@@ -83,8 +83,12 @@ class TestPropagator:
 
     def test_near_zero_direction_truncated(self, rng):
         v0 = np.outer(rng.standard_normal(10), rng.standard_normal(8))
-        with pytest.warns(RuntimeWarning, match="truncating"):
+        with pytest.warns(RuntimeWarning) as record:
             s = rt.propagator(rsvd(v0, 2, seed=0), v0)
+        assert [str(w.message) for w in record] == [
+            "rank-deficient QR: 1 negligible diagonal entries in R",
+            "truncating 1 near-zero singular directions before inversion",
+        ]
         assert s.shape == (1, 1)
 
 
