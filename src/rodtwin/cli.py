@@ -148,12 +148,11 @@ def _load_model_for(dataset, model_path):
     return dataclasses.replace(model, x=dataset.x.copy(), t=dataset.t.copy())
 
 
-def _print_report(dataset, model, variant):
+def _report_text(dataset, model, variant):
     ip = rod.InnerProduct(dataset.dx)
     fourier = empirical.fourier_decomposition(dataset)
     report = metrics.quality_report(dataset, model, fourier, ip, variant=variant)
-    sys.stdout.write(io.report_text(report))
-    return report
+    return io.report_text(report)
 
 
 def cmd_generate(cfg):
@@ -189,8 +188,10 @@ def cmd_fit(cfg):
         cfg["seed"],
         reorthonormalize=cfg["reorthonormalize"],
     )
+    # a fit whose report fails leaves no model file behind
+    report = _report_text(dataset, model, cfg["correlation_variant"])
     io.write_model(cfg["output"], model)
-    _print_report(dataset, model, cfg["correlation_variant"])
+    sys.stdout.write(report)
     return 0
 
 
@@ -213,7 +214,7 @@ def cmd_evaluate(cfg):
     io.write_modal_csv(
         prefix + "_amplitudes.csv", "t", model.t, "a", model.amplitudes.T
     )
-    _print_report(dataset, model, cfg["correlation_variant"])
+    sys.stdout.write(_report_text(dataset, model, cfg["correlation_variant"]))
     return 0
 
 

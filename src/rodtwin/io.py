@@ -17,7 +17,7 @@ import numpy as np
 
 from .metrics import QualityReport
 from .rank_select import ParetoPoint
-from .rod import RodModel, SnapshotMatrix, grid_fault
+from .rod import RodModel, SnapshotFault, SnapshotMatrix
 
 
 _PLAIN = "%.17g"
@@ -112,21 +112,10 @@ def read_snapshot_csv(path):
             raise ValueError("%s:%d: bad cell (%s)" % (path, line_no, exc))
     try:
         return SnapshotMatrix(values=values, x=x, t=t)
-    except ValueError as exc:
-        line_no = _snapshot_fault_line(lines, x, t, values)
+    except SnapshotFault as exc:
+        # a time grid is the header; x and value faults are on a data row
+        line_no = lines[0 if exc.axis == "t" else 1 + exc.index][0]
         raise ValueError("%s:%d: %s" % (path, line_no, exc))
-
-
-def _snapshot_fault_line(lines, x, t, values):
-    """Line of the first fault SnapshotMatrix reports, checked in its order."""
-    fault = grid_fault(x, "x")
-    if fault:
-        return lines[1 + fault[1]][0]
-    if grid_fault(t, "t") is None:
-        bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad_rows.size:
-            return lines[1 + bad_rows[0]][0]
-    return lines[0][0]
 
 
 def read_meta(path):

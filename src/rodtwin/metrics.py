@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .empirical import compare_projections
-from .rod import BLOCK_ROWS, ModalSum
+from .rod import BLOCK_ROWS, RESIDUE_THRESHOLD, ModalSum, row_blocks
 
 VARIANTS = ("paper", "cosine")
 
@@ -87,8 +87,7 @@ def _stream(exact, twin_rows, variant=None):
     # one buffer for every temporary: fresh block-sized arrays made the
     # pass over the 101x301 benchmark 1.6 times slower
     scratch = np.empty(min(BLOCK_ROWS, nx) * (ncols - 1))
-    for start in range(0, nx, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, nx)
+    for start, stop in row_blocks(nx):
         a, b = values[start:stop, 1:], twin_rows(start, stop)[:, 1:]
         # contiguous, so that every ufunc runs as one flat loop
         buf = scratch[: (stop - start) * (ncols - 1)].reshape(stop - start, -1)
@@ -136,10 +135,10 @@ def _snapshot_sums(exact, twin, variant=None):
 def _modal_sums(exact, modal, variant):
     """Sums of exact against a ModalSum on exact's grids, warning once
     about its imaginary residue."""
-    out = np.empty((2, min(BLOCK_ROWS, modal.shape[0]), modal.shape[1]))
+    out = np.empty((min(BLOCK_ROWS, modal.shape[0]), modal.shape[1]))
 
     def twin_rows(start, stop):
-        return modal.rows(start, stop, out[:, : stop - start])
+        return modal.real_rows(start, stop, out[: stop - start])
 
     sums = _stream(exact, twin_rows, variant)
     modal.warn_residue()
@@ -154,8 +153,7 @@ def _sketch_sums(values, q, p1):
     nx, ncols = values.shape[0], p1.shape[1]
     resid, exact_pow = np.zeros((2, ncols))
     fitted, scratch = np.empty((2, min(BLOCK_ROWS, nx), ncols))
-    for start in range(0, nx, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, nx)
+    for start, stop in row_blocks(nx):
         a = values[start:stop, 1:]
         b = np.matmul(q[start:stop], p1, out=fitted[: stop - start])
         _add_column_sums(resid, np.square(np.subtract(a, b, out=b), out=b))
@@ -177,10 +175,10 @@ class SweepScorer:
     (_sketch_sums); the second term is rank space.  Per rank, one
     blocked pass forms the twin rows Q_k Re C_k, rejects non-finite
     entries and tracks the field scale as ModalSum does, and sums (ab)^2
-    and b^4.  No entry of Q_k Im c_j exceeds ||Im c_j||_2, so the exact
-    imaginary residue, with ModalSum's warning, is evaluated (by the
-    report's pass) only when that bound comes within a factor 2 of 1e-6
-    of the field scale.  The per-rank pass allocates no block buffers.
+    and b^4.  No entry of Q_k Im c_j exceeds ||Im c_j||_2, so
+    ModalSum.warn_residue, which reads no data, runs only when that
+    bound comes within a factor 2 of rod.RESIDUE_THRESHOLD of the field
+    scale.  The per-rank pass allocates no block buffers.
     """
 
     def __init__(self, exact, q, proj):
@@ -202,15 +200,14 @@ class SweepScorer:
         values = self._exact.values
         nx, ncols = modal.shape
         cross, twin_pow = np.zeros((2, ncols - 1))
-        for start in range(0, nx, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, nx)
+        for start, stop in row_blocks(nx):
             a = values[start:stop, 1:]
             b = modal.real_rows(start, stop, self._twin[: stop - start])[:, 1:]
             buf = self._scratch[: stop - start]
             _add_column_sums(cross, np.square(np.multiply(a, b, out=buf), out=buf))
             _add_column_sums(twin_pow, np.square(np.square(b, out=buf), out=buf))
-        if np.linalg.norm(c.imag, axis=0).max() > 0.5e-6 * modal.scale:
-            _modal_sums(self._exact, modal, None)
+        if np.linalg.norm(c.imag, axis=0).max() > RESIDUE_THRESHOLD / 2 * modal.scale:
+            modal.warn_residue()
         off = self._p1.copy()
         off[:k] -= real[:, 1:]
         diff_sq = self._resid + np.einsum("ij,ij->j", off, off)

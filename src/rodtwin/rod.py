@@ -42,39 +42,57 @@ from .rsvd import range_finder
 
 NON_FINITE = "snapshot values contain non-finite entries"
 
+# Rows per block wherever a matrix is scanned or a modal sum evaluated
+# block by block: a block's temporaries stay in cache.  A constant, so
+# the sums do not depend on the machine.
+BLOCK_ROWS = 128
+
+# ModalSum.warn_residue warns when the imaginary part of a modal sum
+# exceeds this fraction of the field scale.
+RESIDUE_THRESHOLD = 1e-6
+
+
+def row_blocks(nx):
+    """(start, stop) of each BLOCK_ROWS-row block of nx rows, in order."""
+    for start in range(0, nx, BLOCK_ROWS):
+        yield start, min(start + BLOCK_ROWS, nx)
+
 
 class FitStageError(RuntimeError):
     """A stage of the fit pipeline failed; the message names the stage."""
 
 
-def grid_fault(g, name):
-    """Why g is not a usable grid, as (message, index of the first
-    offending point), or None for at least 2 finite, strictly increasing,
-    uniformly spaced points."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1 or g.size < 2:
-        return "%s grid needs at least 2 points" % name, 0
-    finite = np.isfinite(g)
-    if not finite.all():
-        return "%s grid contains non-finite entries" % name, int(np.argmin(finite))
-    steps = np.diff(g)
-    if steps.min() <= 0:
-        return (
-            "%s grid must be strictly increasing" % name,
-            int(np.argmax(steps <= 0)) + 1,
-        )
-    scale = max(abs(float(g[0])), abs(float(g[-1])), 1.0)
-    uneven = np.abs(steps - steps[0]) > 1e-12 * scale
-    if uneven.any():
-        return "%s grid must be uniformly spaced" % name, int(np.argmax(uneven)) + 1
-    return None
+class SnapshotFault(ValueError):
+    """What SnapshotMatrix rejects, and where: axis "x" or "t" with index
+    the first offending grid point, or axis "values" with index the
+    first row holding a non-finite entry."""
+
+    def __init__(self, message, axis, index):
+        super().__init__(message)
+        self.axis = axis
+        self.index = index
 
 
 def _uniform_grid(g, name):
+    """g as a float array of at least 2 finite, strictly increasing,
+    uniformly spaced points; SnapshotFault on axis name otherwise."""
     g = np.asarray(g, dtype=float)
-    fault = grid_fault(g, name)
-    if fault:
-        raise ValueError(fault[0])
+
+    def fault(what, index):
+        return SnapshotFault("%s grid %s" % (name, what), name, int(index))
+
+    if g.ndim != 1 or g.size < 2:
+        raise fault("needs at least 2 points", 0)
+    finite = np.isfinite(g)
+    if not finite.all():
+        raise fault("contains non-finite entries", np.argmin(finite))
+    steps = np.diff(g)
+    if steps.min() <= 0:
+        raise fault("must be strictly increasing", np.argmax(steps <= 0) + 1)
+    scale = max(abs(float(g[0])), abs(float(g[-1])), 1.0)
+    uneven = np.abs(steps - steps[0]) > 1e-12 * scale
+    if uneven.any():
+        raise fault("must be uniformly spaced", np.argmax(uneven) + 1)
     return g
 
 
@@ -82,7 +100,11 @@ def _uniform_grid(g, name):
 class SnapshotMatrix:
     """Real field samples u(x_i, t_j) with their uniform space/time grids.
 
-    values has shape (nx, nt + 1); column j is the snapshot at t[j].
+    values has shape (nx, nt + 1); column j is the snapshot at t[j].  A
+    bad grid or a non-finite value raises SnapshotFault naming where;
+    values are scanned BLOCK_ROWS rows at a time, so no mask of the
+    whole matrix is made.  A shape that does not match the grids raises
+    ValueError.
     """
 
     values: np.ndarray
@@ -98,8 +120,11 @@ class SnapshotMatrix:
                 "values shape %s does not match grids (%d, %d)"
                 % (values.shape, x.size, t.size)
             )
-        if not np.isfinite(values).all():
-            raise ValueError(NON_FINITE)
+        for start, stop in row_blocks(x.size):
+            block = values[start:stop]
+            if not np.isfinite(block).all():
+                bad = np.isfinite(block).all(axis=1)
+                raise SnapshotFault(NON_FINITE, "values", start + int(np.argmin(bad)))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
@@ -362,12 +387,6 @@ def fit(snap, rank, seed, reorthonormalize=False):
     )
 
 
-# Rows per block wherever a modal sum is evaluated block by block: a
-# block's temporaries stay in cache.  A constant, so the sums do not
-# depend on the machine.
-BLOCK_ROWS = 128
-
-
 class ModalSum:
     """A modal sum L @ (R_re + i R_im) in real arithmetic, evaluated row
     block by row block.
@@ -375,17 +394,13 @@ class ModalSum:
     L is a real (nx, m) left factor, R_re and R_im the real and
     imaginary (m, nt + 1) right factors.  A model gives L = [Mr, Mi]
     with R_re = [Ar; -Ai] and R_im = [Ai; Ar] (from_model); a sweep
-    rank gives the sketch basis Q_k with the parts of C = B A.  Each
-    part of a block is one product of its rows of L; two products
-    into contiguous blocks measured faster than one product with
-    [R_re, R_im], whose strided halves slow every later pass.  The sum
+    rank gives the sketch basis Q_k with the parts of C = B A.  The sum
     is complex; conjugate eigenpair structure makes it real up to
-    rounding.  rows() returns the real part of the requested rows; it
+    rounding.  real_rows() returns the real part of the requested rows,
     rejects non-finite entries as SnapshotMatrix does and tracks the
-    field scale and the imaginary residue over every row evaluated,
-    which warn_residue() then checks once.  real_rows() forms the real
-    part alone and tracks only the scale: the sweep bounds the residue
-    of its orthonormal Q_k in rank space instead.
+    field scale over every row it evaluated.  warn_residue() then forms
+    the imaginary part one block at a time and checks it against that
+    scale, so no caller holds more than a block of it.
     """
 
     def __init__(self, left, right_real, right_imag):
@@ -393,7 +408,6 @@ class ModalSum:
         self._right = (right_real, right_imag)
         self.shape = (left.shape[0], right_real.shape[1])
         self.scale = 0.0
-        self.residue = 0.0
 
     @classmethod
     def from_model(cls, model):
@@ -403,7 +417,7 @@ class ModalSum:
 
     def real_rows(self, start, stop, out):
         """Real part of rows start:stop, written to the (stop - start,
-        nt + 1) buffer out; tracks the field scale, not the residue."""
+        nt + 1) buffer out; tracks the field scale."""
         real = np.matmul(self._left[start:stop], self._right[0], out=out)
         high, low = float(real.max()), float(real.min())
         if not (math.isfinite(high) and math.isfinite(low)):
@@ -411,39 +425,36 @@ class ModalSum:
         self.scale = max(self.scale, high, -low)
         return real
 
-    def rows(self, start, stop, out):
-        """Real part of rows start:stop.  out, a pair of (stop - start,
-        nt + 1) buffers such as a (2, stop - start, nt + 1) array,
-        receives the real and imaginary parts."""
-        real = self.real_rows(start, stop, out[0])
-        imag = np.matmul(self._left[start:stop], self._right[1], out=out[1])
-        # np.max keeps a NaN residue, which never warns
-        self.residue = float(np.max([self.residue, imag.max(), -imag.min()]))
-        return real
-
     def warn_residue(self):
-        """Warn when the imaginary residue exceeds 1e-6 of the field scale."""
-        if self.scale > 0 and self.residue > 1e-6 * self.scale:
+        """Warn when the imaginary residue, the largest magnitude of the
+        imaginary part, exceeds RESIDUE_THRESHOLD of the field scale
+        tracked so far."""
+        nx, ncols = self.shape
+        imag = np.empty((min(BLOCK_ROWS, nx), ncols))
+        residue = 0.0
+        for start, stop in row_blocks(nx):
+            block = np.matmul(
+                self._left[start:stop], self._right[1], out=imag[: stop - start]
+            )
+            # np.max keeps a NaN residue, which never warns
+            residue = float(np.max([residue, block.max(), -block.min()]))
+        if self.scale > 0 and residue > RESIDUE_THRESHOLD * self.scale:
             warn(
                 "imaginary residue %.3e exceeds 1e-6 of the field scale %.3e"
-                % (self.residue, self.scale)
+                % (residue, self.scale)
             )
 
 
 def reconstruct(model):
     """Evaluate the modal sum on the stored grid, returning a SnapshotMatrix.
 
-    The real part of ModalSum is returned, and an imaginary residue
-    above 1e-6 of the field scale triggers a warning.  The real part
-    is written block by block into the result, and the imaginary part,
-    needed only for its residue, is never held whole.
+    The real part of ModalSum is written block by block into the
+    result, and an imaginary residue above RESIDUE_THRESHOLD of the
+    field scale triggers a warning.
     """
     modal = ModalSum.from_model(model)
-    nx, ncols = modal.shape
-    real = np.empty((nx, ncols))
-    imag = np.empty((min(BLOCK_ROWS, nx), ncols))
-    for start in range(0, nx, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, nx)
-        modal.rows(start, stop, (real[start:stop], imag[: stop - start]))
+    real = np.empty(modal.shape)
+    for start, stop in row_blocks(modal.shape[0]):
+        modal.real_rows(start, stop, real[start:stop])
     modal.warn_residue()
     return SnapshotMatrix(values=real, x=model.x.copy(), t=model.t.copy())

@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import rodtwin as rt
 from rodtwin import io
+from rodtwin.rod import NON_FINITE, SnapshotFault
 
 from conftest import make_snapshot
 
@@ -174,6 +176,30 @@ class TestSnapshotCsv:
         path.write_text("x,0,1\n0,1,2\n")
         with pytest.raises(ValueError, match="data rows"):
             io.read_snapshot_csv(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_cell_names_first_bad_row(self, data):
+        # the finiteness scan runs in row blocks; these nx cross their edges
+        nx = data.draw(st.sampled_from([2, 127, 128, 129, 257]))
+        ncols = data.draw(st.integers(2, 6))
+        cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ncols - 1))
+        cells = data.draw(st.lists(cell, min_size=1, max_size=3))
+        values = np.ones((nx, ncols))
+        for i, j in cells:
+            values[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        first = min(i for i, _ in cells)
+        grids = {"x": np.arange(nx) * 0.5, "t": np.arange(ncols) * 0.25}
+        with pytest.raises(SnapshotFault) as fault:
+            rt.SnapshotMatrix(values=values, **grids)
+        assert (fault.value.axis, fault.value.index) == ("values", first)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.csv")
+            io.write_snapshot_csv(path, SimpleNamespace(values=values, **grids))
+            with pytest.raises(ValueError) as err:
+                io.read_snapshot_csv(path)
+        # line 1 is the header, so row i is line i + 2
+        assert str(err.value) == "%s:%d: %s" % (path, first + 2, NON_FINITE)
 
 
 class TestModelFile:

@@ -343,11 +343,13 @@ class TestRankSpaceScoring:
         coeff, _, amp = rod.RankSpace(proj).fit(10, rt.InnerProduct(snap.dx))
         c = coeff @ amp + 1j * imag_scale * proj[:10]
         scorer = metrics.SweepScorer(snap, q, proj)
-        calls = _count_calls(monkeypatch, rod.ModalSum, "rows")
+        calls = _count_calls(monkeypatch, rod.ModalSum, "warn_residue")
+        streams = _count_calls(monkeypatch, metrics, "_stream")
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
             scores = scorer.scores(c)
-        assert calls["rows"] == 1  # the exact residue pass ran
+        assert calls["warn_residue"] == 1  # the exact residue pass ran
+        assert streams["_stream"] == 0  # and it read no data
         with warnings.catch_warnings(record=True) as want:
             warnings.simplefilter("always")
             expected = metrics.modal_scores(snap, rod.ModalSum(q[:, :10], c.real, c.imag))
@@ -361,10 +363,10 @@ class TestRankSpaceScoring:
         # one residual and a^4 pass per sweep; the bound rules out the
         # imaginary residue at every rank, so no exact residue pass runs
         sums = _count_calls(monkeypatch, metrics, "_sketch_sums")
-        rows = _count_calls(monkeypatch, rod.ModalSum, "rows")
+        residue = _count_calls(monkeypatch, rod.ModalSum, "warn_residue")
         points = rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
         assert not any(p.failed for p in points)
-        assert (sums["_sketch_sums"], rows["rows"]) == (1, 0)
+        assert (sums["_sketch_sums"], residue["warn_residue"]) == (1, 0)
 
     @pytest.mark.parametrize("nx", [127, 128, 129, 259])
     def test_row_blocks(self, rng, nx):
