@@ -14,7 +14,9 @@ basis times its rank-space coefficients), evaluated one block at a
 time, so the quality report and the sweep never hold an nx x nt twin.
 The sweep's SweepScorer takes the part of each rank's error outside
 the sketch, and the data's a^4, from one pass per sweep.  The report's
-projection scores are empirical.compare_projections.
+projection scores are those of empirical.compare_projections, from the
+column energies its own pass sums.  numpy's overflow warnings from
+these sums are silenced: a non-finite result becomes a named error.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .empirical import compare_projections
-from .rod import BLOCK_ROWS, RESIDUE_THRESHOLD, ModalSum, row_blocks
+from .empirical import _projection_scores
+from .rod import BLOCK_ROWS, ModalSum, add_column_sums, row_blocks
 
 VARIANTS = ("paper", "cosine")
 
@@ -57,50 +59,64 @@ class _Sums(NamedTuple):
     cross: Optional[np.ndarray]
     exact_pow: Optional[np.ndarray]
     twin_pow: Optional[np.ndarray]
+    energy: Optional[np.ndarray] = None
 
 
-def _add_column_sums(total, block):
-    """total += the column sums of block, which is overwritten.
-
-    The sum runs row by row starting from total, the order of numpy's
-    own axis-0 reduction of a whole matrix, so the blocked sums match
-    the unblocked ones.
-    """
-    block[0] += total
-    np.add.reduce(block, axis=0, out=total)
+def _quiet():
+    """Silence numpy's overflow and invalid-value warnings: the power
+    sums of data near the top of the float range overflow, and the
+    non-finite result is reported as a named error instead."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
-def _stream(exact, twin_rows, variant=None):
+def _stream(exact, twin_rows, variant=None, energy=False):
     """Per-column sums of exact (a) against a twin (b) in one pass of
     BLOCK_ROWS-row blocks.
 
     twin_rows(start, stop) returns the twin's rows start:stop.  Over the
     columns from t_1 on it sums (a - b)^2, and for variant "paper" also
-    (ab)^2, a^4 and b^4, for "cosine" ab, a^2 and b^2.
+    (ab)^2, a^4 and b^4, for "cosine" ab, a^2 and b^2.  With energy=True
+    it also sums a^2 over the columns up to t_{nt-1} (V0), row by row as
+    empirical._column_energies does.  The paper a^4 and the energies
+    share one square of each data block.
     """
     values = exact.values
     nx, ncols = values.shape
     diff_sq = np.zeros(ncols - 1)
-    cross = exact_pow = twin_pow = None
+    cross = exact_pow = twin_pow = energies = None
     if variant is not None:
         cross, exact_pow, twin_pow = np.zeros((3, ncols - 1))
+    if energy:
+        energies = np.zeros(ncols - 1)
     # one buffer for every temporary: fresh block-sized arrays made the
-    # pass over the 101x301 benchmark 1.6 times slower
-    scratch = np.empty(min(BLOCK_ROWS, nx) * (ncols - 1))
-    for start, stop in row_blocks(nx):
-        a, b = values[start:stop, 1:], twin_rows(start, stop)[:, 1:]
-        # contiguous, so that every ufunc runs as one flat loop
-        buf = scratch[: (stop - start) * (ncols - 1)].reshape(stop - start, -1)
-        _add_column_sums(diff_sq, np.square(np.subtract(a, b, out=buf), out=buf))
-        if variant == "paper":
-            _add_column_sums(cross, np.square(np.multiply(a, b, out=buf), out=buf))
-            _add_column_sums(exact_pow, np.square(np.square(a, out=buf), out=buf))
-            _add_column_sums(twin_pow, np.square(np.square(b, out=buf), out=buf))
-        elif variant == "cosine":
-            _add_column_sums(cross, np.multiply(a, b, out=buf))
-            _add_column_sums(exact_pow, np.square(a, out=buf))
-            _add_column_sums(twin_pow, np.square(b, out=buf))
-    return _Sums(diff_sq, cross, exact_pow, twin_pow)
+    # pass over the 101x301 benchmark 1.6 times slower, and a second
+    # buffer for the squared block made the report on it 1.15 times slower
+    scratch = np.empty(min(BLOCK_ROWS, nx) * ncols)
+    with _quiet():
+        for start, stop in row_blocks(nx):
+            rows = stop - start
+            a, b = values[start:stop, 1:], twin_rows(start, stop)[:, 1:]
+            if variant == "paper" or energy:
+                sq = scratch[: rows * ncols].reshape(rows, ncols)
+                np.square(values[start:stop], out=sq)
+                if energy:
+                    # the sum overwrites the first row, which a^4 reads
+                    first = sq[0].copy()
+                    add_column_sums(energies, sq[:, :-1])
+                    sq[0] = first
+                if variant == "paper":
+                    add_column_sums(exact_pow, np.square(sq[:, 1:], out=sq[:, 1:]))
+            # contiguous, so that every ufunc runs as one flat loop
+            buf = scratch[: rows * (ncols - 1)].reshape(rows, -1)
+            add_column_sums(diff_sq, np.square(np.subtract(a, b, out=buf), out=buf))
+            if variant == "paper":
+                add_column_sums(cross, np.square(np.multiply(a, b, out=buf), out=buf))
+                add_column_sums(twin_pow, np.square(np.square(b, out=buf), out=buf))
+            elif variant == "cosine":
+                add_column_sums(cross, np.multiply(a, b, out=buf))
+                add_column_sums(exact_pow, np.square(a, out=buf))
+                add_column_sums(twin_pow, np.square(b, out=buf))
+    return _Sums(diff_sq, cross, exact_pow, twin_pow, energies)
 
 
 def _error(sums):
@@ -108,18 +124,19 @@ def _error(sums):
 
 
 def _correlation(sums, variant):
-    if variant == "paper":
-        num = sums.cross
-        den = np.sqrt(sums.exact_pow) * np.sqrt(sums.twin_pow)
-    else:
-        num = sums.cross**2
-        den = sums.exact_pow * sums.twin_pow
-    bad = np.flatnonzero(den <= 0)
-    if bad.size:
-        raise ValueError(
-            "zero column(s) in correlation at time index %s" % (bad + 1).tolist()
-        )
-    return time_average(num / den)
+    with _quiet():
+        if variant == "paper":
+            num = sums.cross
+            den = np.sqrt(sums.exact_pow) * np.sqrt(sums.twin_pow)
+        else:
+            num = sums.cross**2
+            den = sums.exact_pow * sums.twin_pow
+        bad = np.flatnonzero(den <= 0)
+        if bad.size:
+            raise ValueError(
+                "zero column(s) in correlation at time index %s" % (bad + 1).tolist()
+            )
+        return time_average(num / den)
 
 
 def _check_variant(variant):
@@ -132,7 +149,7 @@ def _snapshot_sums(exact, twin, variant=None):
     return _stream(exact, lambda start, stop: twin.values[start:stop], variant)
 
 
-def _modal_sums(exact, modal, variant):
+def _modal_sums(exact, modal, variant, energy=False):
     """Sums of exact against a ModalSum on exact's grids, warning once
     about its imaginary residue."""
     out = np.empty((min(BLOCK_ROWS, modal.shape[0]), modal.shape[1]))
@@ -140,7 +157,7 @@ def _modal_sums(exact, modal, variant):
     def twin_rows(start, stop):
         return modal.real_rows(start, stop, out[: stop - start])
 
-    sums = _stream(exact, twin_rows, variant)
+    sums = _stream(exact, twin_rows, variant, energy)
     modal.warn_residue()
     return sums
 
@@ -153,12 +170,13 @@ def _sketch_sums(values, q, p1):
     nx, ncols = values.shape[0], p1.shape[1]
     resid, exact_pow = np.zeros((2, ncols))
     fitted, scratch = np.empty((2, min(BLOCK_ROWS, nx), ncols))
-    for start, stop in row_blocks(nx):
-        a = values[start:stop, 1:]
-        b = np.matmul(q[start:stop], p1, out=fitted[: stop - start])
-        _add_column_sums(resid, np.square(np.subtract(a, b, out=b), out=b))
-        buf = scratch[: stop - start]
-        _add_column_sums(exact_pow, np.square(np.square(a, out=buf), out=buf))
+    with _quiet():
+        for start, stop in row_blocks(nx):
+            a = values[start:stop, 1:]
+            b = np.matmul(q[start:stop], p1, out=fitted[: stop - start])
+            add_column_sums(resid, np.square(np.subtract(a, b, out=b), out=b))
+            buf = scratch[: stop - start]
+            add_column_sums(exact_pow, np.square(np.square(a, out=buf), out=buf))
     return resid, exact_pow
 
 
@@ -175,10 +193,9 @@ class SweepScorer:
     (_sketch_sums); the second term is rank space.  Per rank, one
     blocked pass forms the twin rows Q_k Re C_k, rejects non-finite
     entries and tracks the field scale as ModalSum does, and sums (ab)^2
-    and b^4.  No entry of Q_k Im c_j exceeds ||Im c_j||_2, so
-    ModalSum.warn_residue, which reads no data, runs only when that
-    bound comes within a factor 2 of rod.RESIDUE_THRESHOLD of the field
-    scale.  The per-rank pass allocates no block buffers.
+    and b^4.  ModalSum.warn_residue, which reads no data, then checks
+    the imaginary residue; Q_k is orthonormal, so its bound is
+    max_j ||Im c_j||_2.  The per-rank pass allocates no block buffers.
     """
 
     def __init__(self, exact, q, proj):
@@ -200,14 +217,14 @@ class SweepScorer:
         values = self._exact.values
         nx, ncols = modal.shape
         cross, twin_pow = np.zeros((2, ncols - 1))
-        for start, stop in row_blocks(nx):
-            a = values[start:stop, 1:]
-            b = modal.real_rows(start, stop, self._twin[: stop - start])[:, 1:]
-            buf = self._scratch[: stop - start]
-            _add_column_sums(cross, np.square(np.multiply(a, b, out=buf), out=buf))
-            _add_column_sums(twin_pow, np.square(np.square(b, out=buf), out=buf))
-        if np.linalg.norm(c.imag, axis=0).max() > RESIDUE_THRESHOLD / 2 * modal.scale:
-            modal.warn_residue()
+        with _quiet():
+            for start, stop in row_blocks(nx):
+                a = values[start:stop, 1:]
+                b = modal.real_rows(start, stop, self._twin[: stop - start])[:, 1:]
+                buf = self._scratch[: stop - start]
+                add_column_sums(cross, np.square(np.multiply(a, b, out=buf), out=buf))
+                add_column_sums(twin_pow, np.square(np.square(b, out=buf), out=buf))
+        modal.warn_residue()
         off = self._p1.copy()
         off[:k] -= real[:, 1:]
         diff_sq = self._resid + np.einsum("ij,ij->j", off, off)
@@ -280,18 +297,19 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     """Assemble the QualityReport for a fitted model against exact data.
 
     One pass over the data gives the error and correlation of the
-    model's twin, which is never formed.  The projection scores are
-    those of empirical.compare_projections on V0 (all snapshot columns
-    but the last), so fourier must decompose exact itself (ValueError
+    model's twin, which is never formed, and the column energies of V0
+    (all snapshot columns but the last).  The projection scores are
+    those of empirical.compare_projections on V0 from these energies,
+    bit for bit, so fourier must decompose exact itself (ValueError
     otherwise).  A field that is not finite, such as the correlation of
     data whose a^4 overflows, raises ValueError naming the field.
     """
     _check_variant(variant)
-    sums = _modal_sums(exact, _model_modal(exact, model), variant)
+    sums = _modal_sums(exact, _model_modal(exact, model), variant, energy=True)
     # a zero twin column is reported before a zero data column
     corr = _correlation(sums, variant)
-    rho_rod, rho_fourier, _ = compare_projections(
-        model.modes, fourier, exact.values[:, :-1], ip
+    rho_rod, rho_fourier, _ = _projection_scores(
+        model.modes, fourier, exact.values[:, :-1], ip, ip.dx * sums.energy
     )
     report = QualityReport(
         rank=int(model.rank),

@@ -58,6 +58,17 @@ def row_blocks(nx):
         yield start, min(start + BLOCK_ROWS, nx)
 
 
+def add_column_sums(total, block):
+    """total += the column sums of block, which is overwritten.
+
+    The sum runs row by row starting from total, the order of numpy's
+    own axis-0 reduction of a whole matrix, so the blocked sums match
+    the unblocked ones.
+    """
+    block[0] += total
+    np.add.reduce(block, axis=0, out=total)
+
+
 class FitStageError(RuntimeError):
     """A stage of the fit pipeline failed; the message names the stage."""
 
@@ -398,14 +409,22 @@ class ModalSum:
     is complex; conjugate eigenpair structure makes it real up to
     rounding.  real_rows() returns the real part of the requested rows,
     rejects non-finite entries as SnapshotMatrix does and tracks the
-    field scale over every row it evaluated.  warn_residue() then forms
-    the imaginary part one block at a time and checks it against that
-    scale, so no caller holds more than a block of it.
+    field scale over every row it evaluated.  warn_residue() then checks
+    the imaginary part against that scale.
+
+    The sum carries the triangular factor R of L = Q R, Q with
+    orthonormal columns: the identity for an orthonormal L such as Q_k,
+    and for from_model the R of [Mr, Mi].  No row of Q is longer than
+    1, so max_j ||R R_im[:, j]||_2 bounds every entry of the imaginary
+    part; warn_residue forms that part, one block at a time, only when
+    the bound exceeds RESIDUE_THRESHOLD / 2 of the scale.
     """
 
     def __init__(self, left, right_real, right_imag):
         self._left = left
         self._right = (right_real, right_imag)
+        # R of left = Q R; None stands for the identity
+        self._tri = None
         self.shape = (left.shape[0], right_real.shape[1])
         self.scale = 0.0
 
@@ -413,7 +432,9 @@ class ModalSum:
     def from_model(cls, model):
         mr, mi = model.modes.real, model.modes.imag
         ar, ai = model.amplitudes.real, model.amplitudes.imag
-        return cls(np.hstack([mr, mi]), np.vstack([ar, -ai]), np.vstack([ai, ar]))
+        modal = cls(np.hstack([mr, mi]), np.vstack([ar, -ai]), np.vstack([ai, ar]))
+        modal._tri = _triangular_factor(modal._left)
+        return modal
 
     def real_rows(self, start, stop, out):
         """Real part of rows start:stop, written to the (stop - start,
@@ -425,10 +446,15 @@ class ModalSum:
         self.scale = max(self.scale, high, -low)
         return real
 
-    def warn_residue(self):
-        """Warn when the imaginary residue, the largest magnitude of the
-        imaginary part, exceeds RESIDUE_THRESHOLD of the field scale
-        tracked so far."""
+    def _residue_bound(self):
+        """max_j ||R R_im[:, j]||_2, an upper bound on every entry of the
+        imaginary part."""
+        imag = self._right[1] if self._tri is None else self._tri @ self._right[1]
+        return float(np.linalg.norm(imag, axis=0).max())
+
+    def _exact_residue(self):
+        """The largest magnitude of the imaginary part, formed one block
+        at a time; NaN when the part holds a NaN."""
         nx, ncols = self.shape
         imag = np.empty((min(BLOCK_ROWS, nx), ncols))
         residue = 0.0
@@ -438,11 +464,31 @@ class ModalSum:
             )
             # np.max keeps a NaN residue, which never warns
             residue = float(np.max([residue, block.max(), -block.min()]))
+        return residue
+
+    def warn_residue(self):
+        """Warn when the imaginary residue, the largest magnitude of the
+        imaginary part, exceeds RESIDUE_THRESHOLD of the field scale
+        tracked so far.  A bound within half the threshold settles it
+        without forming the part."""
+        if self._residue_bound() <= RESIDUE_THRESHOLD / 2 * self.scale:
+            return
+        residue = self._exact_residue()
         if self.scale > 0 and residue > RESIDUE_THRESHOLD * self.scale:
             warn(
                 "imaginary residue %.3e exceeds 1e-6 of the field scale %.3e"
                 % (residue, self.scale)
             )
+
+
+def _triangular_factor(left):
+    """R of the QR factorization of left, from the QR of R stacked on
+    each BLOCK_ROWS-row block in turn, so no nx-sized copy of left is
+    made."""
+    tri = np.zeros((0, left.shape[1]))
+    for start, stop in row_blocks(left.shape[0]):
+        tri = np.linalg.qr(np.vstack([tri, left[start:stop]]), mode="r")
+    return tri
 
 
 def reconstruct(model):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,16 @@ def two_mode_field(scale=1.0):
         ]
     )
     return rt.SnapshotMatrix(values=scale * values, x=x, t=t)
+
+
+def count_calls(monkeypatch, owner, name):
+    """A Counter of the calls to owner.name for the rest of the test."""
+    calls = Counter()
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

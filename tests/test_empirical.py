@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
-from rodtwin import empirical
+from rodtwin import empirical, metrics
 
-from conftest import make_snapshot
+from conftest import count_calls, make_snapshot
 
 
 class TestFourierDecomposition:
@@ -207,14 +207,18 @@ class TestCompareProjections:
             return energies(data, inner_product)
 
         monkeypatch.setattr(empirical, "_column_energies", counted)
+        streams = count_calls(monkeypatch, metrics, "_stream")
         for call in (
             lambda: rt.compare_projections(model.modes, f, v0, ip),
             lambda: rt.compare_projections(model.modes, f, v0, ip, same_rank=True),
-            lambda: rt.quality_report(snap, model, f, ip),
         ):
             passes.clear()
             call()
             assert passes == [(30, 11)]
+        # the report sums the energies in its own pass over the data
+        passes.clear()
+        rt.quality_report(snap, model, f, ip)
+        assert (passes, streams["_stream"]) == ([], 1)
 
     def test_benchmark_model_dominates(
         self, burgers_snapshot, burgers_model, burgers_fourier

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rodtwin as rt
-from rodtwin import io, metrics
+from rodtwin import empirical, io, metrics
 from rodtwin.metrics import BLOCK_ROWS
 
 from conftest import make_snapshot, two_mode_field
@@ -232,6 +232,31 @@ class TestStreamedPass:
         got = [sums.diff_sq, sums.cross, sums.exact_pow, sums.twin_pow]
         for value, terms in zip(got, expect):
             np.testing.assert_allclose(value, terms.sum(axis=0), rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.sampled_from((2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)),
+        ncols=st.integers(2, 14),
+        variant=st.sampled_from((None,) + rt.metrics.VARIANTS),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pass_energies_are_column_energies(self, nx, ncols, variant, order, seed):
+        # the report's projection scores take the energies from its pass,
+        # compare_projections from _column_energies: the bits must agree
+        rng = np.random.default_rng(seed)
+        a = np.asarray(rng.standard_normal((nx, ncols)), order=order)
+        b = rng.standard_normal((nx, ncols))
+        exact = types.SimpleNamespace(values=a)
+        sums = metrics._stream(exact, lambda i, j: b[i:j], variant, energy=True)
+        ip = rt.InnerProduct(0.1)
+        col_sq = empirical._column_energies(a[:, :-1], ip)
+        assert np.array_equal(ip.dx * sums.energy, col_sq)
+        np.testing.assert_allclose(sums.energy, np.sum(a[:, :-1] ** 2, axis=0), rtol=1e-12)
+        # and the energies leave the pass's other sums as they were
+        plain = metrics._stream(exact, lambda i, j: b[i:j], variant)
+        for name in ("diff_sq", "cross", "exact_pow", "twin_pow"):
+            assert np.array_equal(getattr(sums, name), getattr(plain, name))
 
     @settings(max_examples=25, deadline=None)
     @given(

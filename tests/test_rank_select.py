@@ -1,7 +1,6 @@
 import importlib
 import tracemalloc
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,23 +12,10 @@ import rodtwin as rt
 from rodtwin import metrics, rod
 from rodtwin.cli import DEFAULT_SEED
 
-from conftest import make_snapshot, two_mode_field
+from conftest import count_calls, make_snapshot, two_mode_field
 
 # the package exports the function rsvd under the module's name
 rsvd_module = importlib.import_module("rodtwin.rsvd")
-
-
-def _count_calls(monkeypatch, owner, name):
-    """A Counter of the calls to owner.name for the rest of the test."""
-    calls = Counter()
-    real = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls[name] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 class TestObjectives:
@@ -240,8 +226,8 @@ class TestNestedSketch:
         assert np.array_equal(model.amplitudes, amp)
 
     def test_one_sketch_per_sweep(self, burgers_snapshot, monkeypatch):
-        finder = _count_calls(monkeypatch, rod, "range_finder")
-        draws = _count_calls(monkeypatch, rsvd_module, "gaussian_test_matrix")
+        finder = count_calls(monkeypatch, rod, "range_finder")
+        draws = count_calls(monkeypatch, rsvd_module, "gaussian_test_matrix")
         rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
         assert (finder["range_finder"], draws["gaussian_test_matrix"]) == (1, 1)
 
@@ -343,12 +329,12 @@ class TestRankSpaceScoring:
         coeff, _, amp = rod.RankSpace(proj).fit(10, rt.InnerProduct(snap.dx))
         c = coeff @ amp + 1j * imag_scale * proj[:10]
         scorer = metrics.SweepScorer(snap, q, proj)
-        calls = _count_calls(monkeypatch, rod.ModalSum, "warn_residue")
-        streams = _count_calls(monkeypatch, metrics, "_stream")
+        calls = count_calls(monkeypatch, rod.ModalSum, "_exact_residue")
+        streams = count_calls(monkeypatch, metrics, "_stream")
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
             scores = scorer.scores(c)
-        assert calls["warn_residue"] == 1  # the exact residue pass ran
+        assert calls["_exact_residue"] == 1  # the exact residue pass ran
         assert streams["_stream"] == 0  # and it read no data
         with warnings.catch_warnings(record=True) as want:
             warnings.simplefilter("always")
@@ -362,11 +348,11 @@ class TestRankSpaceScoring:
     def test_benchmark_sweep_data_passes(self, burgers_snapshot, monkeypatch):
         # one residual and a^4 pass per sweep; the bound rules out the
         # imaginary residue at every rank, so no exact residue pass runs
-        sums = _count_calls(monkeypatch, metrics, "_sketch_sums")
-        residue = _count_calls(monkeypatch, rod.ModalSum, "warn_residue")
+        sums = count_calls(monkeypatch, metrics, "_sketch_sums")
+        residue = count_calls(monkeypatch, rod.ModalSum, "_exact_residue")
         points = rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
         assert not any(p.failed for p in points)
-        assert (sums["_sketch_sums"], residue["warn_residue"]) == (1, 0)
+        assert (sums["_sketch_sums"], residue["_exact_residue"]) == (1, 0)
 
     @pytest.mark.parametrize("nx", [127, 128, 129, 259])
     def test_row_blocks(self, rng, nx):

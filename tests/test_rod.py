@@ -13,7 +13,7 @@ from rodtwin.cli import DEFAULT_SEED
 from rodtwin.linalg import eig_general
 from rodtwin.rsvd import rsvd
 
-from conftest import make_snapshot
+from conftest import count_calls, make_snapshot
 
 
 def test_snapshot_matrix_validation():
@@ -346,6 +346,59 @@ class TestReconstruct:
         # the twin itself is one field; the imaginary part is never
         # whole, and no finiteness mask of the field is made
         assert peak < 1.2 * twin.values.nbytes
+
+
+class TestResidueBound:
+    """ModalSum.warn_residue forms the imaginary part only when
+    max_j ||R Im(right)_j||_2 exceeds half the warning threshold; that
+    bound must cover every imaginary entry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.sampled_from((127, 128, 129, 257, 2049)),
+        ncols=st.integers(2, 12),
+        pairs=st.integers(1, 4),
+        paired=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_covers_every_imaginary_entry(self, nx, ncols, pairs, paired, seed):
+        g = np.random.default_rng(seed)
+
+        def cplx(*shape):
+            return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+        if paired:
+            # conjugate mode and amplitude pairs: a real sum up to rounding
+            half_modes, half_amp = cplx(nx, pairs), cplx(pairs, ncols)
+            modes = np.hstack([half_modes, half_modes.conj()])
+            amp = np.vstack([half_amp, half_amp.conj()])
+        else:
+            modes, amp = cplx(nx, 2 * pairs), cplx(2 * pairs, ncols)
+        model = rt.RodModel(
+            modes=modes,
+            amplitudes=amp,
+            eigenvalues=np.ones(2 * pairs),
+            rank=2 * pairs,
+            seed=0,
+            x=np.arange(nx) * 0.1,
+            t=np.arange(ncols) * 0.05,
+        )
+        modal = rod.ModalSum.from_model(model)
+        residue = modal._exact_residue()
+        assert modal._residue_bound() >= (1 - 1e-12) * residue
+        assert residue == pytest.approx(np.abs((modes @ amp).imag).max(), rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("grid", ["burgers_snapshot", "burgers_2001"])
+    def test_benchmark_fits_run_no_exact_pass(self, request, grid, monkeypatch):
+        snap = request.getfixturevalue(grid)
+        fourier = rt.fourier_decomposition(snap)
+        ip = rt.InnerProduct(snap.dx)
+        models = [rt.fit(snap, rank, DEFAULT_SEED) for rank in range(1, 21)]
+        exact = count_calls(monkeypatch, rod.ModalSum, "_exact_residue")
+        for model in models:
+            rt.quality_report(snap, model, fourier, ip)
+            rt.reconstruct(model)
+        assert exact["_exact_residue"] == 0
 
 
 _WARNING_CASES = {
