@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import warnings
 
 import numpy as np
 
@@ -77,10 +78,58 @@ def write_snapshot_csv(path, snap, meta=None):
 def read_snapshot_csv(path):
     """Parse a snapshot CSV back into a SnapshotMatrix.
 
-    Malformed content raises ValueError carrying path and line number,
+    The data rows stream through numpy's C reader into one array whose
+    column 0 is x and whose other columns are the values, so the text
+    is never held and the field is not copied.  The reader converts a
+    cell as float() does; a file it refuses, or whose shape or data do
+    not fit, is read again by the line parser.  That parser accepts what
+    float() accepts (a whitespace-only line, a '1_0' cell) and raises
+    ValueError carrying path and line number for malformed content,
     including what SnapshotMatrix rejects: a time grid names the header,
     a non-finite cell or a bad x step the first row at fault.
     """
+    snap = _read_streamed(path)
+    return _read_lines(path) if snap is None else snap
+
+
+# control characters the C reader strips around a cell as whitespace but
+# float() refuses; a row holding one goes to the line parser
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_streamed(path):
+    """The snapshot CSV read by numpy's C reader, or None when the
+    reader, the shape checks or SnapshotMatrix refuse it."""
+
+    def data_rows(handle):
+        for line in handle:
+            if any(sep in line for sep in _SEPARATORS):
+                raise ValueError("separator character in a data row")
+            yield line
+
+    try:
+        with open(path) as handle:
+            header = next((ln for ln in handle if ln.strip()), "")
+            cells = header.rstrip("\n").split(",")
+            if cells[0].strip() != "x":
+                return None
+            t = np.array([float(c) for c in cells[1:]])
+            with warnings.catch_warnings():
+                # a header-only file, which the line parser reports
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(
+                    data_rows(handle), delimiter=",", comments=None, ndmin=2
+                )
+        if data.shape[0] < 2 or data.shape[1] != t.size + 1:
+            return None
+        return SnapshotMatrix(values=data[:, 1:], x=data[:, 0], t=t)
+    except ValueError:
+        return None
+
+
+def _read_lines(path):
+    """The snapshot CSV parsed line by line, each cell by float(); a
+    malformed file raises ValueError naming its path:line."""
     with open(path) as handle:
         raw_lines = [ln.rstrip("\n") for ln in handle]
     lines = [(i + 1, ln) for i, ln in enumerate(raw_lines) if ln.strip()]

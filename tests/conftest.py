@@ -73,6 +73,24 @@ def two_mode_field(scale=1.0):
     return rt.SnapshotMatrix(values=scale * values, x=x, t=t)
 
 
+def degenerate_field(case):
+    """A degenerate data set on the 41x31 grid of two_mode_field: all
+    zeros, the two-mode field with a zero column at t_5 or at t_0, or
+    the rank-one field sin(pi x) 0.9^j."""
+    base = two_mode_field()
+    values = base.values.copy()
+    if case == "all-zero":
+        values[:] = 0.0
+    elif case == "zero-column-t5":
+        values[:, 5] = 0.0
+    elif case == "zero-column-t0":
+        values[:, 0] = 0.0
+    else:
+        assert case == "rank-one", case
+        values = np.outer(np.sin(np.pi * base.x), 0.9 ** np.arange(base.t.size))
+    return rt.SnapshotMatrix(values=values, x=base.x, t=base.t)
+
+
 def count_calls(monkeypatch, owner, name):
     """A Counter of the calls to owner.name for the rest of the test."""
     calls = Counter()

@@ -14,7 +14,7 @@ import rodtwin as rt
 from rodtwin import cli, io
 from rodtwin.cli import main
 
-from conftest import two_mode_field
+from conftest import degenerate_field, two_mode_field
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -474,6 +474,75 @@ class TestSnapshotFaults:
         err = capsys.readouterr().err
         assert "data.csv:%d: " % line_no in err
         assert message in err
+
+
+@pytest.mark.parametrize("text", ["x,0,1\n", "x,0,1\n0,1,2\n"])
+def test_short_csv_prints_one_error_line(tmp_path, text):
+    # numpy's reader warns on a header-only file; a user sees only the error
+    (tmp_path / "data.csv").write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "rodtwin.cli", "fit", "--input", "data.csv"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_checkout_env(),
+        cwd=tmp_path,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "rodtwin fit: error: data.csv: need a header and at least 2 data rows"
+    ]
+
+
+def _truncating(n):
+    return "warning: truncating %d near-zero singular directions before inversion" % n
+
+
+_ALL_ZERO = "all singular values are negligible; nothing to propagate"
+_ZERO_T5 = "zero column(s) in correlation at time index [5]"
+_NO_POINT = "error: no successful sweep points; rank 1 failed: "
+_ZERO_RSVD = "warning: rsvd of an all-zero matrix"
+_DEFICIENT_QR = "warning: rank-deficient QR: 3 negligible diagonal entries in R"
+
+
+class TestDegenerateData:
+    """The README's degenerate-data table: fit --rank 4 and sweep
+    --max-rank 4 on each case, exit code and stderr lines."""
+
+    @pytest.mark.parametrize(
+        "case, fit_rc, fit_err, sweep_rc, sweep_err",
+        [
+            (
+                "all-zero",
+                2,
+                [_ZERO_RSVD, "error: " + _ALL_ZERO],
+                2,
+                [_ZERO_RSVD, _NO_POINT + _ALL_ZERO],
+            ),
+            ("zero-column-t5", 2, ["error: " + _ZERO_T5], 2, [_NO_POINT + _ZERO_T5]),
+            ("zero-column-t0", 2, ["error: zero data column(s) at index [0]"], 0, []),
+            (
+                "rank-one",
+                0,
+                [_DEFICIENT_QR, _truncating(3)],
+                0,
+                [_DEFICIENT_QR] + [_truncating(n) for n in (1, 2, 3)],
+            ),
+        ],
+    )
+    def test_fit_and_sweep(
+        self, tmp_path, capsys, case, fit_rc, fit_err, sweep_rc, sweep_err
+    ):
+        data = tmp_path / "data.csv"
+        io.write_snapshot_csv(data, degenerate_field(case))
+        for command, rc, err, flags in (
+            ("fit", fit_rc, fit_err, ["--rank", "4", "--output", "m.txt"]),
+            ("sweep", sweep_rc, sweep_err, ["--max-rank", "4", "--output", "s.csv"]),
+        ):
+            flags[-1] = str(tmp_path / flags[-1])
+            assert main([command, "--input", str(data)] + flags) == rc
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == ["rodtwin %s: %s" % (command, line) for line in err]
 
 
 class TestOverflowingData:

@@ -1,6 +1,8 @@
 import os
 import struct
 import tempfile
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -200,6 +202,101 @@ class TestSnapshotCsv:
                 io.read_snapshot_csv(path)
         # line 1 is the header, so row i is line i + 2
         assert str(err.value) == "%s:%d: %s" % (path, first + 2, NON_FINITE)
+
+
+MAX_FLOAT = 1.7976931348623157e308
+SPECIAL_CELLS = [-0.0, 0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT]
+
+
+def assert_same_bits(got, expected):
+    """Equal grids and values, bit for bit (the sign of a zero included)."""
+    for name in ("values", "x", "t"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def burgers_2001_csv(burgers_2001, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv2001") / "burgers.csv"
+    io.write_snapshot_csv(path, burgers_2001)
+    return path
+
+
+class TestStreamedRead:
+    """read_snapshot_csv streams through numpy's C reader, and the line
+    parser reads what that reader refuses: both give the same arrays."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nx=st.sampled_from([2, 3, 129, 2049]),
+        ncols=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(
+            st.tuples(st.integers(0, 2**31), st.sampled_from(SPECIAL_CELLS)),
+            max_size=8,
+        ),
+    )
+    @example(nx=2, ncols=6, seed=0, specials=list(enumerate(SPECIAL_CELLS)))
+    def test_round_trip_bit_for_bit(self, nx, ncols, seed, specials):
+        values = np.random.default_rng(seed).standard_normal((nx, ncols))
+        for where, cell in specials:
+            values.flat[where % values.size] = cell
+        snap = make_snapshot(values, dx=0.125, dt=0.001)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.csv")
+            io.write_snapshot_csv(path, snap)
+            streamed = io._read_streamed(path)
+            back = io.read_snapshot_csv(path)
+        assert streamed is not None
+        assert_same_bits(streamed, snap)
+        assert_same_bits(back, snap)
+
+    @pytest.mark.parametrize(
+        "text, streams",
+        [
+            ("x,0,1\r\n0,1,2\r\n1,3,4\r\n", True),
+            ("x, 0 ,1\n 0 , 1 ,2\n1,\t3,4 \n", True),
+            ("\n\nx,0,1\n0,1,2\n\n1,3,4\n\n", True),
+            ("x,0,1\n0,1,2\n   \n1,3,4\n", False),
+            ("x,0,1\n0,1_0,2\n1,3,4\n", False),
+            ("x,0,1\r\n 0 ,1_0, 2\r\n \t \r\n1,3,-0\r\n", False),
+        ],
+    )
+    def test_same_arrays_as_line_parser(self, tmp_path, text, streams):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        assert (io._read_streamed(path) is not None) == streams
+        assert_same_bits(io.read_snapshot_csv(path), io._read_lines(path))
+
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_around_cell_stays_a_bad_cell(self, tmp_path, separator):
+        # the C reader strips these as whitespace; float() refuses them
+        path = tmp_path / "s.csv"
+        path.write_text("x,0,1\n0,1,2\n1,3%s,4\n" % separator)
+        with pytest.raises(ValueError, match=r"s\.csv:3: bad cell"):
+            io.read_snapshot_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "x,0,1\n", "x,0,1\n\n", "x,0,1\n0,1,2\n"])
+    def test_short_file_message_without_warning(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                io.read_snapshot_csv(path)
+        assert str(err.value) == "%s: need a header and at least 2 data rows" % path
+
+    def test_read_holds_about_one_field(self, burgers_2001_csv, burgers_2001):
+        io.read_snapshot_csv(burgers_2001_csv)  # warm numpy's reader
+        tracemalloc.start()
+        try:
+            snap = io.read_snapshot_csv(burgers_2001_csv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_bits(snap, burgers_2001)
+        assert peak < 1.5 * snap.values.nbytes
 
 
 class TestModelFile:

@@ -1,4 +1,5 @@
 import importlib
+import re
 import tracemalloc
 import warnings
 
@@ -12,7 +13,7 @@ import rodtwin as rt
 from rodtwin import metrics, rod
 from rodtwin.cli import DEFAULT_SEED
 
-from conftest import count_calls, make_snapshot, two_mode_field
+from conftest import count_calls, degenerate_field, make_snapshot, two_mode_field
 
 # the package exports the function rsvd under the module's name
 rsvd_module = importlib.import_module("rodtwin.rsvd")
@@ -381,3 +382,54 @@ class TestRankSpaceScoring:
         assert_allclose(
             np.sort_complex(shared[1]), np.sort_complex(fresh[1]), rtol=0, atol=1e-12
         )
+
+
+class TestDegenerateData:
+    """The README's degenerate-data table, row by row: fit, report and
+    sweep at rank 4 on the 41x31 grid."""
+
+    @staticmethod
+    def _report(snap, model):
+        fourier = rt.fourier_decomposition(snap)
+        return rt.quality_report(snap, model, fourier, rt.InnerProduct(snap.dx))
+
+    @staticmethod
+    def _sweep_errors(snap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return [p.error for p in rt.pareto_sweep(snap, 4, seed=1)]
+
+    def test_all_zero_data(self):
+        snap = degenerate_field("all-zero")
+        message = "all singular values are negligible; nothing to propagate"
+        with pytest.warns(RuntimeWarning, match="rsvd of an all-zero matrix"):
+            with pytest.raises(ValueError, match="^%s$" % message):
+                rt.fit(snap, 4, seed=1)
+        assert self._sweep_errors(snap) == [message] * 4
+
+    def test_zero_column_after_t0(self):
+        snap = degenerate_field("zero-column-t5")
+        model = rt.fit(snap, 4, seed=1)
+        message = "zero column(s) in correlation at time index [5]"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            self._report(snap, model)
+        assert self._sweep_errors(snap) == [message] * 4
+
+    def test_zero_column_at_t0(self):
+        snap = degenerate_field("zero-column-t0")
+        model = rt.fit(snap, 4, seed=1)
+        with pytest.raises(ValueError, match=r"^zero data column\(s\) at index \[0\]$"):
+            self._report(snap, model)
+        # the objectives skip column 0, so every sweep rank succeeds
+        assert self._sweep_errors(snap) == [""] * 4
+
+    def test_rank_above_numerical_rank(self):
+        snap = degenerate_field("rank-one")
+        with pytest.warns(RuntimeWarning) as record:
+            model = rt.fit(snap, 4, seed=1)
+        assert [str(w.message) for w in record] == [
+            "rank-deficient QR: 3 negligible diagonal entries in R",
+            "truncating 3 near-zero singular directions before inversion",
+        ]
+        assert model.rank == 1
+        assert self._report(snap, model).absolute_error < 1e-14
