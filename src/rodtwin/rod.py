@@ -481,19 +481,12 @@ class ModalSum:
             )
 
 
-# Rows of left per QR call in _triangular_factor: 16 blocks, so a
-# 20001-row factor takes 10 calls rather than 157, and a chunk stays far
-# below the size of the field.
-_QR_ROWS = 16 * BLOCK_ROWS
-
-
 def _triangular_factor(left):
     """R of the QR factorization of left, from the QR of R stacked on
-    each _QR_ROWS-row chunk in turn, so no nx-sized copy of left is
-    made."""
+    each row block in turn, so no nx-sized copy of left is made."""
     tri = np.zeros((0, left.shape[1]))
-    for start in range(0, left.shape[0], _QR_ROWS):
-        tri = np.linalg.qr(np.vstack([tri, left[start : start + _QR_ROWS]]), mode="r")
+    for start, stop in row_blocks(left.shape[0]):
+        tri = np.linalg.qr(np.vstack([tri, left[start:stop]]), mode="r")
     return tri
 
 

@@ -207,7 +207,7 @@ class TestCompareProjections:
             return energies(data, inner_product)
 
         monkeypatch.setattr(empirical, "_column_energies", counted)
-        streams = count_calls(monkeypatch, metrics, "_stream")
+        passes_over_data = count_calls(monkeypatch, metrics, "_pass")
         for call in (
             lambda: rt.compare_projections(model.modes, f, v0, ip),
             lambda: rt.compare_projections(model.modes, f, v0, ip, same_rank=True),
@@ -218,7 +218,7 @@ class TestCompareProjections:
         # the report sums the energies in its own pass over the data
         passes.clear()
         rt.quality_report(snap, model, f, ip)
-        assert (passes, streams["_stream"]) == ([], 1)
+        assert (passes, passes_over_data["_pass"]) == ([], 1)
 
     def test_benchmark_model_dominates(
         self, burgers_snapshot, burgers_model, burgers_fourier

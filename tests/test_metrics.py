@@ -1,6 +1,6 @@
 import dataclasses
+import re
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -160,6 +160,26 @@ class TestQualityReport:
                 burgers_ip,
             )
 
+    @pytest.mark.parametrize(
+        "shape, dx, variant, message",
+        [
+            ((30, 11), 0.1, "paper", "shape mismatch: (30, 11) vs (30, 12)"),
+            ((29, 12), 0.1, "paper", "shape mismatch: (29, 12) vs (30, 12)"),
+            ((30, 12), 0.2, "paper", "grid mismatch between the two snapshot sets"),
+            ((30, 12), 0.1, "pearson", "unknown correlation variant 'pearson'"),
+        ],
+    )
+    def test_data_off_the_model_rejected(self, rng, shape, dx, variant, message):
+        model = rt.fit(make_snapshot(rng.standard_normal((30, 12))), 3, seed=1)
+        snap = make_snapshot(rng.standard_normal(shape), dx=dx)
+        fourier, ip = rt.fourier_decomposition(snap), rt.InnerProduct(dx)
+        calls = [lambda: rt.quality_report(snap, model, fourier, ip, variant=variant)]
+        if variant == "paper":
+            calls.append(lambda: rt.objectives(snap, model))
+        for call in calls:
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                call()
+
     def test_non_finite_field_raises(self):
         # at 1e77 the paper correlation's a^4 overflows and it reads NaN
         snap = two_mode_field(1e77)
@@ -220,16 +240,16 @@ class TestStreamedPass:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((nx, ncols))
         b = rng.standard_normal((nx, ncols))
-        # any object with values serves: a SnapshotMatrix needs 2 rows
-        exact = types.SimpleNamespace(values=a)
-        sums = metrics._stream(exact, lambda i, j: b[i:j], variant)
+        # a plain matrix serves: a SnapshotMatrix needs 2 rows
+        terms, power = metrics._CORRELATION[variant]
+        terms = (metrics._diff_sq,) + terms
+        got = metrics._pass(a, lambda i, j: b[i:j, 1:], terms, power)
         a1, b1 = a[:, 1:], b[:, 1:]
         if variant == "paper":
-            expect = [(a1 * b1) ** 2, a1**4, b1**4]
+            expect = [(a1 * b1) ** 2, b1**4, a1**4]
         else:
-            expect = [a1 * b1, a1**2, b1**2]
+            expect = [a1 * b1, b1**2, a1**2]
         expect = [(a1 - b1) ** 2] + expect
-        got = [sums.diff_sq, sums.cross, sums.exact_pow, sums.twin_pow]
         for value, terms in zip(got, expect):
             np.testing.assert_allclose(value, terms.sum(axis=0), rtol=1e-12)
 
@@ -247,16 +267,16 @@ class TestStreamedPass:
         rng = np.random.default_rng(seed)
         a = np.asarray(rng.standard_normal((nx, ncols)), order=order)
         b = rng.standard_normal((nx, ncols))
-        exact = types.SimpleNamespace(values=a)
-        sums = metrics._stream(exact, lambda i, j: b[i:j], variant, energy=True)
+        terms, power = ((), None) if variant is None else metrics._CORRELATION[variant]
+        terms = (metrics._diff_sq,) + terms
+        *sums, energy = metrics._pass(a, lambda i, j: b[i:j, 1:], terms, power, energy=True)
         ip = rt.InnerProduct(0.1)
         col_sq = empirical._column_energies(a[:, :-1], ip)
-        assert np.array_equal(ip.dx * sums.energy, col_sq)
-        np.testing.assert_allclose(sums.energy, np.sum(a[:, :-1] ** 2, axis=0), rtol=1e-12)
+        assert np.array_equal(ip.dx * energy, col_sq)
+        np.testing.assert_allclose(energy, np.sum(a[:, :-1] ** 2, axis=0), rtol=1e-12)
         # and the energies leave the pass's other sums as they were
-        plain = metrics._stream(exact, lambda i, j: b[i:j], variant)
-        for name in ("diff_sq", "cross", "exact_pow", "twin_pow"):
-            assert np.array_equal(getattr(sums, name), getattr(plain, name))
+        plain = metrics._pass(a, lambda i, j: b[i:j, 1:], terms, power)
+        assert np.array_equal(sums, plain)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -331,15 +331,19 @@ class TestRankSpaceScoring:
         c = coeff @ amp + 1j * imag_scale * proj[:10]
         scorer = metrics.SweepScorer(snap, q, proj)
         calls = count_calls(monkeypatch, rod.ModalSum, "_exact_residue")
-        streams = count_calls(monkeypatch, metrics, "_stream")
+        passes = count_calls(monkeypatch, metrics, "_pass")
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
             scores = scorer.scores(c)
         assert calls["_exact_residue"] == 1  # the exact residue pass ran
-        assert streams["_stream"] == 0  # and it read no data
+        assert passes["_pass"] == 1  # and read no data beyond the rank's own pass
         with warnings.catch_warnings(record=True) as want:
             warnings.simplefilter("always")
-            expected = metrics.modal_scores(snap, rod.ModalSum(q[:, :10], c.real, c.imag))
+            modal = rod.ModalSum(q[:, :10], c.real, c.imag)
+            real = modal.real_rows(0, modal.shape[0], np.empty(modal.shape))
+            modal.warn_residue()
+        twin = rt.SnapshotMatrix(values=real, x=snap.x, t=snap.t)
+        expected = rt.absolute_error(snap, twin), rt.correlation(snap, twin)
         assert [str(w.message) for w in got] == [str(w.message) for w in want]
         assert len(got) == warned
         assert all("imaginary residue" in str(w.message) for w in got)
@@ -347,13 +351,14 @@ class TestRankSpaceScoring:
         assert scores[1] == pytest.approx(expected[1], abs=1e-12)
 
     def test_benchmark_sweep_data_passes(self, burgers_snapshot, monkeypatch):
-        # one residual and a^4 pass per sweep; the bound rules out the
-        # imaginary residue at every rank, so no exact residue pass runs
-        sums = count_calls(monkeypatch, metrics, "_sketch_sums")
+        # one residual and a^4 pass per sweep and one pass per rank; the
+        # bound rules out the imaginary residue at every rank, so no exact
+        # residue pass runs
+        passes = count_calls(monkeypatch, metrics, "_pass")
         residue = count_calls(monkeypatch, rod.ModalSum, "_exact_residue")
         points = rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
         assert not any(p.failed for p in points)
-        assert (sums["_sketch_sums"], residue["_exact_residue"]) == (1, 0)
+        assert (passes["_pass"], residue["_exact_residue"]) == (1 + 20, 0)
 
     @pytest.mark.parametrize("nx", [127, 128, 129, 259])
     def test_row_blocks(self, rng, nx):
