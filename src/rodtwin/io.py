@@ -384,11 +384,14 @@ def read_model(path):
 
 # -------------------------------------------------------------------- sweeps
 
+_SWEEP_HEADER = ["rank", "j1", "j2", "dominated", "error"]
+
+
 def write_sweep_csv(path, points):
     """Sweep points as CSV rows: rank, j1, j2, dominated, error."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["rank", "j1", "j2", "dominated", "error"])
+        writer.writerow(_SWEEP_HEADER)
         for p in points:
             writer.writerow(
                 [p.rank, fmt(p.j1), fmt(p.j2), int(p.dominated), p.error]
@@ -399,7 +402,7 @@ def read_sweep_csv(path):
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header != ["rank", "j1", "j2", "dominated", "error"]:
+        if header != _SWEEP_HEADER:
             raise ValueError("%s: unexpected sweep CSV header" % path)
         points = []
         for row in reader:
@@ -425,15 +428,17 @@ def read_sweep_csv(path):
 
 # ------------------------------------------------------------------- reports
 
+# the QualityReport fields written and read as integers; the rest are floats
+_INTEGER_FIELDS = ("rank", "seed")
+
+
 def report_text(report):
     """QualityReport as a flat key=value block, fixed field order."""
     lines = []
     for name in QualityReport.FIELDS:
         value = getattr(report, name)
-        if name in ("rank", "seed"):
-            lines.append("%s = %d" % (name, value))
-        else:
-            lines.append("%s = %s" % (name, fmt(value)))
+        text = "%d" % value if name in _INTEGER_FIELDS else fmt(value)
+        lines.append("%s = %s" % (name, text))
     return "\n".join(lines) + "\n"
 
 
@@ -449,12 +454,9 @@ def parse_report_text(text):
     if missing:
         raise ValueError("report text missing fields %s" % missing)
     return QualityReport(
-        rank=int(values["rank"]),
-        absolute_error=float(values["absolute_error"]),
-        correlation=float(values["correlation"]),
-        rod_projection_norm=float(values["rod_projection_norm"]),
-        fourier_projection_norm=float(values["fourier_projection_norm"]),
-        gram_deviation=float(values["gram_deviation"]),
-        seed=int(values["seed"]),
+        **{
+            name: (int if name in _INTEGER_FIELDS else float)(values[name])
+            for name in QualityReport.FIELDS
+        }
     )
 

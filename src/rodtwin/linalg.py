@@ -1,10 +1,9 @@
 """Dense linear-algebra kernels used by every other module.
 
 Thin wrappers over LAPACK (through numpy): Householder QR, economy
-SVD, a general real eigensolver, the symmetric tridiagonal eigensolver,
-and least squares.  The wrappers pin the conventions the rest of the
-package relies on: validated finite inputs, nonincreasing singular
-values, ascending tridiagonal eigenvalues, unit-norm eigenvectors with
+SVD, a general real eigensolver, and least squares.  The wrappers pin
+the conventions the rest of the package relies on: validated finite
+inputs, nonincreasing singular values, unit-norm eigenvectors with
 conjugate pairs adjacent, and minimum-norm solves for rank-deficient
 systems.  `warn` raises the package's RuntimeWarnings on behalf of the
 caller outside it.
@@ -127,24 +126,6 @@ def eig_general(s):
                 "eigenpair residual %.3e exceeds 1e-8 * ||S||_F" % worst
             )
     return EigenPairs(values=values, vectors=vectors)
-
-
-def eig_sym_tridiag(diag, offdiag):
-    """Eigendecomposition of a symmetric tridiagonal matrix.
-
-    Solved as the dense symmetric matrix: the callers' matrices are at
-    most 500x500, where that is no slower than a tridiagonal driver.
-    Eigenvalues are ascending and the eigenvector matrix is orthogonal.
-    """
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(offdiag, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("diagonal must be a nonempty vector")
-    if e.shape != (d.size - 1,):
-        raise ValueError("offdiagonal length must be diagonal length - 1")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("tridiagonal input contains non-finite entries")
-    return np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
 def least_squares(a, b):

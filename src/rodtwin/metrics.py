@@ -23,7 +23,7 @@ these sums are silenced: a non-finite result becomes a named error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -245,12 +245,6 @@ def _model_scores(exact, model, variant, energy=False):
     return (_error(diff_sq), _correlation(variant, *sums[:3]), *sums[3:])
 
 
-def twin_scores(exact, model):
-    """(absolute_error, paper correlation) of the model's twin, streamed
-    from its modal sum without forming the twin."""
-    return _model_scores(exact, model, "paper")
-
-
 @dataclass(frozen=True)
 class QualityReport:
     """Consolidated fit quality numbers; field order is the serialization order."""
@@ -263,15 +257,8 @@ class QualityReport:
     gram_deviation: float
     seed: int
 
-    FIELDS = (
-        "rank",
-        "absolute_error",
-        "correlation",
-        "rod_projection_norm",
-        "fourier_projection_norm",
-        "gram_deviation",
-        "seed",
-    )
+
+QualityReport.FIELDS = tuple(field.name for field in fields(QualityReport))
 
 
 def quality_report(exact, model, fourier, ip, variant="paper"):

@@ -12,7 +12,7 @@ mode coefficients B = T X at unit discrete-L2 norm, and the amplitudes
 A minimizing ||B A - P||_F.  The modes Q B are formed once at the end.
 Because Q B lies in range(Q), the amplitudes equal the least-squares
 fit of the modes against the full snapshot matrix.  fit is two steps:
-sketch returns Q and P, and rank_space_fit returns B, the eigenvalues
+sketch returns Q and P, and RankSpace(P).fit returns B, the eigenvalues
 and A from P alone.  The sketch is nested in its rank, so a rank sweep
 sketches once at its largest rank and runs the rank-space step on the
 leading k rows of P for every k, all from one QR factorization of the
@@ -61,9 +61,12 @@ def row_blocks(nx):
 def add_column_sums(total, block):
     """total += the column sums of block, which is overwritten.
 
-    The sum runs row by row starting from total, the order of numpy's
-    own axis-0 reduction of a whole matrix, so the blocked sums match
-    the unblocked ones.
+    A block of two or more columns sums row by row from total, as
+    numpy's axis-0 reduction of a whole matrix does, so the blocked sums
+    equal np.add.reduce(values, axis=0) bit for bit.  numpy sums a
+    one-column block (nt = 1, nx > BLOCK_ROWS) pairwise: deterministic,
+    equal to empirical._column_energies bit for bit, but it can differ
+    from the unblocked reduction in the last bits.
     """
     block[0] += total
     np.add.reduce(block, axis=0, out=total)
@@ -189,13 +192,8 @@ class RodModel:
     x: np.ndarray
     t: np.ndarray
 
-    @property
-    def dx(self):
-        return float((self.x[-1] - self.x[0]) / (self.x.size - 1))
-
-    @property
-    def dt(self):
-        return float((self.t[-1] - self.t[0]) / (self.t.size - 1))
+    dx = SnapshotMatrix.dx
+    dt = SnapshotMatrix.dt
 
     @property
     def gram_deviation(self):
@@ -362,12 +360,6 @@ class RankSpace:
         return coeff, eigenvalues, amp
 
 
-def rank_space_fit(proj, ip, reorthonormalize=False):
-    """Rank-space step of fit: everything after the sketch on the rank x
-    (nt + 1) projection P, as RankSpace(P).fit at k = rank."""
-    return RankSpace(proj).fit(proj.shape[0], ip, reorthonormalize)
-
-
 def fit(snap, rank, seed, reorthonormalize=False):
     """Fit a twin data model of the given rank.
 
@@ -381,8 +373,8 @@ def fit(snap, rank, seed, reorthonormalize=False):
     failures; precondition violations raise ValueError directly.
     """
     q, proj = sketch(snap, rank, seed)
-    coeff, eigenvalues, amp = rank_space_fit(
-        proj, InnerProduct(snap.dx), reorthonormalize
+    coeff, eigenvalues, amp = RankSpace(proj).fit(
+        len(proj), InnerProduct(snap.dx), reorthonormalize
     )
     r = coeff.shape[1]
     lifted = q @ np.hstack([coeff.real, coeff.imag])

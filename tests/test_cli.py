@@ -210,6 +210,27 @@ class TestFit:
         report = io.parse_report_text(capsys.readouterr().out)
         assert report.gram_deviation <= 1e-8
 
+    def test_rank_above_data_is_computation_error(self, ws, tmp_path, capsys):
+        out = tmp_path / "m.txt"
+        rc = main(
+            [
+                "fit",
+                "--input",
+                str(ws / "burgers.csv"),
+                "--output",
+                str(out),
+                "--rank",
+                "400",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "rodtwin fit: error: rank 400 outside [1, 101] for this snapshot matrix\n"
+        )
+        assert not out.exists()
+
     def test_missing_input_is_computation_error(self, tmp_path, capsys):
         rc = main(
             [

@@ -595,7 +595,31 @@ class TestSweepCsv:
             io.read_sweep_csv(path)
 
 
+# finite floats, with -0.0, subnormals and both sides of fmt's notation
+# switches at 1e-3 and 1e4 drawn often
+REPORT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [float(v) for v in EDGE_VALUES if np.isfinite(v)]
+)
+
+
 class TestReportParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rank=st.integers(),
+        seed=st.integers(),
+        floats=st.lists(REPORT_FLOATS, min_size=5, max_size=5),
+    )
+    def test_round_trip_bit_identity(self, rank, seed, floats):
+        names = [n for n in rt.QualityReport.FIELDS if n not in ("rank", "seed")]
+        report = rt.QualityReport(rank=rank, seed=seed, **dict(zip(names, floats)))
+        text = io.report_text(report)
+        keys = [line.partition(" = ")[0] for line in text.splitlines()]
+        assert keys == list(rt.QualityReport.FIELDS)
+        back = io.parse_report_text(text)
+        assert (back.rank, back.seed) == (rank, seed)
+        # float.hex tells -0.0 from 0.0
+        assert [getattr(back, n).hex() for n in names] == [v.hex() for v in floats]
+
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="correlation"):
             io.parse_report_text("rank = 3\nseed = 1\n")

@@ -1,16 +1,16 @@
 """Kernel tests, each factorization checked against an independent route:
 Jacobi rotations for singular values, characteristic-polynomial root
 finding for eigenvalues, sign-change bisection on the recurrence for
-tridiagonal spectra, and the normal equations for least squares.
+the Gauss-Hermite nodes, and the normal equations for least squares.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rodtwin.burgers import gauss_hermite
 from rodtwin.linalg import (
     eig_general,
-    eig_sym_tridiag,
     least_squares,
     qr_factor,
     svd_economy,
@@ -181,24 +181,15 @@ class TestEigGeneral:
 
 
 class TestEigSymTridiag:
-    def test_single(self):
-        values, vectors = eig_sym_tridiag([4.2], [])
-        assert values[0] == 4.2
-        assert vectors.shape == (1, 1)
-
-    def test_two_by_two(self):
-        values, vectors = eig_sym_tridiag([0.0, 0.0], [1.0])
-        assert_allclose(values, [-1.0, 1.0], atol=1e-14)
-        assert np.abs(vectors.T @ vectors - np.eye(2)).max() < 1e-12
+    """The symmetric tridiagonal Jacobi matrix of the Hermite recurrence,
+    as gauss_hermite solves it."""
 
     def test_hermite_recurrence_matrix(self):
         # eigenvalues must be the degree-10 Hermite roots; find those
         # independently by sign-change bisection on the recurrence
         n = 10
-        off = np.sqrt(np.arange(1, n) / 2.0)
-        values, vectors = eig_sym_tridiag(np.zeros(n), off)
+        values = gauss_hermite(n).nodes
         assert_allclose(values, -values[::-1], atol=1e-12)
-        assert np.abs(vectors.T @ vectors - np.eye(n)).max() < 1e-10
 
         def hermite(x):
             hk1, hk = 0.0, 1.0

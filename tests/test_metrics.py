@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import rodtwin as rt
 from rodtwin import empirical, io, metrics
 from rodtwin.metrics import BLOCK_ROWS
+from rodtwin.rod import add_column_sums, row_blocks
 
 from conftest import make_snapshot, two_mode_field
 
@@ -228,6 +229,27 @@ def _dense_projection_score(modes, v0, dx, mode_count):
     return np.sum(np.abs(inner) ** 2 / (dx * np.sum(v0**2, axis=0))) / mode_count
 
 
+class TestAddColumnSums:
+    @pytest.mark.parametrize("nx", [127, 128, 129, 257, 1000, 2001])
+    @pytest.mark.parametrize("ncols", [1, 2, 3, 5, 8, 301])
+    def test_blocked_sums_against_unblocked(self, rng, nx, ncols):
+        for _ in range(30):
+            values = rng.standard_normal((nx, ncols))
+            squares = values**2
+            blocked = np.zeros(ncols)
+            for start, stop in row_blocks(nx):
+                add_column_sums(blocked, squares[start:stop].copy())
+            if ncols > 1:
+                # row by row, as numpy reduces the whole matrix
+                assert np.array_equal(blocked, np.add.reduce(squares, axis=0))
+            else:
+                # numpy sums one column pairwise, which may move the last
+                # bits; the report's energies still match compare_projections
+                energies = empirical._column_energies(values, rt.InnerProduct(1.0))
+                assert np.array_equal(blocked, energies)
+                np.testing.assert_allclose(blocked, squares.sum(axis=0), rtol=1e-12)
+
+
 class TestStreamedPass:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -418,7 +440,8 @@ class TestStreamedEdges:
     def test_public_functions_take_row_blocks_of_the_twin(self, tall):
         snap, model = tall
         twin = rt.reconstruct(model)
-        error, corr = rt.metrics.twin_scores(snap, model)
+        error, j2 = rt.objectives(snap, model)
+        corr = -j2
         assert _rel(rt.absolute_error(snap, twin), error) <= 1e-12
         assert _rel(rt.correlation(snap, twin), corr) <= 1e-12
 

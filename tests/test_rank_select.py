@@ -130,9 +130,9 @@ class TestParetoSweep:
             )
 
     def test_rank_max_validation(self, burgers_snapshot):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("rank_max 0 outside [1, 101]")):
             rt.pareto_sweep(burgers_snapshot, 0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("rank_max 500 outside [1, 101]")):
             rt.pareto_sweep(burgers_snapshot, 500, seed=1)
 
     def test_non_finite_objectives_fail_their_point(self):
@@ -217,8 +217,8 @@ class TestNestedSketch:
         snap = burgers_snapshot
         model = rt.fit(snap, 10, DEFAULT_SEED, reorthonormalize=reorthonormalize)
         q, proj = rod.sketch(snap, 10, DEFAULT_SEED)
-        coeff, eigenvalues, amp = rod.rank_space_fit(
-            proj, rt.InnerProduct(snap.dx), reorthonormalize
+        coeff, eigenvalues, amp = rod.RankSpace(proj).fit(
+            10, rt.InnerProduct(snap.dx), reorthonormalize
         )
         lifted = q @ np.hstack([coeff.real, coeff.imag])
         assert np.array_equal(model.modes.real, lifted[:, :10])
@@ -380,7 +380,7 @@ class TestRankSpaceScoring:
         ip = rt.InnerProduct(snap.dx)
         _, proj = rod.sketch(snap, 20, DEFAULT_SEED)
         shared = rod.RankSpace(proj).fit(k, ip)
-        fresh = rod.rank_space_fit(proj[:k], ip)
+        fresh = rod.RankSpace(proj[:k]).fit(k, ip)
         # C = B A and the spectrum do not depend on the modes' phases
         c_shared, c_fresh = shared[0] @ shared[2], fresh[0] @ fresh[2]
         assert np.abs(c_shared - c_fresh).max() <= 1e-12 * np.abs(c_fresh).max()

@@ -197,9 +197,10 @@ class TestFit:
         assert rel <= 1e-6 * np.linalg.norm(values)
 
     def test_rank_bounds(self, burgers_snapshot):
-        with pytest.raises(ValueError):
+        message = "rank %d outside [1, 101] for this snapshot matrix"
+        with pytest.raises(ValueError, match=re.escape(message % 0)):
             rt.fit(burgers_snapshot, 0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(message % 102)):
             rt.fit(burgers_snapshot, 102, seed=0)
 
     def test_monotone_error_in_rank(self, burgers_snapshot):
