@@ -126,23 +126,17 @@ def _resolve(args):
 
 def _load_model_for(dataset, model_path):
     model = io.read_model(model_path)
-    if model.modes.shape[0] != dataset.n_space or model.amplitudes.shape[
-        1
-    ] != dataset.n_steps + 1:
+    shape = (model.modes.shape[0], model.amplitudes.shape[1])
+    if shape != dataset.values.shape:
         raise ValueError(
             "model grid %dx%d does not match dataset %dx%d"
-            % (
-                model.modes.shape[0],
-                model.amplitudes.shape[1],
-                dataset.n_space,
-                dataset.n_steps + 1,
-            )
+            % (shape + dataset.values.shape)
         )
-    scale = max(abs(dataset.dx), abs(dataset.dt))
-    if abs(model.dx - dataset.dx) > 1e-12 * scale or abs(
-        model.dt - dataset.dt
-    ) > 1e-12 * scale:
-        raise ValueError("model spacing does not match the dataset grid")
+    for step in ("dx", "dt"):
+        # each step within 1e-12 of itself; grid steps are positive
+        want = getattr(dataset, step)
+        if abs(getattr(model, step) - want) > 1e-12 * want:
+            raise ValueError("model spacing does not match the dataset grid")
     # files without a format line have origin-zero grids, and the report
     # compares against the dataset's grid points: adopt those
     return dataclasses.replace(model, x=dataset.x.copy(), t=dataset.t.copy())
@@ -156,26 +150,14 @@ def _report_text(dataset, model, variant):
 
 
 def cmd_generate(cfg):
-    bcfg = burgers.BurgersConfig(
-        nu=cfg["nu"],
-        quad_order=cfg["quad_order"],
-        grid_points=cfg["grid_points"],
-        dt=cfg["dt"],
-        t_final=cfg["t_final"],
-    )
+    bcfg = burgers.BurgersConfig(**{k: v for k, v in cfg.items() if k != "output"})
     snap = burgers.generate_snapshots(bcfg)
     meta = {
-        "length": io.fmt(bcfg.length),
-        "t_final": io.fmt(bcfg.t_final),
-        "nu": io.fmt(bcfg.nu),
-        "quad_order": str(bcfg.quad_order),
-        "dx": io.fmt(bcfg.dx),
-        "dt": io.fmt(bcfg.dt),
+        key: io.fmt(getattr(bcfg, key))
+        for key in ("length", "t_final", "nu", "quad_order", "dx", "dt")
     }
     io.write_snapshot_csv(cfg["output"], snap, meta=meta)
-    print(
-        "wrote %s (%dx%d)" % (cfg["output"], snap.n_space, snap.n_steps + 1)
-    )
+    print("wrote %s (%dx%d)" % ((cfg["output"],) + snap.values.shape))
     print("sha256: %s" % io.file_sha256(cfg["output"]))
     return 0
 
@@ -220,23 +202,26 @@ def cmd_evaluate(cfg):
 
 def cmd_compare(cfg):
     dataset = io.read_snapshot_csv(cfg["input"])
-    ip = rod.InnerProduct(dataset.dx)
     fourier = empirical.fourier_decomposition(dataset)
-    v0 = dataset.values[:, :-1]
     if cfg["self_test"]:
-        rho_rod, rho_fourier, dominates = empirical.compare_projections(
-            fourier.psi, fourier, v0, ip, same_rank=True
-        )
+        modes = fourier.psi
     else:
-        model = _load_model_for(dataset, cfg["model"])
-        rho_rod, rho_fourier, dominates = empirical.compare_projections(
-            model.modes, fourier, v0, ip
-        )
+        modes = _load_model_for(dataset, cfg["model"]).modes
+    ip = rod.InnerProduct(dataset.dx)
+    rho_rod, rho_fourier, dominates = empirical.compare_projections(
+        modes, fourier, dataset.values[:, :-1], ip, same_rank=cfg["self_test"]
+    )
     print("rho_rod = %s" % io.fmt(rho_rod))
     print("rho_fourier = %s" % io.fmt(rho_fourier))
     print("ratio = %s" % io.fmt(rho_rod / rho_fourier))
     print("dominates = %s" % ("true" if dominates else "false"))
     return 0 if dominates else 2
+
+
+def _generator_flag(key, check, help_text):
+    """A generate flag taking its default, and so its type, from BurgersConfig."""
+    default = getattr(burgers.BurgersConfig(), key)
+    return _Flag(key, type(default), default, check, help_text)
 
 
 _INPUT = _Flag("input", default="burgers.csv", help="snapshot CSV", metavar="CSV")
@@ -256,11 +241,11 @@ _COMMANDS = {
         "write the benchmark snapshot CSV and its metadata sidecar",
         (
             _Flag("output", default="burgers.csv", help="snapshot CSV", metavar="CSV"),
-            _Flag("nu", float, 0.01, _finite_positive, "viscosity"),
-            _Flag("quad_order", int, 100, lambda v: 1 <= v <= 500, "quadrature order"),
-            _Flag("grid_points", int, 101, lambda v: v >= 2, "spatial points"),
-            _Flag("dt", float, 0.01, _finite_positive, "time step"),
-            _Flag("t_final", float, 3.0, _finite_positive, "final time"),
+            _generator_flag("nu", _finite_positive, "viscosity"),
+            _generator_flag("quad_order", lambda v: 1 <= v <= 500, "quadrature order"),
+            _generator_flag("grid_points", lambda v: v >= 2, "spatial points"),
+            _generator_flag("dt", _finite_positive, "time step"),
+            _generator_flag("t_final", _finite_positive, "final time"),
         ),
     ),
     "fit": (

@@ -4,7 +4,9 @@ sweep CSV, reports.
 Every number is written with 17 significant digits so float64 values
 survive a write/read cycle bit-exactly.  Magnitudes outside
 [1e-3, 1e4) use scientific notation; everything uses '.' as the
-decimal separator regardless of locale.
+decimal separator regardless of locale.  Config files, the .meta
+sidecar, the model header and the report share one 'key = value' line
+rule; '#' comments are allowed only in config and .meta files.
 """
 
 from __future__ import annotations
@@ -21,26 +23,36 @@ from .rank_select import ParetoPoint
 from .rod import RodModel, SnapshotFault, SnapshotMatrix
 
 
-_PLAIN = "%.17g"
-_SCI = "%.16e"
+def _fmt_row(row):
+    """A float64 row as cells of 17 significant digits joined by ',',
+    formatted by one %.  Zeros and magnitudes in [1e-3, 1e4) use %.17g,
+    which writes a negative zero '-0' so that it reads back as -0.0;
+    everything else, inf and nan included, uses %.16e."""
+    mag = np.abs(row)
+    plain = ((mag >= 1e-3) & (mag < 1e4) | (row == 0.0)).tolist()
+    return ",".join(["%.17g" if p else "%.16e" for p in plain]) % tuple(row.tolist())
 
 
 def fmt(value):
-    """Format one float: 17 significant digits, range-dependent notation.
-
-    Zeros and magnitudes in [1e-3, 1e4) use %.17g, which writes a
-    negative zero '-0' so that it reads back as -0.0; everything else,
-    inf and nan included, uses %.16e.
-    """
-    value = float(value)
-    return (_PLAIN if value == 0.0 or 1e-3 <= abs(value) < 1e4 else _SCI) % value
+    """Format one float as the one cell of a _fmt_row row."""
+    return _fmt_row(np.array([float(value)]))
 
 
-def _fmt_row(row):
-    """A float64 row as its fmt cells joined by ',', formatted by one %."""
-    mag = np.abs(row)
-    plain = ((mag >= 1e-3) & (mag < 1e4) | (row == 0.0)).tolist()
-    return ",".join([_PLAIN if p else _SCI for p in plain]) % tuple(row.tolist())
+def _write_csv(path, header, axis, rows):
+    """A CSV of the header line, then per axis value its row's cells."""
+    with open(path, "w", newline="") as handle:
+        handle.write(header + "\n")
+        for cell, row in zip(_fmt_row(np.asarray(axis, dtype=float)).split(","), rows):
+            handle.write(cell + "," + _fmt_row(row) + "\n")
+
+
+def _key_value(line, where):
+    """The stripped key and value of a 'key = value' line; a line
+    without '=' raises ValueError naming where."""
+    key, equals, value = line.partition("=")
+    if not equals:
+        raise ValueError("%s: expected 'key = value'" % where)
+    return key.strip(), value.strip()
 
 
 def _interleaved(values):
@@ -65,14 +77,10 @@ def write_snapshot_csv(path, snap, meta=None):
     self-contained.  A meta dict, when given, is written next to the
     data as '<path>.meta' with one 'key = value' line per entry.
     """
-    with open(path, "w", newline="") as handle:
-        handle.write("x," + _fmt_row(snap.t) + "\n")
-        for x, row in zip(snap.x, snap.values):
-            handle.write(fmt(x) + "," + _fmt_row(row) + "\n")
+    _write_csv(path, "x," + _fmt_row(snap.t), snap.x, snap.values)
     if meta is not None:
         with open(str(path) + ".meta", "w") as handle:
-            for key, value in meta.items():
-                handle.write("%s = %s\n" % (key, value))
+            handle.writelines("%s = %s\n" % item for item in meta.items())
 
 
 def read_snapshot_csv(path):
@@ -168,18 +176,13 @@ def _read_lines(path):
 
 
 def read_meta(path):
-    """Parse a 'key = value' sidecar file into a dict of strings."""
-    out = {}
+    """Parse a 'key = value' file, with '#' comments, into a dict of strings."""
     with open(path) as handle:
-        for line_no, line in enumerate(handle, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError("%s:%d: expected 'key = value'" % (path, line_no))
-            key, _, value = stripped.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+        return dict(
+            _key_value(line, "%s:%d" % (path, line_no))
+            for line_no, line in enumerate(handle, 1)
+            if line.strip() and not line.strip().startswith("#")
+        )
 
 
 def write_modal_csv(path, axis_name, axis, label, columns):
@@ -192,10 +195,7 @@ def write_modal_csv(path, axis_name, axis, label, columns):
     header = [axis_name]
     for j in range(columns.shape[1]):
         header += ["%s%d_re" % (label, j + 1), "%s%d_im" % (label, j + 1)]
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for value, row in zip(axis, columns):
-            handle.write(fmt(value) + "," + _fmt_row(_interleaved(row)) + "\n")
+    _write_csv(path, ",".join(header), axis, map(_interleaved, columns))
 
 
 # ------------------------------------------------------------------- models
@@ -325,21 +325,17 @@ def read_model(path):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             current = stripped[1:-1]
-            sections[current] = []
+            sections[current] = (line_no, [])
         elif current is None:
-            if "=" not in stripped:
-                raise ValueError(
-                    "%s:%d: expected 'key = value' before sections" % (path, line_no)
-                )
-            key, _, value = stripped.partition("=")
-            header[key.strip()] = (line_no, value.strip())
-            if key.strip() == "format" and value.strip() != _MODEL_FORMAT:
+            key, value = _key_value(stripped, "%s:%d" % (path, line_no))
+            header[key] = (line_no, value)
+            if key == "format" and value != _MODEL_FORMAT:
                 raise ValueError(
                     "%s:%d: unsupported model format %r (expected %s)"
-                    % (path, line_no, value.strip(), _MODEL_FORMAT)
+                    % (path, line_no, value, _MODEL_FORMAT)
                 )
         else:
-            sections[current].append((line_no, stripped.split(",")))
+            sections[current][1].append((line_no, stripped.split(",")))
     required = _MODEL_HEADER_KEYS + (_MODEL_GRID_KEYS if "format" in header else ())
     missing = [k for k in required if k not in header]
     if missing:
@@ -357,9 +353,11 @@ def read_model(path):
         ("amplitudes", rank, nt + 1),
         ("eigenvalues", rank, 1),
     ):
-        rows = sections[name]
+        section_line, rows = sections[name]
         if len(rows) != n_rows:
-            raise ValueError("%s: [%s] must have %d rows" % (path, name, n_rows))
+            raise ValueError(
+                "%s:%d: [%s] must have %d rows" % (path, section_line, name, n_rows)
+            )
         block = np.empty((n_rows, pairs), dtype=complex)
         for i, (line_no, cells) in enumerate(rows):
             block[i] = _parse_pair_row(cells, line_no, path, pairs)
@@ -443,13 +441,11 @@ def report_text(report):
 
 
 def parse_report_text(text):
-    values = {}
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+    values = dict(
+        _key_value(line, "report line %d" % line_no)
+        for line_no, line in enumerate(text.splitlines(), 1)
+        if line.strip()
+    )
     missing = [k for k in QualityReport.FIELDS if k not in values]
     if missing:
         raise ValueError("report text missing fields %s" % missing)

@@ -151,15 +151,6 @@ class SnapshotMatrix:
     def dt(self):
         return float((self.t[-1] - self.t[0]) / (self.t.size - 1))
 
-    @property
-    def n_space(self):
-        return self.values.shape[0]
-
-    @property
-    def n_steps(self):
-        """Number of time steps, one less than the column count."""
-        return self.values.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class InnerProduct:

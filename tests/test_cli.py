@@ -451,6 +451,48 @@ class TestEvaluate:
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_each_step_checked_against_itself(self, tmp_path, capsys, command):
+        # a dx of 10 must not widen the tolerance on a dt of 1e-6
+        x = np.arange(31) * 10.0
+        t = np.arange(12) * 1e-6
+        values = np.outer(np.sin(np.pi * x / 300.0), 0.9 ** np.arange(12))
+        fitted, shifted = tmp_path / "fitted.csv", tmp_path / "shifted.csv"
+        io.write_snapshot_csv(fitted, rt.SnapshotMatrix(values, x, t))
+        io.write_snapshot_csv(shifted, rt.SnapshotMatrix(values, x, t * (1 + 1e-6)))
+        model = str(tmp_path / "m.txt")
+        argv = ["--input", str(fitted), "--rank", "1"]
+        assert main(["fit"] + argv + ["--output", model]) == 0
+        extra = ["--output", str(tmp_path / "t")] if command == "evaluate" else []
+        assert main([command, "--input", str(fitted), "--model", model] + extra) == 0
+        capsys.readouterr()
+        rc = main([command, "--input", str(shifted), "--model", model] + extra)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "rodtwin %s: error: model spacing does not match the dataset grid\n"
+            % command
+        )
+
+    def test_model_without_format_line_adopts_dataset_grids(self, ws, tmp_path, capsys):
+        argv = ["--input", str(ws / "burgers.csv")]
+        assert main(["fit"] + argv + ["--output", str(tmp_path / "m.txt")]) == 0
+        fit_stdout = capsys.readouterr().out
+        dropped = ("format", "x0", "x_end", "t0", "t_end")
+        lines = (ws / "model.txt").read_text().splitlines()
+        kept = [ln for ln in lines if ln.partition(" =")[0] not in dropped]
+        assert len(lines) - len(kept) == len(dropped)
+        old = tmp_path / "old_model.txt"
+        old.write_text("\n".join(kept) + "\n")
+        rc = main(
+            ["evaluate"]
+            + argv
+            + ["--model", str(old), "--output", str(tmp_path / "t")]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == fit_stdout
+
     def test_twin_built_once(self, ws, tmp_path, monkeypatch, capsys):
         calls = []
         build = rt.rod.reconstruct
@@ -495,6 +537,17 @@ class TestSnapshotFaults:
         err = capsys.readouterr().err
         assert "data.csv:%d: " % line_no in err
         assert message in err
+
+
+def test_bad_time_value_is_computation_error(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("x,0,zero,2\n0,1,2,3\n1,3,4,5\n")
+    rc = main(["fit", "--input", str(path), "--output", str(tmp_path / "m.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "rodtwin fit: error: %s:1: bad time value "
+        "(could not convert string to float: 'zero')\n" % path
+    )
 
 
 @pytest.mark.parametrize("text", ["x,0,1\n", "x,0,1\n0,1,2\n"])
@@ -713,6 +766,24 @@ class TestUsageErrors:
         )
         assert rc == 1
         assert "boolean" in capsys.readouterr().err
+
+    def test_config_booleans_accepted(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("reorthonormalize = yes\nself-test = off\n")
+        argv = ["--input", str(ws / "burgers.csv")]
+        flagged, configured = tmp_path / "flag.txt", tmp_path / "cfg.txt"
+        rc = main(["fit"] + argv + ["--output", str(flagged), "--reorthonormalize"])
+        assert rc == 0
+        flag_stdout = capsys.readouterr().out
+        rc = main(["fit"] + argv + ["--output", str(configured), "--config", str(cfg)])
+        assert rc == 0
+        assert capsys.readouterr().out == flag_stdout
+        assert configured.read_bytes() == flagged.read_bytes()
+        assert configured.read_bytes() != (ws / "model.txt").read_bytes()
+        # self-test = off scores the model's modes, which dominate
+        argv += ["--model", str(ws / "model.txt"), "--config", str(cfg)]
+        assert main(["compare"] + argv) == 0
+        assert "dominates = true" in capsys.readouterr().out
 
 
 def _rank_one_csv(path):

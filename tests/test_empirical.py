@@ -51,7 +51,7 @@ class TestFourierDecomposition:
         f = rt.fourier_decomposition(burgers_snapshot)
         assert np.all(np.diff(f.sigma) <= 0)
         # dissipative data keeps far fewer active directions than the grid
-        assert f.psi.shape[1] < burgers_snapshot.n_space
+        assert f.psi.shape[1] < burgers_snapshot.values.shape[0]
 
 
 class TestProject:

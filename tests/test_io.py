@@ -161,6 +161,15 @@ class TestSnapshotCsv:
         with pytest.raises(ValueError, match="header"):
             io.read_snapshot_csv(path)
 
+    def test_bad_time_value_reports_header(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("x,0,zero,2\n0,1,2,3\n1,3,4,5\n")
+        with pytest.raises(ValueError) as err:
+            io.read_snapshot_csv(path)
+        assert str(err.value) == (
+            "%s:1: bad time value (could not convert string to float: 'zero')" % path
+        )
+
     def test_bad_cell_reports_line(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("x,0,1\n0,1,2\n1,oops,4\n")
@@ -520,6 +529,52 @@ class TestModelFile:
         ):
             io.read_model(path)
 
+    @pytest.mark.parametrize("section", ["modes", "amplitudes", "eigenvalues"])
+    def test_row_count_names_section_line(self, tmp_path, rng, section):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        lines = path.read_text().splitlines()
+        line_no = lines.index("[%s]" % section) + 1
+        del lines[line_no]
+        path.write_text("\n".join(lines) + "\n")
+        rows = model.modes.shape[0] if section == "modes" else model.rank
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == "%s:%d: [%s] must have %d rows" % (
+            path,
+            line_no,
+            section,
+            rows,
+        )
+
+    def test_bad_numeric_cell_reports_line(self, tmp_path, rng):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        lines = path.read_text().splitlines()
+        line_no = lines.index("[amplitudes]") + 2
+        lines[line_no - 1] = "abc," + lines[line_no - 1].partition(",")[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == (
+            "%s:%d: bad numeric cell (could not convert string to float: 'abc')"
+            % (path, line_no)
+        )
+
+    def test_header_line_without_equals(self, tmp_path, rng):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        lines = path.read_text().splitlines()
+        line_no = [ln.partition(" =")[0] for ln in lines].index("seed") + 1
+        lines[line_no - 1] = "seed 7"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == "%s:%d: expected 'key = value'" % (path, line_no)
+
     def test_missing_section(self, tmp_path, rng):
         model = self._small_model(rng)
         path = tmp_path / "model.txt"
@@ -623,6 +678,15 @@ class TestReportParsing:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="correlation"):
             io.parse_report_text("rank = 3\nseed = 1\n")
+
+    def test_line_without_equals_rejected(self):
+        names = [n for n in rt.QualityReport.FIELDS if n not in ("rank", "seed")]
+        report = rt.QualityReport(rank=3, seed=1, **{n: 0.5 for n in names})
+        lines = io.report_text(report).splitlines()
+        lines.insert(2, "stray text")
+        with pytest.raises(ValueError) as err:
+            io.parse_report_text("\n".join(lines))
+        assert str(err.value) == "report line 3: expected 'key = value'"
 
 
 class TestSha256:

@@ -141,7 +141,7 @@ class TestQualityReport:
             burgers_fourier.psi,
             burgers_snapshot.values[:, :-1],
             burgers_ip,
-            mode_count=burgers_snapshot.n_space,
+            mode_count=burgers_snapshot.values.shape[0],
         )
         assert rep.fourier_projection_norm == pytest.approx(direct, rel=1e-12)
 

@@ -29,6 +29,12 @@ def test_snapshot_matrix_validation():
         make_snapshot(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
+def test_snapshot_matrix_shape_must_match_grids():
+    with pytest.raises(ValueError) as err:
+        rt.SnapshotMatrix(np.zeros((3, 4)), np.arange(3.0), np.arange(5.0))
+    assert str(err.value) == "values shape (3, 4) does not match grids (3, 5)"
+
+
 def test_inner_product_conventions():
     ip = rt.InnerProduct(0.5)
     f = np.array([1.0 + 1j, 2.0])
