@@ -20,7 +20,7 @@ import numpy as np
 
 from .metrics import QualityReport
 from .rank_select import ParetoPoint
-from .rod import RodModel, SnapshotFault, SnapshotMatrix
+from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix
 
 
 def _fmt_row(row):
@@ -211,7 +211,8 @@ def write_model(path, model):
     The header opens with 'format = 2' and ends with the grid ends x0,
     x_end, t0, t_end.  [modes] has nx rows of rank (re,im) pairs,
     [amplitudes] rank rows of nt+1 pairs, [eigenvalues] rank rows of
-    one pair each.
+    one pair each.  Conjugate pairs are adjacent and exactly conjugate,
+    the positive imaginary part first, as RodModel holds them.
     """
     nx = model.modes.shape[0]
     nt = model.amplitudes.shape[1] - 1
@@ -256,6 +257,8 @@ def _parse_pair_row(cells, line_no, path, pairs):
         flat = np.array([float(c) for c in cells])
     except ValueError as exc:
         raise ValueError("%s:%d: bad numeric cell (%s)" % (path, line_no, exc))
+    if not np.isfinite(flat).all():
+        raise ValueError("%s:%d: non-finite value" % (path, line_no))
     return flat[0::2] + 1j * flat[1::2]
 
 
@@ -311,8 +314,10 @@ def read_model(path):
     does a grid that was itself built by np.linspace).  A file without
     a format line predates the saved ends: its grids are rebuilt from
     the header spacings with origin zero.  Any other format value, a
-    non-finite or non-increasing pair of grid ends and a non-finite or
-    non-positive spacing are rejected with their path:line.
+    non-finite or non-increasing pair of grid ends, a non-finite or
+    non-positive spacing, a non-finite cell and a model that is not
+    exactly conjugate (at its first bad [eigenvalues] row) are rejected
+    with their path:line.
     """
     with open(path) as handle:
         lines = [ln.rstrip("\n") for ln in handle]
@@ -369,15 +374,19 @@ def read_model(path):
     else:
         x = np.arange(nx) * _header_number(header, "dx", _step, path)
         t = np.arange(nt + 1) * _header_number(header, "dt", _step, path)
-    return RodModel(
-        modes=modes,
-        amplitudes=amp,
-        eigenvalues=eigenvalues[:, 0],
-        rank=rank,
-        seed=seed,
-        x=x,
-        t=t,
-    )
+    try:
+        return RodModel(
+            modes=modes,
+            amplitudes=amp,
+            eigenvalues=eigenvalues[:, 0],
+            rank=rank,
+            seed=seed,
+            x=x,
+            t=t,
+        )
+    except ModelFault as exc:
+        line_no = sections["eigenvalues"][1][exc.index][0]
+        raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
 
 
 # -------------------------------------------------------------------- sweeps

@@ -78,13 +78,15 @@ def qr_factor(a):
 
     Returns (Q, R) with Q's columns orthonormal and R upper triangular.
     Rank deficiency does not abort: the factors are still returned and a
-    RuntimeWarning reports how many diagonal entries of R are negligible.
+    RuntimeWarning reports how many diagonal entries of R are negligible:
+    at most 1e-12 of the largest, so all of them for a zero matrix.
     """
     a = _checked(a)
     if a.shape[0] < a.shape[1]:
         raise ValueError("qr_factor needs rows >= cols, got %dx%d" % a.shape)
     q, r = np.linalg.qr(a)
-    small = int(np.count_nonzero(np.abs(np.diag(r)) < 1e-12))
+    diag = np.abs(np.diag(r))
+    small = int(np.count_nonzero(diag <= 1e-12 * diag.max()))
     if small:
         warn("rank-deficient QR: %d negligible diagonal entries in R" % small)
     return q, r

@@ -9,10 +9,11 @@ depend on it.
 Error and correlation are built from per-column sums that one pass
 over the data accumulates in blocks of BLOCK_ROWS rows; every scorer
 here runs the same pass kernel, _pass.  The twin side of a block is a
-slice of a reconstructed SnapshotMatrix, the rows of a rod.ModalSum (a
-model's modal sum, or a sweep rank's sketch basis times its rank-space
-coefficients) or the sketch's own fit Q P, evaluated one block at a
-time, so the quality report and the sweep never hold an nx x nt twin.
+slice of a reconstructed SnapshotMatrix, the rows of a real product
+L R (a model's real factors, or a sweep rank's sketch basis times its
+rank-space coefficients) or the sketch's own fit Q P, evaluated one
+block at a time, so the quality report and the sweep never hold an
+nx x nt twin.
 The sweep's SweepScorer takes the part of each rank's error outside
 the sketch, and the data's a^4, from one pass per sweep.  The report's
 projection scores are those of empirical.compare_projections, from the
@@ -28,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .empirical import _projection_scores
-from .rod import BLOCK_ROWS, ModalSum, add_column_sums, row_blocks
+from .rod import BLOCK_ROWS, NON_FINITE, add_column_sums, row_blocks
 
 
 def time_average(samples):
@@ -153,10 +154,18 @@ def _correlation(variant, cross, twin_pow, exact_pow):
         return time_average(num / den)
 
 
-def _modal_rows(modal):
-    """twin_rows of a ModalSum for _pass, through one block buffer."""
-    out = np.empty((min(BLOCK_ROWS, modal.shape[0]), modal.shape[1]))
-    return lambda start, stop: modal.real_rows(start, stop, out[: stop - start])[:, 1:]
+def _modal_rows(left, right):
+    """twin_rows of the real modal sum left @ right for _pass, through
+    one block buffer; a non-finite entry raises ValueError."""
+    out = np.empty((min(BLOCK_ROWS, left.shape[0]), right.shape[1]))
+
+    def rows(start, stop):
+        block = np.matmul(left[start:stop], right, out=out[: stop - start])
+        if not (math.isfinite(block.max()) and math.isfinite(block.min())):
+            raise ValueError(NON_FINITE)
+        return block[:, 1:]
+
+    return rows
 
 
 def _snapshot_rows(exact, twin):
@@ -166,21 +175,18 @@ def _snapshot_rows(exact, twin):
 
 
 class SweepScorer:
-    """Absolute error and paper correlation of every twin Q[:, :k] Re C_k
-    of one sketch (Q, P = Q^T V) against exact, C_k being rank k's
+    """Absolute error and paper correlation of every twin Q[:, :k] C_k
+    of one sketch (Q, P = Q^T V) against exact, C_k being rank k's real
     (k, nt + 1) coefficients.
 
     Q has orthonormal columns, so column j's error splits as
 
-        ||v_j - Q_k Re c_j||^2 = ||v_j - Q p_j||^2 + ||p_j - [Re c_j; 0]||^2.
+        ||v_j - Q_k c_j||^2 = ||v_j - Q p_j||^2 + ||p_j - [c_j; 0]||^2.
 
     One blocked pass per sweep, against the twin Q P, gives the first
     term and the data's a^4; the second term is rank space.  Per rank,
-    one blocked pass forms the twin rows Q_k Re C_k, rejects non-finite
-    entries and tracks the field scale as ModalSum does, and sums (ab)^2
-    and b^4.  ModalSum.warn_residue, which reads no data, then checks
-    the imaginary residue; Q_k is orthonormal, so its bound is
-    max_j ||Im c_j||_2.
+    one blocked pass forms the twin rows Q_k C_k, rejects non-finite
+    entries, and sums (ab)^2 and b^4.
     """
 
     def __init__(self, exact, q, proj):
@@ -195,17 +201,13 @@ class SweepScorer:
         self._resid, self._exact_pow = _pass(self._values, sketch_rows, (_diff_sq,), 4)
 
     def scores(self, c):
-        """(absolute_error, correlation) of the twin of the (k, nt + 1)
-        coefficients c."""
+        """(absolute_error, correlation) of the twin of the real
+        (k, nt + 1) coefficients c."""
         k = c.shape[0]
-        # contiguous, so that the twin rows are one BLAS product
-        real = np.ascontiguousarray(c.real)
-        modal = ModalSum(self._q[:, :k], real, c.imag)
         terms, _ = _CORRELATION["paper"]
-        cross, twin_pow = _pass(self._values, _modal_rows(modal), terms)
-        modal.warn_residue()
+        cross, twin_pow = _pass(self._values, _modal_rows(self._q[:, :k], c), terms)
         off = self._p1.copy()
-        off[:k] -= real[:, 1:]
+        off[:k] -= c[:, 1:]
         diff_sq = self._resid + np.einsum("ij,ij->j", off, off)
         return _error(diff_sq), _correlation("paper", cross, twin_pow, self._exact_pow)
 
@@ -233,15 +235,13 @@ def correlation(exact, twin, variant="paper"):
 def _model_scores(exact, model, variant, energy=False):
     """(absolute_error, correlation) of the model's twin, which must be
     on exact's grids, from one pass that never forms it, followed with
-    energy=True by the column energies of V0 from the same pass.  Warns
-    once about the twin's imaginary residue."""
+    energy=True by the column energies of V0 from the same pass."""
     terms, power = _correlation_terms(variant)
-    modal = ModalSum.from_model(model)
-    _check_matched(exact, modal.shape, model.x, model.t)
+    left, right = model.real_factors()
+    _check_matched(exact, (left.shape[0], right.shape[1]), model.x, model.t)
     diff_sq, *sums = _pass(
-        exact.values, _modal_rows(modal), (_diff_sq,) + terms, power, energy
+        exact.values, _modal_rows(left, right), (_diff_sq,) + terms, power, energy
     )
-    modal.warn_residue()
     return (_error(diff_sq), _correlation(variant, *sums[:3]), *sums[3:])
 
 

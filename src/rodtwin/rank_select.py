@@ -69,8 +69,8 @@ def pareto_sweep(snap, rank_max, seed):
 
     One sketch of V0 at rank_max serves every rank (see the module
     docstring).  Rank k runs fit's rank-space step on the first k rows
-    of the projection P and scores the twin Q[:, :k] Re C_k,
-    C_k = B_k A_k, with metrics.SweepScorer, so the points match
+    of the projection P and scores the real twin Q[:, :k] C_k,
+    C_k = B_k X_k, with metrics.SweepScorer, so the points match
     objectives(snap, fit(snap, k, seed)) up to rounding.  A
     per-rank failure, a non-finite j1 or j2 included, is recorded in
     that point's error field instead of aborting the sweep; a failed

@@ -17,14 +17,13 @@ and A from P alone.  The sketch is nested in its rank, so a rank sweep
 sketches once at its largest rank and runs the rank-space step on the
 leading k rows of P for every k, all from one QR factorization of the
 leading columns of P (RankSpace).  Real data makes the
-eigenvalues come in conjugate pairs, so the modal sum is real up to
-rounding; the reconstruction keeps the real part and checks the
-imaginary residue.
+eigenvalues come in conjugate pairs, and the amplitudes are solved in
+each pair's real basis (Re b, Im b), so every model is exactly
+conjugate and its twin is one real product with rank columns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,6 @@ NON_FINITE = "snapshot values contain non-finite entries"
 # block by block: a block's temporaries stay in cache.  A constant, so
 # the sums do not depend on the machine.
 BLOCK_ROWS = 128
-
-# ModalSum.warn_residue warns when the imaginary part of a modal sum
-# exceeds this fraction of the field scale.
-RESIDUE_THRESHOLD = 1e-6
 
 
 def row_blocks(nx):
@@ -166,6 +161,18 @@ class InnerProduct:
         return float(np.sqrt(self.dx * np.sum(np.abs(f) ** 2)))
 
 
+class ModelFault(ValueError):
+    """What RodModel rejects as not exactly conjugate; index is the first
+    offending mode."""
+
+    def __init__(self, index):
+        super().__init__(
+            "mode %d is neither real nor the first of an exactly conjugate pair"
+            % index
+        )
+        self.index = index
+
+
 @dataclass(frozen=True)
 class RodModel:
     """Fitted twin data model.
@@ -173,6 +180,13 @@ class RodModel:
     modes: (nx, rank) complex, unit discrete-L2-norm columns.
     amplitudes: (rank, nt + 1) complex, one row per mode.
     eigenvalues: (rank,) complex spectrum of the propagator.
+
+    The twin is real by construction.  Every eigenvalue is real, with a
+    real mode column and amplitude row, or the first of an adjacent pair
+    whose imaginary part is positive and whose second eigenvalue, mode
+    and amplitudes are its exact conjugates.  A non-finite entry raises
+    ValueError; any other model raises ModelFault naming the first
+    offending mode.
     """
 
     modes: np.ndarray
@@ -186,10 +200,39 @@ class RodModel:
     dx = SnapshotMatrix.dx
     dt = SnapshotMatrix.dt
 
+    def __post_init__(self):
+        for name in ("modes", "amplitudes", "eigenvalues"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError("model %s contain non-finite entries" % name)
+        values = self.eigenvalues
+        j = 0
+        while j < values.size:
+            k = j + 1 + (values[j].imag != 0)
+            # mode k - 1 is the conjugate of mode j: mode j itself when it
+            # is real, its partner when it opens a pair
+            if values[j].imag < 0 or k > values.size or not all(
+                np.array_equal(a[..., k - 1], a[..., j].conj())
+                for a in (values, self.modes, self.amplitudes.T)
+            ):
+                raise ModelFault(j)
+            j = k
+
     @property
     def gram_deviation(self):
         """mode_gram_deviation of the modes under the grid's inner product."""
         return mode_gram_deviation(self.modes, InnerProduct(self.dx))
+
+    def real_factors(self):
+        """Real (L, X) of shapes (nx, rank) and (rank, nt + 1) whose
+        product L @ X is the twin.  A real mode keeps its column and
+        amplitude row; the pair u ± iv with amplitudes a, conj(a) gives
+        the columns u, v and the rows 2 Re a, -2 Im a."""
+        values = self.eigenvalues
+        # the second members: no first member is last, so none wraps round
+        second = np.roll(values.imag > 0, 1)
+        left = np.where(second, -self.modes.imag, self.modes.real)
+        right = np.where(second[:, None], self.amplitudes.imag, self.amplitudes.real)
+        return left, right * np.where(values.imag == 0, 1.0, 2.0)[:, None]
 
 
 def shift_split(snap):
@@ -335,20 +378,31 @@ class RankSpace:
 
     def fit(self, k, ip, reorthonormalize=False):
         """Rank-space step on P[:k]: the SVD of P[:k, :-1], the
-        propagator, its eigendecomposition, the mode coefficients B at
-        unit norm under ip, the optional reorthonormalization of B, and
-        the amplitudes A minimizing ||B A - P[:k]||_F.  Returns (B,
-        eigenvalues of the kept modes, A); the modes are Q[:, :k] B."""
+        propagator, its eigendecomposition, the mode coefficients at unit
+        norm under ip, their real basis B (a real eigenvalue keeps its
+        column, the pair b, conj(b) gives Re b, Im b), its optional
+        reorthonormalization, and the real amplitudes X minimizing
+        ||B X - P[:k]||_F.  Returns (B, eigenvalues of the kept modes,
+        X); the twin is Q[:, :k] B X."""
         inner = _stage("rsvd", svd_economy, self._r[:k, :k].T)
         prop = _stage("propagator", propagator, inner, self._g[:k, :k])
         eig = _stage("eigendecomposition", eig_general, prop)
         # the propagator keeps the leading directions of T
         kept = inner.U[:, : prop.shape[0]]
         coeff, eigenvalues = _stage("modes", rod_modes, kept, eig, ip)
+        # LAPACK puts a pair's member with the positive imaginary part first
+        first = np.flatnonzero(eigenvalues.imag > 0)
+        # column-major: OpenBLAS then lifts each column of B to the same
+        # bits whatever the columns beside it; with a row-major B the last
+        # bits of columns 17 to 20 moved at rank 20
+        basis = coeff.real.copy(order="F")
+        basis[:, first + 1] = coeff.imag[:, first]
         if reorthonormalize:
-            coeff = qr_factor(coeff)[0] / np.sqrt(ip.dx)
-        amp = _stage("amplitudes", amplitudes, coeff, self._proj[:k])
-        return coeff, eigenvalues, amp
+            basis = qr_factor(basis)[0] / np.sqrt(ip.dx)
+            # orthonormal u, v give the orthonormal modes (u ± iv) / sqrt(2)
+            basis[:, eigenvalues.imag != 0] /= np.sqrt(2.0)
+        amp = _stage("amplitudes", amplitudes, basis, self._proj[:k])
+        return basis, eigenvalues, amp
 
 
 def fit(snap, rank, seed, reorthonormalize=False):
@@ -356,133 +410,45 @@ def fit(snap, rank, seed, reorthonormalize=False):
 
     The sketch step at rank_max = rank (one pass over the data after
     the range finder), the rank-space step on the projection, and the
-    lift of the modes Q B, formed once at the end.  With
-    reorthonormalize=True the mode basis is replaced by its QR
-    orthonormalization (the amplitudes are refit accordingly).
+    lift of the real basis Q B, formed once at the end.  The pair with
+    basis columns u, v and amplitude rows α, β is stored as the modes
+    u ± iv and the amplitudes (α ∓ iβ) / 2.  With reorthonormalize=True
+    the real basis is replaced by its QR orthonormalization (the
+    amplitudes are refit accordingly).
 
     Raises FitStageError naming the failing stage on computational
     failures; precondition violations raise ValueError directly.
     """
     q, proj = sketch(snap, rank, seed)
-    coeff, eigenvalues, amp = RankSpace(proj).fit(
+    basis, eigenvalues, amp = RankSpace(proj).fit(
         len(proj), InnerProduct(snap.dx), reorthonormalize
     )
-    r = coeff.shape[1]
-    lifted = q @ np.hstack([coeff.real, coeff.imag])
-    modes = lifted[:, :r] + 1j * lifted[:, r:]
+    # the 0/±1 matrices re, im take a factor F in the real basis to the
+    # complex F @ re + i F @ im: a real column stays, and a pair's columns
+    # u, v become u + iv and u - iv.  Each entry of a product is one entry
+    # of F times 1 or -1, so every pair comes out exactly conjugate.
+    first = np.flatnonzero(eigenvalues.imag > 0)
+    re, im = np.eye(len(eigenvalues)), np.zeros((len(eigenvalues),) * 2)
+    re[first, first + 1], re[first + 1, first + 1] = 1.0, 0.0
+    im[first + 1, first], im[first + 1, first + 1] = 1.0, -1.0
+    lifted = q @ basis
+    half = np.where(eigenvalues.imag == 0, 1.0, 0.5)[:, None]
     return RodModel(
-        modes=modes,
-        amplitudes=amp,
+        modes=lifted @ re + 1j * (lifted @ im),
+        amplitudes=half * (re.T @ amp - 1j * (im.T @ amp)),
         eigenvalues=eigenvalues,
-        rank=r,
+        rank=basis.shape[1],
         seed=int(seed),
         x=snap.x.copy(),
         t=snap.t.copy(),
     )
 
 
-class ModalSum:
-    """A modal sum L @ (R_re + i R_im) in real arithmetic, evaluated row
-    block by row block.
-
-    L is a real (nx, m) left factor, R_re and R_im the real and
-    imaginary (m, nt + 1) right factors.  A model gives L = [Mr, Mi]
-    with R_re = [Ar; -Ai] and R_im = [Ai; Ar] (from_model); a sweep
-    rank gives the sketch basis Q_k with the parts of C = B A.  The sum
-    is complex; conjugate eigenpair structure makes it real up to
-    rounding.  real_rows() returns the real part of the requested rows,
-    rejects non-finite entries as SnapshotMatrix does and tracks the
-    field scale over every row it evaluated.  warn_residue() then checks
-    the imaginary part against that scale.
-
-    The sum carries the triangular factor R of L = Q R, Q with
-    orthonormal columns: the identity for an orthonormal L such as Q_k,
-    and for from_model the R of [Mr, Mi].  No row of Q is longer than
-    1, so max_j ||R R_im[:, j]||_2 bounds every entry of the imaginary
-    part; warn_residue forms that part, one block at a time, only when
-    the bound exceeds RESIDUE_THRESHOLD / 2 of the scale.
-    """
-
-    def __init__(self, left, right_real, right_imag):
-        self._left = left
-        self._right = (right_real, right_imag)
-        # R of left = Q R; None stands for the identity
-        self._tri = None
-        self.shape = (left.shape[0], right_real.shape[1])
-        self.scale = 0.0
-
-    @classmethod
-    def from_model(cls, model):
-        mr, mi = model.modes.real, model.modes.imag
-        ar, ai = model.amplitudes.real, model.amplitudes.imag
-        modal = cls(np.hstack([mr, mi]), np.vstack([ar, -ai]), np.vstack([ai, ar]))
-        modal._tri = _triangular_factor(modal._left)
-        return modal
-
-    def real_rows(self, start, stop, out):
-        """Real part of rows start:stop, written to the (stop - start,
-        nt + 1) buffer out; tracks the field scale."""
-        real = np.matmul(self._left[start:stop], self._right[0], out=out)
-        high, low = float(real.max()), float(real.min())
-        if not (math.isfinite(high) and math.isfinite(low)):
-            raise ValueError(NON_FINITE)
-        self.scale = max(self.scale, high, -low)
-        return real
-
-    def _residue_bound(self):
-        """max_j ||R R_im[:, j]||_2, an upper bound on every entry of the
-        imaginary part."""
-        imag = self._right[1] if self._tri is None else self._tri @ self._right[1]
-        return float(np.linalg.norm(imag, axis=0).max())
-
-    def _exact_residue(self):
-        """The largest magnitude of the imaginary part, formed one block
-        at a time; NaN when the part holds a NaN."""
-        nx, ncols = self.shape
-        imag = np.empty((min(BLOCK_ROWS, nx), ncols))
-        residue = 0.0
-        for start, stop in row_blocks(nx):
-            block = np.matmul(
-                self._left[start:stop], self._right[1], out=imag[: stop - start]
-            )
-            # np.max keeps a NaN residue, which never warns
-            residue = float(np.max([residue, block.max(), -block.min()]))
-        return residue
-
-    def warn_residue(self):
-        """Warn when the imaginary residue, the largest magnitude of the
-        imaginary part, exceeds RESIDUE_THRESHOLD of the field scale
-        tracked so far.  A bound within half the threshold settles it
-        without forming the part."""
-        if self._residue_bound() <= RESIDUE_THRESHOLD / 2 * self.scale:
-            return
-        residue = self._exact_residue()
-        if self.scale > 0 and residue > RESIDUE_THRESHOLD * self.scale:
-            warn(
-                "imaginary residue %.3e exceeds 1e-6 of the field scale %.3e"
-                % (residue, self.scale)
-            )
-
-
-def _triangular_factor(left):
-    """R of the QR factorization of left, from the QR of R stacked on
-    each row block in turn, so no nx-sized copy of left is made."""
-    tri = np.zeros((0, left.shape[1]))
-    for start, stop in row_blocks(left.shape[0]):
-        tri = np.linalg.qr(np.vstack([tri, left[start:stop]]), mode="r")
-    return tri
-
-
 def reconstruct(model):
     """Evaluate the modal sum on the stored grid, returning a SnapshotMatrix.
 
-    The real part of ModalSum is written block by block into the
-    result, and an imaginary residue above RESIDUE_THRESHOLD of the
-    field scale triggers a warning.
+    The twin is the real product L @ X of model.real_factors();
+    SnapshotMatrix rejects a non-finite entry.
     """
-    modal = ModalSum.from_model(model)
-    real = np.empty(modal.shape)
-    for start, stop in row_blocks(modal.shape[0]):
-        modal.real_rows(start, stop, real[start:stop])
-    modal.warn_residue()
-    return SnapshotMatrix(values=real, x=model.x.copy(), t=model.t.copy())
+    left, right = model.real_factors()
+    return SnapshotMatrix(values=left @ right, x=model.x.copy(), t=model.t.copy())

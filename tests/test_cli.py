@@ -418,6 +418,46 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "future_model.txt:1: unsupported model format" in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_non_finite_model_cell_reports_line(self, ws, tmp_path, capsys, command):
+        lines = (ws / "model.txt").read_text().splitlines()
+        line_no = lines.index("[amplitudes]") + 2
+        lines[line_no - 1] = "nan," + lines[line_no - 1].partition(",")[2]
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["--input", str(ws / "burgers.csv"), "--model", str(bad)]
+        if command == "evaluate":
+            argv += ["--output", str(tmp_path / "t")]
+        assert main([command] + argv) == 2
+        err = capsys.readouterr().err
+        assert err == "rodtwin %s: error: %s:%d: non-finite value\n" % (
+            command,
+            bad,
+            line_no,
+        )
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_unpaired_amplitude_reports_line(self, ws, tmp_path, capsys, command):
+        # the rank-10 benchmark model opens with a conjugate pair: one
+        # changed amplitude of its second mode breaks the pair, which the
+        # error places at the pair's first [eigenvalues] row
+        lines = (ws / "model.txt").read_text().splitlines()
+        row = lines.index("[amplitudes]") + 2
+        cells = lines[row].split(",")
+        cells[3] = repr(float(cells[3]) + 1.0)
+        lines[row] = ",".join(cells)
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["--input", str(ws / "burgers.csv"), "--model", str(bad)]
+        if command == "evaluate":
+            argv += ["--output", str(tmp_path / "t")]
+        assert main([command] + argv) == 2
+        line_no = lines.index("[eigenvalues]") + 2
+        assert capsys.readouterr().err == (
+            "rodtwin %s: error: %s:%d: mode 0 is neither real nor the first of"
+            " an exactly conjugate pair\n" % (command, bad, line_no)
+        )
+
     def test_model_grid_mismatch(self, ws, tmp_path, capsys):
         small = tmp_path / "small.csv"
         assert (

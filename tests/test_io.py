@@ -403,14 +403,19 @@ class TestModelFile:
     )
     def test_write_read_identity(self, nx, nt, rank, dx, dt, x0, t0, seed):
         rng = np.random.default_rng(seed)
+        pairs = int(rng.integers(0, rank // 2 + 1))
 
-        def cplx(*shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        def conjugate_form(rows, positive=False):
+            """rows x rank: pairs of columns z, conj(z), then real columns."""
+            re, im = rng.standard_normal((2, rows, pairs))
+            z = re + 1j * (np.abs(im) if positive else im)
+            paired = np.stack([z, z.conj()], axis=-1).reshape(rows, 2 * pairs)
+            return np.hstack([paired, rng.standard_normal((rows, rank - 2 * pairs))])
 
         model = rt.RodModel(
-            modes=cplx(nx, rank),
-            amplitudes=cplx(rank, nt + 1),
-            eigenvalues=cplx(rank),
+            modes=conjugate_form(nx),
+            amplitudes=conjugate_form(nt + 1).T,
+            eigenvalues=conjugate_form(1, positive=True)[0],
             rank=rank,
             seed=seed,
             x=np.linspace(x0, x0 + (nx - 1) * dx, nx),
@@ -561,6 +566,41 @@ class TestModelFile:
         assert str(err.value) == (
             "%s:%d: bad numeric cell (could not convert string to float: 'abc')"
             % (path, line_no)
+        )
+
+    @pytest.mark.parametrize("section", ["modes", "amplitudes", "eigenvalues"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line(self, tmp_path, rng, section, cell):
+        model = self._small_model(rng)
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        lines = path.read_text().splitlines()
+        line_no = lines.index("[%s]" % section) + 2
+        lines[line_no - 1] = lines[line_no - 1].rpartition(",")[0] + "," + cell
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == "%s:%d: non-finite value" % (path, line_no)
+
+    def test_unpaired_model_names_eigenvalue_line(self, tmp_path, burgers_model):
+        # the benchmark model opens with a conjugate pair; a changed
+        # amplitude of its second mode is placed at the pair's first
+        # [eigenvalues] row
+        assert burgers_model.eigenvalues[0].imag > 0
+        path = tmp_path / "model.txt"
+        io.write_model(path, burgers_model)
+        lines = path.read_text().splitlines()
+        row = lines.index("[amplitudes]") + 2
+        cells = lines[row].split(",")
+        cells[0] = repr(2 * float(cells[0]))
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        line_no = lines.index("[eigenvalues]") + 2
+        assert str(err.value) == (
+            "%s:%d: mode 0 is neither real nor the first of an exactly"
+            " conjugate pair" % (path, line_no)
         )
 
     def test_header_line_without_equals(self, tmp_path, rng):

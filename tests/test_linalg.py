@@ -4,10 +4,13 @@ finding for eigenvalues, sign-change bisection on the recurrence for
 the Gauss-Hermite nodes, and the normal equations for least squares.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import rodtwin as rt
 from rodtwin.burgers import gauss_hermite
 from rodtwin.linalg import (
     eig_general,
@@ -15,6 +18,8 @@ from rodtwin.linalg import (
     qr_factor,
     svd_economy,
 )
+
+from conftest import two_mode_field
 
 
 def jacobi_eigenvalues(a, sweeps=60):
@@ -90,6 +95,22 @@ class TestQr:
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
             qr_factor(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("x_scale, data_scale", [(1e26, 1.0), (1.0, 1e-20)])
+    def test_negligible_relative_to_largest_entry(self, x_scale, data_scale):
+        # the rank-4 two-mode field keeps all four directions at rank 4;
+        # scaling the grid (the reorthonormalizing QR) or the data (the
+        # range finder's QR) must not make R's diagonal look negligible
+        base = two_mode_field(data_scale)
+        snap = rt.SnapshotMatrix(values=base.values, x=base.x * x_scale, t=base.t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = rt.fit(snap, 4, 1, reorthonormalize=x_scale != 1.0)
+        assert model.rank == 4
+
+    def test_zero_matrix_flags_every_entry(self):
+        with pytest.warns(RuntimeWarning, match="3 negligible diagonal entries"):
+            qr_factor(np.zeros((5, 3)))
 
 
 class TestSvd:

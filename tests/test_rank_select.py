@@ -217,14 +217,14 @@ class TestNestedSketch:
         snap = burgers_snapshot
         model = rt.fit(snap, 10, DEFAULT_SEED, reorthonormalize=reorthonormalize)
         q, proj = rod.sketch(snap, 10, DEFAULT_SEED)
-        coeff, eigenvalues, amp = rod.RankSpace(proj).fit(
+        basis, eigenvalues, amp = rod.RankSpace(proj).fit(
             10, rt.InnerProduct(snap.dx), reorthonormalize
         )
-        lifted = q @ np.hstack([coeff.real, coeff.imag])
-        assert np.array_equal(model.modes.real, lifted[:, :10])
-        assert np.array_equal(model.modes.imag, lifted[:, 10:])
+        # the model's real factors are the lifted real basis and amplitudes
+        left, right = model.real_factors()
+        assert np.array_equal(left, q @ basis)
         assert np.array_equal(model.eigenvalues, eigenvalues)
-        assert np.array_equal(model.amplitudes, amp)
+        assert np.array_equal(right, amp)
 
     def test_one_sketch_per_sweep(self, burgers_snapshot, monkeypatch):
         finder = count_calls(monkeypatch, rod, "range_finder")
@@ -318,47 +318,12 @@ class TestRankSpaceScoring:
             assert j1 == pytest.approx(error, rel=1e-8, abs=0)
             assert corr == pytest.approx(want_corr, rel=0, abs=1e-12)
 
-    # Im C = s P gives a residue of about s max|V| against the scale
-    # max|V|: above 1e-6 warns; at 0.6e-6 the bound max_j ||Im c_j||_2 is
-    # still ~sqrt(nx) times too large to rule the warning out
-    @pytest.mark.parametrize("imag_scale, warned", [(1e-3, 1), (0.6e-6, 0)])
-    def test_large_imaginary_part_warns_as_modal_sum(
-        self, burgers_snapshot, monkeypatch, imag_scale, warned
-    ):
-        snap = burgers_snapshot
-        q, proj = rod.sketch(snap, 10, DEFAULT_SEED)
-        coeff, _, amp = rod.RankSpace(proj).fit(10, rt.InnerProduct(snap.dx))
-        c = coeff @ amp + 1j * imag_scale * proj[:10]
-        scorer = metrics.SweepScorer(snap, q, proj)
-        calls = count_calls(monkeypatch, rod.ModalSum, "_exact_residue")
-        passes = count_calls(monkeypatch, metrics, "_pass")
-        with warnings.catch_warnings(record=True) as got:
-            warnings.simplefilter("always")
-            scores = scorer.scores(c)
-        assert calls["_exact_residue"] == 1  # the exact residue pass ran
-        assert passes["_pass"] == 1  # and read no data beyond the rank's own pass
-        with warnings.catch_warnings(record=True) as want:
-            warnings.simplefilter("always")
-            modal = rod.ModalSum(q[:, :10], c.real, c.imag)
-            real = modal.real_rows(0, modal.shape[0], np.empty(modal.shape))
-            modal.warn_residue()
-        twin = rt.SnapshotMatrix(values=real, x=snap.x, t=snap.t)
-        expected = rt.absolute_error(snap, twin), rt.correlation(snap, twin)
-        assert [str(w.message) for w in got] == [str(w.message) for w in want]
-        assert len(got) == warned
-        assert all("imaginary residue" in str(w.message) for w in got)
-        assert scores[0] == pytest.approx(expected[0], rel=1e-8)
-        assert scores[1] == pytest.approx(expected[1], abs=1e-12)
-
     def test_benchmark_sweep_data_passes(self, burgers_snapshot, monkeypatch):
-        # one residual and a^4 pass per sweep and one pass per rank; the
-        # bound rules out the imaginary residue at every rank, so no exact
-        # residue pass runs
+        # one residual and a^4 pass per sweep and one pass per rank
         passes = count_calls(monkeypatch, metrics, "_pass")
-        residue = count_calls(monkeypatch, rod.ModalSum, "_exact_residue")
         points = rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
         assert not any(p.failed for p in points)
-        assert (passes["_pass"], residue["_exact_residue"]) == (1 + 20, 0)
+        assert passes["_pass"] == 1 + 20
 
     @pytest.mark.parametrize("nx", [127, 128, 129, 259])
     def test_row_blocks(self, rng, nx):

@@ -1,5 +1,7 @@
+import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from rodtwin.cli import DEFAULT_SEED
 from rodtwin.linalg import eig_general
 from rodtwin.rsvd import rsvd
 
-from conftest import count_calls, make_snapshot
+from conftest import make_snapshot
 
 
 def test_snapshot_matrix_validation():
@@ -355,57 +357,106 @@ class TestReconstruct:
         assert peak < 1.2 * twin.values.nbytes
 
 
-class TestResidueBound:
-    """ModalSum.warn_residue forms the imaginary part only when
-    max_j ||R Im(right)_j||_2 exceeds half the warning threshold; that
-    bound must cover every imaginary entry."""
+def assert_conjugate_exact(model):
+    """Each eigenvalue real, with a real mode and amplitude row, or the
+    first of an adjacent pair whose second member is its exact conjugate."""
+    values, modes, amp = model.eigenvalues, model.modes, model.amplitudes
+    j = 0
+    while j < values.size:
+        if values[j].imag == 0:
+            assert not modes[:, j].imag.any() and not amp[j].imag.any(), j
+            j += 1
+            continue
+        assert values[j].imag > 0 and values[j + 1] == np.conj(values[j]), j
+        assert np.array_equal(modes[:, j + 1], modes[:, j].conj()), j
+        assert np.array_equal(amp[j + 1], amp[j].conj()), j
+        j += 2
 
-    @settings(max_examples=60, deadline=None)
+
+class TestConjugateForm:
+    """Every fitted model is exactly conjugate, so its twin is real, and
+    RodModel refuses any other."""
+
+    @settings(max_examples=40, deadline=None)
     @given(
-        nx=st.sampled_from((127, 128, 129, 257, 2049)),
-        ncols=st.integers(2, 12),
-        pairs=st.integers(1, 4),
-        paired=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
+        nx=st.sampled_from((2, 7, 40, 127, 129, 300)),
+        ncols=st.integers(3, 30),
+        rank=st.integers(1, 12),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**63 - 1),
+        reorthonormalize=st.booleans(),
     )
-    def test_bound_covers_every_imaginary_entry(self, nx, ncols, pairs, paired, seed):
-        g = np.random.default_rng(seed)
+    def test_fitted_models_are_conjugate_exact(
+        self, nx, ncols, rank, data_seed, seed, reorthonormalize
+    ):
+        values = np.random.default_rng(data_seed).standard_normal((nx, ncols))
+        rank = min(rank, nx, ncols - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = rt.fit(make_snapshot(values), rank, seed, reorthonormalize)
+        assert_conjugate_exact(model)
+        dense = model.modes @ model.amplitudes
+        twin = rt.reconstruct(model).values
+        # rounding of the modal sum, entry by entry
+        scale = np.abs(model.modes) @ np.abs(model.amplitudes)
+        assert (np.abs(twin - dense.real) <= 1e-13 * scale).all()
 
-        def cplx(*shape):
-            return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+    def test_real_factors_are_the_twin(self, burgers_model):
+        left, right = burgers_model.real_factors()
+        assert left.shape == burgers_model.modes.shape
+        assert right.shape == burgers_model.amplitudes.shape
+        assert np.array_equal(rt.reconstruct(burgers_model).values, left @ right)
 
-        if paired:
-            # conjugate mode and amplitude pairs: a real sum up to rounding
-            half_modes, half_amp = cplx(nx, pairs), cplx(pairs, ncols)
-            modes = np.hstack([half_modes, half_modes.conj()])
-            amp = np.vstack([half_amp, half_amp.conj()])
-        else:
-            modes, amp = cplx(nx, 2 * pairs), cplx(2 * pairs, ncols)
-        model = rt.RodModel(
-            modes=modes,
-            amplitudes=amp,
-            eigenvalues=np.ones(2 * pairs),
-            rank=2 * pairs,
+    @pytest.fixture()
+    def pair(self, rng):
+        """A model of one conjugate pair and one real mode."""
+        z = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+        a = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
+        return rt.RodModel(
+            modes=np.hstack([z, z.conj(), rng.standard_normal((6, 1))]),
+            amplitudes=np.vstack([a, a.conj(), rng.standard_normal((1, 5))]),
+            eigenvalues=np.array([0.5 + 0.5j, 0.5 - 0.5j, 0.9]),
+            rank=3,
             seed=0,
-            x=np.arange(nx) * 0.1,
-            t=np.arange(ncols) * 0.05,
+            x=np.arange(6) * 0.1,
+            t=np.arange(5) * 0.05,
         )
-        modal = rod.ModalSum.from_model(model)
-        residue = modal._exact_residue()
-        assert modal._residue_bound() >= (1 - 1e-12) * residue
-        assert residue == pytest.approx(np.abs((modes @ amp).imag).max(), rel=1e-12, abs=1e-13)
 
-    @pytest.mark.parametrize("grid", ["burgers_snapshot", "burgers_2001"])
-    def test_benchmark_fits_run_no_exact_pass(self, request, grid, monkeypatch):
-        snap = request.getfixturevalue(grid)
-        fourier = rt.fourier_decomposition(snap)
-        ip = rt.InnerProduct(snap.dx)
-        models = [rt.fit(snap, rank, DEFAULT_SEED) for rank in range(1, 21)]
-        exact = count_calls(monkeypatch, rod.ModalSum, "_exact_residue")
-        for model in models:
-            rt.quality_report(snap, model, fourier, ip)
-            rt.reconstruct(model)
-        assert exact["_exact_residue"] == 0
+    @pytest.mark.parametrize(
+        "field, where, delta, index",
+        [
+            ("eigenvalues", (1,), 1e-3, 0),
+            # a pair without its second member
+            ("eigenvalues", (2,), 0.1j, 2),
+            ("modes", (3, 1), 1e-3j, 0),
+            ("modes", (0, 2), 1j, 2),
+            ("amplitudes", (1, 4), 1e-3, 0),
+            ("amplitudes", (2, 0), 1j, 2),
+        ],
+    )
+    def test_other_models_rejected(self, pair, field, where, delta, index):
+        value = getattr(pair, field).copy()
+        value[where] += delta
+        with pytest.raises(rod.ModelFault) as err:
+            dataclasses.replace(pair, **{field: value})
+        assert err.value.index == index
+        assert str(err.value).startswith("mode %d " % index)
+
+    def test_negative_imaginary_part_first_rejected(self, pair):
+        flipped = {
+            name: getattr(pair, name).conj()
+            for name in ("modes", "amplitudes", "eigenvalues")
+        }
+        with pytest.raises(rod.ModelFault) as err:
+            dataclasses.replace(pair, **flipped)
+        assert err.value.index == 0
+
+    @pytest.mark.parametrize("field", ["modes", "amplitudes", "eigenvalues"])
+    def test_non_finite_rejected(self, pair, field):
+        bad = getattr(pair, field).copy()
+        bad.flat[-1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(pair, **{field: bad})
 
 
 _WARNING_CASES = {
