@@ -137,8 +137,8 @@ def _load_model_for(dataset, model_path):
         want = getattr(dataset, step)
         if abs(getattr(model, step) - want) > 1e-12 * want:
             raise ValueError("model spacing does not match the dataset grid")
-    # files without a format line have origin-zero grids, and the report
-    # compares against the dataset's grid points: adopt those
+    # the report and evaluate's CSVs use the dataset's grid points: the
+    # saved ends give them to rounding, or miss them when x0 or t0 differ
     return dataclasses.replace(model, x=dataset.x.copy(), t=dataset.t.copy())
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import svd_economy
-from .rod import BLOCK_ROWS, add_column_sums, row_blocks
+from .rod import _pass
 
 # singular values below RANK_CUTOFF times the largest are discarded
 RANK_CUTOFF = 1e-12
@@ -87,18 +87,6 @@ def project(phi, u, ip):
     return (ip.dot(phi, u) / uu) * np.asarray(u)
 
 
-def _column_energies(v0, ip):
-    """<u_j, u_j> of every data column, summed row by row over
-    BLOCK_ROWS-row blocks as the quality report's pass sums them, so
-    both give the same bits."""
-    nx, ncols = v0.shape
-    col_sq = np.zeros(ncols)
-    squares = np.empty((min(BLOCK_ROWS, nx), ncols))
-    for start, stop in row_blocks(nx):
-        add_column_sums(col_sq, np.square(v0[start:stop], out=squares[: stop - start]))
-    return ip.dx * col_sq
-
-
 def _check_energies(col_sq):
     """A zero data column has no direction to project on."""
     zero_cols = np.flatnonzero(col_sq <= 0)
@@ -138,7 +126,7 @@ def mean_projection_norm(modes, v0, ip, mode_count=None):
     """
     modes = np.asarray(modes)
     v0 = np.asarray(v0, dtype=float)
-    col_sq = _column_energies(v0, ip)
+    col_sq = ip.dx * _pass(v0, None, (), width=v0.shape[1])[1]
     _check_energies(col_sq)
     m = modes.shape[1] if mode_count is None else int(mode_count)
     if m < modes.shape[1]:
@@ -152,8 +140,8 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     fourier must decompose the snapshot matrix V whose first columns are
     v0, which has one column more than v0; any other shape raises
     ValueError.  Returns (rho_rod, rho_fourier, dominates), both scores
-    from the column energies of v0, summed once (the quality report
-    takes them from its own pass over the data).
+    from the column energies of v0, summed once by rod._pass as the
+    quality report's pass sums them, so both give the same bits.
 
     By default the Fourier mean runs over the full grid dimension:
     mean_projection_norm(fourier.psi, v0, ip, mode_count=nx).  psi spans
@@ -172,9 +160,8 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     model modes, so a basis compared with itself ties exactly.
     """
     v0 = np.asarray(v0, dtype=float)
-    return _projection_scores(
-        rod_modes, fourier, v0, ip, _column_energies(v0, ip), same_rank
-    )
+    col_sq = ip.dx * _pass(v0, None, (), width=v0.shape[1])[1]
+    return _projection_scores(rod_modes, fourier, v0, ip, col_sq, same_rank)
 
 
 def _projection_scores(rod_modes, fourier, v0, ip, col_sq, same_rank=False):

@@ -201,8 +201,9 @@ def write_modal_csv(path, axis_name, axis, label, columns):
 # ------------------------------------------------------------------- models
 
 _MODEL_FORMAT = "2"
-_MODEL_HEADER_KEYS = ("nx", "nt", "rank", "seed", "dx", "dt", "length", "t_final")
-_MODEL_GRID_KEYS = ("x0", "x_end", "t0", "t_end")
+# the header keys read_model reads; write_model also writes dx, dt,
+# length and t_final, which no reader needs
+_MODEL_HEADER_KEYS = ("format", "nx", "nt", "rank", "seed", "x0", "x_end", "t0", "t_end")
 
 
 def write_model(path, model):
@@ -214,26 +215,21 @@ def write_model(path, model):
     one pair each.  Conjugate pairs are adjacent and exactly conjugate,
     the positive imaginary part first, as RodModel holds them.
     """
-    nx = model.modes.shape[0]
-    nt = model.amplitudes.shape[1] - 1
-    length = float(model.x[-1] - model.x[0])
-    t_final = float(model.t[-1] - model.t[0])
-    # dx, dt, length and t_final are what a reader of the format-less
-    # files needs, so such a reader still loads this file
+    x, t = model.x, model.t
     header = {
         "format": _MODEL_FORMAT,
-        "nx": nx,
-        "nt": nt,
+        "nx": x.size,
+        "nt": t.size - 1,
         "rank": model.rank,
         "seed": model.seed,
         "dx": fmt(model.dx),
         "dt": fmt(model.dt),
-        "length": fmt(length),
-        "t_final": fmt(t_final),
-        "x0": fmt(model.x[0]),
-        "x_end": fmt(model.x[-1]),
-        "t0": fmt(model.t[0]),
-        "t_end": fmt(model.t[-1]),
+        "length": fmt(x[-1] - x[0]),
+        "t_final": fmt(t[-1] - t[0]),
+        "x0": fmt(x[0]),
+        "x_end": fmt(x[-1]),
+        "t0": fmt(t[0]),
+        "t_end": fmt(t[-1]),
     }
     with open(path, "w", newline="") as handle:
         handle.writelines("%s = %s\n" % item for item in header.items())
@@ -276,13 +272,6 @@ def _finite(text):
     return value
 
 
-def _step(text):
-    value = _finite(text)
-    if value <= 0:
-        raise ValueError("%s is not positive" % value)
-    return value
-
-
 def _header_number(header, key, convert, path):
     """convert applied to a header value; a failure names its path:line."""
     line_no, text = header[key]
@@ -309,15 +298,16 @@ def _saved_grid(header, start_key, end_key, size, path):
 def read_model(path):
     """Parse a model file written by write_model.
 
-    Grids are rebuilt with np.linspace between the saved ends, so the
-    ends, dx, dt and everything dx-weighted reload bit for bit (and so
-    does a grid that was itself built by np.linspace).  A file without
-    a format line predates the saved ends: its grids are rebuilt from
-    the header spacings with origin zero.  Any other format value, a
-    non-finite or non-increasing pair of grid ends, a non-finite or
-    non-positive spacing, a non-finite cell and a model that is not
-    exactly conjugate (at its first bad [eigenvalues] row) are rejected
-    with their path:line.
+    The header must hold format = 2, nx, nt, rank, seed and the grid
+    ends x0, x_end, t0 and t_end; a file missing any of them, such as
+    one without a format line, raises ValueError naming the missing
+    keys.  Grids are rebuilt with np.linspace between the saved ends,
+    so the ends, dx, dt and everything dx-weighted reload bit for bit
+    (and so does a grid that was itself built by np.linspace).  Any
+    other format value, a non-finite or non-increasing pair of grid
+    ends, a non-finite cell and a model that is not exactly conjugate
+    (at its first bad [eigenvalues] row) are rejected with their
+    path:line.
     """
     with open(path) as handle:
         lines = [ln.rstrip("\n") for ln in handle]
@@ -341,8 +331,7 @@ def read_model(path):
                 )
         else:
             sections[current][1].append((line_no, stripped.split(",")))
-    required = _MODEL_HEADER_KEYS + (_MODEL_GRID_KEYS if "format" in header else ())
-    missing = [k for k in required if k not in header]
+    missing = [k for k in _MODEL_HEADER_KEYS if k not in header]
     if missing:
         raise ValueError("%s: missing header keys %s" % (path, missing))
     for name in ("modes", "amplitudes", "eigenvalues"):
@@ -368,21 +357,14 @@ def read_model(path):
             block[i] = _parse_pair_row(cells, line_no, path, pairs)
         blocks.append(block)
     modes, amp, eigenvalues = blocks
-    if "format" in header:
-        x = _saved_grid(header, "x0", "x_end", nx, path)
-        t = _saved_grid(header, "t0", "t_end", nt + 1, path)
-    else:
-        x = np.arange(nx) * _header_number(header, "dx", _step, path)
-        t = np.arange(nt + 1) * _header_number(header, "dt", _step, path)
     try:
         return RodModel(
             modes=modes,
             amplitudes=amp,
             eigenvalues=eigenvalues[:, 0],
-            rank=rank,
             seed=seed,
-            x=x,
-            t=t,
+            x=_saved_grid(header, "x0", "x_end", nx, path),
+            t=_saved_grid(header, "t0", "t_end", nt + 1, path),
         )
     except ModelFault as exc:
         line_no = sections["eigenvalues"][1][exc.index][0]

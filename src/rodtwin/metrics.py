@@ -8,7 +8,7 @@ depend on it.
 
 Error and correlation are built from per-column sums that one pass
 over the data accumulates in blocks of BLOCK_ROWS rows; every scorer
-here runs the same pass kernel, _pass.  The twin side of a block is a
+here runs the same pass kernel, rod._pass.  The twin side of a block is a
 slice of a reconstructed SnapshotMatrix, the rows of a real product
 L R (a model's real factors, or a sweep rank's sketch basis times its
 rank-space coefficients) or the sketch's own fit Q P, evaluated one
@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .empirical import _projection_scores
-from .rod import BLOCK_ROWS, NON_FINITE, add_column_sums, row_blocks
+from .rod import BLOCK_ROWS, NON_FINITE, _pass, _quiet
 
 
 def time_average(samples):
@@ -40,22 +40,17 @@ def time_average(samples):
     return float(samples.mean())
 
 
-def _check_matched(exact, shape, x, t):
-    """The twin's shape and grids must be those of exact."""
+def _check_matched(exact, x, t):
+    """The twin's grids, which fix its shape, must be those of exact."""
+    shape = (x.size, t.size)
     if exact.values.shape != shape:
         raise ValueError("shape mismatch: %s vs %s" % (exact.values.shape, shape))
+    # relative to each grid's magnitude, as SnapshotMatrix checks evenness
     if (
-        np.abs(exact.x - x).max() > 1e-12 * max(1.0, np.abs(exact.x).max())
-        or np.abs(exact.t - t).max() > 1e-12 * max(1.0, np.abs(exact.t).max())
+        np.abs(exact.x - x).max() > 1e-12 * np.abs(exact.x).max()
+        or np.abs(exact.t - t).max() > 1e-12 * np.abs(exact.t).max()
     ):
         raise ValueError("grid mismatch between the two snapshot sets")
-
-
-def _quiet():
-    """Silence numpy's overflow and invalid-value warnings: the power
-    sums of data near the top of the float range overflow, and the
-    non-finite result is reported as a named error instead."""
-    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _diff(a, b, out):
@@ -89,49 +84,6 @@ def _correlation_terms(variant):
     if variant not in _CORRELATION:
         raise ValueError("unknown correlation variant %r" % variant)
     return _CORRELATION[variant]
-
-
-def _pass(values, twin_rows, terms, power=None, energy=False):
-    """Per-column sums of the data values (a) against a twin (b) in one
-    pass of BLOCK_ROWS-row blocks.
-
-    twin_rows(start, stop) returns the twin's rows start:stop in the
-    columns from t_1 on.  Each term(a, b, out) returns an elementwise
-    term over those columns, possibly written to out.  The result has
-    one row of column sums per term, then with power (2 or 4) the sums
-    of a^power over the same columns, then with energy=True the sums of
-    a^2 over the columns up to t_{nt-1} (V0), row by row as
-    empirical._column_energies does.  The power and the energies share
-    one square of each data block.
-    """
-    nx, ncols = values.shape
-    sums = np.zeros((len(terms) + (power is not None) + energy, ncols - 1))
-    # one buffer for every temporary: fresh block-sized arrays made the
-    # pass over the 101x301 benchmark 1.6 times slower, and a second
-    # buffer for the squared block made the report on it 1.15 times slower
-    scratch = np.empty(min(BLOCK_ROWS, nx) * ncols)
-    with _quiet():
-        for start, stop in row_blocks(nx):
-            rows = stop - start
-            b = twin_rows(start, stop)
-            if power or energy:
-                sq = scratch[: rows * ncols].reshape(rows, ncols)
-                np.square(values[start:stop], out=sq)
-                if energy:
-                    # the sum overwrites the first row, which the power reads
-                    first = sq[0].copy()
-                    add_column_sums(sums[-1], sq[:, :-1])
-                    sq[0] = first
-                if power == 4:
-                    np.square(sq[:, 1:], out=sq[:, 1:])
-                if power:
-                    add_column_sums(sums[len(terms)], sq[:, 1:])
-            # contiguous, so that every ufunc runs as one flat loop
-            buf = scratch[: rows * (ncols - 1)].reshape(rows, -1)
-            a = values[start:stop, 1:]
-            for total, term in zip(sums, terms):
-                add_column_sums(total, term(a, b, buf))
-    return sums
 
 
 def _error(diff_sq):
@@ -170,7 +122,7 @@ def _modal_rows(left, right):
 
 def _snapshot_rows(exact, twin):
     """twin_rows of a SnapshotMatrix twin, which must be on exact's grids."""
-    _check_matched(exact, twin.values.shape, twin.x, twin.t)
+    _check_matched(exact, twin.x, twin.t)
     return lambda start, stop: twin.values[start:stop, 1:]
 
 
@@ -232,17 +184,17 @@ def correlation(exact, twin, variant="paper"):
     return _correlation(variant, *sums)
 
 
-def _model_scores(exact, model, variant, energy=False):
+def _model_scores(exact, model, variant, width=None):
     """(absolute_error, correlation) of the model's twin, which must be
     on exact's grids, from one pass that never forms it, followed with
-    energy=True by the column energies of V0 from the same pass."""
+    width by the energies of the first width data columns from the same
+    pass."""
     terms, power = _correlation_terms(variant)
-    left, right = model.real_factors()
-    _check_matched(exact, (left.shape[0], right.shape[1]), model.x, model.t)
-    diff_sq, *sums = _pass(
-        exact.values, _modal_rows(left, right), (_diff_sq,) + terms, power, energy
-    )
-    return (_error(diff_sq), _correlation(variant, *sums[:3]), *sums[3:])
+    _check_matched(exact, model.x, model.t)
+    rows = _modal_rows(*model.real_factors())
+    sums = _pass(exact.values, rows, (_diff_sq,) + terms, power, width)
+    (diff_sq, *sums), *energies = sums if width else (sums,)
+    return (_error(diff_sq), _correlation(variant, *sums), *energies)
 
 
 @dataclass(frozen=True)
@@ -265,15 +217,16 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     """Assemble the QualityReport for a fitted model against exact data.
 
     One pass over the data gives the error and correlation of the
-    model's twin, which is never formed, and the column energies of V0
-    (all snapshot columns but the last).  The projection scores are
-    those of empirical.compare_projections on V0 from these energies,
-    bit for bit, so fourier must decompose exact itself (ValueError
-    otherwise).  A field that is not finite, such as the correlation of
-    data whose a^4 overflows, raises ValueError naming the field.
+    model's twin, which is never formed, and the column energies of V0,
+    the kernel's window of the first nt columns.  The projection scores
+    are those of empirical.compare_projections on V0, which sums the
+    same energies with the same kernel, bit for bit, so fourier must
+    decompose exact itself (ValueError otherwise).  A field that is not
+    finite, such as the correlation of data whose a^4 overflows, raises
+    ValueError naming the field.
     """
     # a zero twin column is reported before a zero data column
-    error, corr, energy = _model_scores(exact, model, variant, energy=True)
+    error, corr, energy = _model_scores(exact, model, variant, exact.t.size - 1)
     rho_rod, rho_fourier, _ = _projection_scores(
         model.modes, fourier, exact.values[:, :-1], ip, ip.dx * energy
     )

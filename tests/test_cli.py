@@ -515,23 +515,58 @@ class TestEvaluate:
             % command
         )
 
-    def test_model_without_format_line_adopts_dataset_grids(self, ws, tmp_path, capsys):
-        argv = ["--input", str(ws / "burgers.csv")]
-        assert main(["fit"] + argv + ["--output", str(tmp_path / "m.txt")]) == 0
-        fit_stdout = capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_model_without_format_line_exits_2(self, ws, tmp_path, capsys, command):
         dropped = ("format", "x0", "x_end", "t0", "t_end")
         lines = (ws / "model.txt").read_text().splitlines()
         kept = [ln for ln in lines if ln.partition(" =")[0] not in dropped]
         assert len(lines) - len(kept) == len(dropped)
         old = tmp_path / "old_model.txt"
         old.write_text("\n".join(kept) + "\n")
-        rc = main(
-            ["evaluate"]
-            + argv
-            + ["--model", str(old), "--output", str(tmp_path / "t")]
+        argv = ["--input", str(ws / "burgers.csv"), "--model", str(old)]
+        if command == "evaluate":
+            argv += ["--output", str(tmp_path / "t")]
+        assert main([command] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rodtwin %s: error: %s: missing header keys %s\n" % (
+            command,
+            old,
+            list(dropped),
         )
-        assert rc == 0
-        assert capsys.readouterr().out == fit_stdout
+
+    def test_shifted_grid_ends_adopt_dataset_grids(self, ws, tmp_path, capsys):
+        # saved ends three steps off: the steps match, so the model is
+        # accepted and scored on the dataset's own grid points
+        argv = ["--input", str(ws / "burgers.csv")]
+        assert main(["fit"] + argv + ["--output", str(tmp_path / "m.txt")]) == 0
+        fit_stdout = capsys.readouterr().out
+        model = io.read_model(ws / "model.txt")
+        ends = {
+            "x0": model.x[0] + 3 * model.dx,
+            "x_end": model.x[-1] + 3 * model.dx,
+            "t0": model.t[0] - 3 * model.dt,
+            "t_end": model.t[-1] - 3 * model.dt,
+        }
+        lines = [
+            "%s = %s" % (key, io.fmt(ends[key])) if key in ends else ln
+            for ln in (ws / "model.txt").read_text().splitlines()
+            for key in [ln.partition(" =")[0]]
+        ]
+        shifted = tmp_path / "shifted_model.txt"
+        shifted.write_text("\n".join(lines) + "\n")
+        assert not np.array_equal(io.read_model(shifted).x, model.x)
+        for name, path in (("plain", ws / "model.txt"), ("shifted", shifted)):
+            rc = main(
+                ["evaluate"]
+                + argv
+                + ["--model", str(path), "--output", str(tmp_path / name)]
+            )
+            assert rc == 0
+            assert capsys.readouterr().out == fit_stdout
+        for suffix in ("_reconstruction.csv", "_modes.csv", "_amplitudes.csv"):
+            plain = (tmp_path / ("plain" + suffix)).read_bytes()
+            assert (tmp_path / ("shifted" + suffix)).read_bytes() == plain
 
     def test_twin_built_once(self, ws, tmp_path, monkeypatch, capsys):
         calls = []

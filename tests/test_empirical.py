@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
-from rodtwin import empirical, metrics
+from rodtwin import empirical, rod
 
 from conftest import count_calls, make_snapshot
 
@@ -194,31 +194,23 @@ class TestCompareProjections:
         assert rod == pytest.approx(four, rel=1e-8)
 
     def test_column_energies_summed_once(self, rng, monkeypatch):
-        snap = make_snapshot(rng.standard_normal((30, 12)))
+        # each scorer walks the data once, through the pass kernel; the
+        # report sums the energies in its own walk
+        snap = make_snapshot(rng.standard_normal((300, 12)))
         model = rt.fit(snap, 3, seed=1)
         ip = rt.InnerProduct(snap.dx)
         f = rt.fourier_decomposition(snap)
         v0 = snap.values[:, :-1]
-        energies = empirical._column_energies
-        passes = []
-
-        def counted(data, inner_product):
-            passes.append(data.shape)
-            return energies(data, inner_product)
-
-        monkeypatch.setattr(empirical, "_column_energies", counted)
-        passes_over_data = count_calls(monkeypatch, metrics, "_pass")
+        walks = count_calls(monkeypatch, rod, "row_blocks")
         for call in (
             lambda: rt.compare_projections(model.modes, f, v0, ip),
             lambda: rt.compare_projections(model.modes, f, v0, ip, same_rank=True),
+            lambda: rt.mean_projection_norm(model.modes, v0, ip),
+            lambda: rt.quality_report(snap, model, f, ip),
         ):
-            passes.clear()
+            walks.clear()
             call()
-            assert passes == [(30, 11)]
-        # the report sums the energies in its own pass over the data
-        passes.clear()
-        rt.quality_report(snap, model, f, ip)
-        assert (passes, passes_over_data["_pass"]) == ([], 1)
+            assert walks["row_blocks"] == 1
 
     def test_benchmark_model_dominates(
         self, burgers_snapshot, burgers_model, burgers_fourier

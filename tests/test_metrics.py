@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rodtwin as rt
-from rodtwin import empirical, io, metrics, rod
+from rodtwin import io, metrics, rod
 from rodtwin.metrics import BLOCK_ROWS
 from rodtwin.rod import add_column_sums, row_blocks
 
@@ -244,8 +244,8 @@ class TestAddColumnSums:
                 assert np.array_equal(blocked, np.add.reduce(squares, axis=0))
             else:
                 # numpy sums one column pairwise, which may move the last
-                # bits; the report's energies still match compare_projections
-                energies = empirical._column_energies(values, rt.InnerProduct(1.0))
+                # bits; the pass kernel's energies still match these sums
+                _, energies = rod._pass(values, None, (), width=1)
                 assert np.array_equal(blocked, energies)
                 np.testing.assert_allclose(blocked, squares.sum(axis=0), rtol=1e-12)
 
@@ -284,20 +284,23 @@ class TestStreamedPass:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_pass_energies_are_column_energies(self, nx, ncols, variant, order, seed):
-        # the report's projection scores take the energies from its pass,
-        # compare_projections from _column_energies: the bits must agree
+        # the report's window of the data and compare_projections' call of
+        # the kernel on V0 alone: the bits must agree, one-column windows
+        # (ncols = 2) and both memory orders included
         rng = np.random.default_rng(seed)
         a = np.asarray(rng.standard_normal((nx, ncols)), order=order)
         b = rng.standard_normal((nx, ncols))
         terms, power = ((), None) if variant is None else metrics._CORRELATION[variant]
         terms = (metrics._diff_sq,) + terms
-        *sums, energy = metrics._pass(a, lambda i, j: b[i:j, 1:], terms, power, energy=True)
-        ip = rt.InnerProduct(0.1)
-        col_sq = empirical._column_energies(a[:, :-1], ip)
-        assert np.array_equal(ip.dx * energy, col_sq)
-        np.testing.assert_allclose(energy, np.sum(a[:, :-1] ** 2, axis=0), rtol=1e-12)
+        sums, energy = rod._pass(a, lambda i, j: b[i:j, 1:], terms, power, ncols - 1)
+        calls = []
+        v0 = a[:, :-1]
+        _, col_sq = rod._pass(v0, lambda *rows: calls.append(rows), (), width=ncols - 1)
+        assert calls == []
+        assert np.array_equal(energy, col_sq)
+        np.testing.assert_allclose(energy, np.sum(v0**2, axis=0), rtol=1e-12)
         # and the energies leave the pass's other sums as they were
-        plain = metrics._pass(a, lambda i, j: b[i:j, 1:], terms, power)
+        plain = rod._pass(a, lambda i, j: b[i:j, 1:], terms, power)
         assert np.array_equal(sums, plain)
 
     @settings(max_examples=25, deadline=None)
@@ -427,6 +430,29 @@ class TestStreamedEdges:
         with pytest.raises(rod.ModelFault) as err:
             dataclasses.replace(model, amplitudes=model.amplitudes * (1 + 1j))
         assert err.value.index == 0
+
+    def test_overflowing_twin_named(
+        self, burgers_snapshot, burgers_model, burgers_fourier
+    ):
+        # finite modes and amplitudes whose twin overflows: every consumer
+        # names the non-finite values, and no numpy warning leaks
+        big = dataclasses.replace(
+            burgers_model,
+            modes=burgers_model.modes * 1e10,
+            amplitudes=burgers_model.amplitudes * 1e300,
+        )
+        ip = rt.InnerProduct(burgers_snapshot.dx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as report:
+                rt.quality_report(burgers_snapshot, big, burgers_fourier, ip)
+            with pytest.raises(ValueError) as objectives:
+                rt.objectives(burgers_snapshot, big)
+            with pytest.raises(rod.SnapshotFault) as twin:
+                rt.reconstruct(big)
+        for err in (report, objectives, twin):
+            assert str(err.value) == rod.NON_FINITE
+        assert twin.value.axis == "values"
 
     def test_public_functions_take_row_blocks_of_the_twin(self, tall):
         snap, model = tall

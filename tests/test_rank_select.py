@@ -319,11 +319,11 @@ class TestRankSpaceScoring:
             assert corr == pytest.approx(want_corr, rel=0, abs=1e-12)
 
     def test_benchmark_sweep_data_passes(self, burgers_snapshot, monkeypatch):
-        # one residual and a^4 pass per sweep and one pass per rank
-        passes = count_calls(monkeypatch, metrics, "_pass")
+        # one residual and a^4 walk of the data per sweep and one per rank
+        walks = count_calls(monkeypatch, rod, "row_blocks")
         points = rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
         assert not any(p.failed for p in points)
-        assert passes["_pass"] == 1 + 20
+        assert walks["row_blocks"] == 1 + 20
 
     @pytest.mark.parametrize("nx", [127, 128, 129, 259])
     def test_row_blocks(self, rng, nx):

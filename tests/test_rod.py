@@ -37,6 +37,38 @@ def test_snapshot_matrix_shape_must_match_grids():
     assert str(err.value) == "values shape (3, 4) does not match grids (3, 5)"
 
 
+class TestGridScale:
+    """Grid checks scale with the grid's own magnitude."""
+
+    @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e20])
+    def test_tiny_uneven_grid_rejected(self, scale):
+        # steps 1, 2, 1 times the scale: uneven at every scale
+        x = np.array([0.0, 1.0, 3.0, 4.0]) * scale
+        with pytest.raises(rod.SnapshotFault) as err:
+            rt.SnapshotMatrix(np.ones((4, 3)), x, [0.0, 1.0, 2.0])
+        assert (err.value.axis, err.value.index) == ("x", 2)
+        with pytest.raises(rod.SnapshotFault) as err:
+            rt.SnapshotMatrix(np.ones((3, 4)), [0.0, 1.0, 2.0], x)
+        assert (err.value.axis, err.value.index) == ("t", 2)
+
+    @pytest.mark.parametrize("start", [1e6, -1e6 - 1, 1e-300, 0.0])
+    def test_offset_linspace_accepted(self, start):
+        # linspace rounding moves the steps of the 1e6 grid by 1.2e-8 of
+        # the step, 1.2e-16 of the grid's magnitude
+        x = np.linspace(start, start + 1.0, 101)
+        snap = rt.SnapshotMatrix(np.ones((101, 3)), x, [0.0, 1.0, 2.0])
+        assert snap.dx == pytest.approx(0.01, rel=1e-9)
+
+    @pytest.mark.parametrize("dx", [1e-14, 1e-300])
+    def test_grids_at_twice_the_step_do_not_match(self, rng, dx):
+        values = rng.standard_normal((30, 12))
+        model = rt.fit(make_snapshot(values, dx=dx), 3, seed=1)
+        other = make_snapshot(values, dx=2 * dx)
+        with pytest.raises(ValueError, match="^grid mismatch"):
+            rt.objectives(other, model)
+        assert np.isfinite(rt.objectives(make_snapshot(values, dx=dx), model)).all()
+
+
 def test_inner_product_conventions():
     ip = rt.InnerProduct(0.5)
     f = np.array([1.0 + 1j, 2.0])
@@ -416,7 +448,6 @@ class TestConjugateForm:
             modes=np.hstack([z, z.conj(), rng.standard_normal((6, 1))]),
             amplitudes=np.vstack([a, a.conj(), rng.standard_normal((1, 5))]),
             eigenvalues=np.array([0.5 + 0.5j, 0.5 - 0.5j, 0.9]),
-            rank=3,
             seed=0,
             x=np.arange(6) * 0.1,
             t=np.arange(5) * 0.05,
@@ -457,6 +488,37 @@ class TestConjugateForm:
         bad.flat[-1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(pair, **{field: bad})
+
+    def test_rank_is_the_number_of_eigenvalues(self, pair, burgers_model):
+        assert (pair.rank, burgers_model.rank) == (3, 10)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # amplitudes of two modes against three modes and eigenvalues
+            (
+                lambda m: {"amplitudes": m.amplitudes[:2]},
+                "model amplitudes shape (2, 5) is not (3, 5)",
+            ),
+            # a t grid one point shorter than the amplitude columns
+            (
+                lambda m: {"t": m.t[:-1]},
+                "model amplitudes shape (3, 5) is not (3, 4)",
+            ),
+            (
+                lambda m: {"x": np.arange(7) * 0.1},
+                "model modes shape (6, 3) is not (7, 3)",
+            ),
+            (
+                lambda m: {"eigenvalues": m.eigenvalues[:, None]},
+                "model eigenvalues shape (3, 1) is not (3,)",
+            ),
+        ],
+    )
+    def test_shape_mismatch_names_field(self, pair, change, message):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(pair, **change(pair))
+        assert str(err.value) == message
 
 
 _WARNING_CASES = {
