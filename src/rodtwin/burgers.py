@@ -73,6 +73,14 @@ class BurgersConfig:
             raise ValueError("nu must be positive")
         if self.t_final <= 0 or self.dt <= 0:
             raise ValueError("t_final and dt must be positive")
+        # t_grid ends at t_final only for a whole number of steps; the
+        # quotient is rounded (3.0 / 0.01 is 299.99999999999994)
+        steps = self.t_final / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                "t_final = %r must be one or more whole steps of dt = %r"
+                % (self.t_final, self.dt)
+            )
         if self.length <= 0:
             raise ValueError("length must be positive")
         if self.grid_points < 2:

@@ -4,9 +4,10 @@ sweep CSV, reports.
 Every number is written with 17 significant digits so float64 values
 survive a write/read cycle bit-exactly.  Magnitudes outside
 [1e-3, 1e4) use scientific notation; everything uses '.' as the
-decimal separator regardless of locale.  Config files, the .meta
-sidecar, the model header and the report share one 'key = value' line
-rule; '#' comments are allowed only in config and .meta files.
+decimal separator regardless of locale.  A snapshot CSV is read once,
+by numpy's C reader.  Config files, the .meta sidecar, the model header
+and the report share one 'key = value' line rule, each key given once;
+'#' comments are allowed only in config and .meta files.
 """
 
 from __future__ import annotations
@@ -46,13 +47,17 @@ def _write_csv(path, header, axis, rows):
             handle.write(cell + "," + _fmt_row(row) + "\n")
 
 
-def _key_value(line, where):
+def _key_value(line, where, seen):
     """The stripped key and value of a 'key = value' line; a line
-    without '=' raises ValueError naming where."""
+    without '=', or whose key is already in seen, raises ValueError
+    naming where."""
     key, equals, value = line.partition("=")
     if not equals:
         raise ValueError("%s: expected 'key = value'" % where)
-    return key.strip(), value.strip()
+    key = key.strip()
+    if key in seen:
+        raise ValueError("%s: repeated key '%s'" % (where, key))
+    return key, value.strip()
 
 
 def _interleaved(values):
@@ -83,106 +88,79 @@ def write_snapshot_csv(path, snap, meta=None):
             handle.writelines("%s = %s\n" % item for item in meta.items())
 
 
+class _RowFault(ValueError):
+    """A data row refused before numpy's reader converts it."""
+
+
 def read_snapshot_csv(path):
-    """Parse a snapshot CSV back into a SnapshotMatrix.
+    """Parse a snapshot CSV back into a SnapshotMatrix, reading it once.
 
     The data rows stream through numpy's C reader into one array whose
     column 0 is x and whose other columns are the values, so the text
-    is never held and the field is not copied.  The reader converts a
-    cell as float() does; a file it refuses, or whose shape or data do
-    not fit, is read again by the line parser.  That parser accepts what
-    float() accepts (a whitespace-only line, a '1_0' cell) and raises
-    ValueError carrying path and line number for malformed content,
-    including what SnapshotMatrix rejects: a time grid names the header,
-    a non-finite cell or a bad x step the first row at fault.
+    is never held and the field is not copied.  Blank lines are skipped.
+    A malformed file raises ValueError naming its path and the line of
+    its first fault; a '1_0' cell, which float() takes, is a bad cell.
+    What SnapshotMatrix rejects names the header for a time grid fault
+    and otherwise the first row at fault.
     """
-    snap = _read_streamed(path)
-    return _read_lines(path) if snap is None else snap
+    rows = []  # the line number of each data row, in file order
 
-
-# control characters the C reader strips around a cell as whitespace but
-# float() refuses; a row holding one goes to the line parser
-_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _read_streamed(path):
-    """The snapshot CSV read by numpy's C reader, or None when the
-    reader, the shape checks or SnapshotMatrix refuse it."""
-
-    def data_rows(handle):
-        for line in handle:
-            if any(sep in line for sep in _SEPARATORS):
-                raise ValueError("separator character in a data row")
-            yield line
-
-    try:
-        with open(path) as handle:
-            header = next((ln for ln in handle if ln.strip()), "")
-            cells = header.rstrip("\n").split(",")
-            if cells[0].strip() != "x":
-                return None
-            t = np.array([float(c) for c in cells[1:]])
-            with warnings.catch_warnings():
-                # a header-only file, which the line parser reports
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(
-                    data_rows(handle), delimiter=",", comments=None, ndmin=2
-                )
-        if data.shape[0] < 2 or data.shape[1] != t.size + 1:
-            return None
-        return SnapshotMatrix(values=data[:, 1:], x=data[:, 0], t=t)
-    except ValueError:
-        return None
-
-
-def _read_lines(path):
-    """The snapshot CSV parsed line by line, each cell by float(); a
-    malformed file raises ValueError naming its path:line."""
     with open(path) as handle:
-        raw_lines = [ln.rstrip("\n") for ln in handle]
-    lines = [(i + 1, ln) for i, ln in enumerate(raw_lines) if ln.strip()]
-    if len(lines) < 3:
-        raise ValueError("%s: need a header and at least 2 data rows" % path)
-    header_no, header = lines[0]
-    cells = header.split(",")
-    if cells[0].strip() != "x":
-        raise ValueError(
-            "%s:%d: header must start with 'x'" % (path, header_no)
-        )
-    try:
-        t = np.array([float(c) for c in cells[1:]])
-    except ValueError as exc:
-        raise ValueError("%s:%d: bad time value (%s)" % (path, header_no, exc))
-    x = np.empty(len(lines) - 1)
-    values = np.empty((x.size, t.size))
-    for row_index, (line_no, line) in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != t.size + 1:
-            raise ValueError(
-                "%s:%d: expected %d cells, found %d"
-                % (path, line_no, t.size + 1, len(parts))
-            )
+        numbered = ((n, ln) for n, ln in enumerate(handle, 1) if not ln.isspace())
+        # an empty file reads as a header without times or rows
+        header_no, header = next(numbered, (0, "x"))
+        cells = header.rstrip("\n").split(",")
+        if cells[0].strip() != "x":
+            raise ValueError("%s:%d: header must start with 'x'" % (path, header_no))
         try:
-            x[row_index] = float(parts[0])
-            values[row_index] = [float(p) for p in parts[1:]]
+            t = np.array([float(c) for c in cells[1:]])
         except ValueError as exc:
-            raise ValueError("%s:%d: bad cell (%s)" % (path, line_no, exc))
+            raise ValueError("%s:%d: bad time value (%s)" % (path, header_no, exc))
+
+        def data_rows():
+            # numpy's reader converts each line before it pulls the next,
+            # so its fault is on the last line yielded
+            for line_no, line in numbered:
+                rows.append(line_no)
+                if line.count(",") != t.size:
+                    found = line.count(",") + 1
+                    raise _RowFault("expected %d cells, found %d" % (t.size + 1, found))
+                # control characters the C reader strips around a cell as
+                # whitespace but float() refuses
+                if any(sep in line for sep in "\x1c\x1d\x1e\x1f"):
+                    raise _RowFault("bad cell (separator character)")
+                yield line
+
+        try:
+            with warnings.catch_warnings():
+                # a header-only file, reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(data_rows(), delimiter=",", comments=None, ndmin=2)
+        except _RowFault as exc:
+            raise ValueError("%s:%d: %s" % (path, rows[-1], exc)) from None
+        except ValueError as exc:
+            # numpy's reason without its row and column, counted among the
+            # lines it was given
+            reason = str(exc).partition(" at row ")[0]
+            raise ValueError("%s:%d: bad cell (%s)" % (path, rows[-1], reason))
+    if len(rows) < 2:
+        raise ValueError("%s: need a header and at least 2 data rows" % path)
     try:
-        return SnapshotMatrix(values=values, x=x, t=t)
+        return SnapshotMatrix(values=data[:, 1:], x=data[:, 0], t=t)
     except SnapshotFault as exc:
-        # a time grid is the header; x and value faults are on a data row
-        line_no = lines[0 if exc.axis == "t" else 1 + exc.index][0]
-        raise ValueError("%s:%d: %s" % (path, line_no, exc))
+        line_no = header_no if exc.axis == "t" else rows[exc.index]
+        raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
 
 
 def read_meta(path):
     """Parse a 'key = value' file, with '#' comments, into a dict of strings."""
+    meta = {}
     with open(path) as handle:
-        return dict(
-            _key_value(line, "%s:%d" % (path, line_no))
-            for line_no, line in enumerate(handle, 1)
-            if line.strip() and not line.strip().startswith("#")
-        )
+        for line_no, line in enumerate(handle, 1):
+            if line.strip() and not line.strip().startswith("#"):
+                key, value = _key_value(line, "%s:%d" % (path, line_no), meta)
+                meta[key] = value
+    return meta
 
 
 def write_modal_csv(path, axis_name, axis, label, columns):
@@ -322,7 +300,7 @@ def read_model(path):
             current = stripped[1:-1]
             sections[current] = (line_no, [])
         elif current is None:
-            key, value = _key_value(stripped, "%s:%d" % (path, line_no))
+            key, value = _key_value(stripped, "%s:%d" % (path, line_no), header)
             header[key] = (line_no, value)
             if key == "format" and value != _MODEL_FORMAT:
                 raise ValueError(
@@ -432,11 +410,11 @@ def report_text(report):
 
 
 def parse_report_text(text):
-    values = dict(
-        _key_value(line, "report line %d" % line_no)
-        for line_no, line in enumerate(text.splitlines(), 1)
-        if line.strip()
-    )
+    values = {}
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            key, value = _key_value(line, "report line %d" % line_no, values)
+            values[key] = value
     missing = [k for k in QualityReport.FIELDS if k not in values]
     if missing:
         raise ValueError("report text missing fields %s" % missing)

@@ -147,9 +147,13 @@ def _uniform_grid(g, name):
     steps = np.diff(g)
     if steps.min() <= 0:
         raise fault("must be strictly increasing", np.argmax(steps <= 0) + 1)
-    # relative to the grid's magnitude, not its step: np.linspace rounds
-    # the steps of a grid far from zero by more than 1e-12 of the step
-    uneven = np.abs(steps - steps[0]) > 1e-12 * max(abs(g[0]), abs(g[-1]))
+    # within 1e-12 of the grid's magnitude, as np.linspace rounds the
+    # steps of a grid far from zero by more than 1e-12 of the step, and
+    # within 1e-3 of the step, which a grid whose span is tiny next to its
+    # magnitude cannot hold
+    deviation = np.abs(steps - steps[0])
+    magnitude = max(abs(g[0]), abs(g[-1]))
+    uneven = (deviation > 1e-12 * magnitude) | (deviation > 1e-3 * steps[0])
     if uneven.any():
         raise fault("must be uniformly spaced", np.argmax(uneven) + 1)
     return g

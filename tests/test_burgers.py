@@ -257,6 +257,17 @@ class TestGenerateSnapshots:
         with pytest.raises(ValueError, match="%s must be finite" % name):
             rt.BurgersConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "t_final, dt", [(0.025, 0.01), (3.0, 0.007), (0.001, 0.01)]
+    )
+    def test_t_final_off_the_step_rejected(self, t_final, dt):
+        # each would write times that end away from t_final
+        with pytest.raises(ValueError) as err:
+            rt.BurgersConfig(t_final=t_final, dt=dt)
+        assert str(err.value) == (
+            "t_final = %r must be one or more whole steps of dt = %r" % (t_final, dt)
+        )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             rt.BurgersConfig(nu=-1.0)

@@ -53,6 +53,16 @@ class TestGenerate:
         assert meta["quad_order"] == "100"
         assert meta["dx"] == "0.02"
 
+    def test_t_final_off_the_step_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        argv = ["generate", "--output", str(out), "--t-final", "0.025", "--dt", "0.01"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "rodtwin generate: error: "
+            "t_final = 0.025 must be one or more whole steps of dt = 0.01\n"
+        )
+        assert not out.exists()
+
     def test_matches_library_dataset(self, ws, burgers_snapshot):
         back = io.read_snapshot_csv(ws / "burgers.csv")
         assert np.array_equal(back.values, burgers_snapshot.values)
@@ -812,7 +822,12 @@ class TestUsageErrors:
         assert err.value.code == 1
 
     @pytest.mark.parametrize(
-        "text, named", [("grid_point = 31\n", "'grid_point'"), ("grid-points 31\n", ":1:")]
+        "text, named",
+        [
+            ("grid_point = 31\n", "'grid_point'"),
+            ("grid-points 31\n", ":1:"),
+            ("grid-points = 31\ngrid-points = 21\n", ":2: repeated key 'grid-points'"),
+        ],
     )
     def test_bad_config_key_or_line(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "typo.cfg"

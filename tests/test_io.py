@@ -155,6 +155,13 @@ class TestSnapshotCsv:
         with pytest.raises(ValueError, match="bad.meta:1"):
             io.read_meta(bad)
 
+    def test_meta_repeated_key_reports_line(self, tmp_path):
+        path = tmp_path / "m.meta"
+        path.write_text("rank = 3\n# comment\nrank = 5\n")
+        with pytest.raises(ValueError) as err:
+            io.read_meta(path)
+        assert str(err.value) == "%s:3: repeated key 'rank'" % path
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("y,0,1\n0,1,2\n1,3,4\n")
@@ -173,8 +180,11 @@ class TestSnapshotCsv:
     def test_bad_cell_reports_line(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("x,0,1\n0,1,2\n1,oops,4\n")
-        with pytest.raises(ValueError, match=r"s\.csv:3"):
+        with pytest.raises(ValueError) as err:
             io.read_snapshot_csv(path)
+        # numpy's reason, without the row numpy counts from the first row
+        assert str(err.value).startswith("%s:3: bad cell (" % path)
+        assert "oops" in str(err.value) and " row " not in str(err.value)
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -187,6 +197,24 @@ class TestSnapshotCsv:
         path.write_text("x,0,1\n0,1,2\n")
         with pytest.raises(ValueError, match="data rows"):
             io.read_snapshot_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("x,0,1\n0,oops,2\n", ":2: bad cell ("),
+            ("y,0,1\n0,1,2\n", ":1: header must start with 'x'"),
+            ("x,0,1\n0,1\n1,oops,4\n", ":2: expected 3 cells, found 2"),
+            ("x,0,1\n0,1,nan\n1,oops,4\n", ":3: bad cell ("),
+        ],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, text, where):
+        # the file is read once, so the first line that does not parse is
+        # named; what SnapshotMatrix rejects is checked once all rows parse
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            io.read_snapshot_csv(path)
+        assert str(err.value).startswith(str(path) + where)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -233,8 +261,8 @@ def burgers_2001_csv(burgers_2001, tmp_path_factory):
 
 
 class TestStreamedRead:
-    """read_snapshot_csv streams through numpy's C reader, and the line
-    parser reads what that reader refuses: both give the same arrays."""
+    """read_snapshot_csv streams the rows through numpy's C reader once,
+    skipping blank lines and naming the physical line of a fault."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -255,14 +283,11 @@ class TestStreamedRead:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "snap.csv")
             io.write_snapshot_csv(path, snap)
-            streamed = io._read_streamed(path)
             back = io.read_snapshot_csv(path)
-        assert streamed is not None
-        assert_same_bits(streamed, snap)
         assert_same_bits(back, snap)
 
     @pytest.mark.parametrize(
-        "text, streams",
+        "text, as_written",
         [
             ("x,0,1\r\n0,1,2\r\n1,3,4\r\n", True),
             ("x, 0 ,1\n 0 , 1 ,2\n1,\t3,4 \n", True),
@@ -272,11 +297,77 @@ class TestStreamedRead:
             ("x,0,1\r\n 0 ,1_0, 2\r\n \t \r\n1,3,-0\r\n", False),
         ],
     )
-    def test_same_arrays_as_line_parser(self, tmp_path, text, streams):
+    def test_same_arrays_as_line_parser(self, tmp_path, text, as_written):
+        # as_written: numpy's reader alone takes the lines after the header;
+        # a whitespace-only line needs the reader's skip, a '1_0' cell fails
         path = tmp_path / "s.csv"
         path.write_bytes(text.encode())
-        assert (io._read_streamed(path) is not None) == streams
-        assert_same_bits(io.read_snapshot_csv(path), io._read_lines(path))
+        with open(path) as handle:
+            next(ln for ln in handle if ln.strip())
+            if as_written:
+                np.loadtxt(handle, delimiter=",", comments=None)
+            else:
+                with pytest.raises(ValueError):
+                    np.loadtxt(handle, delimiter=",", comments=None)
+        if "1_0" in text:
+            with pytest.raises(ValueError, match=r"s\.csv:2: bad cell"):
+                io.read_snapshot_csv(path)
+            return
+        grid = np.array([0.0, 1.0])
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        expected = SimpleNamespace(x=grid, t=grid, values=values)
+        assert_same_bits(io.read_snapshot_csv(path), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fault_names_physical_line(self, data):
+        nx = data.draw(st.integers(3, 40))
+        ncols = data.draw(st.integers(2, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        snap = make_snapshot(rng.standard_normal((nx, ncols)))
+        values, x = snap.values.copy(), snap.x.copy()
+        fault = data.draw(st.sampled_from([None, "values", "x"]))
+        if fault == "values":
+            row = data.draw(st.integers(0, nx - 1))
+            values[row, data.draw(st.integers(0, ncols - 1))] = np.nan
+            message = NON_FINITE
+        elif fault == "x":
+            # row 0 and 1 set the step; a later point off it is the fault
+            row = data.draw(st.integers(2, nx - 1))
+            x[row] += 0.3 * snap.dx
+            message = "x grid must be uniformly spaced"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.csv")
+            io.write_snapshot_csv(path, SimpleNamespace(values=values, x=x, t=snap.t))
+            # (text, data row): the header is row -1, a blank line row None
+            with open(path) as handle:
+                lines = [(ln.rstrip("\n"), i - 1) for i, ln in enumerate(handle)]
+            blanks = st.sampled_from(["", " ", "\t \t", "\x1c"])
+            for _ in range(data.draw(st.integers(0, 8))):
+                where = data.draw(st.integers(0, len(lines)))
+                lines.insert(where, (data.draw(blanks), None))
+            ends = st.sampled_from(["\n", "\r\n"])
+            endings = data.draw(st.lists(ends, min_size=len(lines), max_size=len(lines)))
+            with open(path, "w", newline="") as handle:
+                handle.writelines(text + end for (text, _), end in zip(lines, endings))
+            if fault is None:
+                assert_same_bits(io.read_snapshot_csv(path), snap)
+                return
+            line_no = 1 + [r for _, r in lines].index(row)
+            with pytest.raises(ValueError) as err:
+                io.read_snapshot_csv(path)
+        assert str(err.value) == "%s:%d: %s" % (path, line_no, message)
+
+    def test_bad_cell_after_ten_thousand_rows(self, tmp_path):
+        # numpy's reader converts a line before it pulls the next, so the
+        # last line yielded is the one it refused
+        rows = ["%d,1,2\n" % i for i in range(10_050)]
+        rows[10_020] = "10020,1,oops\n"
+        path = tmp_path / "s.csv"
+        path.write_text("x,0,1\n" + "".join(rows))
+        with pytest.raises(ValueError) as err:
+            io.read_snapshot_csv(path)
+        assert str(err.value).startswith("%s:10022: bad cell (" % path)
 
     @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separator_around_cell_stays_a_bad_cell(self, tmp_path, separator):
@@ -621,6 +712,17 @@ class TestModelFile:
             io.read_model(path)
         assert str(err.value) == "%s:%d: expected 'key = value'" % (path, line_no)
 
+    def test_repeated_header_key_reports_line(self, tmp_path, rng):
+        path = tmp_path / "model.txt"
+        io.write_model(path, self._small_model(rng))
+        lines = path.read_text().splitlines()
+        line_no = [ln.partition(" =")[0] for ln in lines].index("seed") + 2
+        lines.insert(line_no - 1, "seed = 99")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == "%s:%d: repeated key 'seed'" % (path, line_no)
+
     def test_missing_section(self, tmp_path, rng):
         model = self._small_model(rng)
         path = tmp_path / "model.txt"
@@ -744,6 +846,16 @@ class TestReportParsing:
         with pytest.raises(ValueError) as err:
             io.parse_report_text("\n".join(lines))
         assert str(err.value) == "report line 3: expected 'key = value'"
+
+    def test_repeated_key_rejected(self):
+        names = [n for n in rt.QualityReport.FIELDS if n not in ("rank", "seed")]
+        report = rt.QualityReport(rank=3, seed=1, **{n: 0.5 for n in names})
+        text = io.report_text(report) + "rank = 5\n"
+        with pytest.raises(ValueError) as err:
+            io.parse_report_text(text)
+        assert str(err.value) == "report line %d: repeated key 'rank'" % len(
+            text.splitlines()
+        )
 
 
 class TestSha256:

@@ -59,6 +59,15 @@ class TestGridScale:
         snap = rt.SnapshotMatrix(np.ones((101, 3)), x, [0.0, 1.0, 2.0])
         assert snap.dx == pytest.approx(0.01, rel=1e-9)
 
+    def test_grid_too_fine_for_its_magnitude_rejected(self):
+        # one ulp of 1e13 is a fifth of the step: steps 0.0098 and 0.0117
+        x = np.linspace(1e13, 1e13 + 1, 101)
+        with pytest.raises(rod.SnapshotFault) as err:
+            rt.SnapshotMatrix(np.ones((101, 3)), x, [0.0, 1.0, 2.0])
+        assert err.value.axis == "x"
+        steps = np.diff(x)
+        assert abs(steps[err.value.index - 1] - steps[0]) > 1e-3 * steps[0]
+
     @pytest.mark.parametrize("dx", [1e-14, 1e-300])
     def test_grids_at_twice_the_step_do_not_match(self, rng, dx):
         values = rng.standard_normal((30, 12))
