@@ -104,7 +104,6 @@ def _resolve(args):
     if args.config:
         known = {f.key for _, _, declared in _COMMANDS.values() for f in declared}
         for key, text in io.read_meta(args.config).items():
-            key = key.replace("-", "_")
             if key not in known:
                 raise ValueError("%s: unknown config key '%s'" % (args.config, key))
             if key in flags:

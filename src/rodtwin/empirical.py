@@ -9,6 +9,11 @@ The averaging conventions differ on purpose: the model side divides by
 its own mode count, the Fourier side by the full grid dimension with
 absent modes contributing zero.
 
+The data are real, so a mode family is scored through its weighted
+real basis: a conjugate pair's Re and Im parts carry weight 2 and
+stand for both modes.  Its products with the data, like the column
+energies, are summed block by block in the walk of rod._pass.
+
 The baseline spans the data columns, so by Parseval every column
 projects fully onto it and the Fourier score is the column count over
 nx.  The score is computed in that closed form whenever a bound shows
@@ -107,14 +112,49 @@ def _check_baseline(fourier, v0):
         )
 
 
-def _score(modes, v0, ip, col_sq, mode_count):
-    """(1/m) * sum_i sum_j |<phi_i, u_j>|^2 / <u_j, u_j> given the column
-    energies col_sq.  The data are real, so the real and imaginary parts
-    of <phi_i, u_j> come from one real product with modes.real and
-    modes.imag stacked."""
-    parts = [modes.real.T, modes.imag.T] if np.iscomplexobj(modes) else [modes.T]
-    inner = ip.dx * (np.vstack(parts) @ v0)
-    return float(np.sum(np.abs(inner) ** 2 / col_sq) / mode_count)
+def _real_basis(modes):
+    """(basis, weights): real columns b_c and weights w_c with
+    sum_c w_c (b_c . u)^2 = sum_i |phi_i . u|^2 for every real u, phi_i
+    the columns of modes.  A real mode gives itself with weight 1, an
+    exactly conjugate pair phi, conj(phi) gives Re phi and Im phi with
+    weight 2, and any other complex mode gives Re phi and Im phi with
+    weight 1."""
+    if not np.iscomplexobj(modes):
+        return modes, np.ones(modes.shape[1])
+    complex_mode = modes.imag.any(axis=0)
+    conjugate_next = (modes[:, 1:] == modes[:, :-1].conj()).all(axis=0)
+    columns, imag, weights = [], [], []
+    j = 0
+    while j < modes.shape[1]:
+        if not complex_mode[j]:
+            columns.append(j)
+            weights.append(1.0)
+        else:
+            pair = j + 1 < modes.shape[1] and bool(conjugate_next[j])
+            columns += [j, j]
+            imag.append(len(columns) - 1)
+            weights += [1.0 + pair] * 2
+            j += pair
+        j += 1
+    # whole rows at a time: a copy column by column read the modes once per column
+    basis = modes.real[:, columns]
+    basis[:, imag] = modes.imag[:, np.take(columns, imag)]
+    return basis, np.array(weights)
+
+
+def _score(product, weights, col_sq, dx, mode_count):
+    """(1/m) * sum_i sum_j |<phi_i, u_j>|^2 / <u_j, u_j> from the
+    product b^T V0 of the weighted real basis (b, w) of the modes and
+    the column energies col_sq."""
+    inner = dx * product
+    return float(np.sum(weights[:, None] * inner**2 / col_sq) / mode_count)
+
+
+def _walk(v0, bases):
+    """The column energies of v0 under dx = 1 and its products with each
+    real basis, from one walk of rod._pass."""
+    _, energies, products = _pass(v0, width=v0.shape[1], bases=[b for b, _ in bases])
+    return energies, products
 
 
 def mean_projection_norm(modes, v0, ip, mode_count=None):
@@ -126,12 +166,14 @@ def mean_projection_norm(modes, v0, ip, mode_count=None):
     """
     modes = np.asarray(modes)
     v0 = np.asarray(v0, dtype=float)
-    col_sq = ip.dx * _pass(v0, None, (), width=v0.shape[1])[1]
-    _check_energies(col_sq)
     m = modes.shape[1] if mode_count is None else int(mode_count)
     if m < modes.shape[1]:
         raise ValueError("mode_count below the number of modes present")
-    return _score(modes, v0, ip, col_sq, m)
+    basis = _real_basis(modes)
+    energies, (product,) = _walk(v0, [basis])
+    col_sq = ip.dx * energies
+    _check_energies(col_sq)
+    return _score(product, basis[1], col_sq, ip.dx, m)
 
 
 def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
@@ -139,9 +181,10 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
 
     fourier must decompose the snapshot matrix V whose first columns are
     v0, which has one column more than v0; any other shape raises
-    ValueError.  Returns (rho_rod, rho_fourier, dominates), both scores
-    from the column energies of v0, summed once by rod._pass as the
-    quality report's pass sums them, so both give the same bits.
+    ValueError.  Returns (rho_rod, rho_fourier, dominates).  One walk of
+    rod._pass over v0 sums its column energies and its products with
+    the weighted real basis of each mode family, as the quality
+    report's pass does over V, so both give the same bits.
 
     By default the Fourier mean runs over the full grid dimension:
     mean_projection_norm(fourier.psi, v0, ip, mode_count=nx).  psi spans
@@ -150,35 +193,51 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     by at most RANK_CUTOFF^2 sigma_0^2 / ||u_j||^2, and
     sigma_0 <= ||V||_F.  When that bound is within machine epsilon the
     score is the closed form (number of columns) / nx and no SVD runs.
-    Otherwise psi is computed and multiplied with v0: the coefficients
-    hold <psi_i, u_j> only to rounding relative to sigma_0, which is no
-    accuracy at all for a column far smaller than the largest.
+    Otherwise psi is computed and a second walk multiplies it with v0:
+    the coefficients hold <psi_i, u_j> only to rounding relative to
+    sigma_0, which is no accuracy at all for a column far smaller than
+    the largest.
 
     same_rank=True instead truncates the baseline to the model's rank
     and averages both sides over that rank, a like-for-like diagnostic;
-    there the truncated basis is scored by the same product as the
+    there the truncated basis is scored by the same products as the
     model modes, so a basis compared with itself ties exactly.
     """
-    v0 = np.asarray(v0, dtype=float)
-    col_sq = ip.dx * _pass(v0, None, (), width=v0.shape[1])[1]
-    return _projection_scores(rod_modes, fourier, v0, ip, col_sq, same_rank)
-
-
-def _projection_scores(rod_modes, fourier, v0, ip, col_sq, same_rank=False):
-    """compare_projections given the column energies col_sq of v0."""
     rod_modes = np.asarray(rod_modes)
+    v0 = np.asarray(v0, dtype=float)
+    bases = _projection_bases(rod_modes, fourier, v0, same_rank)
+    energies, products = _walk(v0, bases)
+    return _projection_scores(
+        rod_modes.shape[1], bases, products, ip.dx * energies, fourier, v0, ip
+    )
+
+
+def _projection_bases(rod_modes, fourier, v0, same_rank=False):
+    """The weighted real bases whose products with v0 compare_projections
+    scores: the model modes' and, with same_rank, the baseline's
+    truncated to their number.  Checks fourier against v0 first."""
     _check_baseline(fourier, v0)
-    _check_energies(col_sq)
-    nx, m = v0.shape[0], rod_modes.shape[1]
+    bases = [_real_basis(rod_modes)]
     if same_rank:
-        k = min(m, fourier.psi.shape[1])
-        rho_fourier = _score(fourier.psi[:, :k], v0, ip, col_sq, m)
+        bases.append(_real_basis(fourier.psi[:, : rod_modes.shape[1]]))
+    return bases
+
+
+def _projection_scores(m, bases, products, col_sq, fourier, v0, ip):
+    """compare_projections for m model modes, given the products of v0
+    with the _projection_bases and its column energies col_sq."""
+    _check_energies(col_sq)
+    rho_rod = _score(products[0], bases[0][1], col_sq, ip.dx, m)
+    if len(bases) > 1:
+        rho_fourier = _score(products[1], bases[1][1], col_sq, ip.dx, m)
     else:
+        nx = v0.shape[0]
         last = fourier.values[:, -1]
         frobenius_sq = col_sq.sum() + ip.dx * float(last @ last)
         if RANK_CUTOFF**2 * frobenius_sq <= np.finfo(float).eps * col_sq.min():
             rho_fourier = v0.shape[1] / nx
         else:
-            rho_fourier = _score(fourier.psi, v0, ip, col_sq, nx)
-    rho_rod = _score(rod_modes, v0, ip, col_sq, m)
+            psi = _real_basis(fourier.psi)
+            _, (product,) = _walk(v0, [psi])
+            rho_fourier = _score(product, psi[1], col_sq, ip.dx, nx)
     return rho_rod, rho_fourier, bool(rho_rod > rho_fourier)

@@ -49,13 +49,13 @@ def _write_csv(path, header, axis, rows):
 
 def _key_value(line, where, seen):
     """The stripped key and value of a 'key = value' line; a line
-    without '=', or whose key is already in seen, raises ValueError
-    naming where."""
+    without '=', or whose key with its dashes read as underscores is
+    already in seen, raises ValueError naming where."""
     key, equals, value = line.partition("=")
     if not equals:
         raise ValueError("%s: expected 'key = value'" % where)
     key = key.strip()
-    if key in seen:
+    if key.replace("-", "_") in seen:
         raise ValueError("%s: repeated key '%s'" % (where, key))
     return key, value.strip()
 
@@ -153,13 +153,15 @@ def read_snapshot_csv(path):
 
 
 def read_meta(path):
-    """Parse a 'key = value' file, with '#' comments, into a dict of strings."""
+    """Parse a 'key = value' file, with '#' comments, into a dict of
+    strings.  A key's dashes read as underscores, so 'grid-points' and
+    'grid_points' are one key, and the second of them is repeated."""
     meta = {}
     with open(path) as handle:
         for line_no, line in enumerate(handle, 1):
             if line.strip() and not line.strip().startswith("#"):
                 key, value = _key_value(line, "%s:%d" % (path, line_no), meta)
-                meta[key] = value
+                meta[key.replace("-", "_")] = value
     return meta
 
 

@@ -8,17 +8,23 @@ depend on it.
 
 Error and correlation are built from per-column sums that one pass
 over the data accumulates in blocks of BLOCK_ROWS rows; every scorer
-here runs the same pass kernel, rod._pass.  The twin side of a block is a
-slice of a reconstructed SnapshotMatrix, the rows of a real product
-L R (a model's real factors, or a sweep rank's sketch basis times its
+here runs the same pass kernel, rod._pass.  Each sum is one fused
+column dot product of two per-block factors: (a - b)^2 for the error,
+a^2 b^2, b^2 b^2 and a^2 a^2 for the paper correlation, a b, b b and
+a a for the cosine.  The twin side of a block is a slice of a
+reconstructed SnapshotMatrix, the rows of a real product L R (a
+model's real factors, or a sweep rank's sketch basis times its
 rank-space coefficients) or the sketch's own fit Q P, evaluated one
 block at a time, so the quality report and the sweep never hold an
-nx x nt twin.
+nx x nt twin.  A non-finite twin entry shows as a non-finite sum, and
+only then are the twin's rows scanned for it.
 The sweep's SweepScorer takes the part of each rank's error outside
 the sketch, and the data's a^4, from one pass per sweep.  The report's
-projection scores are those of empirical.compare_projections, from the
-column energies its own pass sums.  numpy's overflow warnings from
-these sums are silenced: a non-finite result becomes a named error.
+pass also sums the column energies of V0 and its products with the
+weighted real basis of the model modes, from which it takes the
+projection scores of empirical.compare_projections: the report reads
+the data once.  numpy's overflow warnings from these sums are
+silenced: a non-finite result becomes a named error.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .empirical import _projection_scores
-from .rod import BLOCK_ROWS, NON_FINITE, _pass, _quiet
+from .empirical import _projection_bases, _projection_scores
+from .rod import NON_FINITE, _pass, _quiet
 
 
 def time_average(samples):
@@ -53,34 +59,14 @@ def _check_matched(exact, x, t):
         raise ValueError("grid mismatch between the two snapshot sets")
 
 
-def _diff(a, b, out):
-    return np.subtract(a, b, out=out)
-
-
-def _product(a, b, out):
-    return np.multiply(a, b, out=out)
-
-
-def _twin(a, b, out):
-    return b
-
-
-def _squared(term):
-    return lambda a, b, out: np.square(term(a, b, out), out=out)
-
-
-_diff_sq = _squared(_diff)
-
-# per variant: the correlation's (cross, twin power) terms and the power
-# of the data it sums; the paper variant squares every cosine term
-_CORRELATION = {
-    "paper": ((_squared(_product), _squared(_squared(_twin))), 4),
-    "cosine": ((_product, _squared(_twin)), 2),
-}
+# per variant: the correlation's (cross, twin power, data power) pairs
+# of rod._pass factors; the paper variant squares every cosine term, and
+# takes (ab)^2 as a^2 b^2 from the squares it already holds
+_CORRELATION = {"paper": ("AB", "BB", "AA"), "cosine": ("ab", "bb", "aa")}
 VARIANTS = tuple(_CORRELATION)
 
 
-def _correlation_terms(variant):
+def _correlation_pairs(variant):
     if variant not in _CORRELATION:
         raise ValueError("unknown correlation variant %r" % variant)
     return _CORRELATION[variant]
@@ -107,23 +93,19 @@ def _correlation(variant, cross, twin_pow, exact_pow):
 
 
 def _modal_rows(left, right):
-    """twin_rows of the real modal sum left @ right for _pass, through
-    one block buffer; a non-finite entry raises ValueError."""
-    out = np.empty((min(BLOCK_ROWS, left.shape[0]), right.shape[1]))
-
-    def rows(start, stop):
-        block = np.matmul(left[start:stop], right, out=out[: stop - start])
-        if not (math.isfinite(block.max()) and math.isfinite(block.min())):
+    """The twin of _pass for the real modal sum left @ right.  Its
+    column t_0, which no sum reads, is checked here with one product:
+    a non-finite entry raises ValueError."""
+    with _quiet():
+        if not np.isfinite(left @ right[:, 0]).all():
             raise ValueError(NON_FINITE)
-        return block[:, 1:]
-
-    return rows
+    return lambda start, stop, out: np.matmul(left[start:stop], right, out=out)
 
 
 def _snapshot_rows(exact, twin):
-    """twin_rows of a SnapshotMatrix twin, which must be on exact's grids."""
+    """The twin of _pass for a SnapshotMatrix on exact's grids."""
     _check_matched(exact, twin.x, twin.t)
-    return lambda start, stop: twin.values[start:stop, 1:]
+    return lambda start, stop, out: np.copyto(out, twin.values[start:stop])
 
 
 class SweepScorer:
@@ -137,27 +119,28 @@ class SweepScorer:
 
     One blocked pass per sweep, against the twin Q P, gives the first
     term and the data's a^4; the second term is rank space.  Per rank,
-    one blocked pass forms the twin rows Q_k C_k, rejects non-finite
-    entries, and sums (ab)^2 and b^4.
+    one blocked pass forms the twin rows Q_k C_k and sums a^2 b^2 and
+    b^4, which are not finite when a twin entry is not.
     """
 
     def __init__(self, exact, q, proj):
         self._values = exact.values
         self._q = q
         self._p1 = p1 = np.ascontiguousarray(proj[:, 1:])
-        fitted = np.empty((min(BLOCK_ROWS, q.shape[0]), p1.shape[1]))
 
-        def sketch_rows(start, stop):
-            return np.matmul(q[start:stop], p1, out=fitted[: stop - start])
+        def sketch_rows(start, stop, out):
+            np.matmul(q[start:stop], p1, out=out[:, 1:])
 
-        self._resid, self._exact_pow = _pass(self._values, sketch_rows, (_diff_sq,), 4)
+        (self._resid, self._exact_pow), _, _ = _pass(
+            self._values, sketch_rows, ("dd", "AA")
+        )
 
     def scores(self, c):
         """(absolute_error, correlation) of the twin of the real
         (k, nt + 1) coefficients c."""
         k = c.shape[0]
-        terms, _ = _CORRELATION["paper"]
-        cross, twin_pow = _pass(self._values, _modal_rows(self._q[:, :k], c), terms)
+        twin = _modal_rows(self._q[:, :k], c)
+        (cross, twin_pow), _, _ = _pass(self._values, twin, _CORRELATION["paper"][:2])
         off = self._p1.copy()
         off[:k] -= c[:, 1:]
         diff_sq = self._resid + np.einsum("ij,ij->j", off, off)
@@ -166,7 +149,7 @@ class SweepScorer:
 
 def absolute_error(exact, twin):
     """Time-averaged Euclidean distance between matching columns."""
-    (diff_sq,) = _pass(exact.values, _snapshot_rows(exact, twin), (_diff_sq,))
+    (diff_sq,), _, _ = _pass(exact.values, _snapshot_rows(exact, twin), ("dd",))
     return _error(diff_sq)
 
 
@@ -179,22 +162,21 @@ def correlation(exact, twin, variant="paper"):
     variant="cosine" is the squared cosine (sum uv)^2 / (sum u^2 sum v^2).
     Both are scale invariant and bounded by Cauchy-Schwarz.
     """
-    terms, power = _correlation_terms(variant)
-    sums = _pass(exact.values, _snapshot_rows(exact, twin), terms, power)
+    pairs = _correlation_pairs(variant)
+    sums, _, _ = _pass(exact.values, _snapshot_rows(exact, twin), pairs)
     return _correlation(variant, *sums)
 
 
-def _model_scores(exact, model, variant, width=None):
+def _model_scores(exact, model, variant, width=0, bases=()):
     """(absolute_error, correlation) of the model's twin, which must be
-    on exact's grids, from one pass that never forms it, followed with
-    width by the energies of the first width data columns from the same
-    pass."""
-    terms, power = _correlation_terms(variant)
+    on exact's grids, from one pass that never forms it, followed by
+    the pass's energies of the first width data columns and its
+    products with bases."""
+    pairs = ("dd",) + _correlation_pairs(variant)
     _check_matched(exact, model.x, model.t)
-    rows = _modal_rows(*model.real_factors())
-    sums = _pass(exact.values, rows, (_diff_sq,) + terms, power, width)
-    (diff_sq, *sums), *energies = sums if width else (sums,)
-    return (_error(diff_sq), _correlation(variant, *sums), *energies)
+    twin = _modal_rows(*model.real_factors())
+    (diff_sq, *sums), energies, products = _pass(exact.values, twin, pairs, width, bases)
+    return _error(diff_sq), _correlation(variant, *sums), energies, products
 
 
 @dataclass(frozen=True)
@@ -217,18 +199,24 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     """Assemble the QualityReport for a fitted model against exact data.
 
     One pass over the data gives the error and correlation of the
-    model's twin, which is never formed, and the column energies of V0,
-    the kernel's window of the first nt columns.  The projection scores
-    are those of empirical.compare_projections on V0, which sums the
-    same energies with the same kernel, bit for bit, so fourier must
-    decompose exact itself (ValueError otherwise).  A field that is not
+    model's twin, which is never formed, and over V0, the kernel's
+    window of the first nt columns, the column energies and the
+    products with the weighted real basis of the model modes.  The
+    projection scores are those of empirical.compare_projections on
+    V0, whose walk sums the same energies and products with the same
+    kernel, bit for bit, so fourier must decompose exact itself
+    (ValueError otherwise).  A field that is not
     finite, such as the correlation of data whose a^4 overflows, raises
     ValueError naming the field.
     """
+    v0 = exact.values[:, :-1]
+    bases = _projection_bases(model.modes, fourier, v0)
     # a zero twin column is reported before a zero data column
-    error, corr, energy = _model_scores(exact, model, variant, exact.t.size - 1)
+    error, corr, energy, products = _model_scores(
+        exact, model, variant, v0.shape[1], [basis for basis, _ in bases]
+    )
     rho_rod, rho_fourier, _ = _projection_scores(
-        model.modes, fourier, exact.values[:, :-1], ip, ip.dx * energy
+        model.rank, bases, products, ip.dx * energy, fourier, v0, ip
     )
     report = QualityReport(
         rank=int(model.rank),

@@ -46,7 +46,7 @@ class ParetoPoint:
 def objectives(snap, model):
     """(j1, j2) for a fitted model: absolute error and negated correlation,
     streamed from the model without forming its twin."""
-    j1, corr = metrics._model_scores(snap, model, "paper")
+    j1, corr = metrics._model_scores(snap, model, "paper")[:2]
     return j1, -corr
 
 

@@ -53,18 +53,17 @@ def row_blocks(nx):
         yield start, min(start + BLOCK_ROWS, nx)
 
 
-def add_column_sums(total, block):
-    """total += the column sums of block, which is overwritten.
+def add_column_sums(total, x, y):
+    """total += the column sums of x * y over one block.
 
-    A block of two or more columns sums row by row from total, as
-    numpy's axis-0 reduction of a whole matrix does, so the blocked sums
-    equal np.add.reduce(values, axis=0) bit for bit.  numpy sums a
-    one-column block (nt = 1, nx > BLOCK_ROWS) pairwise: deterministic,
-    the same for a one-column window of a wider block, but it can
-    differ from the unblocked reduction in the last bits.
+    One fused reduction, np.einsum("ij,ij->j"), with no temporary of
+    the product.  The block's sums start at zero and are added to the
+    totals in block order, an order fixed by BLOCK_ROWS alone.  numpy
+    sums each column of a C-ordered block of two or more columns row by
+    row, and an F-ordered block or a single column with unrolled
+    partial sums, which can differ in the last bits.
     """
-    block[0] += total
-    np.add.reduce(block, axis=0, out=total)
+    total += np.einsum("ij,ij->j", x, y)
 
 
 def _quiet():
@@ -74,46 +73,69 @@ def _quiet():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _pass(values, twin_rows, terms, power=None, width=None):
-    """Per-column sums of the data values (a) against a twin (b) in one
-    walk of row_blocks: the one loop that sums the data.
+def _pass(values, twin=None, pairs=(), width=0, bases=()):
+    """Per-column sums of the data values against a twin, the data's
+    column energies and its products with bases, from one walk of
+    row_blocks: the one loop that reads the data.
 
-    twin_rows(start, stop) returns the twin's rows start:stop in the
-    columns from t_1 on; with no terms it is never called.  Each
-    term(a, b, out) returns an elementwise term over those columns,
-    possibly written to out.  The result has one row of column sums per
-    term, then with power (2 or 4) the sums of a^power over the same
-    columns.  With width, the sums of a^2 over the first width columns
-    follow: the result is (sums, energies).  The power and the energies
-    share one square of each data block.
+    twin(start, stop, out) writes the twin's rows start:stop into out;
+    no sum reads their column t_0.  Each pair names two per-block
+    factors over the columns from t_1 on: "a" the data, "b" the twin,
+    "d" = a - b, "A" = a^2 and "B" = b^2, and its sums are
+    add_column_sums of the two.  A factor is formed when a pair first
+    needs it: A overwrites d in one block buffer and B squares b in
+    place in the other, so the pairs with d or b come before those with
+    A or B.  With width, the energies are the sums of a^2 over the first
+    width columns, and each basis (nx, c) gives the (c, width) product
+    basis^T values[:, :width], both summed block by block in block
+    order.  Returns (sums, one row per pair; energies; products, one
+    per basis).
+
+    A twin entry that is inf or NaN makes every sum with the twin in it
+    non-finite.  Only then are the twin's rows formed again and
+    scanned, and a non-finite entry raises ValueError(NON_FINITE).
     """
     nx, ncols = values.shape
-    sums = np.zeros((len(terms) + (power is not None), ncols - 1))
-    energies = np.zeros(width or 0)
-    # one buffer for every temporary: fresh block-sized arrays made the
-    # pass over the 101x301 benchmark 1.6 times slower, and a second
-    # buffer for the squared block made the report on it 1.15 times slower
-    scratch = np.empty(min(BLOCK_ROWS, nx) * ncols)
+    rows = min(BLOCK_ROWS, nx)
+    sums = np.zeros((len(pairs), ncols - 1))
+    energies = np.zeros(width)
+    products = [np.zeros((basis.shape[1], width)) for basis in bases]
+    # the two block buffers, for d or A and for b and B: fresh arrays per
+    # block made the pass over the 101x301 benchmark 1.6 times slower
+    scratch = np.empty(rows * (ncols - 1))
+    out = np.zeros((rows, ncols)) if twin else None
     with _quiet():
         for start, stop in row_blocks(nx):
             block = values[start:stop]
-            if power or width:
-                sq = np.square(block, out=scratch[: block.size].reshape(block.shape))
-                if width:
-                    add_column_sums(energies, sq[:, :width])
-                    # the sum overwrote the first row, which the power reads
-                    np.square(block[0], out=sq[0])
-                if power == 4:
-                    np.square(sq[:, 1:], out=sq[:, 1:])
-                if power:
-                    add_column_sums(sums[len(terms)], sq[:, 1:])
-            if terms:
-                b = twin_rows(start, stop)
-                # contiguous, so that every ufunc runs as one flat loop
-                buf = scratch[: b.size].reshape(b.shape)
-                for total, term in zip(sums, terms):
-                    add_column_sums(total, term(block[:, 1:], b, buf))
-    return (sums, energies) if width else sums
+            factors = {"a": block[:, 1:]}
+            if twin:
+                twin_block = out[: stop - start]
+                twin(start, stop, twin_block)
+                factors["b"] = twin_block[:, 1:]
+            buf = scratch[: factors["a"].size].reshape(factors["a"].shape)
+            make = {
+                "d": lambda: np.subtract(factors["a"], factors["b"], out=buf),
+                "A": lambda: np.square(factors["a"], out=buf),
+                # the whole buffer, so that the square is one flat loop
+                "B": lambda: np.square(twin_block, out=twin_block)[:, 1:],
+            }
+            for total, pair in zip(sums, pairs):
+                for name in pair:
+                    if name not in factors:
+                        factors[name] = make[name]()
+                add_column_sums(total, factors[pair[0]], factors[pair[1]])
+            if width:
+                window = block[:, :width]
+                add_column_sums(energies, window, window)
+                for product, basis in zip(products, bases):
+                    product += basis[start:stop].T @ window
+        with_twin = [bool(set(pair) & set("bdB")) for pair in pairs]
+        if not np.isfinite(sums[with_twin]).all():
+            for start, stop in row_blocks(nx):
+                twin(start, stop, out[: stop - start])
+                if not np.isfinite(out[: stop - start, 1:]).all():
+                    raise ValueError(NON_FINITE)
+    return sums, energies, products
 
 
 class FitStageError(RuntimeError):
@@ -516,9 +538,14 @@ def reconstruct(model):
     """Evaluate the modal sum on the stored grid, returning a SnapshotMatrix.
 
     The twin is the real product L @ X of model.real_factors(), formed
-    without numpy's overflow warnings: SnapshotMatrix rejects a
-    non-finite entry with SnapshotFault.
+    one row block at a time, as the quality report forms its twin rows:
+    the bits are those rows', and the product of the whole L changed
+    them with the BLAS thread count.  No numpy overflow warning is
+    shown: SnapshotMatrix rejects a non-finite entry with SnapshotFault.
     """
     left, right = model.real_factors()
+    values = np.empty((left.shape[0], right.shape[1]))
     with _quiet():
-        return SnapshotMatrix(values=left @ right, x=model.x.copy(), t=model.t.copy())
+        for start, stop in row_blocks(left.shape[0]):
+            np.matmul(left[start:stop], right, out=values[start:stop])
+    return SnapshotMatrix(values=values, x=model.x.copy(), t=model.t.copy())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rodtwin as rt
-from rodtwin import cli, io
+from rodtwin import cli, io, rod
 from rodtwin.cli import main
 
 from conftest import degenerate_field, two_mode_field
@@ -780,6 +780,73 @@ class TestCompare:
         assert float(re.search(r"ratio = (\S+)", out).group(1)) == 1.0
 
 
+class TestReadsOfData:
+    def test_walks_per_command(self, ws, tmp_path, monkeypatch, capsys):
+        # the walks of rod.row_blocks, by the function that walks: the
+        # SnapshotMatrix scan (__post_init__) of the data, the report's or
+        # compare's pass, and for evaluate the blocked twin and its scan.
+        # So fit reads V four times (with the sketch's V0 M and Q^T V),
+        # evaluate and compare twice
+        callers = []
+        real = rod.row_blocks
+
+        def walk(nx):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(nx)
+
+        monkeypatch.setattr(rod, "row_blocks", walk)
+        data = ["--input", str(ws / "burgers.csv")]
+        model = ["--model", str(tmp_path / "m.txt")]
+        for argv, walks in (
+            (["fit", "--output", str(tmp_path / "m.txt")], ["__post_init__", "_pass"]),
+            (
+                ["evaluate", "--output", str(tmp_path / "twin")] + model,
+                ["__post_init__", "reconstruct", "__post_init__", "_pass"],
+            ),
+            (["compare"] + model, ["__post_init__", "_pass"]),
+        ):
+            callers.clear()
+            assert main(argv + data) == 0
+            assert callers == walks
+        capsys.readouterr()
+
+
+class TestBlasThreads:
+    def test_evaluate_and_compare_bytes_at_one_and_two_threads(self, tmp_path):
+        # 301 rows are three blocks of the pass; only the children's
+        # thread variables are set
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--grid-points", "301", "--output", str(data)]) == 0
+        model = tmp_path / "m.txt"
+        assert main(["fit", "--input", str(data), "--output", str(model), "--rank", "20"]) == 0
+        outputs = {}
+        for threads in ("1", "2"):
+            env = _checkout_env()
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            out = tmp_path / threads
+            out.mkdir()
+            stdout = []
+            for argv in (
+                ["evaluate", "--output", str(out / "twin")],
+                ["compare"],
+            ):
+                result = subprocess.run(
+                    [sys.executable, "-m", "rodtwin.cli"]
+                    + argv
+                    + ["--input", str(data), "--model", str(model)],
+                    capture_output=True,
+                    timeout=120,
+                    env=env,
+                )
+                assert result.returncode == 0, result.stderr
+                stdout.append(result.stdout)
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            assert len(files) == 3
+            outputs[threads] = stdout, files
+        assert outputs["1"] == outputs["2"]
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -827,6 +894,7 @@ class TestUsageErrors:
             ("grid_point = 31\n", "'grid_point'"),
             ("grid-points 31\n", ":1:"),
             ("grid-points = 31\ngrid-points = 21\n", ":2: repeated key 'grid-points'"),
+            ("grid-points = 31\ngrid_points = 21\n", ":2: repeated key 'grid_points'"),
         ],
     )
     def test_bad_config_key_or_line(self, tmp_path, capsys, text, named):

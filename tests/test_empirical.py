@@ -224,6 +224,117 @@ class TestCompareProjections:
         assert rod > four
 
 
+def _stacked_score(modes, v0, dx, mode_count):
+    """The score from the stacked [Re, Im] rows of every mode, pairs
+    and all: sum |<phi_i, u_j>|^2 / <u_j, u_j> / m."""
+    inner = dx * (np.vstack([modes.real.T, modes.imag.T]) @ v0)
+    return float(np.sum(inner**2 / (dx * np.sum(v0**2, axis=0))) / mode_count)
+
+
+def _hide_outside_the_walk(monkeypatch, values, columns):
+    """Fill values[:, :columns] with NaN except while rod.row_blocks has
+    yielded a block: the block's rows hold their true values from its
+    yield until the walk moves on.  A read of those columns outside a
+    walk then gives NaN."""
+    truth = values[:, :columns].copy()
+    values[:, :columns] = np.nan
+    real = rod.row_blocks
+
+    def walk(nx):
+        for start, stop in real(nx):
+            values[start:stop, :columns] = truth[start:stop]
+            yield start, stop
+            values[start:stop, :columns] = np.nan
+
+    monkeypatch.setattr(rod, "row_blocks", walk)
+
+
+class TestWeightedRealBasis:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(("real", "pair", "complex")), min_size=1, max_size=6),
+        nx=st.integers(2, 60),
+        ncols=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_stacked_formula(self, kinds, nx, ncols, seed):
+        # real modes, exactly conjugate pairs and unpaired complex modes
+        rng = np.random.default_rng(seed)
+        columns, weights = [], []
+        for kind in kinds:
+            phi = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
+            if kind == "real":
+                columns.append(phi.real + 0j)
+                weights.append(1.0)
+            elif kind == "pair":
+                columns += [phi, phi.conj()]
+                weights += [2.0, 2.0]
+            else:
+                columns.append(phi)
+                weights += [1.0, 1.0]
+        modes = np.column_stack(columns)
+        _, got = empirical._real_basis(modes)
+        assert got.tolist() == weights
+        v0 = rng.standard_normal((nx, ncols))
+        ip = rt.InnerProduct(0.37)
+        score = rt.mean_projection_norm(modes, v0, ip)
+        stacked = _stacked_score(modes, v0, ip.dx, modes.shape[1])
+        assert score == pytest.approx(stacked, rel=1e-14, abs=0)
+
+    def test_fitted_model_basis_is_its_real_factor(self, burgers_model):
+        # a pair's Re and Im columns are the left real factor's columns
+        basis, weights = empirical._real_basis(burgers_model.modes)
+        assert np.array_equal(basis, burgers_model.real_factors()[0])
+        assert weights.tolist() == np.where(
+            burgers_model.eigenvalues.imag == 0, 1.0, 2.0
+        ).tolist()
+
+
+class TestProductsInsideTheWalk:
+    """Every product with V0 runs inside the pass's walk, block by block:
+    with V0 hidden outside the walk the scores keep their bits."""
+
+    @pytest.fixture()
+    def tall(self, rng):
+        nx, ncols = 2 * rod.BLOCK_ROWS + 3, 9
+        values = rng.standard_normal((nx, 3)) @ rng.standard_normal((3, ncols))
+        snap = make_snapshot(values + 1e-3 * rng.standard_normal((nx, ncols)))
+        return snap, rt.fit(snap, 3, seed=1)
+
+    def test_report_and_compare(self, tall, monkeypatch):
+        snap, model = tall
+        ip = rt.InnerProduct(snap.dx)
+        f = rt.fourier_decomposition(snap)
+        v0 = snap.values[:, :-1]
+        calls = (
+            lambda: rt.quality_report(snap, model, f, ip),
+            lambda: rt.compare_projections(model.modes, f, v0, ip),
+            lambda: rt.compare_projections(model.modes, f, v0, ip, same_rank=True),
+            lambda: rt.mean_projection_norm(model.modes, v0, ip),
+        )
+        f.psi  # the SVD reads V itself; decompose before hiding
+        want = [call() for call in calls]
+        _hide_outside_the_walk(monkeypatch, snap.values, v0.shape[1])
+        assert [call() for call in calls] == want
+
+    def test_psi_score_walks_again(self, rng, monkeypatch):
+        # a column too small for the closed form: psi is scored in a
+        # second walk, not in a product of its own
+        values = rng.standard_normal((2 * rod.BLOCK_ROWS + 3, 10))
+        values[:, 3] *= 1e-9
+        snap = make_snapshot(values)
+        ip = rt.InnerProduct(snap.dx)
+        f = rt.fourier_decomposition(snap)
+        v0 = snap.values[:, :-1]
+        f.psi
+        modes = v0[:, :1].copy()
+        want = rt.compare_projections(modes, f, v0, ip)
+        walks = count_calls(monkeypatch, rod, "row_blocks")
+        _hide_outside_the_walk(monkeypatch, snap.values, v0.shape[1])
+        assert rt.compare_projections(modes, f, v0, ip) == want
+        assert walks["row_blocks"] == 2
+
+
 def _forbid_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Fourier SVD was computed")

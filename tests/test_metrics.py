@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 import warnings
@@ -10,10 +11,9 @@ from hypothesis import strategies as st
 
 import rodtwin as rt
 from rodtwin import io, metrics, rod
-from rodtwin.metrics import BLOCK_ROWS
-from rodtwin.rod import add_column_sums, row_blocks
+from rodtwin.rod import BLOCK_ROWS, add_column_sums, row_blocks
 
-from conftest import make_snapshot, two_mode_field
+from conftest import count_calls, make_snapshot, two_mode_field
 
 
 class TestTimeAverage:
@@ -229,25 +229,55 @@ def _dense_projection_score(modes, v0, dx, mode_count):
     return np.sum(np.abs(inner) ** 2 / (dx * np.sum(v0**2, axis=0))) / mode_count
 
 
+def _copy_rows(twin):
+    """The twin of rod._pass for a plain matrix."""
+    return lambda start, stop, out: np.copyto(out, twin[start:stop])
+
+
 class TestAddColumnSums:
     @pytest.mark.parametrize("nx", [127, 128, 129, 257, 1000, 2001])
     @pytest.mark.parametrize("ncols", [1, 2, 3, 5, 8, 301])
     def test_blocked_sums_against_unblocked(self, rng, nx, ncols):
+        # each block's sums start at zero and are added in block order
         for _ in range(30):
             values = rng.standard_normal((nx, ncols))
-            squares = values**2
-            blocked = np.zeros(ncols)
+            blocked, in_order = np.zeros(ncols), np.zeros(ncols)
             for start, stop in row_blocks(nx):
-                add_column_sums(blocked, squares[start:stop].copy())
+                block = values[start:stop]
+                add_column_sums(blocked, block, block)
+                in_order += np.add.reduce(block * block, axis=0)
             if ncols > 1:
-                # row by row, as numpy reduces the whole matrix
-                assert np.array_equal(blocked, np.add.reduce(squares, axis=0))
+                # a C-ordered block of two or more columns sums row by
+                # row, as numpy's axis-0 reduction does
+                assert np.array_equal(blocked, in_order)
             else:
-                # numpy sums one column pairwise, which may move the last
-                # bits; the pass kernel's energies still match these sums
-                _, energies = rod._pass(values, None, (), width=1)
-                assert np.array_equal(blocked, energies)
-                np.testing.assert_allclose(blocked, squares.sum(axis=0), rtol=1e-12)
+                # one column sums with unrolled partial sums, numpy's
+                # reduction pairwise: the last bits may differ
+                np.testing.assert_allclose(blocked, in_order, rtol=1e-13)
+            # the kernel's energies are these sums
+            _, energies, _ = rod._pass(values, width=ncols)
+            assert np.array_equal(blocked, energies)
+            np.testing.assert_allclose(blocked, (values**2).sum(axis=0), rtol=1e-12)
+
+
+# the kernel's factors per letter, written out on whole matrices
+_FACTORS = {
+    "a": lambda a, b: a,
+    "b": lambda a, b: b,
+    "d": lambda a, b: a - b,
+    "A": lambda a, b: a * a,
+    "B": lambda a, b: b * b,
+}
+
+
+def _fsum_reference(a, b, pair):
+    """Per-column math.fsum of the pair's product over whole matrices,
+    and the fsum of its magnitudes."""
+    terms = _FACTORS[pair[0]](a, b) * _FACTORS[pair[1]](a, b)
+    return (
+        np.array([math.fsum(column) for column in terms.T]),
+        np.array([math.fsum(column) for column in np.abs(terms).T]),
+    )
 
 
 class TestStreamedPass:
@@ -263,9 +293,8 @@ class TestStreamedPass:
         a = rng.standard_normal((nx, ncols))
         b = rng.standard_normal((nx, ncols))
         # a plain matrix serves: a SnapshotMatrix needs 2 rows
-        terms, power = metrics._CORRELATION[variant]
-        terms = (metrics._diff_sq,) + terms
-        got = metrics._pass(a, lambda i, j: b[i:j, 1:], terms, power)
+        pairs = ("dd",) + metrics._CORRELATION[variant]
+        got, _, _ = rod._pass(a, _copy_rows(b), pairs)
         a1, b1 = a[:, 1:], b[:, 1:]
         if variant == "paper":
             expect = [(a1 * b1) ** 2, b1**4, a1**4]
@@ -274,6 +303,45 @@ class TestStreamedPass:
         expect = [(a1 - b1) ** 2] + expect
         for value, terms in zip(got, expect):
             np.testing.assert_allclose(value, terms.sum(axis=0), rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nx=st.sampled_from((2, 127, 128, 129, 257, 1000)),
+        ncols=st.integers(2, 9),
+        variant=st.sampled_from(rt.metrics.VARIANTS),
+        window=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_sums_match_fsum(self, nx, ncols, variant, window, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((nx, ncols))
+        b = rng.standard_normal((nx, ncols))
+        pairs = ("dd",) + metrics._CORRELATION[variant]
+        width = ncols - 1 if window else 0
+        runs = {
+            order: rod._pass(np.asarray(a, order=order), _copy_rows(b), pairs, width)
+            for order in "CF"
+        }
+        sums, energies, _ = runs["C"]
+        # blocks of at most 128 rows summed one after another, each term
+        # rounded at most four times: within (nx + 4) eps of the sum of
+        # the magnitudes, which 1e-12 bounds for nx <= 1000
+        for value, pair in zip(sums, pairs):
+            exact, magnitude = _fsum_reference(a[:, 1:], b[:, 1:], pair)
+            assert np.all(np.abs(value - exact) <= 1e-12 * magnitude)
+        if window:
+            exact, _ = _fsum_reference(a[:, :width], b[:, :width], "aa")
+            assert np.all(np.abs(energies - exact) <= 1e-12 * exact)
+        # the factors d, A and B are formed in C-ordered block buffers, so
+        # their sums do not depend on the data's memory order.  Sums that
+        # read the data itself (a b and a a of the cosine variant, and the
+        # energies) do: numpy reduces an F-ordered block with unrolled
+        # partial sums, and the last bits can differ
+        for (value, other), pair in zip(zip(sums, runs["F"][0]), pairs):
+            if "a" not in pair:
+                assert np.array_equal(value, other)
+            else:
+                np.testing.assert_allclose(value, other, rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -285,22 +353,24 @@ class TestStreamedPass:
     )
     def test_pass_energies_are_column_energies(self, nx, ncols, variant, order, seed):
         # the report's window of the data and compare_projections' call of
-        # the kernel on V0 alone: the bits must agree, one-column windows
-        # (ncols = 2) and both memory orders included
+        # the kernel on V0 alone: the energies and the products with a
+        # basis must agree bit for bit, one-column windows (ncols = 2) and
+        # both memory orders included
         rng = np.random.default_rng(seed)
         a = np.asarray(rng.standard_normal((nx, ncols)), order=order)
         b = rng.standard_normal((nx, ncols))
-        terms, power = ((), None) if variant is None else metrics._CORRELATION[variant]
-        terms = (metrics._diff_sq,) + terms
-        sums, energy = rod._pass(a, lambda i, j: b[i:j, 1:], terms, power, ncols - 1)
-        calls = []
+        basis = rng.standard_normal((nx, 3))
+        pairs = ("dd",) + (() if variant is None else metrics._CORRELATION[variant])
+        twin = _copy_rows(b)
+        sums, energy, (product,) = rod._pass(a, twin, pairs, ncols - 1, [basis])
         v0 = a[:, :-1]
-        _, col_sq = rod._pass(v0, lambda *rows: calls.append(rows), (), width=ncols - 1)
-        assert calls == []
+        _, col_sq, (alone,) = rod._pass(v0, width=ncols - 1, bases=[basis])
         assert np.array_equal(energy, col_sq)
+        assert np.array_equal(product, alone)
         np.testing.assert_allclose(energy, np.sum(v0**2, axis=0), rtol=1e-12)
-        # and the energies leave the pass's other sums as they were
-        plain = rod._pass(a, lambda i, j: b[i:j, 1:], terms, power)
+        np.testing.assert_allclose(product, basis.T @ v0, rtol=1e-9, atol=1e-12)
+        # and the window leaves the pass's other sums as they were
+        plain, _, _ = rod._pass(a, twin, pairs)
         assert np.array_equal(sums, plain)
 
     @settings(max_examples=25, deadline=None)
@@ -453,6 +523,81 @@ class TestStreamedEdges:
         for err in (report, objectives, twin):
             assert str(err.value) == rod.NON_FINITE
         assert twin.value.axis == "values"
+
+    def test_twin_overflowing_only_at_t0_named(
+        self, burgers_snapshot, burgers_model, burgers_fourier
+    ):
+        # no sum reads the t_0 column, so only its own check sees it
+        at_t0 = np.where(np.arange(burgers_snapshot.t.size) == 0, 1e300, 1.0)
+        big = dataclasses.replace(
+            burgers_model,
+            modes=burgers_model.modes * 1e10,
+            amplitudes=burgers_model.amplitudes * at_t0,
+        )
+        left, right = big.real_factors()
+        assert np.isfinite(left @ right[:, 1:]).all()
+        ip = rt.InnerProduct(burgers_snapshot.dx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as report:
+                rt.quality_report(burgers_snapshot, big, burgers_fourier, ip)
+            with pytest.raises(ValueError) as objectives:
+                rt.objectives(burgers_snapshot, big)
+            with pytest.raises(rod.SnapshotFault) as twin:
+                rt.reconstruct(big)
+        for err in (report, objectives, twin):
+            assert str(err.value) == rod.NON_FINITE
+
+    def test_finite_twin_whose_fourth_power_overflows(
+        self, burgers_snapshot, burgers_model, burgers_fourier, monkeypatch
+    ):
+        # sum b^4 overflows, so the pass scans the twin's rows once more,
+        # finds them finite and keeps its sums: the correlation is
+        # sum a^2 b^2 / (sqrt(sum a^4) * inf) = 0, as before the fused pass
+        big = dataclasses.replace(
+            burgers_model,
+            modes=burgers_model.modes * 1e40,
+            amplitudes=burgers_model.amplitudes * 1e40,
+        )
+        ip = rt.InnerProduct(burgers_snapshot.dx)
+        walks = count_calls(monkeypatch, rod, "row_blocks")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = rt.quality_report(burgers_snapshot, big, burgers_fourier, ip)
+        assert walks["row_blocks"] == 2
+        assert report.correlation == 0.0
+        assert report.absolute_error == pytest.approx(3.6063794416159133e80, rel=1e-12)
+        # data whose a^4 overflows as well: the rescan finds the twin
+        # finite, and the NaN correlation is named
+        snap = two_mode_field(1e77)
+        model = rt.fit(snap, 4, seed=0)
+        walks.clear()
+        with pytest.raises(
+            ValueError, match=r"^quality report field correlation is not finite \(nan\)$"
+        ):
+            rt.quality_report(
+                snap, model, rt.fourier_decomposition(snap), rt.InnerProduct(snap.dx)
+            )
+        assert walks["row_blocks"] == 2
+
+    def test_reconstruct_is_the_report_twin(self, tall, monkeypatch):
+        # the twin rows the report sums are the reconstruction's, bit for bit
+        snap, model = tall
+        seen = np.full(snap.values.shape, np.nan)
+        real = metrics._modal_rows
+
+        def recording(left, right):
+            rows = real(left, right)
+
+            def record(start, stop, out):
+                rows(start, stop, out)
+                seen[start:stop] = out
+
+            return record
+
+        monkeypatch.setattr(metrics, "_modal_rows", recording)
+        self._report(snap, model)
+        assert np.array_equal(seen, rt.reconstruct(model).values)
 
     def test_public_functions_take_row_blocks_of_the_twin(self, tall):
         snap, model = tall
