@@ -125,7 +125,7 @@ def _resolve(args):
 
 def _load_model_for(dataset, model_path):
     model = io.read_model(model_path)
-    shape = (model.modes.shape[0], model.amplitudes.shape[1])
+    shape = (model.x.size, model.t.size)
     if shape != dataset.values.shape:
         raise ValueError(
             "model grid %dx%d does not match dataset %dx%d"

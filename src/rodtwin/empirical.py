@@ -136,8 +136,9 @@ def _real_basis(modes):
             weights += [1.0 + pair] * 2
             j += pair
         j += 1
-    # whole rows at a time: a copy column by column read the modes once per column
-    basis = modes.real[:, columns]
+    # whole rows at a time (column by column read the modes once per column),
+    # row-major like a model's left factor, so the products keep L's bits
+    basis = modes.real.take(columns, axis=1)
     basis[:, imag] = modes.imag[:, np.take(columns, imag)]
     return basis, np.array(weights)
 
@@ -205,27 +206,18 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     """
     rod_modes = np.asarray(rod_modes)
     v0 = np.asarray(v0, dtype=float)
-    bases = _projection_bases(rod_modes, fourier, v0, same_rank)
-    energies, products = _walk(v0, bases)
-    return _projection_scores(
-        rod_modes.shape[1], bases, products, ip.dx * energies, fourier, v0, ip
-    )
-
-
-def _projection_bases(rod_modes, fourier, v0, same_rank=False):
-    """The weighted real bases whose products with v0 compare_projections
-    scores: the model modes' and, with same_rank, the baseline's
-    truncated to their number.  Checks fourier against v0 first."""
+    m = rod_modes.shape[1]
     _check_baseline(fourier, v0)
     bases = [_real_basis(rod_modes)]
     if same_rank:
-        bases.append(_real_basis(fourier.psi[:, : rod_modes.shape[1]]))
-    return bases
+        bases.append(_real_basis(fourier.psi[:, :m]))
+    energies, products = _walk(v0, bases)
+    return _projection_scores(m, bases, products, ip.dx * energies, fourier, v0, ip)
 
 
 def _projection_scores(m, bases, products, col_sq, fourier, v0, ip):
     """compare_projections for m model modes, given the products of v0
-    with the _projection_bases and its column energies col_sq."""
+    with the weighted real bases and its column energies col_sq."""
     _check_energies(col_sq)
     rho_rod = _score(products[0], bases[0][1], col_sq, ip.dx, m)
     if len(bases) > 1:

@@ -193,7 +193,7 @@ def write_model(path, model):
     x_end, t0, t_end.  [modes] has nx rows of rank (re,im) pairs,
     [amplitudes] rank rows of nt+1 pairs, [eigenvalues] rank rows of
     one pair each.  Conjugate pairs are adjacent and exactly conjugate,
-    the positive imaginary part first, as RodModel holds them.
+    the positive imaginary part first, as RodModel's views give them.
     """
     x, t = model.x, model.t
     header = {
@@ -235,7 +235,8 @@ def _parse_pair_row(cells, line_no, path, pairs):
         raise ValueError("%s:%d: bad numeric cell (%s)" % (path, line_no, exc))
     if not np.isfinite(flat).all():
         raise ValueError("%s:%d: non-finite value" % (path, line_no))
-    return flat[0::2] + 1j * flat[1::2]
+    # the pairs as they are: re + 1j * im turns an imaginary -0 into +0
+    return flat.view(complex)
 
 
 def _count(text):
@@ -332,22 +333,15 @@ def read_model(path):
             raise ValueError(
                 "%s:%d: [%s] must have %d rows" % (path, section_line, name, n_rows)
             )
-        block = np.empty((n_rows, pairs), dtype=complex)
-        for i, (line_no, cells) in enumerate(rows):
-            block[i] = _parse_pair_row(cells, line_no, path, pairs)
-        blocks.append(block)
+        block = [_parse_pair_row(cells, line_no, path, pairs) for line_no, cells in rows]
+        blocks.append(np.array(block, dtype=complex).reshape(n_rows, pairs))
     modes, amp, eigenvalues = blocks
+    x = _saved_grid(header, "x0", "x_end", nx, path)
+    t = _saved_grid(header, "t0", "t_end", nt + 1, path)
     try:
-        return RodModel(
-            modes=modes,
-            amplitudes=amp,
-            eigenvalues=eigenvalues[:, 0],
-            seed=seed,
-            x=_saved_grid(header, "x0", "x_end", nx, path),
-            t=_saved_grid(header, "t0", "t_end", nt + 1, path),
-        )
+        return RodModel.from_modes(modes, amp, eigenvalues[:, 0], seed, x, t)
     except ModelFault as exc:
-        line_no = sections["eigenvalues"][1][exc.index][0]
+        line_no = sections[exc.section][1][exc.index][0]
         raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
 
 

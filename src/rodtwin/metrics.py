@@ -13,7 +13,7 @@ column dot product of two per-block factors: (a - b)^2 for the error,
 a^2 b^2, b^2 b^2 and a^2 a^2 for the paper correlation, a b, b b and
 a a for the cosine.  The twin side of a block is a slice of a
 reconstructed SnapshotMatrix, the rows of a real product L R (a
-model's real factors, or a sweep rank's sketch basis times its
+model's own factors, or a sweep rank's sketch basis times its
 rank-space coefficients) or the sketch's own fit Q P, evaluated one
 block at a time, so the quality report and the sweep never hold an
 nx x nt twin.  A non-finite twin entry shows as a non-finite sum, and
@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .empirical import _projection_bases, _projection_scores
+from .empirical import _check_baseline, _projection_scores
 from .rod import NON_FINITE, _pass, _quiet
 
 
@@ -174,7 +174,7 @@ def _model_scores(exact, model, variant, width=0, bases=()):
     products with bases."""
     pairs = ("dd",) + _correlation_pairs(variant)
     _check_matched(exact, model.x, model.t)
-    twin = _modal_rows(*model.real_factors())
+    twin = _modal_rows(model.left, model.right)
     (diff_sq, *sums), energies, products = _pass(exact.values, twin, pairs, width, bases)
     return _error(diff_sq), _correlation(variant, *sums), energies, products
 
@@ -201,22 +201,23 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     One pass over the data gives the error and correlation of the
     model's twin, which is never formed, and over V0, the kernel's
     window of the first nt columns, the column energies and the
-    products with the weighted real basis of the model modes.  The
-    projection scores are those of empirical.compare_projections on
-    V0, whose walk sums the same energies and products with the same
-    kernel, bit for bit, so fourier must decompose exact itself
-    (ValueError otherwise).  A field that is not
-    finite, such as the correlation of data whose a^4 overflows, raises
-    ValueError naming the field.
+    products with the model's left factor, the modes' real basis.  The
+    projection scores are those of empirical.compare_projections on V0,
+    whose walk sums the same energies and products with the same kernel,
+    bit for bit, so fourier must decompose exact itself (ValueError
+    otherwise).  A field that is not finite, such as the correlation of
+    data whose a^4 overflows, raises ValueError naming the field.
     """
     v0 = exact.values[:, :-1]
-    bases = _projection_bases(model.modes, fourier, v0)
+    _check_baseline(fourier, v0)
     # a zero twin column is reported before a zero data column
     error, corr, energy, products = _model_scores(
-        exact, model, variant, v0.shape[1], [basis for basis, _ in bases]
+        exact, model, variant, v0.shape[1], [model.left]
     )
+    # a pair's columns u, v stand for the modes u ± iv, with weight 2 each
+    weights = np.where(model.eigenvalues.imag == 0, 1.0, 2.0)
     rho_rod, rho_fourier, _ = _projection_scores(
-        model.rank, bases, products, ip.dx * energy, fourier, v0, ip
+        model.rank, [(model.left, weights)], products, ip.dx * energy, fourier, v0, ip
     )
     report = QualityReport(
         rank=int(model.rank),

@@ -16,10 +16,9 @@ sketch returns Q and P, and RankSpace(P).fit returns B, the eigenvalues
 and A from P alone.  The sketch is nested in its rank, so a rank sweep
 sketches once at its largest rank and runs the rank-space step on the
 leading k rows of P for every k, all from one QR factorization of the
-leading columns of P (RankSpace).  Real data makes the
-eigenvalues come in conjugate pairs, and the amplitudes are solved in
-each pair's real basis (Re b, Im b), so every model is exactly
-conjugate and its twin is one real product with rank columns.
+leading columns of P (RankSpace).  Real data makes the eigenvalues
+come in conjugate pairs; the amplitudes are solved in each pair's real
+basis (Re b, Im b), and the model holds the twin's real factors.
 """
 
 from __future__ import annotations
@@ -238,37 +237,59 @@ class InnerProduct:
 
 
 class ModelFault(ValueError):
-    """What RodModel rejects as not exactly conjugate; index is the first
-    offending mode."""
+    """What RodModel rejects, and where: section "eigenvalues" with index
+    the first mode that is neither real nor the first of an exactly
+    conjugate pair, or section "amplitudes" with index the first pair
+    amplitude row whose double overflows."""
 
-    def __init__(self, index):
-        super().__init__(
-            "mode %d is neither real nor the first of an exactly conjugate pair"
-            % index
-        )
-        self.index = index
+    MESSAGES = {
+        "eigenvalues": "mode %d is neither real nor the first of an exactly conjugate pair",
+        "amplitudes": "pair amplitude %d overflows when doubled",
+    }
+
+    def __init__(self, section, index):
+        super().__init__(self.MESSAGES[section] % index)
+        self.section, self.index = section, index
+
+
+def _conjugate_form(real, eigenvalues, sign):
+    """real as complex columns, each entry one of real's, its sign flipped
+    or not: a pair's u, v become u + sign iv and u - sign iv."""
+    first = np.flatnonzero(eigenvalues.imag > 0)
+    out = real.astype(complex)
+    out.imag[:, first] = sign * real[:, first + 1]
+    out.real[:, first + 1] = real[:, first]
+    out.imag[:, first + 1] = -sign * real[:, first + 1]
+    return out
+
+
+def _off_diagonal(gram):
+    """Largest off-diagonal magnitude of gram minus the identity."""
+    off = np.abs(gram - np.eye(gram.shape[0]))
+    np.fill_diagonal(off, 0.0)
+    return float(off.max()) if off.size > 1 else 0.0
 
 
 @dataclass(frozen=True)
 class RodModel:
-    """Fitted twin data model.
+    """Fitted twin data model: the twin is the real product left @ right.
 
-    modes: (nx, rank) complex, unit discrete-L2-norm columns.
-    amplitudes: (rank, nt + 1) complex, one row per mode.
-    eigenvalues: (rank,) complex spectrum of the propagator.
+    left: (nx, rank) and right: (rank, nt + 1), both real; eigenvalues:
+    (rank,) complex spectrum of the propagator.  A real eigenvalue's
+    mode and amplitudes are its column of left and row of right; a
+    pair's columns u, v and rows α, β are the modes u ± iv and the
+    amplitudes (α ∓ iβ) / 2.  The views modes (columns of unit
+    discrete-L2 norm) and amplitudes are formed on each read.
 
-    rank is the number of eigenvalues, and nx and nt + 1 are the sizes
-    of the grids x and t; an array of another shape raises ValueError
-    naming it.  The twin is real by construction.  Every eigenvalue is
-    real, with a real mode column and amplitude row, or the first of an
-    adjacent pair whose imaginary part is positive and whose second
-    eigenvalue, mode and amplitudes are its exact conjugates.  A
-    non-finite entry raises ValueError; any other model raises
-    ModelFault naming the first offending mode.
+    rank is the number of eigenvalues, nx and nt + 1 the sizes of the
+    grids x and t; another shape or a non-finite entry raises ValueError
+    naming the array.  Each eigenvalue is real or the first of an
+    adjacent pair, imaginary part positive, whose second is its exact
+    conjugate; ModelFault names the first that is not.
     """
 
-    modes: np.ndarray
-    amplitudes: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     eigenvalues: np.ndarray
     seed: int
     x: np.ndarray
@@ -279,12 +300,11 @@ class RodModel:
 
     def __post_init__(self):
         rank = np.size(self.eigenvalues)
-        for name, shape in (
-            ("eigenvalues", (rank,)),
-            ("modes", (np.size(self.x), rank)),
-            ("amplitudes", (rank, np.size(self.t))),
+        for name, value, shape in (
+            ("eigenvalues", self.eigenvalues, (rank,)),
+            ("modes", self.left, (np.size(self.x), rank)),
+            ("amplitudes", self.right, (rank, np.size(self.t))),
         ):
-            value = getattr(self, name)
             if np.shape(value) != shape:
                 raise ValueError(
                     "model %s shape %s is not %s" % (name, np.shape(value), shape)
@@ -295,35 +315,50 @@ class RodModel:
         j = 0
         while j < values.size:
             k = j + 1 + (values[j].imag != 0)
-            # mode k - 1 is the conjugate of mode j: mode j itself when it
-            # is real, its partner when it opens a pair
-            if values[j].imag < 0 or k > values.size or not all(
-                np.array_equal(a[..., k - 1], a[..., j].conj())
-                for a in (values, self.modes, self.amplitudes.T)
-            ):
-                raise ModelFault(j)
+            # k - 1 must hold the conjugate of j: j itself, or its partner
+            if values[j].imag < 0 or k > values.size or values[k - 1] != values[j].conj():
+                raise ModelFault("eigenvalues", j)
             j = k
+
+    @classmethod
+    def from_modes(cls, modes, amplitudes, eigenvalues, seed, x, t):
+        """The model whose modes and amplitudes are the given arrays, checked
+        as the constructor checks the factors; a pair amplitude whose double
+        overflows, or arrays not exactly conjugate, raise ModelFault."""
+        cls(modes, amplitudes, eigenvalues, seed, x, t)
+        second = np.roll(eigenvalues.imag > 0, 1)
+        with _quiet():
+            right = np.where(second[:, None], amplitudes.imag, amplitudes.real)
+            right *= np.where(eigenvalues.imag == 0, 1.0, 2.0)[:, None]
+        finite = np.isfinite(right).all(axis=1)
+        if not finite.all():
+            raise ModelFault("amplitudes", int(np.argmin(finite)))
+        left = np.where(second, -modes.imag, modes.real)
+        model = cls(left, right, eigenvalues, seed, x, t)
+        same = (model.modes == modes).all(0) & (model.amplitudes == amplitudes).all(1)
+        if not same.all():
+            j = int(np.argmin(same))
+            raise ModelFault("eigenvalues", j - int(second[j]))  # a pair's first mode
+        return model
 
     @property
     def rank(self):
         return len(self.eigenvalues)
 
     @property
-    def gram_deviation(self):
-        """mode_gram_deviation of the modes under the grid's inner product."""
-        return mode_gram_deviation(self.modes, InnerProduct(self.dx))
+    def modes(self):
+        return _conjugate_form(self.left, self.eigenvalues, 1)
 
-    def real_factors(self):
-        """Real (L, X) of shapes (nx, rank) and (rank, nt + 1) whose
-        product L @ X is the twin.  A real mode keeps its column and
-        amplitude row; the pair u ± iv with amplitudes a, conj(a) gives
-        the columns u, v and the rows 2 Re a, -2 Im a."""
-        values = self.eigenvalues
-        # the second members: no first member is last, so none wraps round
-        second = np.roll(values.imag > 0, 1)
-        left = np.where(second, -self.modes.imag, self.modes.real)
-        right = np.where(second[:, None], self.amplitudes.imag, self.amplitudes.real)
-        return left, right * np.where(values.imag == 0, 1.0, 2.0)[:, None]
+    @property
+    def amplitudes(self):
+        half = np.where(self.eigenvalues.imag == 0, 1.0, 0.5)[:, None]
+        return _conjugate_form((half * self.right).T, self.eigenvalues, -1).T
+
+    @property
+    def gram_deviation(self):
+        """mode_gram_deviation of the modes left @ E from the real Gram."""
+        e = _conjugate_form(np.eye(self.rank), self.eigenvalues, 1)
+        return _off_diagonal(e.conj().T @ (self.dx * (self.left.T @ self.left)) @ e)
 
 
 def shift_split(snap):
@@ -411,10 +446,7 @@ def mode_gram_deviation(modes, ip):
     mode pairs push it toward 1.
     """
     modes = np.asarray(modes)
-    gram = ip.dx * (modes.conj().T @ modes)
-    off = np.abs(gram - np.eye(gram.shape[0]))
-    np.fill_diagonal(off, 0.0)
-    return float(off.max()) if off.size > 1 else 0.0
+    return _off_diagonal(ip.dx * (modes.conj().T @ modes))
 
 
 def _stage(name, func, *args):
@@ -501,9 +533,8 @@ def fit(snap, rank, seed, reorthonormalize=False):
 
     The sketch step at rank_max = rank (one pass over the data after
     the range finder), the rank-space step on the projection, and the
-    lift of the real basis Q B, formed once at the end.  The pair with
-    basis columns u, v and amplitude rows α, β is stored as the modes
-    u ± iv and the amplitudes (α ∓ iβ) / 2.  With reorthonormalize=True
+    lift of the real basis Q B, formed once at the end: the model holds
+    Q B and the real amplitudes X as they come.  With reorthonormalize=True
     the real basis is replaced by its QR orthonormalization (the
     amplitudes are refit accordingly).
 
@@ -514,38 +545,20 @@ def fit(snap, rank, seed, reorthonormalize=False):
     basis, eigenvalues, amp = RankSpace(proj).fit(
         len(proj), InnerProduct(snap.dx), reorthonormalize
     )
-    # the 0/±1 matrices re, im take a factor F in the real basis to the
-    # complex F @ re + i F @ im: a real column stays, and a pair's columns
-    # u, v become u + iv and u - iv.  Each entry of a product is one entry
-    # of F times 1 or -1, so every pair comes out exactly conjugate.
-    first = np.flatnonzero(eigenvalues.imag > 0)
-    re, im = np.eye(len(eigenvalues)), np.zeros((len(eigenvalues),) * 2)
-    re[first, first + 1], re[first + 1, first + 1] = 1.0, 0.0
-    im[first + 1, first], im[first + 1, first + 1] = 1.0, -1.0
-    lifted = q @ basis
-    half = np.where(eigenvalues.imag == 0, 1.0, 0.5)[:, None]
-    return RodModel(
-        modes=lifted @ re + 1j * (lifted @ im),
-        amplitudes=half * (re.T @ amp - 1j * (im.T @ amp)),
-        eigenvalues=eigenvalues,
-        seed=int(seed),
-        x=snap.x.copy(),
-        t=snap.t.copy(),
-    )
+    return RodModel(q @ basis, amp, eigenvalues, int(seed), snap.x.copy(), snap.t.copy())
 
 
 def reconstruct(model):
     """Evaluate the modal sum on the stored grid, returning a SnapshotMatrix.
 
-    The twin is the real product L @ X of model.real_factors(), formed
-    one row block at a time, as the quality report forms its twin rows:
-    the bits are those rows', and the product of the whole L changed
+    The twin is the real product left @ right of the model, formed one
+    row block at a time, as the quality report forms its twin rows: the
+    bits are those rows', and the product of the whole left changed
     them with the BLAS thread count.  No numpy overflow warning is
     shown: SnapshotMatrix rejects a non-finite entry with SnapshotFault.
     """
-    left, right = model.real_factors()
-    values = np.empty((left.shape[0], right.shape[1]))
+    values = np.empty((model.x.size, model.t.size))
     with _quiet():
-        for start, stop in row_blocks(left.shape[0]):
-            np.matmul(left[start:stop], right, out=values[start:stop])
+        for start, stop in row_blocks(model.x.size):
+            np.matmul(model.left[start:stop], model.right, out=values[start:stop])
     return SnapshotMatrix(values=values, x=model.x.copy(), t=model.t.copy())

@@ -468,6 +468,27 @@ class TestEvaluate:
             " an exactly conjugate pair\n" % (command, bad, line_no)
         )
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_overflowing_pair_amplitude_reports_line(self, ws, tmp_path, capsys, command):
+        # the real part of the opening pair's first amplitude, in both of
+        # its rows, above half the float maximum: twice it overflows
+        lines = (ws / "model.txt").read_text().splitlines()
+        row = lines.index("[amplitudes]") + 1
+        for i in (row, row + 1):
+            lines[i] = "1.5e308," + lines[i].partition(",")[2]
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["--input", str(ws / "burgers.csv"), "--model", str(bad)]
+        if command == "evaluate":
+            argv += ["--output", str(tmp_path / "t")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command] + argv) == 2
+        assert capsys.readouterr().err == (
+            "rodtwin %s: error: %s:%d: pair amplitude 0 overflows when doubled\n"
+            % (command, bad, row + 1)
+        )
+
     def test_model_grid_mismatch(self, ws, tmp_path, capsys):
         small = tmp_path / "small.csv"
         assert (
@@ -845,6 +866,39 @@ class TestBlasThreads:
             assert len(files) == 3
             outputs[threads] = stdout, files
         assert outputs["1"] == outputs["2"]
+
+
+    def test_gram_deviation_bits_at_one_and_two_threads(self, tmp_path):
+        # random 301x20 models with eight pairs; their complex Gram matrix
+        # moved its last bits with the thread count on some of these seeds
+        script = tmp_path / "gram.py"
+        script.write_text(
+            "import numpy as np\n"
+            "import rodtwin as rt\n"
+            "for seed in range(12):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    model = rt.RodModel(\n"
+            "        left=rng.standard_normal((301, 20)),\n"
+            "        right=rng.standard_normal((20, 11)),\n"
+            "        eigenvalues=np.array([0.9 + 0.1j, 0.9 - 0.1j] * 8 + [0.5, 0.6, 0.7, 0.8]),\n"
+            "        seed=0,\n"
+            "        x=np.linspace(0.0, 1.0, 301),\n"
+            "        t=np.linspace(0.0, 1.0, 11),\n"
+            "    )\n"
+            "    print(float(model.gram_deviation).hex())\n"
+        )
+        printed = {}
+        for threads in ("1", "2"):
+            env = _checkout_env()
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            result = subprocess.run(
+                [sys.executable, str(script)], capture_output=True, timeout=120, env=env
+            )
+            assert result.returncode == 0, result.stderr
+            printed[threads] = result.stdout
+        assert len(printed["1"].split()) == 12
+        assert printed["1"] == printed["2"]
 
 
 class TestUsageErrors:

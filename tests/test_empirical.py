@@ -284,7 +284,7 @@ class TestWeightedRealBasis:
     def test_fitted_model_basis_is_its_real_factor(self, burgers_model):
         # a pair's Re and Im columns are the left real factor's columns
         basis, weights = empirical._real_basis(burgers_model.modes)
-        assert np.array_equal(basis, burgers_model.real_factors()[0])
+        assert np.array_equal(basis, burgers_model.left)
         assert weights.tolist() == np.where(
             burgers_model.eigenvalues.imag == 0, 1.0, 2.0
         ).tolist()

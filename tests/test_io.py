@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
@@ -503,7 +504,7 @@ class TestModelFile:
             paired = np.stack([z, z.conj()], axis=-1).reshape(rows, 2 * pairs)
             return np.hstack([paired, rng.standard_normal((rows, rank - 2 * pairs))])
 
-        model = rt.RodModel(
+        model = rt.RodModel.from_modes(
             modes=conjugate_form(nx),
             amplitudes=conjugate_form(nt + 1).T,
             eigenvalues=conjugate_form(1, positive=True)[0],
@@ -521,6 +522,72 @@ class TestModelFile:
         for name in ("dx", "dt", "gram_deviation"):
             assert bits(getattr(back, name)) == bits(getattr(model, name)), name
         assert (back.rank, back.seed) == (rank, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.lists(st.booleans(), min_size=1, max_size=5),
+        nx=st.integers(2, 6),
+        nt=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_real_factors_survive_views_and_file(self, layout, nx, nt, data):
+        # True opens a conjugate pair, False is a real eigenvalue; cells
+        # include signed zeros, and no half of one is subnormal
+        magnitude = st.floats(1e-300, 1e300)
+        cell = st.sampled_from((0.0, -0.0)) | magnitude | magnitude.map(float.__neg__)
+        eigenvalues = []
+        for pair in layout:
+            z = complex(data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(1e-3, 2.0)))
+            eigenvalues += [z, z.conjugate()] if pair else [z.real]
+        rank = len(eigenvalues)
+        model = rt.RodModel(
+            left=data.draw(arrays(float, (nx, rank), elements=cell)),
+            right=data.draw(arrays(float, (rank, nt + 1), elements=cell)),
+            eigenvalues=np.array(eigenvalues, dtype=complex),
+            seed=3,
+            x=np.linspace(0.0, 1.0, nx),
+            t=np.linspace(0.0, 2.0, nt + 1),
+        )
+        back = rt.RodModel.from_modes(
+            model.modes, model.amplitudes, model.eigenvalues, 3, model.x, model.t
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
+            io.write_model(first, model)
+            read = io.read_model(first)
+            io.write_model(second, read)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        for got in (back, read):
+            assert got.left.tobytes() == model.left.tobytes()
+            assert got.right.tobytes() == model.right.tobytes()
+
+    @pytest.mark.parametrize("row, part", [(0, 0), (1, 1)])
+    def test_overflowing_pair_amplitude_names_its_row(
+        self, tmp_path, burgers_model, row, part
+    ):
+        # the benchmark model opens with a conjugate pair: a real (part 0)
+        # or imaginary (part 1) amplitude above half the float maximum, in
+        # both rows of the pair, overflows the real amplitude of row 0 or 1
+        assert burgers_model.eigenvalues[0].imag > 0
+        path = tmp_path / "model.txt"
+        io.write_model(path, burgers_model)
+        lines = path.read_text().splitlines()
+        start = lines.index("[amplitudes]") + 1
+        for i, sign in ((0, -1.0), (1, 1.0)):
+            cells = lines[start + i].split(",")
+            cells[part] = repr(1.5e308 * (sign if part else 1.0))
+            lines[start + i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                io.read_model(path)
+        assert str(err.value) == "%s:%d: pair amplitude %d overflows when doubled" % (
+            path,
+            start + row + 1,
+            row,
+        )
 
     def test_file_without_format_line_rejected(self, tmp_path, rng):
         model = self._small_model(rng)

@@ -13,7 +13,7 @@ import rodtwin as rt
 from rodtwin import io, metrics, rod
 from rodtwin.rod import BLOCK_ROWS, add_column_sums, row_blocks
 
-from conftest import count_calls, make_snapshot, two_mode_field
+from conftest import count_calls, make_snapshot, rebuilt, two_mode_field
 
 
 class TestTimeAverage:
@@ -454,9 +454,9 @@ class TestStreamedEdges:
 
     def test_zero_twin_column_same_message(self, tall):
         snap, model = tall
-        amp = model.amplitudes.copy()
-        amp[:, 4] = 0.0
-        zeroed = dataclasses.replace(model, amplitudes=amp)
+        right = model.right.copy()
+        right[:, 4] = 0.0
+        zeroed = dataclasses.replace(model, right=right)
         twin = rt.reconstruct(zeroed)
         with pytest.raises(ValueError) as public:
             rt.correlation(snap, twin)
@@ -488,17 +488,17 @@ class TestStreamedEdges:
         # such a model is never built, so no report, objective or twin
         # sees it
         snap, model = tall
-        amp = model.amplitudes.copy()
-        amp[1, 5] = bad
+        right = model.right.copy()
+        right[1, 5] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            dataclasses.replace(model, amplitudes=amp)
+            dataclasses.replace(model, right=right)
 
     def test_unpaired_amplitudes_rejected(self, tall):
         # amplitudes that are not conjugate with their modes would give a
         # complex twin: the model is refused at its first mode
         snap, model = tall
         with pytest.raises(rod.ModelFault) as err:
-            dataclasses.replace(model, amplitudes=model.amplitudes * (1 + 1j))
+            rebuilt(model, amplitudes=model.amplitudes * (1 + 1j))
         assert err.value.index == 0
 
     def test_overflowing_twin_named(
@@ -508,8 +508,8 @@ class TestStreamedEdges:
         # names the non-finite values, and no numpy warning leaks
         big = dataclasses.replace(
             burgers_model,
-            modes=burgers_model.modes * 1e10,
-            amplitudes=burgers_model.amplitudes * 1e300,
+            left=burgers_model.left * 1e10,
+            right=burgers_model.right * 1e300,
         )
         ip = rt.InnerProduct(burgers_snapshot.dx)
         with warnings.catch_warnings():
@@ -531,10 +531,10 @@ class TestStreamedEdges:
         at_t0 = np.where(np.arange(burgers_snapshot.t.size) == 0, 1e300, 1.0)
         big = dataclasses.replace(
             burgers_model,
-            modes=burgers_model.modes * 1e10,
-            amplitudes=burgers_model.amplitudes * at_t0,
+            left=burgers_model.left * 1e10,
+            right=burgers_model.right * at_t0,
         )
-        left, right = big.real_factors()
+        left, right = big.left, big.right
         assert np.isfinite(left @ right[:, 1:]).all()
         ip = rt.InnerProduct(burgers_snapshot.dx)
         with warnings.catch_warnings():
@@ -556,8 +556,8 @@ class TestStreamedEdges:
         # sum a^2 b^2 / (sqrt(sum a^4) * inf) = 0, as before the fused pass
         big = dataclasses.replace(
             burgers_model,
-            modes=burgers_model.modes * 1e40,
-            amplitudes=burgers_model.amplitudes * 1e40,
+            left=burgers_model.left * 1e40,
+            right=burgers_model.right * 1e40,
         )
         ip = rt.InnerProduct(burgers_snapshot.dx)
         walks = count_calls(monkeypatch, rod, "row_blocks")

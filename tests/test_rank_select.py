@@ -221,7 +221,7 @@ class TestNestedSketch:
             10, rt.InnerProduct(snap.dx), reorthonormalize
         )
         # the model's real factors are the lifted real basis and amplitudes
-        left, right = model.real_factors()
+        left, right = model.left, model.right
         assert np.array_equal(left, q @ basis)
         assert np.array_equal(model.eigenvalues, eigenvalues)
         assert np.array_equal(right, amp)

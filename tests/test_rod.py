@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -15,7 +14,7 @@ from rodtwin.cli import DEFAULT_SEED
 from rodtwin.linalg import eig_general
 from rodtwin.rsvd import rsvd
 
-from conftest import make_snapshot
+from conftest import make_snapshot, rebuilt
 
 
 def test_snapshot_matrix_validation():
@@ -443,7 +442,7 @@ class TestConjugateForm:
         assert (np.abs(twin - dense.real) <= 1e-13 * scale).all()
 
     def test_real_factors_are_the_twin(self, burgers_model):
-        left, right = burgers_model.real_factors()
+        left, right = burgers_model.left, burgers_model.right
         assert left.shape == burgers_model.modes.shape
         assert right.shape == burgers_model.amplitudes.shape
         assert np.array_equal(rt.reconstruct(burgers_model).values, left @ right)
@@ -453,7 +452,7 @@ class TestConjugateForm:
         """A model of one conjugate pair and one real mode."""
         z = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
         a = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
-        return rt.RodModel(
+        return rt.RodModel.from_modes(
             modes=np.hstack([z, z.conj(), rng.standard_normal((6, 1))]),
             amplitudes=np.vstack([a, a.conj(), rng.standard_normal((1, 5))]),
             eigenvalues=np.array([0.5 + 0.5j, 0.5 - 0.5j, 0.9]),
@@ -478,7 +477,7 @@ class TestConjugateForm:
         value = getattr(pair, field).copy()
         value[where] += delta
         with pytest.raises(rod.ModelFault) as err:
-            dataclasses.replace(pair, **{field: value})
+            rebuilt(pair, **{field: value})
         assert err.value.index == index
         assert str(err.value).startswith("mode %d " % index)
 
@@ -488,7 +487,7 @@ class TestConjugateForm:
             for name in ("modes", "amplitudes", "eigenvalues")
         }
         with pytest.raises(rod.ModelFault) as err:
-            dataclasses.replace(pair, **flipped)
+            rebuilt(pair, **flipped)
         assert err.value.index == 0
 
     @pytest.mark.parametrize("field", ["modes", "amplitudes", "eigenvalues"])
@@ -496,7 +495,7 @@ class TestConjugateForm:
         bad = getattr(pair, field).copy()
         bad.flat[-1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            dataclasses.replace(pair, **{field: bad})
+            rebuilt(pair, **{field: bad})
 
     def test_rank_is_the_number_of_eigenvalues(self, pair, burgers_model):
         assert (pair.rank, burgers_model.rank) == (3, 10)
@@ -526,8 +525,28 @@ class TestConjugateForm:
     )
     def test_shape_mismatch_names_field(self, pair, change, message):
         with pytest.raises(ValueError) as err:
-            dataclasses.replace(pair, **change(pair))
+            rebuilt(pair, **change(pair))
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("reorthonormalize", [False, True])
+def test_fit_and_report_never_form_the_complex_views(
+    burgers_snapshot, burgers_fourier, monkeypatch, reorthonormalize
+):
+    def refuse(model):
+        raise AssertionError("a complex view of the model was formed")
+
+    for name in ("modes", "amplitudes"):
+        monkeypatch.setattr(rt.RodModel, name, property(refuse))
+    snap = burgers_snapshot
+    model = rt.fit(snap, 10, DEFAULT_SEED, reorthonormalize)
+    rt.quality_report(snap, model, burgers_fourier, rt.InnerProduct(snap.dx))
+    rt.objectives(snap, model)
+    rt.reconstruct(model)
+    # a sweep records a failing rank instead of raising
+    assert not any(p.failed for p in rt.pareto_sweep(snap, 12, DEFAULT_SEED))
+    with pytest.raises(AssertionError, match="complex view"):
+        model.modes
 
 
 _WARNING_CASES = {
