@@ -8,23 +8,21 @@ depend on it.
 
 Error and correlation are built from per-column sums that one pass
 over the data accumulates in blocks of BLOCK_ROWS rows; every scorer
-here runs the same pass kernel, rod._pass.  Each sum is one fused
-column dot product of two per-block factors: (a - b)^2 for the error,
-a^2 b^2, b^2 b^2 and a^2 a^2 for the paper correlation, a b, b b and
-a a for the cosine.  The twin side of a block is a slice of a
-reconstructed SnapshotMatrix, the rows of a real product L R (a
-model's own factors, or a sweep rank's sketch basis times its
-rank-space coefficients) or the sketch's own fit Q P, evaluated one
-block at a time, so the quality report and the sweep never hold an
-nx x nt twin.  A non-finite twin entry shows as a non-finite sum, and
-only then are the twin's rows scanned for it.
-The sweep's SweepScorer takes the part of each rank's error outside
-the sketch, and the data's a^4, from one pass per sweep.  The report's
-pass also sums the column energies of V0 and its products with the
-weighted real basis of the model modes, from which it takes the
-projection scores of empirical.compare_projections: the report reads
-the data once.  numpy's overflow warnings from these sums are
-silenced: a non-finite result becomes a named error.
+here runs the same pass kernel, rod._pass, against one twin or, for
+the sweep, a list of them.  Each sum is one fused column dot product
+of two per-block factors: (a - b)^2 for the error, a^2 b^2, b^2 b^2
+and a^2 a^2 for the paper correlation, a b, b b and a a for the
+cosine.  The twin side of a block is a slice of a reconstructed
+SnapshotMatrix or the rows of a real product L R (a model's own
+factors, or a sweep rank's sketch basis times its rank-space
+coefficients), evaluated one block at a time, so the quality report
+and the sweep never hold an nx x nt twin.  A non-finite twin entry
+shows as a non-finite sum, and only then are that twin's rows scanned
+for it.  The report's pass also sums the column energies of V0 and
+its products with the weighted real basis of the model modes, from
+which it takes the projection scores of empirical.compare_projections:
+the report reads the data once.  numpy's overflow warnings from these
+sums are silenced: a non-finite result becomes a named error.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .empirical import _check_baseline, _projection_scores
-from .rod import NON_FINITE, _pass, _quiet
+from .rod import _pass, _quiet, _scan
 
 
 def time_average(samples):
@@ -93,12 +91,7 @@ def _correlation(variant, cross, twin_pow, exact_pow):
 
 
 def _modal_rows(left, right):
-    """The twin of _pass for the real modal sum left @ right.  Its
-    column t_0, which no sum reads, is checked here with one product:
-    a non-finite entry raises ValueError."""
-    with _quiet():
-        if not np.isfinite(left @ right[:, 0]).all():
-            raise ValueError(NON_FINITE)
+    """The twin of _pass for the real modal sum left @ right."""
     return lambda start, stop, out: np.matmul(left[start:stop], right, out=out)
 
 
@@ -108,49 +101,30 @@ def _snapshot_rows(exact, twin):
     return lambda start, stop, out: np.copyto(out, twin.values[start:stop])
 
 
-class SweepScorer:
-    """Absolute error and paper correlation of every twin Q[:, :k] C_k
-    of one sketch (Q, P = Q^T V) against exact, C_k being rank k's real
-    (k, nt + 1) coefficients.
+def _twin_sums(values, factors, variant, width=0, bases=()):
+    """_pass of values against the twin left @ right of each (left, right)
+    in factors, no twin formed: the pairs are "dd" and the variant's."""
+    twins = [_modal_rows(left, right) for left, right in factors]
+    return _pass(values, twins, ("dd",) + _correlation_pairs(variant), width, bases)
 
-    Q has orthonormal columns, so column j's error splits as
 
-        ||v_j - Q_k c_j||^2 = ||v_j - Q p_j||^2 + ||p_j - [c_j; 0]||^2.
-
-    One blocked pass per sweep, against the twin Q P, gives the first
-    term and the data's a^4; the second term is rank space.  Per rank,
-    one blocked pass forms the twin rows Q_k C_k and sums a^2 b^2 and
-    b^4, which are not finite when a twin entry is not.
-    """
-
-    def __init__(self, exact, q, proj):
-        self._values = exact.values
-        self._q = q
-        self._p1 = p1 = np.ascontiguousarray(proj[:, 1:])
-
-        def sketch_rows(start, stop, out):
-            np.matmul(q[start:stop], p1, out=out[:, 1:])
-
-        (self._resid, self._exact_pow), _, _ = _pass(
-            self._values, sketch_rows, ("dd", "AA")
-        )
-
-    def scores(self, c):
-        """(absolute_error, correlation) of the twin of the real
-        (k, nt + 1) coefficients c."""
-        k = c.shape[0]
-        twin = _modal_rows(self._q[:, :k], c)
-        (cross, twin_pow), _, _ = _pass(self._values, twin, _CORRELATION["paper"][:2])
-        off = self._p1.copy()
-        off[:k] -= c[:, 1:]
-        diff_sq = self._resid + np.einsum("ij,ij->j", off, off)
-        return _error(diff_sq), _correlation("paper", cross, twin_pow, self._exact_pow)
+def _scores(values, left, right, sums, variant):
+    """(absolute_error, correlation) of the twin left @ right from its
+    sums of _twin_sums.  A non-finite twin entry shows in the column t_0,
+    which no sum reads and one product checks, or in a sum with the twin
+    in it, all but the data power; only then are the twin's rows formed
+    again and scanned, and the entry raises ValueError(NON_FINITE)."""
+    with _quiet():
+        t0 = left @ right[:, 0]
+    if not (np.isfinite(t0).all() and np.isfinite(sums[:-1]).all()):
+        _scan(_modal_rows(left, right), values.shape)
+    return _error(sums[0]), _correlation(variant, *sums[1:])
 
 
 def absolute_error(exact, twin):
     """Time-averaged Euclidean distance between matching columns."""
-    (diff_sq,), _, _ = _pass(exact.values, _snapshot_rows(exact, twin), ("dd",))
-    return _error(diff_sq)
+    (sums,), _, _ = _pass(exact.values, [_snapshot_rows(exact, twin)], ("dd",))
+    return _error(sums[0])
 
 
 def correlation(exact, twin, variant="paper"):
@@ -163,7 +137,7 @@ def correlation(exact, twin, variant="paper"):
     Both are scale invariant and bounded by Cauchy-Schwarz.
     """
     pairs = _correlation_pairs(variant)
-    sums, _, _ = _pass(exact.values, _snapshot_rows(exact, twin), pairs)
+    (sums,), _, _ = _pass(exact.values, [_snapshot_rows(exact, twin)], pairs)
     return _correlation(variant, *sums)
 
 
@@ -172,11 +146,10 @@ def _model_scores(exact, model, variant, width=0, bases=()):
     on exact's grids, from one pass that never forms it, followed by
     the pass's energies of the first width data columns and its
     products with bases."""
-    pairs = ("dd",) + _correlation_pairs(variant)
     _check_matched(exact, model.x, model.t)
-    twin = _modal_rows(model.left, model.right)
-    (diff_sq, *sums), energies, products = _pass(exact.values, twin, pairs, width, bases)
-    return _error(diff_sq), _correlation(variant, *sums), energies, products
+    factors = (model.left, model.right)
+    (sums,), energies, products = _twin_sums(exact.values, [factors], variant, width, bases)
+    return (*_scores(exact.values, *factors, sums, variant), energies, products)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ the rank-k sketch is the first k columns of the rank-k_max one, up to
 rounding (Halko, Martinsson and Tropp, SIAM Review 2011, section 4).
 The sweep runs fit's sketch step once at rank_max and its rank-space
 step on the leading k rows of the projection for every rank k, through
-one rod.RankSpace, and scores every rank with one metrics.SweepScorer.
+one rod.RankSpace, and then scores the twins of every rank in one walk
+of the data, with the terms and formulas of objectives.
 """
 
 from __future__ import annotations
@@ -64,17 +65,43 @@ def _flag_dominated(points):
         )
 
 
+# The most floats that the coefficients C_k of one scoring walk hold: a
+# constant, as BLOCK_ROWS is, so a sweep's memory is not quadratic in rank.
+GROUP_FLOATS = 2**20
+
+
+def _failed(rank, exc):
+    return ParetoPoint(rank=rank, j1=np.inf, j2=np.inf, error=str(exc))
+
+
+def _score(snap, q, group, by_rank):
+    """Score the twins Q[:, :k] C_k of group, a list of (k, C_k), in one
+    walk of the data into by_rank; a rank that fails gets an error point."""
+    factors = [(q[:, :k], c) for k, c in group]
+    sums, _, _ = metrics._twin_sums(snap.values, factors, "paper")
+    for (rank, _), factor, rank_sums in zip(group, factors, sums):
+        try:
+            j1, corr = metrics._scores(snap.values, *factor, rank_sums, "paper")
+            if not (np.isfinite(j1) and np.isfinite(corr)):
+                raise ArithmeticError("non-finite objectives j1=%s, j2=%s" % (j1, -corr))
+            by_rank[rank] = ParetoPoint(rank=rank, j1=j1, j2=-corr)
+        except Exception as exc:
+            by_rank[rank] = _failed(rank, exc)
+
+
 def pareto_sweep(snap, rank_max, seed):
     """Score every rank 1..rank_max at the given seed and flag dominance.
 
     One sketch of V0 at rank_max serves every rank (see the module
     docstring).  Rank k runs fit's rank-space step on the first k rows
-    of the projection P and scores the real twin Q[:, :k] C_k,
-    C_k = B_k X_k, with metrics.SweepScorer, so the points match
-    objectives(snap, fit(snap, k, seed)) up to rounding.  A
-    per-rank failure, a non-finite j1 or j2 included, is recorded in
-    that point's error field instead of aborting the sweep; a failed
-    sketch fails every point.
+    of the projection P, and its real twin Q[:, :k] C_k, C_k = B_k X_k,
+    is scored as objectives scores a model, so the points match
+    objectives(snap, fit(snap, k, seed)) up to rounding.  One walk of
+    the data scores the ranks whose step succeeded, in order, until
+    their C_k would pass GROUP_FLOATS floats.  A per-rank failure, a
+    non-finite j1 or j2 included, is recorded in that point's error
+    field instead of aborting the sweep; a failed sketch fails every
+    point.
     """
     rank_max = int(rank_max)
     limit = min(snap.values.shape[0], snap.values.shape[1] - 1)
@@ -84,27 +111,24 @@ def pareto_sweep(snap, rank_max, seed):
     try:
         q, proj = sketch(snap, rank_max, seed)
         shared = RankSpace(proj)
-        scorer = metrics.SweepScorer(snap, q, proj)
     except Exception as exc:
-        return [
-            ParetoPoint(rank=rank, j1=np.inf, j2=np.inf, error=str(exc))
-            for rank in ranks
-        ]
+        return [_failed(rank, exc) for rank in ranks]
     ip = InnerProduct(snap.dx)
-    points = []
+    by_rank, group = {}, []
     for rank in ranks:
         try:
             coeff, _, amp = shared.fit(rank, ip)
-            j1, corr = scorer.scores(coeff @ amp)
-            if not (np.isfinite(j1) and np.isfinite(corr)):
-                raise ArithmeticError(
-                    "non-finite objectives j1=%s, j2=%s" % (j1, -corr)
-                )
-            points.append(ParetoPoint(rank=rank, j1=j1, j2=-corr))
         except Exception as exc:
-            points.append(
-                ParetoPoint(rank=rank, j1=np.inf, j2=np.inf, error=str(exc))
-            )
+            by_rank[rank] = _failed(rank, exc)
+            continue
+        c = coeff @ amp
+        if group and sum(held.size for _, held in group) + c.size > GROUP_FLOATS:
+            _score(snap, q, group, by_rank)
+            group = []
+        group.append((rank, c))
+    if group:
+        _score(snap, q, group, by_rank)
+    points = [by_rank[rank] for rank in ranks]
     _flag_dominated(points)
     return points
 

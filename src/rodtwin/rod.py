@@ -72,69 +72,72 @@ def _quiet():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _pass(values, twin=None, pairs=(), width=0, bases=()):
-    """Per-column sums of the data values against a twin, the data's
-    column energies and its products with bases, from one walk of
-    row_blocks: the one loop that reads the data.
+def _pass(values, twins=(), pairs=(), width=0, bases=()):
+    """Per-column sums of the data values against each of a list of
+    twins, the data's column energies and its products with bases, from
+    one walk of row_blocks: the one loop that reads the data.
 
-    twin(start, stop, out) writes the twin's rows start:stop into out;
-    no sum reads their column t_0.  Each pair names two per-block
-    factors over the columns from t_1 on: "a" the data, "b" the twin,
-    "d" = a - b, "A" = a^2 and "B" = b^2, and its sums are
-    add_column_sums of the two.  A factor is formed when a pair first
-    needs it: A overwrites d in one block buffer and B squares b in
-    place in the other, so the pairs with d or b come before those with
-    A or B.  With width, the energies are the sums of a^2 over the first
-    width columns, and each basis (nx, c) gives the (c, width) product
+    twin(start, stop, out) writes a twin's rows start:stop into out; no
+    sum reads their column t_0.  Each pair names two per-block factors:
+    "a" the data, "b" the twin, "d" = a - b, "A" = a^2 and "B" = b^2,
+    and its sums are add_column_sums of the two over the columns from
+    t_1 on.  Factors are formed over whole block rows: a and A once per
+    block, and the pairs of the data alone summed once; b, d and B once
+    per twin, B squaring b in place, so one pass uses b or B, not both.
+    With width, the energies are the sums of a^2 over the first width
+    columns, and each basis (nx, c) gives the (c, width) product
     basis^T values[:, :width], both summed block by block in block
-    order.  Returns (sums, one row per pair; energies; products, one
-    per basis).
-
-    A twin entry that is inf or NaN makes every sum with the twin in it
-    non-finite.  Only then are the twin's rows formed again and
-    scanned, and a non-finite entry raises ValueError(NON_FINITE).
+    order.  Returns (sums, one (pairs, nt) array per twin; energies;
+    products, one per basis).
     """
     nx, ncols = values.shape
-    rows = min(BLOCK_ROWS, nx)
-    sums = np.zeros((len(pairs), ncols - 1))
+    letters = set("".join(pairs))
+    own = [i for i, pair in enumerate(pairs) if set(pair) & set("bdB")]
+    alone = [i for i in range(len(pairs)) if i not in own]
+    # one block of sums per twin, and last the sums of the data alone
+    sums = np.zeros((len(twins) + 1, len(pairs), ncols - 1))
     energies = np.zeros(width)
     products = [np.zeros((basis.shape[1], width)) for basis in bases]
-    # the two block buffers, for d or A and for b and B: fresh arrays per
-    # block made the pass over the 101x301 benchmark 1.6 times slower
-    scratch = np.empty(rows * (ncols - 1))
-    out = np.zeros((rows, ncols)) if twin else None
+    # the block buffers of d, A and the twin, reused from block to block:
+    # fresh arrays per block made the pass over the 101x301 benchmark 1.6
+    # times slower, and a factor formed over whole rows is one flat loop
+    buffers = np.empty((3, min(BLOCK_ROWS, nx) if pairs else 0, ncols))
     with _quiet():
         for start, stop in row_blocks(nx):
             block = values[start:stop]
-            factors = {"a": block[:, 1:]}
-            if twin:
-                twin_block = out[: stop - start]
+            diff, data_sq, twin_block = buffers[:, : stop - start]
+            factors = {"a": block, "A": data_sq, "b": twin_block, "d": diff, "B": twin_block}
+            if "A" in letters:
+                np.square(block, out=data_sq)
+            for i in alone:
+                add_column_sums(sums[-1, i], *(factors[n][:, 1:] for n in pairs[i]))
+            for twin, twin_sums in zip(twins, sums):
                 twin(start, stop, twin_block)
-                factors["b"] = twin_block[:, 1:]
-            buf = scratch[: factors["a"].size].reshape(factors["a"].shape)
-            make = {
-                "d": lambda: np.subtract(factors["a"], factors["b"], out=buf),
-                "A": lambda: np.square(factors["a"], out=buf),
-                # the whole buffer, so that the square is one flat loop
-                "B": lambda: np.square(twin_block, out=twin_block)[:, 1:],
-            }
-            for total, pair in zip(sums, pairs):
-                for name in pair:
-                    if name not in factors:
-                        factors[name] = make[name]()
-                add_column_sums(total, factors[pair[0]], factors[pair[1]])
+                if "d" in letters:
+                    np.subtract(block, twin_block, out=diff)
+                if "B" in letters:
+                    np.square(twin_block, out=twin_block)
+                for i in own:
+                    add_column_sums(twin_sums[i], *(factors[n][:, 1:] for n in pairs[i]))
             if width:
                 window = block[:, :width]
                 add_column_sums(energies, window, window)
                 for product, basis in zip(products, bases):
                     product += basis[start:stop].T @ window
-        with_twin = [bool(set(pair) & set("bdB")) for pair in pairs]
-        if not np.isfinite(sums[with_twin]).all():
-            for start, stop in row_blocks(nx):
-                twin(start, stop, out[: stop - start])
-                if not np.isfinite(out[: stop - start, 1:]).all():
-                    raise ValueError(NON_FINITE)
-    return sums, energies, products
+    sums[:-1, alone] = sums[-1, alone]
+    return sums[:-1], energies, products
+
+
+def _scan(twin, shape):
+    """Form the twin of _pass again, one block of rows at a time: an
+    entry that is not finite raises ValueError(NON_FINITE)."""
+    out = np.empty((min(BLOCK_ROWS, shape[0]), shape[1]))
+    with _quiet():
+        for start, stop in row_blocks(shape[0]):
+            rows = out[: stop - start]
+            twin(start, stop, rows)
+            if not np.isfinite(rows).all():
+                raise ValueError(NON_FINITE)
 
 
 class FitStageError(RuntimeError):

@@ -806,8 +806,8 @@ class TestReadsOfData:
         # the walks of rod.row_blocks, by the function that walks: the
         # SnapshotMatrix scan (__post_init__) of the data, the report's or
         # compare's pass, and for evaluate the blocked twin and its scan.
-        # So fit reads V four times (with the sketch's V0 M and Q^T V),
-        # evaluate and compare twice
+        # So fit and sweep read V four times (with the sketch's V0 M and
+        # Q^T V), evaluate and compare twice
         callers = []
         real = rod.row_blocks
 
@@ -825,6 +825,7 @@ class TestReadsOfData:
                 ["__post_init__", "reconstruct", "__post_init__", "_pass"],
             ),
             (["compare"] + model, ["__post_init__", "_pass"]),
+            (["sweep", "--output", str(tmp_path / "s.csv")], ["__post_init__", "_pass"]),
         ):
             callers.clear()
             assert main(argv + data) == 0

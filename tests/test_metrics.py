@@ -294,7 +294,7 @@ class TestStreamedPass:
         b = rng.standard_normal((nx, ncols))
         # a plain matrix serves: a SnapshotMatrix needs 2 rows
         pairs = ("dd",) + metrics._CORRELATION[variant]
-        got, _, _ = rod._pass(a, _copy_rows(b), pairs)
+        (got,), _, _ = rod._pass(a, [_copy_rows(b)], pairs)
         a1, b1 = a[:, 1:], b[:, 1:]
         if variant == "paper":
             expect = [(a1 * b1) ** 2, b1**4, a1**4]
@@ -319,10 +319,10 @@ class TestStreamedPass:
         pairs = ("dd",) + metrics._CORRELATION[variant]
         width = ncols - 1 if window else 0
         runs = {
-            order: rod._pass(np.asarray(a, order=order), _copy_rows(b), pairs, width)
+            order: rod._pass(np.asarray(a, order=order), [_copy_rows(b)], pairs, width)
             for order in "CF"
         }
-        sums, energies, _ = runs["C"]
+        (sums,), energies, _ = runs["C"]
         # blocks of at most 128 rows summed one after another, each term
         # rounded at most four times: within (nx + 4) eps of the sum of
         # the magnitudes, which 1e-12 bounds for nx <= 1000
@@ -337,7 +337,7 @@ class TestStreamedPass:
         # read the data itself (a b and a a of the cosine variant, and the
         # energies) do: numpy reduces an F-ordered block with unrolled
         # partial sums, and the last bits can differ
-        for (value, other), pair in zip(zip(sums, runs["F"][0]), pairs):
+        for (value, other), pair in zip(zip(sums, runs["F"][0][0]), pairs):
             if "a" not in pair:
                 assert np.array_equal(value, other)
             else:
@@ -362,7 +362,7 @@ class TestStreamedPass:
         basis = rng.standard_normal((nx, 3))
         pairs = ("dd",) + (() if variant is None else metrics._CORRELATION[variant])
         twin = _copy_rows(b)
-        sums, energy, (product,) = rod._pass(a, twin, pairs, ncols - 1, [basis])
+        sums, energy, (product,) = rod._pass(a, [twin], pairs, ncols - 1, [basis])
         v0 = a[:, :-1]
         _, col_sq, (alone,) = rod._pass(v0, width=ncols - 1, bases=[basis])
         assert np.array_equal(energy, col_sq)
@@ -370,8 +370,32 @@ class TestStreamedPass:
         np.testing.assert_allclose(energy, np.sum(v0**2, axis=0), rtol=1e-12)
         np.testing.assert_allclose(product, basis.T @ v0, rtol=1e-9, atol=1e-12)
         # and the window leaves the pass's other sums as they were
-        plain, _, _ = rod._pass(a, twin, pairs)
+        plain, _, _ = rod._pass(a, [twin], pairs)
         assert np.array_equal(sums, plain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.sampled_from((2, 127, 128, 129, 257)),
+        ncols=st.integers(2, 12),
+        count=st.integers(2, 4),
+        variant=st.sampled_from(rt.metrics.VARIANTS),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_twins_of_one_pass_keep_their_own_bits(
+        self, nx, ncols, count, variant, order, seed
+    ):
+        # the twins share the data's factors, not their sums: each twin's
+        # sums in an n-twin pass are those of its own one-twin pass
+        rng = np.random.default_rng(seed)
+        a = np.asarray(rng.standard_normal((nx, ncols)), order=order)
+        twins = [_copy_rows(rng.standard_normal((nx, ncols))) for _ in range(count)]
+        pairs = ("dd",) + metrics._CORRELATION[variant]
+        together, _, _ = rod._pass(a, twins, pairs)
+        assert together.shape == (count, len(pairs), ncols - 1)
+        for sums, twin in zip(together, twins):
+            (alone,), _, _ = rod._pass(a, [twin], pairs)
+            assert np.array_equal(sums, alone)
 
     @settings(max_examples=25, deadline=None)
     @given(

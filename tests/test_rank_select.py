@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
-from rodtwin import metrics, rod
+from rodtwin import rank_select, rod
 from rodtwin.cli import DEFAULT_SEED
 
 from conftest import count_calls, degenerate_field, make_snapshot, two_mode_field
@@ -179,6 +179,18 @@ class TestParetoSweep:
         assert j1[chosen] <= 1e-5
 
 
+def _scoring_walks(rank_max, ncols):
+    """The README's count of the sweep's scoring walks: the ranks in
+    order, a new walk whenever the next rank's k x ncols coefficients
+    would take the walk's total past GROUP_FLOATS floats."""
+    walks, held = 1, 0
+    for k in range(1, rank_max + 1):
+        if held and held + k * ncols > rank_select.GROUP_FLOATS:
+            walks, held = walks + 1, 0
+        held += k * ncols
+    return walks
+
+
 class TestNestedSketch:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -271,11 +283,87 @@ class TestNestedSketch:
             tracemalloc.stop()
         assert peak < 0.5 * burgers_2001.values.nbytes
 
+    def test_walks_in_groups_of_bounded_coefficients(self, burgers_snapshot, monkeypatch):
+        # at rank_max 100 the 101x301 benchmark's C_k hold 1.52M floats in
+        # all: ranks 1-82 fill one walk and 83-100 a second.  Holding them
+        # all at once took a tracemalloc peak of 14.5 MB, the two walks
+        # 10.6 MB; the bound is 1.5 times the GROUP_FLOATS floats of one
+        # walk (12.6 MB)
+        ncols = burgers_snapshot.values.shape[1]
+        assert (_scoring_walks(20, ncols), _scoring_walks(100, ncols)) == (1, 2)
+        walks = count_calls(monkeypatch, rod, "row_blocks")
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                # the ranks beyond the data's numerical rank truncate
+                warnings.simplefilter("ignore", RuntimeWarning)
+                points = rt.pareto_sweep(burgers_snapshot, 100, DEFAULT_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 100 and not any(p.failed for p in points)
+        assert walks["row_blocks"] == _scoring_walks(100, ncols)
+        assert peak < 1.5 * 8 * rank_select.GROUP_FLOATS
+
+    def test_benchmark_points_match_fits_as_documented(self, burgers_snapshot):
+        # the README's bound on the benchmark: |dj1| / j1 below 5e-8 of
+        # fit --rank k at the same seed (measured 1.24e-8)
+        snap = burgers_snapshot
+        for p in rt.pareto_sweep(snap, 20, DEFAULT_SEED):
+            j1, j2 = rt.objectives(snap, rt.fit(snap, p.rank, DEFAULT_SEED))
+            assert abs(p.j1 - j1) / j1 < 5e-8
+            assert p.j2 == pytest.approx(j2, rel=0, abs=1e-12)
+
+    def test_non_finite_twin_fails_only_its_rank(self, rng, monkeypatch):
+        snap = make_snapshot(rng.standard_normal((40, 12)))
+        sound = rt.pareto_sweep(snap, 5, 1)
+        real = rod.RankSpace.fit
+
+        def overflowing_at_three(self, k, ip, reorthonormalize=False):
+            basis, eigenvalues, amp = real(self, k, ip, reorthonormalize)
+            if k == 3:
+                # finite amplitudes whose twin overflows from t_1 on
+                amp = amp.copy()
+                amp[:, 1:] *= 1e308
+            return basis, eigenvalues, amp
+
+        monkeypatch.setattr(rod.RankSpace, "fit", overflowing_at_three)
+        walks = count_calls(monkeypatch, rod, "row_blocks")
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = rt.pareto_sweep(snap, 5, 1)
+        # the scoring walk, then rank 3's rows formed again and scanned
+        assert walks["row_blocks"] == 2
+        assert [p.error for p in points] == ["", "", rod.NON_FINITE, "", ""]
+        assert (points[2].j1, points[2].j2) == (np.inf, np.inf)
+        for p, q in zip(points, sound):
+            if p.rank != 3:
+                assert (p.j1, p.j2) == (q.j1, q.j2)
+
 
 def _explicit_scores(snap, q, c):
     """Error and paper correlation of the explicit twin Q_k Re C_k."""
     twin = rt.SnapshotMatrix(values=q[:, : c.shape[0]] @ c.real, x=snap.x, t=snap.t)
     return rt.absolute_error(snap, twin), rt.correlation(snap, twin)
+
+
+def _sweep_walk(snap, q, proj, ranks):
+    """The (k, C_k) of the ranks, and their points from the sweep's one
+    scoring walk."""
+    shared, ip = rod.RankSpace(proj), rt.InnerProduct(snap.dx)
+    group = []
+    for k in ranks:
+        coeff, _, amp = shared.fit(k, ip)
+        group.append((k, coeff @ amp))
+    points = {}
+    rank_select._score(snap, q, group, points)
+    return group, points
+
+
+# The walk forms a twin's rows one block at a time and the explicit twin
+# in one product, whose entries can differ in the last bit: j1 then moves
+# by about eps ||v_j|| / ||v_j - Q_k c_j|| relative.  On the data here it
+# did not move at all; on the 2001-point benchmark it moved 9.4e-12.
+J1_REL = 1e-12
 
 
 class TestRankSpaceScoring:
@@ -305,39 +393,29 @@ class TestRankSpaceScoring:
             )
             snap = make_snapshot(values)
         q, proj = rod.sketch(snap, rank_max, seed)
-        shared = rod.RankSpace(proj)
-        scorer = metrics.SweepScorer(snap, q, proj)
-        ip = rt.InnerProduct(snap.dx)
-        for k in range(1, rank_max + 1):
-            coeff, _, amp = shared.fit(k, ip)
-            c = coeff @ amp
-            j1, corr = scorer.scores(c)
+        group, points = _sweep_walk(snap, q, proj, range(1, rank_max + 1))
+        for k, c in group:
             error, want_corr = _explicit_scores(snap, q, c)
-            # the split of the error through range(Q) rounds at
-            # ~eps ||v_j|| / ||v_j - Q_k Re c_j|| relative
-            assert j1 == pytest.approx(error, rel=1e-8, abs=0)
-            assert corr == pytest.approx(want_corr, rel=0, abs=1e-12)
+            assert points[k].j1 == pytest.approx(error, rel=J1_REL, abs=0)
+            assert -points[k].j2 == pytest.approx(want_corr, rel=0, abs=1e-12)
 
     def test_benchmark_sweep_data_passes(self, burgers_snapshot, monkeypatch):
-        # one residual and a^4 walk of the data per sweep and one per rank
+        # one walk of the data scores every rank
         walks = count_calls(monkeypatch, rod, "row_blocks")
         points = rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
         assert not any(p.failed for p in points)
-        assert walks["row_blocks"] == 1 + 20
+        assert walks["row_blocks"] == 1
 
     @pytest.mark.parametrize("nx", [127, 128, 129, 259])
     def test_row_blocks(self, rng, nx):
-        # the per-sweep and per-rank passes both cross block boundaries
+        # the walk crosses block boundaries
         values = rng.standard_normal((nx, 8)) @ rng.standard_normal((8, 14))
         snap = make_snapshot(values)
         q, proj = rod.sketch(snap, 6, 3)
-        scorer = metrics.SweepScorer(snap, q, proj)
-        coeff, _, amp = rod.RankSpace(proj).fit(6, rt.InnerProduct(snap.dx))
-        c = coeff @ amp
-        j1, corr = scorer.scores(c)
-        error, want_corr = _explicit_scores(snap, q, c)
-        assert j1 == pytest.approx(error, rel=1e-8, abs=0)
-        assert corr == pytest.approx(want_corr, rel=0, abs=1e-12)
+        group, points = _sweep_walk(snap, q, proj, [6])
+        error, want_corr = _explicit_scores(snap, q, group[0][1])
+        assert points[6].j1 == pytest.approx(error, rel=J1_REL, abs=0)
+        assert -points[6].j2 == pytest.approx(want_corr, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 5, 10, 19, 20])
     def test_shared_qr_matches_fresh_factorization(self, burgers_snapshot, k):
@@ -369,13 +447,16 @@ class TestDegenerateData:
             warnings.simplefilter("ignore", RuntimeWarning)
             return [p.error for p in rt.pareto_sweep(snap, 4, seed=1)]
 
-    def test_all_zero_data(self):
+    def test_all_zero_data(self, monkeypatch):
         snap = degenerate_field("all-zero")
         message = "all singular values are negligible; nothing to propagate"
         with pytest.warns(RuntimeWarning, match="rsvd of an all-zero matrix"):
             with pytest.raises(ValueError, match="^%s$" % message):
                 rt.fit(snap, 4, seed=1)
+        # every rank fails in rank space, so the sweep never walks the data
+        walks = count_calls(monkeypatch, rod, "row_blocks")
         assert self._sweep_errors(snap) == [message] * 4
+        assert walks["row_blocks"] == 0
 
     def test_zero_column_after_t0(self):
         snap = degenerate_field("zero-column-t5")
