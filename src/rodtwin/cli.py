@@ -137,7 +137,8 @@ def _load_model_for(dataset, model_path):
         if abs(getattr(model, step) - want) > 1e-12 * want:
             raise ValueError("model spacing does not match the dataset grid")
     # the report and evaluate's CSVs use the dataset's grid points: the
-    # saved ends give them to rounding, or miss them when x0 or t0 differ
+    # saved grids are exact, but a dataset with the same steps may start
+    # elsewhere
     return dataclasses.replace(model, x=dataset.x.copy(), t=dataset.t.copy())
 
 

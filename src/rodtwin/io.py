@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 import warnings
 
 import numpy as np
 
 from .metrics import QualityReport
 from .rank_select import ParetoPoint
-from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix
+from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix, _uniform_grid
 
 
 def _fmt_row(row):
@@ -180,76 +179,53 @@ def write_modal_csv(path, axis_name, axis, label, columns):
 
 # ------------------------------------------------------------------- models
 
-_MODEL_FORMAT = "2"
-# the header keys read_model reads; write_model also writes dx, dt,
-# length and t_final, which no reader needs
-_MODEL_HEADER_KEYS = ("format", "nx", "nt", "rank", "seed", "x0", "x_end", "t0", "t_end")
+_MODEL_FORMAT = "3"
+_MODEL_HEADER_KEYS = ("format", "nx", "nt", "rank", "seed")
 
 
 def write_model(path, model):
     """Single-file model format: key=value header, then bracketed sections.
 
-    The header opens with 'format = 2' and ends with the grid ends x0,
-    x_end, t0, t_end.  [modes] has nx rows of rank (re,im) pairs,
-    [amplitudes] rank rows of nt+1 pairs, [eigenvalues] rank rows of
-    one pair each.  Conjugate pairs are adjacent and exactly conjugate,
-    the positive imaginary part first, as RodModel's views give them.
+    The header holds format = 3, nx, nt, rank and seed.  [x] and [t]
+    hold the grids, one value per line; [left] has nx rows of rank
+    cells, [right] rank rows of nt+1 cells and [eigenvalues] rank rows
+    of one re,im pair: the fields RodModel holds, as it holds them.
     """
-    x, t = model.x, model.t
     header = {
         "format": _MODEL_FORMAT,
-        "nx": x.size,
-        "nt": t.size - 1,
+        "nx": model.x.size,
+        "nt": model.t.size - 1,
         "rank": model.rank,
         "seed": model.seed,
-        "dx": fmt(model.dx),
-        "dt": fmt(model.dt),
-        "length": fmt(x[-1] - x[0]),
-        "t_final": fmt(t[-1] - t[0]),
-        "x0": fmt(x[0]),
-        "x_end": fmt(x[-1]),
-        "t0": fmt(t[0]),
-        "t_end": fmt(t[-1]),
     }
     with open(path, "w", newline="") as handle:
         handle.writelines("%s = %s\n" % item for item in header.items())
         for name, rows in (
-            ("modes", model.modes),
-            ("amplitudes", model.amplitudes),
-            ("eigenvalues", model.eigenvalues[:, None]),
+            ("x", model.x[:, None]),
+            ("t", model.t[:, None]),
+            ("left", model.left),
+            ("right", model.right),
+            ("eigenvalues", _interleaved(model.eigenvalues).reshape(-1, 2)),
         ):
             handle.write("[%s]\n" % name)
-            for row in rows:
-                handle.write(_fmt_row(_interleaved(row)) + "\n")
+            handle.writelines(_fmt_row(row) + "\n" for row in rows)
 
 
-def _parse_pair_row(cells, line_no, path, pairs):
-    if len(cells) != 2 * pairs:
+def _parse_row(cells, line_no, path, width):
+    if len(cells) != width:
         raise ValueError(
-            "%s:%d: expected %d (re,im) pairs, found %d cells"
-            % (path, line_no, pairs, len(cells))
+            "%s:%d: expected %d cells, found %d" % (path, line_no, width, len(cells))
         )
     try:
-        flat = np.array([float(c) for c in cells])
+        return [float(c) for c in cells]
     except ValueError as exc:
         raise ValueError("%s:%d: bad numeric cell (%s)" % (path, line_no, exc))
-    if not np.isfinite(flat).all():
-        raise ValueError("%s:%d: non-finite value" % (path, line_no))
-    # the pairs as they are: re + 1j * im turns an imaginary -0 into +0
-    return flat.view(complex)
 
 
 def _count(text):
     value = int(text)
     if value < 0:
         raise ValueError("negative count %d" % value)
-    return value
-
-
-def _finite(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("%s is not finite" % value)
     return value
 
 
@@ -264,31 +240,17 @@ def _header_number(header, key, convert, path):
         ) from None
 
 
-def _saved_grid(header, start_key, end_key, size, path):
-    """np.linspace between finite, increasing saved grid ends."""
-    start = _header_number(header, start_key, _finite, path)
-    end = _header_number(header, end_key, _finite, path)
-    if not end > start:
-        raise ValueError(
-            "%s:%d: bad %s value (%s is not above %s = %s)"
-            % (path, header[end_key][0], end_key, end, start_key, start)
-        )
-    return np.linspace(start, end, size)
-
-
 def read_model(path):
     """Parse a model file written by write_model.
 
-    The header must hold format = 2, nx, nt, rank, seed and the grid
-    ends x0, x_end, t0 and t_end; a file missing any of them, such as
-    one without a format line, raises ValueError naming the missing
-    keys.  Grids are rebuilt with np.linspace between the saved ends,
-    so the ends, dx, dt and everything dx-weighted reload bit for bit
-    (and so does a grid that was itself built by np.linspace).  Any
-    other format value, a non-finite or non-increasing pair of grid
-    ends, a non-finite cell and a model that is not exactly conjugate
-    (at its first bad [eigenvalues] row) are rejected with their
-    path:line.
+    The header must hold format = 3, nx, nt, rank and seed; a file
+    missing any of them, such as one without a format line, raises
+    ValueError naming the missing keys.  Every field reloads bit for
+    bit.  Any other format value, a row with the wrong cell count, a
+    bad or non-finite cell, a grid that is not finite, strictly
+    increasing and uniform (at the row at fault, as SnapshotMatrix
+    checks it) and a model that is not exactly conjugate (at its first
+    bad [eigenvalues] row) are rejected with their path:line.
     """
     with open(path) as handle:
         lines = [ln.rstrip("\n") for ln in handle]
@@ -315,33 +277,46 @@ def read_model(path):
     missing = [k for k in _MODEL_HEADER_KEYS if k not in header]
     if missing:
         raise ValueError("%s: missing header keys %s" % (path, missing))
-    for name in ("modes", "amplitudes", "eigenvalues"):
-        if name not in sections:
-            raise ValueError("%s: missing [%s] section" % (path, name))
     nx = _header_number(header, "nx", _count, path)
     nt = _header_number(header, "nt", _count, path)
     rank = _header_number(header, "rank", _count, path)
     seed = _header_number(header, "seed", int, path)
-    blocks = []
-    for name, n_rows, pairs in (
-        ("modes", nx, rank),
-        ("amplitudes", rank, nt + 1),
-        ("eigenvalues", rank, 1),
+    fields = {}
+    for name, n_rows, width in (
+        ("x", nx, 1),
+        ("t", nt + 1, 1),
+        ("left", nx, rank),
+        ("right", rank, nt + 1),
+        ("eigenvalues", rank, 2),
     ):
+        if name not in sections:
+            raise ValueError("%s: missing [%s] section" % (path, name))
         section_line, rows = sections[name]
         if len(rows) != n_rows:
             raise ValueError(
                 "%s:%d: [%s] must have %d rows" % (path, section_line, name, n_rows)
             )
-        block = [_parse_pair_row(cells, line_no, path, pairs) for line_no, cells in rows]
-        blocks.append(np.array(block, dtype=complex).reshape(n_rows, pairs))
-    modes, amp, eigenvalues = blocks
-    x = _saved_grid(header, "x0", "x_end", nx, path)
-    t = _saved_grid(header, "t0", "t_end", nt + 1, path)
+        block = [_parse_row(cells, line_no, path, width) for line_no, cells in rows]
+        block = np.array(block, dtype=float).reshape(n_rows, width)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            line_no = rows[int(np.argmin(finite))][0]
+            raise ValueError("%s:%d: non-finite value" % (path, line_no))
+        fields[name] = block
     try:
-        return RodModel.from_modes(modes, amp, eigenvalues[:, 0], seed, x, t)
+        x = _uniform_grid(fields["x"][:, 0], "x")
+        t = _uniform_grid(fields["t"][:, 0], "t")
+    except SnapshotFault as exc:
+        # an empty grid is named at its [x] or [t] line
+        section_line, rows = sections[exc.axis]
+        line_no = rows[exc.index][0] if rows else section_line
+        raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
+    # each re,im pair as it is: re + 1j * im turns an imaginary -0 into +0
+    eigenvalues = fields["eigenvalues"].view(complex)[:, 0]
+    try:
+        return RodModel(fields["left"], fields["right"], eigenvalues, seed, x, t)
     except ModelFault as exc:
-        line_no = sections[exc.section][1][exc.index][0]
+        line_no = sections["eigenvalues"][1][exc.index][0]
         raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
 
 

@@ -240,19 +240,14 @@ class InnerProduct:
 
 
 class ModelFault(ValueError):
-    """What RodModel rejects, and where: section "eigenvalues" with index
-    the first mode that is neither real nor the first of an exactly
-    conjugate pair, or section "amplitudes" with index the first pair
-    amplitude row whose double overflows."""
+    """What RodModel rejects, and where: index the first mode that is
+    neither real nor the first of an exactly conjugate pair."""
 
-    MESSAGES = {
-        "eigenvalues": "mode %d is neither real nor the first of an exactly conjugate pair",
-        "amplitudes": "pair amplitude %d overflows when doubled",
-    }
-
-    def __init__(self, section, index):
-        super().__init__(self.MESSAGES[section] % index)
-        self.section, self.index = section, index
+    def __init__(self, index):
+        super().__init__(
+            "mode %d is neither real nor the first of an exactly conjugate pair" % index
+        )
+        self.index = index
 
 
 def _conjugate_form(real, eigenvalues, sign):
@@ -320,29 +315,8 @@ class RodModel:
             k = j + 1 + (values[j].imag != 0)
             # k - 1 must hold the conjugate of j: j itself, or its partner
             if values[j].imag < 0 or k > values.size or values[k - 1] != values[j].conj():
-                raise ModelFault("eigenvalues", j)
+                raise ModelFault(j)
             j = k
-
-    @classmethod
-    def from_modes(cls, modes, amplitudes, eigenvalues, seed, x, t):
-        """The model whose modes and amplitudes are the given arrays, checked
-        as the constructor checks the factors; a pair amplitude whose double
-        overflows, or arrays not exactly conjugate, raise ModelFault."""
-        cls(modes, amplitudes, eigenvalues, seed, x, t)
-        second = np.roll(eigenvalues.imag > 0, 1)
-        with _quiet():
-            right = np.where(second[:, None], amplitudes.imag, amplitudes.real)
-            right *= np.where(eigenvalues.imag == 0, 1.0, 2.0)[:, None]
-        finite = np.isfinite(right).all(axis=1)
-        if not finite.all():
-            raise ModelFault("amplitudes", int(np.argmin(finite)))
-        left = np.where(second, -modes.imag, modes.real)
-        model = cls(left, right, eigenvalues, seed, x, t)
-        same = (model.modes == modes).all(0) & (model.amplitudes == amplitudes).all(1)
-        if not same.all():
-            j = int(np.argmin(same))
-            raise ModelFault("eigenvalues", j - int(second[j]))  # a pair's first mode
-        return model
 
     @property
     def rank(self):

@@ -57,13 +57,6 @@ def make_snapshot(values, dx=0.1, dt=0.05):
     )
 
 
-def rebuilt(model, **change):
-    """RodModel.from_modes of the model's views and fields, with change."""
-    fields = {"modes": model.modes, "amplitudes": model.amplitudes}
-    fields.update((name, getattr(model, name)) for name in ("eigenvalues", "seed", "x", "t"))
-    return rt.RodModel.from_modes(**{**fields, **change})
-
-
 def two_mode_field(scale=1.0):
     """Two damped oscillations on a 41x31 grid, times scale: numerical rank 4."""
     x = np.linspace(0.0, 1.0, 41)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.metadata
 import os
 import re
@@ -362,7 +363,7 @@ class TestEvaluate:
 
     def test_malformed_model_row_reports_line(self, ws, tmp_path, capsys):
         lines = (ws / "model.txt").read_text().splitlines()
-        line_no = lines.index("[amplitudes]") + 3
+        line_no = lines.index("[right]") + 3
         lines[line_no - 1] = lines[line_no - 1].rsplit(",", 2)[0]
         bad = tmp_path / "bad_model.txt"
         bad.write_text("\n".join(lines) + "\n")
@@ -396,42 +397,48 @@ class TestEvaluate:
         "key, value", [("x0", "nan"), ("x_end", "inf"), ("t_end", "0")]
     )
     def test_bad_grid_end_reports_line(self, ws, tmp_path, capsys, command, key, value):
+        # x0 is the first [x] row, x_end and t_end the last [x] and [t] rows
         lines = (ws / "model.txt").read_text().splitlines()
-        line_no = [ln.partition(" =")[0] for ln in lines].index(key) + 1
-        lines[line_no - 1] = "%s = %s" % (key, value)
+        ends = {"x0": ("[x]", 1), "x_end": ("[t]", -1), "t_end": ("[left]", -1)}
+        marker, offset = ends[key]
+        line_no = lines.index(marker) + offset + 1
+        lines[line_no - 1] = value
         bad = tmp_path / "bad_model.txt"
         bad.write_text("\n".join(lines) + "\n")
         argv = ["--input", str(ws / "burgers.csv"), "--model", str(bad)]
         if command == "evaluate":
             argv += ["--output", str(tmp_path / "t")]
         assert main([command] + argv) == 2
-        err = capsys.readouterr().err
-        assert "bad_model.txt:%d: bad %s value" % (line_no, key) in err
-        assert "warning" not in err
+        reason = "non-finite value"
+        if key == "t_end":
+            reason = "t grid must be strictly increasing"
+        assert capsys.readouterr().err == "rodtwin %s: error: %s:%d: %s\n" % (
+            command,
+            bad,
+            line_no,
+            reason,
+        )
 
     def test_unknown_model_format_reports_line(self, ws, tmp_path, capsys):
+        # a format 2 file held the complex views and the grid ends: refit
         text = (ws / "model.txt").read_text()
-        bad = tmp_path / "future_model.txt"
-        bad.write_text(text.replace("format = 2\n", "format = 3\n", 1))
-        rc = main(
-            [
-                "evaluate",
-                "--input",
-                str(ws / "burgers.csv"),
-                "--model",
-                str(bad),
-                "--output",
-                str(tmp_path / "t"),
-            ]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "future_model.txt:1: unsupported model format" in err
+        old = tmp_path / "old_model.txt"
+        old.write_text(text.replace("format = 3\n", "format = 2\n", 1))
+        argv = ["--input", str(ws / "burgers.csv"), "--model", str(old)]
+        output = ["--output", str(tmp_path / "t")]
+        for command, extra in (("evaluate", output), ("compare", [])):
+            assert main([command] + argv + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "rodtwin %s: error: %s:1: unsupported model format '2' (expected 3)\n"
+                % (command, old)
+            )
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_non_finite_model_cell_reports_line(self, ws, tmp_path, capsys, command):
         lines = (ws / "model.txt").read_text().splitlines()
-        line_no = lines.index("[amplitudes]") + 2
+        line_no = lines.index("[right]") + 2
         lines[line_no - 1] = "nan," + lines[line_no - 1].partition(",")[2]
         bad = tmp_path / "bad_model.txt"
         bad.write_text("\n".join(lines) + "\n")
@@ -447,46 +454,23 @@ class TestEvaluate:
         )
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
-    def test_unpaired_amplitude_reports_line(self, ws, tmp_path, capsys, command):
-        # the rank-10 benchmark model opens with a conjugate pair: one
-        # changed amplitude of its second mode breaks the pair, which the
-        # error places at the pair's first [eigenvalues] row
+    def test_unpaired_eigenvalue_reports_line(self, ws, tmp_path, capsys, command):
+        # the rank-10 benchmark model opens with a conjugate pair: a second
+        # eigenvalue that is not the first's conjugate breaks the pair,
+        # which the error places at the pair's first [eigenvalues] row
         lines = (ws / "model.txt").read_text().splitlines()
-        row = lines.index("[amplitudes]") + 2
-        cells = lines[row].split(",")
-        cells[3] = repr(float(cells[3]) + 1.0)
-        lines[row] = ",".join(cells)
+        row = lines.index("[eigenvalues]") + 2
+        re, im = lines[row].split(",")
+        lines[row] = "%s,%r" % (re, float(im) - 1.0)
         bad = tmp_path / "bad_model.txt"
         bad.write_text("\n".join(lines) + "\n")
         argv = ["--input", str(ws / "burgers.csv"), "--model", str(bad)]
         if command == "evaluate":
             argv += ["--output", str(tmp_path / "t")]
         assert main([command] + argv) == 2
-        line_no = lines.index("[eigenvalues]") + 2
         assert capsys.readouterr().err == (
             "rodtwin %s: error: %s:%d: mode 0 is neither real nor the first of"
-            " an exactly conjugate pair\n" % (command, bad, line_no)
-        )
-
-    @pytest.mark.parametrize("command", ["evaluate", "compare"])
-    def test_overflowing_pair_amplitude_reports_line(self, ws, tmp_path, capsys, command):
-        # the real part of the opening pair's first amplitude, in both of
-        # its rows, above half the float maximum: twice it overflows
-        lines = (ws / "model.txt").read_text().splitlines()
-        row = lines.index("[amplitudes]") + 1
-        for i in (row, row + 1):
-            lines[i] = "1.5e308," + lines[i].partition(",")[2]
-        bad = tmp_path / "bad_model.txt"
-        bad.write_text("\n".join(lines) + "\n")
-        argv = ["--input", str(ws / "burgers.csv"), "--model", str(bad)]
-        if command == "evaluate":
-            argv += ["--output", str(tmp_path / "t")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([command] + argv) == 2
-        assert capsys.readouterr().err == (
-            "rodtwin %s: error: %s:%d: pair amplitude 0 overflows when doubled\n"
-            % (command, bad, row + 1)
+            " an exactly conjugate pair\n" % (command, bad, row)
         )
 
     def test_model_grid_mismatch(self, ws, tmp_path, capsys):
@@ -548,7 +532,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_model_without_format_line_exits_2(self, ws, tmp_path, capsys, command):
-        dropped = ("format", "x0", "x_end", "t0", "t_end")
+        dropped = ("format",)
         lines = (ws / "model.txt").read_text().splitlines()
         kept = [ln for ln in lines if ln.partition(" =")[0] not in dropped]
         assert len(lines) - len(kept) == len(dropped)
@@ -567,25 +551,19 @@ class TestEvaluate:
         )
 
     def test_shifted_grid_ends_adopt_dataset_grids(self, ws, tmp_path, capsys):
-        # saved ends three steps off: the steps match, so the model is
+        # saved grids three steps off: the steps match, so the model is
         # accepted and scored on the dataset's own grid points
         argv = ["--input", str(ws / "burgers.csv")]
         assert main(["fit"] + argv + ["--output", str(tmp_path / "m.txt")]) == 0
         fit_stdout = capsys.readouterr().out
         model = io.read_model(ws / "model.txt")
-        ends = {
-            "x0": model.x[0] + 3 * model.dx,
-            "x_end": model.x[-1] + 3 * model.dx,
-            "t0": model.t[0] - 3 * model.dt,
-            "t_end": model.t[-1] - 3 * model.dt,
-        }
-        lines = [
-            "%s = %s" % (key, io.fmt(ends[key])) if key in ends else ln
-            for ln in (ws / "model.txt").read_text().splitlines()
-            for key in [ln.partition(" =")[0]]
-        ]
         shifted = tmp_path / "shifted_model.txt"
-        shifted.write_text("\n".join(lines) + "\n")
+        io.write_model(
+            shifted,
+            dataclasses.replace(
+                model, x=model.x + 3 * model.dx, t=model.t - 3 * model.dt
+            ),
+        )
         assert not np.array_equal(io.read_model(shifted).x, model.x)
         for name, path in (("plain", ws / "model.txt"), ("shifted", shifted)):
             rc = main(

@@ -1,5 +1,6 @@
 import os
 import struct
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -10,13 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
 
 import rodtwin as rt
 from rodtwin import io
 from rodtwin.rod import NON_FINITE, SnapshotFault
 
 from conftest import make_snapshot
+
+# the fields a model file holds
+_MODEL_FIELDS = ("x", "t", "left", "right", "eigenvalues")
 
 
 class TestFmt:
@@ -407,6 +410,12 @@ class TestModelFile:
         values = basis @ rng.standard_normal((2, 9))
         return rt.fit(make_snapshot(values, dx=0.5, dt=0.125), 2, seed=7)
 
+    def _written(self, tmp_path, model):
+        """The path and lines of the model's file."""
+        path = tmp_path / "model.txt"
+        io.write_model(path, model)
+        return path, path.read_text().splitlines()
+
     def test_round_trip_bit_exact(self, tmp_path, rng):
         model = self._small_model(rng)
         path = tmp_path / "model.txt"
@@ -424,40 +433,25 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         io.write_model(path, burgers_model)
         back = io.read_model(path)
-        assert np.array_equal(back.modes, burgers_model.modes)
-        assert np.array_equal(back.amplitudes, burgers_model.amplitudes)
-        # the generator's t is arange * dt and reloads as a linspace between
-        # its ends; agreement to rounding only
-        assert_allclose(back.x, burgers_model.x, atol=1e-12)
-        assert_allclose(back.t, burgers_model.t, atol=1e-12)
+        for name in _MODEL_FIELDS:
+            want = getattr(burgers_model, name)
+            assert np.array_equal(getattr(back, name), want), name
 
     def test_bytes_equal_per_cell_fmt(self, tmp_path, rng):
         model = self._small_model(rng)
         path = tmp_path / "model.txt"
         io.write_model(path, model)
-
-        def pairs(row):
-            return fmt_cells([part for z in row for part in (z.real, z.imag)])
-
-        x, t = model.x, model.t
-        expected = "format = 2\nnx = 12\nnt = 8\nrank = 2\nseed = 7\n"
-        for key, value in [
-            ("dx", model.dx),
-            ("dt", model.dt),
-            ("length", x[-1] - x[0]),
-            ("t_final", t[-1] - t[0]),
-            ("x0", x[0]),
-            ("x_end", x[-1]),
-            ("t0", t[0]),
-            ("t_end", t[-1]),
-        ]:
-            expected += "%s = %s\n" % (key, io.fmt(value))
-        expected += "[modes]\n"
-        expected += "".join(pairs(row) + "\n" for row in model.modes)
-        expected += "[amplitudes]\n"
-        expected += "".join(pairs(row) + "\n" for row in model.amplitudes)
-        expected += "[eigenvalues]\n"
-        expected += "".join(pairs([z]) + "\n" for z in model.eigenvalues)
+        ev = model.eigenvalues
+        expected = "format = 3\nnx = 12\nnt = 8\nrank = 2\nseed = 7\n"
+        for name, rows in (
+            ("x", model.x[:, None]),
+            ("t", model.t[:, None]),
+            ("left", model.left),
+            ("right", model.right),
+            ("eigenvalues", np.column_stack([ev.real, ev.imag])),
+        ):
+            expected += "[%s]\n" % name
+            expected += "".join(fmt_cells(row) + "\n" for row in rows)
         assert path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("rank, reorthonormalize", [(10, False), (15, True)])
@@ -482,7 +476,8 @@ class TestModelFile:
         t0=st.floats(-10.0, 10.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    # grids whose last point x0 + (n - 1) * dx misses the saved end by a bit
+    # a grid whose last point x0 + (n - 1) * dx is not the last point of
+    # np.linspace between its ends
     @example(
         nx=370,
         nt=23,
@@ -496,27 +491,22 @@ class TestModelFile:
     def test_write_read_identity(self, nx, nt, rank, dx, dt, x0, t0, seed):
         rng = np.random.default_rng(seed)
         pairs = int(rng.integers(0, rank // 2 + 1))
-
-        def conjugate_form(rows, positive=False):
-            """rows x rank: pairs of columns z, conj(z), then real columns."""
-            re, im = rng.standard_normal((2, rows, pairs))
-            z = re + 1j * (np.abs(im) if positive else im)
-            paired = np.stack([z, z.conj()], axis=-1).reshape(rows, 2 * pairs)
-            return np.hstack([paired, rng.standard_normal((rows, rank - 2 * pairs))])
-
-        model = rt.RodModel.from_modes(
-            modes=conjugate_form(nx),
-            amplitudes=conjugate_form(nt + 1).T,
-            eigenvalues=conjugate_form(1, positive=True)[0],
+        z = rng.standard_normal(pairs) + 1j * rng.uniform(0.1, 1.0, pairs)
+        paired = np.stack([z, z.conj()], axis=-1).ravel()
+        eigenvalues = np.concatenate([paired, rng.standard_normal(rank - 2 * pairs)])
+        model = rt.RodModel(
+            left=rng.standard_normal((nx, rank)),
+            right=rng.standard_normal((rank, nt + 1)),
+            eigenvalues=eigenvalues,
             seed=seed,
-            x=np.linspace(x0, x0 + (nx - 1) * dx, nx),
-            t=np.linspace(t0, t0 + nt * dt, nt + 1),
+            x=x0 + dx * np.arange(nx),
+            t=t0 + dt * np.arange(nt + 1),
         )
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "model.txt")
             io.write_model(path, model)
             back = io.read_model(path)
-        for name in ("x", "t", "modes", "amplitudes", "eigenvalues"):
+        for name in _MODEL_FIELDS + ("modes", "amplitudes"):
             assert np.array_equal(getattr(back, name), getattr(model, name)), name
         bits = struct.Struct("<d").pack
         for name in ("dx", "dt", "gram_deviation"):
@@ -528,28 +518,34 @@ class TestModelFile:
         layout=st.lists(st.booleans(), min_size=1, max_size=5),
         nx=st.integers(2, 6),
         nt=st.integers(1, 6),
+        x0=st.floats(-1e3, 1e3).filter(bool),
+        dx=st.floats(1e-3, 10.0),
         data=st.data(),
     )
-    def test_real_factors_survive_views_and_file(self, layout, nx, nt, data):
+    def test_real_factors_survive_views_and_file(self, layout, nx, nt, x0, dx, data):
         # True opens a conjugate pair, False is a real eigenvalue; cells
-        # include signed zeros, and no half of one is subnormal
-        magnitude = st.floats(1e-300, 1e300)
-        cell = st.sampled_from((0.0, -0.0)) | magnitude | magnitude.map(float.__neg__)
+        # are any finite float: signed zeros, subnormals and magnitudes
+        # up to the float maximum
+        edges = (0.0, -0.0, 3 * 2.0**-1074, -sys.float_info.max)
+        cell = st.sampled_from(edges) | st.floats(allow_nan=False, allow_infinity=False)
         eigenvalues = []
         for pair in layout:
             z = complex(data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(1e-3, 2.0)))
             eigenvalues += [z, z.conjugate()] if pair else [z.real]
         rank = len(eigenvalues)
+        right = data.draw(arrays(float, (rank, nt + 1), elements=cell))
+        if any(layout):
+            # the rows of the first pair hold 3 * 2^-1074, whose half is
+            # not a float
+            j = [z.imag > 0 for z in eigenvalues].index(True)
+            right[j : j + 2, 0] = 3 * 2.0**-1074
         model = rt.RodModel(
             left=data.draw(arrays(float, (nx, rank), elements=cell)),
-            right=data.draw(arrays(float, (rank, nt + 1), elements=cell)),
+            right=right,
             eigenvalues=np.array(eigenvalues, dtype=complex),
             seed=3,
-            x=np.linspace(0.0, 1.0, nx),
-            t=np.linspace(0.0, 2.0, nt + 1),
-        )
-        back = rt.RodModel.from_modes(
-            model.modes, model.amplitudes, model.eigenvalues, 3, model.x, model.t
+            x=x0 + dx * np.arange(nx),
+            t=np.arange(nt + 1) * 0.25 - 1.0,
         )
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
@@ -558,65 +554,28 @@ class TestModelFile:
             io.write_model(second, read)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
-        for got in (back, read):
-            assert got.left.tobytes() == model.left.tobytes()
-            assert got.right.tobytes() == model.right.tobytes()
-
-    @pytest.mark.parametrize("row, part", [(0, 0), (1, 1)])
-    def test_overflowing_pair_amplitude_names_its_row(
-        self, tmp_path, burgers_model, row, part
-    ):
-        # the benchmark model opens with a conjugate pair: a real (part 0)
-        # or imaginary (part 1) amplitude above half the float maximum, in
-        # both rows of the pair, overflows the real amplitude of row 0 or 1
-        assert burgers_model.eigenvalues[0].imag > 0
-        path = tmp_path / "model.txt"
-        io.write_model(path, burgers_model)
-        lines = path.read_text().splitlines()
-        start = lines.index("[amplitudes]") + 1
-        for i, sign in ((0, -1.0), (1, 1.0)):
-            cells = lines[start + i].split(",")
-            cells[part] = repr(1.5e308 * (sign if part else 1.0))
-            lines[start + i] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as err:
-                io.read_model(path)
-        assert str(err.value) == "%s:%d: pair amplitude %d overflows when doubled" % (
-            path,
-            start + row + 1,
-            row,
-        )
+        for name in _MODEL_FIELDS + ("modes", "amplitudes"):
+            got, want = getattr(read, name), getattr(model, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert read.seed == 3
 
     def test_file_without_format_line_rejected(self, tmp_path, rng):
-        model = self._small_model(rng)
-        path = tmp_path / "model.txt"
-        io.write_model(path, model)
-        new_keys = ("format", "x0", "x_end", "t0", "t_end")
-        lines = [
-            ln
-            for ln in path.read_text().splitlines()
-            if ln.partition("=")[0].strip() not in new_keys
-        ]
-        path.write_text("\n".join(lines) + "\n")
+        path, lines = self._written(tmp_path, self._small_model(rng))
+        path.write_text("\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError) as err:
             io.read_model(path)
-        assert str(err.value) == "%s: missing header keys %s" % (path, list(new_keys))
+        assert str(err.value) == "%s: missing header keys ['format']" % path
 
     def test_only_read_keys_required(self, tmp_path, rng):
-        # dx, dt, length and t_final are written but never read
-        model = self._small_model(rng)
-        path = tmp_path / "model.txt"
-        io.write_model(path, model)
-        unread = ("dx", "dt", "length", "t_final")
-        lines = path.read_text().splitlines()
-        kept = [ln for ln in lines if ln.partition(" =")[0] not in unread]
-        assert len(lines) - len(kept) == len(unread)
-        path.write_text("\n".join(kept) + "\n")
-        back = io.read_model(path)
-        for name in ("x", "t", "modes", "amplitudes", "eigenvalues"):
-            assert np.array_equal(getattr(back, name), getattr(model, name)), name
+        # every header key written is one the reader needs
+        path, lines = self._written(tmp_path, self._small_model(rng))
+        header = lines[: lines.index("[x]")]
+        assert [ln.partition(" =")[0] for ln in header] == list(io._MODEL_HEADER_KEYS)
+        for i, key in enumerate(io._MODEL_HEADER_KEYS):
+            path.write_text("\n".join(lines[:i] + lines[i + 1 :]) + "\n")
+            with pytest.raises(ValueError) as err:
+                io.read_model(path)
+            assert str(err.value) == "%s: missing header keys ['%s']" % (path, key)
 
     def test_blank_lines_skipped(self, tmp_path, rng):
         model = self._small_model(rng)
@@ -628,35 +587,41 @@ class TestModelFile:
             lines += ["", line] if line.startswith("[") else [line, "  "]
         path.write_text("\n".join(lines) + "\n\n")
         back = io.read_model(path)
-        for name in ("x", "t", "modes", "amplitudes", "eigenvalues"):
+        for name in _MODEL_FIELDS:
             assert np.array_equal(getattr(back, name), getattr(model, name)), name
 
-    @pytest.mark.parametrize("value", ["1", "3", ""])
+    @pytest.mark.parametrize("value", ["1", "2", ""])
     def test_unknown_format_reports_line(self, tmp_path, rng, value):
-        model = self._small_model(rng)
-        path = tmp_path / "model.txt"
-        io.write_model(path, model)
-        text = path.read_text()
-        assert text.startswith("format = 2\n")
-        path.write_text("format = %s\n" % value + text.partition("\n")[2])
-        with pytest.raises(ValueError, match=r"model\.txt:1: unsupported model format"):
+        # a format 2 file, which held the complex views and the grid
+        # ends, is refused by its format line
+        path, lines = self._written(tmp_path, self._small_model(rng))
+        assert lines[0] == "format = 3"
+        path.write_text("\n".join(["format = %s" % value] + lines[1:]) + "\n")
+        with pytest.raises(ValueError) as err:
             io.read_model(path)
+        assert str(err.value) == (
+            "%s:1: unsupported model format '%s' (expected 3)" % (path, value)
+        )
 
-    @pytest.mark.parametrize("section", ["modes", "amplitudes", "eigenvalues"])
-    def test_wrong_pair_count_reports_line(self, tmp_path, rng, section):
-        model = self._small_model(rng)
-        path = tmp_path / "model.txt"
-        io.write_model(path, model)
-        lines = path.read_text().splitlines()
+    @pytest.mark.parametrize("section", ["x", "t", "left", "right", "eigenvalues"])
+    def test_wrong_cell_count_reports_line(self, tmp_path, rng, section):
+        path, lines = self._written(tmp_path, self._small_model(rng))
         line_no = lines.index("[%s]" % section) + 2
+        width = lines[line_no - 1].count(",") + 1
         lines[line_no - 1] += ",1,0"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"model\.txt:%d: expected" % line_no):
+        with pytest.raises(ValueError) as err:
             io.read_model(path)
+        assert str(err.value) == "%s:%d: expected %d cells, found %d" % (
+            path,
+            line_no,
+            width,
+            width + 2,
+        )
 
     @pytest.mark.parametrize(
         "key, value",
-        [("nx", "six"), ("rank", "2.5"), ("seed", "x"), ("x0", "zero"), ("nx", "-6")],
+        [("nx", "six"), ("rank", "2.5"), ("seed", "x"), ("nt", "1e3"), ("nx", "-6")],
     )
     def test_bad_header_value_reports_line(self, tmp_path, rng, key, value):
         model = self._small_model(rng)
@@ -672,42 +637,59 @@ class TestModelFile:
             io.read_model(path)
 
     @pytest.mark.parametrize(
-        "key, value, reason",
+        "section, row, value, reason",
         [
-            ("x0", "nan", "nan is not finite"),
-            ("x_end", "inf", "inf is not finite"),
-            ("t0", "-inf", "-inf is not finite"),
-            ("t_end", "0", "0.0 is not above t0 = 0.0"),
-            ("x_end", "-1", "-1.0 is not above x0 = 0.0"),
+            ("x", 0, "nan", "non-finite value"),
+            ("x", -1, "inf", "non-finite value"),
+            ("t", 0, "-inf", "non-finite value"),
+            ("t", -1, "0", "t grid must be strictly increasing"),
+            ("x", -1, "-1", "x grid must be strictly increasing"),
+            ("x", 5, "2.75", "x grid must be uniformly spaced"),
+            ("t", 3, "0.2", "t grid must be strictly increasing"),
         ],
     )
-    def test_bad_grid_end_reports_line(self, tmp_path, rng, key, value, reason):
-        model = self._small_model(rng)
-        path = tmp_path / "model.txt"
-        io.write_model(path, model)
-        lines = path.read_text().splitlines()
-        line_no = [ln.partition(" =")[0] for ln in lines].index(key) + 1
-        lines[line_no - 1] = "%s = %s" % (key, value)
+    def test_bad_grid_row_reports_line(
+        self, tmp_path, rng, section, row, value, reason
+    ):
+        # the x grid is 0, 0.5, ..., 5.5 and t is 0, 0.125, ..., 1
+        path, lines = self._written(tmp_path, self._small_model(rng))
+        start = lines.index("[%s]" % section) + 1
+        size = lines.index("[t]" if section == "x" else "[left]") - start
+        line_no = start + row % size + 1
+        lines[line_no - 1] = value
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as err:
             io.read_model(path)
-        assert str(err.value) == "%s:%d: bad %s value (%s)" % (
+        assert str(err.value) == "%s:%d: %s" % (path, line_no, reason)
+
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    def test_single_point_grid_reports_line(self, tmp_path, axis):
+        grids = {"x": np.arange(3) * 0.5, "t": np.arange(4) * 0.25}
+        grids[axis] = grids[axis][:1]
+        model = rt.RodModel(
+            left=np.ones((grids["x"].size, 1)),
+            right=np.ones((1, grids["t"].size)),
+            eigenvalues=np.array([0.5 + 0j]),
+            seed=0,
+            **grids,
+        )
+        path, lines = self._written(tmp_path, model)
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == "%s:%d: %s grid needs at least 2 points" % (
             path,
-            line_no,
-            key,
-            reason,
+            lines.index("[%s]" % axis) + 2,
+            axis,
         )
 
-    @pytest.mark.parametrize("section", ["modes", "amplitudes", "eigenvalues"])
+    @pytest.mark.parametrize("section", ["x", "t", "left", "right", "eigenvalues"])
     def test_row_count_names_section_line(self, tmp_path, rng, section):
         model = self._small_model(rng)
-        path = tmp_path / "model.txt"
-        io.write_model(path, model)
-        lines = path.read_text().splitlines()
+        path, lines = self._written(tmp_path, model)
         line_no = lines.index("[%s]" % section) + 1
         del lines[line_no]
         path.write_text("\n".join(lines) + "\n")
-        rows = model.modes.shape[0] if section == "modes" else model.rank
+        rows = {"x": 12, "t": 9, "left": 12}.get(section, model.rank)
         with pytest.raises(ValueError) as err:
             io.read_model(path)
         assert str(err.value) == "%s:%d: [%s] must have %d rows" % (
@@ -722,7 +704,7 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         io.write_model(path, model)
         lines = path.read_text().splitlines()
-        line_no = lines.index("[amplitudes]") + 2
+        line_no = lines.index("[right]") + 2
         lines[line_no - 1] = "abc," + lines[line_no - 1].partition(",")[2]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as err:
@@ -732,7 +714,7 @@ class TestModelFile:
             % (path, line_no)
         )
 
-    @pytest.mark.parametrize("section", ["modes", "amplitudes", "eigenvalues"])
+    @pytest.mark.parametrize("section", ["left", "right", "eigenvalues"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_reports_line(self, tmp_path, rng, section, cell):
         model = self._small_model(rng)
@@ -747,21 +729,17 @@ class TestModelFile:
         assert str(err.value) == "%s:%d: non-finite value" % (path, line_no)
 
     def test_unpaired_model_names_eigenvalue_line(self, tmp_path, burgers_model):
-        # the benchmark model opens with a conjugate pair; a changed
-        # amplitude of its second mode is placed at the pair's first
-        # [eigenvalues] row
+        # the benchmark model opens with a conjugate pair; a second
+        # eigenvalue that is no longer its conjugate is placed at the
+        # pair's first [eigenvalues] row
         assert burgers_model.eigenvalues[0].imag > 0
-        path = tmp_path / "model.txt"
-        io.write_model(path, burgers_model)
-        lines = path.read_text().splitlines()
-        row = lines.index("[amplitudes]") + 2
-        cells = lines[row].split(",")
-        cells[0] = repr(2 * float(cells[0]))
-        lines[row] = ",".join(cells)
+        path, lines = self._written(tmp_path, burgers_model)
+        line_no = lines.index("[eigenvalues]") + 2
+        re, im = lines[line_no].split(",")
+        lines[line_no] = "%s,%r" % (re, 2 * float(im))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as err:
             io.read_model(path)
-        line_no = lines.index("[eigenvalues]") + 2
         assert str(err.value) == (
             "%s:%d: mode 0 is neither real nor the first of an exactly"
             " conjugate pair" % (path, line_no)
@@ -818,7 +796,7 @@ class TestModelFile:
         idx = lines.index("[eigenvalues]") + 1
         lines[idx] = lines[idx] + ",0.5"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="pairs"):
+        with pytest.raises(ValueError, match="expected 2 cells, found 3"):
             io.read_model(path)
 
 

@@ -13,7 +13,7 @@ import rodtwin as rt
 from rodtwin import io, metrics, rod
 from rodtwin.rod import BLOCK_ROWS, add_column_sums, row_blocks
 
-from conftest import count_calls, make_snapshot, rebuilt, two_mode_field
+from conftest import count_calls, make_snapshot, two_mode_field
 
 
 class TestTimeAverage:
@@ -516,14 +516,6 @@ class TestStreamedEdges:
         right[1, 5] = bad
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(model, right=right)
-
-    def test_unpaired_amplitudes_rejected(self, tall):
-        # amplitudes that are not conjugate with their modes would give a
-        # complex twin: the model is refused at its first mode
-        snap, model = tall
-        with pytest.raises(rod.ModelFault) as err:
-            rebuilt(model, amplitudes=model.amplitudes * (1 + 1j))
-        assert err.value.index == 0
 
     def test_overflowing_twin_named(
         self, burgers_snapshot, burgers_model, burgers_fourier
