@@ -101,14 +101,19 @@ def _check_energies(col_sq):
         )
 
 
-def _check_baseline(fourier, v0):
-    """fourier must decompose v0 plus one final column; read from the
-    stored values, so the check never forces the SVD."""
+def _check_baseline(fourier, v0, ip):
+    """fourier must decompose v0 plus one final column, read from the
+    stored values so as never to force the SVD, and ip must be its inner
+    product: the scores scale with ip.dx, within 1e-12 of fourier.dx."""
     nx, ncols = fourier.values.shape
     if nx != v0.shape[0] or ncols != v0.shape[1] + 1:
         raise ValueError(
             "Fourier modes of a %dx%d snapshot matrix do not match %dx%d data"
             " plus one final column" % (nx, ncols, v0.shape[0], v0.shape[1])
+        )
+    if abs(ip.dx - fourier.dx) > 1e-12 * abs(fourier.dx):
+        raise ValueError(
+            "inner product dx %s does not match the data's dx %s" % (ip.dx, fourier.dx)
         )
 
 
@@ -180,12 +185,12 @@ def mean_projection_norm(modes, v0, ip, mode_count=None):
 def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     """Score the model modes against the Fourier baseline on V0.
 
-    fourier must decompose the snapshot matrix V whose first columns are
-    v0, which has one column more than v0; any other shape raises
-    ValueError.  Returns (rho_rod, rho_fourier, dominates).  One walk of
-    rod._pass over v0 sums its column energies and its products with
-    the weighted real basis of each mode family, as the quality
-    report's pass does over V, so both give the same bits.
+    fourier must decompose the snapshot matrix V, v0 and one final
+    column, and ip must be its inner product (ValueError otherwise).
+    Returns (rho_rod, rho_fourier, dominates).  One walk of rod._pass
+    over v0 sums its column energies and its products with the weighted
+    real basis of each mode family, as the quality report's pass does
+    over V, so both give the same bits.
 
     By default the Fourier mean runs over the full grid dimension:
     mean_projection_norm(fourier.psi, v0, ip, mode_count=nx).  psi spans
@@ -207,7 +212,7 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     rod_modes = np.asarray(rod_modes)
     v0 = np.asarray(v0, dtype=float)
     m = rod_modes.shape[1]
-    _check_baseline(fourier, v0)
+    _check_baseline(fourier, v0, ip)
     bases = [_real_basis(rod_modes)]
     if same_rank:
         bases.append(_real_basis(fourier.psi[:, :m]))

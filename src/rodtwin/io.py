@@ -4,8 +4,9 @@ sweep CSV, reports.
 Every number is written with 17 significant digits so float64 values
 survive a write/read cycle bit-exactly.  Magnitudes outside
 [1e-3, 1e4) use scientific notation; everything uses '.' as the
-decimal separator regardless of locale.  A snapshot CSV is read once,
-by numpy's C reader.  Config files, the .meta sidecar, the model header
+decimal separator regardless of locale.  One writer formats every table
+of numbers and numpy's C reader reads every one, so a cell means the
+same in every file.  Config files, the .meta sidecar, the model header
 and the report share one 'key = value' line rule, each key given once;
 '#' comments are allowed only in config and .meta files.
 """
@@ -14,36 +15,52 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
 
 from .metrics import QualityReport
 from .rank_select import ParetoPoint
-from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix, _uniform_grid
+from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix
 
 
-def _fmt_row(row):
-    """A float64 row as cells of 17 significant digits joined by ',',
-    formatted by one %.  Zeros and magnitudes in [1e-3, 1e4) use %.17g,
-    which writes a negative zero '-0' so that it reads back as -0.0;
-    everything else, inf and nan included, uses %.16e."""
-    mag = np.abs(row)
-    plain = ((mag >= 1e-3) & (mag < 1e4) | (row == 0.0)).tolist()
-    return ",".join(["%.17g" if p else "%.16e" for p in plain]) % tuple(row.tolist())
+# cells per % of the table writer: a constant, as rod.BLOCK_ROWS is
+BLOCK_CELLS = 1 << 15
+
+# the format of a cell by (plain, ends a row): see _format
+_CODES = np.array([b"%.16e,", b"%.17g,", b"%.16e\n", b"%.17g\n"])
+
+
+def _format(cells, width, offset=0):
+    """Cells of a flat table of width columns, from its index offset on,
+    formatted by one %, each followed by ',' or, ending a row, a newline.
+    Zeros and magnitudes in [1e-3, 1e4) use %.17g, which writes -0.0 as
+    '-0'; everything else, inf and nan included, uses %.16e."""
+    mag = np.abs(cells)
+    plain = (mag >= 1e-3) & (mag < 1e4) | (cells == 0.0)
+    ends = np.arange(offset + 1, offset + cells.size + 1) % width == 0
+    codes = _CODES[plain + 2 * ends]
+    return codes.tobytes().decode() % tuple(cells.tolist())
 
 
 def fmt(value):
-    """Format one float as the one cell of a _fmt_row row."""
-    return _fmt_row(np.array([float(value)]))
+    """Format one float as the one cell of a _format row."""
+    return _format(np.array([float(value)]), 1)[:-1]
 
 
-def _write_csv(path, header, axis, rows):
-    """A CSV of the header line, then per axis value its row's cells."""
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\n")
-        for cell, row in zip(_fmt_row(np.asarray(axis, dtype=float)).split(","), rows):
-            handle.write(cell + "," + _fmt_row(row) + "\n")
+def _write_table(handle, rows, axis=None):
+    """Write the 2-D float64 rows as lines of cells joined by ',', each
+    led by its axis value if given, at most BLOCK_CELLS cells per _format."""
+    width = rows.shape[1] + (axis is not None)
+    step = max(1, BLOCK_CELLS // width)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        if axis is not None:
+            block = np.column_stack((axis[start : start + step], block))
+        cells = block.ravel()
+        for offset in range(0, cells.size, BLOCK_CELLS):
+            handle.write(_format(cells[offset : offset + BLOCK_CELLS], width, offset))
 
 
 def _key_value(line, where, seen):
@@ -60,8 +77,8 @@ def _key_value(line, where, seen):
 
 
 def _interleaved(values):
-    """A complex vector as float64 re, im, re, im, ..."""
-    return np.stack((values.real, values.imag), axis=-1).ravel()
+    """Complex values as float64 rows re, im, ...: one per value or row."""
+    return np.stack((values.real, values.imag), axis=-1).reshape(len(values), -1)
 
 
 def file_sha256(path):
@@ -81,73 +98,78 @@ def write_snapshot_csv(path, snap, meta=None):
     self-contained.  A meta dict, when given, is written next to the
     data as '<path>.meta' with one 'key = value' line per entry.
     """
-    _write_csv(path, "x," + _fmt_row(snap.t), snap.x, snap.values)
+    with open(path, "w", newline="") as handle:
+        handle.write("x,")
+        _write_table(handle, snap.t[None, :])
+        _write_table(handle, snap.values, snap.x)
     if meta is not None:
         with open(str(path) + ".meta", "w") as handle:
             handle.writelines("%s = %s\n" % item for item in meta.items())
 
 
 class _RowFault(ValueError):
-    """A data row refused before numpy's reader converts it."""
+    """A row refused before numpy's reader converts it."""
+
+
+def _read_rows(path, numbered_lines, width):
+    """The (line number, text) pairs of numbered_lines as one float64
+    array of width columns, read by numpy's C reader, and the line
+    number of each row.  A row of another cell count or holding a
+    control character 0x1c-0x1f, which the C reader strips as
+    whitespace, or a cell it refuses raises ValueError at its path:line."""
+    line_nos = []
+
+    def rows():
+        # numpy's reader converts each line before it pulls the next,
+        # so its fault is on the last line yielded
+        for line_no, line in numbered_lines:
+            line_nos.append(line_no)
+            if line.count(",") != width - 1:
+                raise _RowFault("expected %d cells, found %d" % (width, line.count(",") + 1))
+            if any(sep in line for sep in "\x1c\x1d\x1e\x1f"):
+                raise _RowFault("bad cell (separator character)")
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            # no rows: the caller reports what is missing
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2)
+    except _RowFault as exc:
+        raise ValueError("%s:%d: %s" % (path, line_nos[-1], exc)) from None
+    except ValueError as exc:
+        # numpy's reason without its row and column, counted among the
+        # lines it was given
+        reason = str(exc).partition(" at row ")[0]
+        raise ValueError("%s:%d: bad cell (%s)" % (path, line_nos[-1], reason)) from None
+    return data.reshape(len(line_nos), width), line_nos
 
 
 def read_snapshot_csv(path):
     """Parse a snapshot CSV back into a SnapshotMatrix, reading it once.
 
-    The data rows stream through numpy's C reader into one array whose
-    column 0 is x and whose other columns are the values, so the text
-    is never held and the field is not copied.  Blank lines are skipped.
-    A malformed file raises ValueError naming its path and the line of
-    its first fault; a '1_0' cell, which float() takes, is a bad cell.
-    What SnapshotMatrix rejects names the header for a time grid fault
-    and otherwise the first row at fault.
+    The header, its 'x' read as 0, and the data rows stream through
+    _read_rows into one array, so the text is never held and the field
+    is not copied.  Blank lines are skipped.  A malformed file raises
+    ValueError at the path:line of its first fault, and what
+    SnapshotMatrix rejects at the header for the time grid or else at
+    the first row at fault.
     """
-    rows = []  # the line number of each data row, in file order
-
     with open(path) as handle:
         numbered = ((n, ln) for n, ln in enumerate(handle, 1) if not ln.isspace())
         # an empty file reads as a header without times or rows
         header_no, header = next(numbered, (0, "x"))
-        cells = header.rstrip("\n").split(",")
-        if cells[0].strip() != "x":
+        first, comma, times = header.partition(",")
+        if first.strip() != "x":
             raise ValueError("%s:%d: header must start with 'x'" % (path, header_no))
-        try:
-            t = np.array([float(c) for c in cells[1:]])
-        except ValueError as exc:
-            raise ValueError("%s:%d: bad time value (%s)" % (path, header_no, exc))
-
-        def data_rows():
-            # numpy's reader converts each line before it pulls the next,
-            # so its fault is on the last line yielded
-            for line_no, line in numbered:
-                rows.append(line_no)
-                if line.count(",") != t.size:
-                    found = line.count(",") + 1
-                    raise _RowFault("expected %d cells, found %d" % (t.size + 1, found))
-                # control characters the C reader strips around a cell as
-                # whitespace but float() refuses
-                if any(sep in line for sep in "\x1c\x1d\x1e\x1f"):
-                    raise _RowFault("bad cell (separator character)")
-                yield line
-
-        try:
-            with warnings.catch_warnings():
-                # a header-only file, reported below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(data_rows(), delimiter=",", comments=None, ndmin=2)
-        except _RowFault as exc:
-            raise ValueError("%s:%d: %s" % (path, rows[-1], exc)) from None
-        except ValueError as exc:
-            # numpy's reason without its row and column, counted among the
-            # lines it was given
-            reason = str(exc).partition(" at row ")[0]
-            raise ValueError("%s:%d: bad cell (%s)" % (path, rows[-1], reason))
-    if len(rows) < 2:
+        rows = itertools.chain([(header_no, "0" + comma + times)], numbered)
+        data, line_nos = _read_rows(path, rows, header.count(",") + 1)
+    if len(line_nos) < 3:
         raise ValueError("%s: need a header and at least 2 data rows" % path)
     try:
-        return SnapshotMatrix(values=data[:, 1:], x=data[:, 0], t=t)
+        return SnapshotMatrix(values=data[1:, 1:], x=data[1:, 0], t=data[0, 1:])
     except SnapshotFault as exc:
-        line_no = header_no if exc.axis == "t" else rows[exc.index]
+        line_no = header_no if exc.axis == "t" else line_nos[exc.index + 1]
         raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
 
 
@@ -171,10 +193,11 @@ def write_modal_csv(path, axis_name, axis, label, columns):
     axis_name,<label>1_re,<label>1_im,...; row i holds axis[i], then
     the (re,im) pair of each mode.
     """
-    header = [axis_name]
-    for j in range(columns.shape[1]):
-        header += ["%s%d_re" % (label, j + 1), "%s%d_im" % (label, j + 1)]
-    _write_csv(path, ",".join(header), axis, map(_interleaved, columns))
+    modes = range(1, columns.shape[1] + 1)
+    header = [axis_name] + ["%s%d_%s" % (label, j, p) for j in modes for p in ("re", "im")]
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        _write_table(handle, _interleaved(columns), axis)
 
 
 # ------------------------------------------------------------------- models
@@ -191,53 +214,31 @@ def write_model(path, model):
     cells, [right] rank rows of nt+1 cells and [eigenvalues] rank rows
     of one re,im pair: the fields RodModel holds, as it holds them.
     """
-    header = {
-        "format": _MODEL_FORMAT,
-        "nx": model.x.size,
-        "nt": model.t.size - 1,
-        "rank": model.rank,
-        "seed": model.seed,
-    }
+    header = (_MODEL_FORMAT, model.x.size, model.t.size - 1, model.rank, model.seed)
     with open(path, "w", newline="") as handle:
-        handle.writelines("%s = %s\n" % item for item in header.items())
+        handle.writelines("%s = %s\n" % item for item in zip(_MODEL_HEADER_KEYS, header))
         for name, rows in (
             ("x", model.x[:, None]),
             ("t", model.t[:, None]),
             ("left", model.left),
             ("right", model.right),
-            ("eigenvalues", _interleaved(model.eigenvalues).reshape(-1, 2)),
+            ("eigenvalues", _interleaved(model.eigenvalues)),
         ):
             handle.write("[%s]\n" % name)
-            handle.writelines(_fmt_row(row) + "\n" for row in rows)
+            _write_table(handle, rows)
 
 
-def _parse_row(cells, line_no, path, width):
-    if len(cells) != width:
-        raise ValueError(
-            "%s:%d: expected %d cells, found %d" % (path, line_no, width, len(cells))
-        )
-    try:
-        return [float(c) for c in cells]
-    except ValueError as exc:
-        raise ValueError("%s:%d: bad numeric cell (%s)" % (path, line_no, exc))
-
-
-def _count(text):
-    value = int(text)
-    if value < 0:
-        raise ValueError("negative count %d" % value)
-    return value
-
-
-def _header_number(header, key, convert, path):
-    """convert applied to a header value; a failure names its path:line."""
+def _header_int(header, key, path):
+    """A header value as an int, a count at least 0 but for the seed; a
+    failure names its path:line."""
     line_no, text = header[key]
     try:
-        return convert(text)
+        value = int(text)
+        if value < 0 and key != "seed":
+            raise ValueError("negative count %d" % value)
     except ValueError as exc:
-        raise ValueError(
-            "%s:%d: bad %s value (%s)" % (path, line_no, key, exc)
-        ) from None
+        raise ValueError("%s:%d: bad %s value (%s)" % (path, line_no, key, exc)) from None
+    return value
 
 
 def read_model(path):
@@ -245,42 +246,36 @@ def read_model(path):
 
     The header must hold format = 3, nx, nt, rank and seed; a file
     missing any of them, such as one without a format line, raises
-    ValueError naming the missing keys.  Every field reloads bit for
-    bit.  Any other format value, a row with the wrong cell count, a
-    bad or non-finite cell, a grid that is not finite, strictly
-    increasing and uniform (at the row at fault, as SnapshotMatrix
-    checks it) and a model that is not exactly conjugate (at its first
-    bad [eigenvalues] row) are rejected with their path:line.
+    ValueError naming the missing keys.  The sections are read by
+    _read_rows and every field reloads bit for bit.  Any other format
+    value, a row with the wrong cell count, a bad or non-finite cell and
+    what RodModel rejects fail at their path:line: a fault of the RodModel
+    axis x, t or eigenvalues at its row (an empty grid at its section).
     """
-    with open(path) as handle:
-        lines = [ln.rstrip("\n") for ln in handle]
     header = {}
     sections = {}
     current = None
-    for line_no, line in enumerate(lines, 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1]
-            sections[current] = (line_no, [])
-        elif current is None:
-            key, value = _key_value(stripped, "%s:%d" % (path, line_no), header)
-            header[key] = (line_no, value)
-            if key == "format" and value != _MODEL_FORMAT:
-                raise ValueError(
-                    "%s:%d: unsupported model format %r (expected %s)"
-                    % (path, line_no, value, _MODEL_FORMAT)
-                )
-        else:
-            sections[current][1].append((line_no, stripped.split(",")))
+    with open(path) as handle:
+        for line_no, line in enumerate(handle, 1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("[") and stripped.endswith("]"):
+                current = sections[stripped[1:-1]] = (line_no, [])
+            elif current is None:
+                key, value = _key_value(stripped, "%s:%d" % (path, line_no), header)
+                header[key] = (line_no, value)
+                if key == "format" and value != _MODEL_FORMAT:
+                    raise ValueError(
+                        "%s:%d: unsupported model format %r (expected %s)"
+                        % (path, line_no, value, _MODEL_FORMAT)
+                    )
+            else:
+                current[1].append((line_no, stripped))
     missing = [k for k in _MODEL_HEADER_KEYS if k not in header]
     if missing:
         raise ValueError("%s: missing header keys %s" % (path, missing))
-    nx = _header_number(header, "nx", _count, path)
-    nt = _header_number(header, "nt", _count, path)
-    rank = _header_number(header, "rank", _count, path)
-    seed = _header_number(header, "seed", int, path)
+    nx, nt, rank, seed = (_header_int(header, k, path) for k in _MODEL_HEADER_KEYS[1:])
     fields = {}
     for name, n_rows, width in (
         ("x", nx, 1),
@@ -296,27 +291,20 @@ def read_model(path):
             raise ValueError(
                 "%s:%d: [%s] must have %d rows" % (path, section_line, name, n_rows)
             )
-        block = [_parse_row(cells, line_no, path, width) for line_no, cells in rows]
-        block = np.array(block, dtype=float).reshape(n_rows, width)
+        block, line_nos = _read_rows(path, rows, width)
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
-            line_no = rows[int(np.argmin(finite))][0]
+            line_no = line_nos[int(np.argmin(finite))]
             raise ValueError("%s:%d: non-finite value" % (path, line_no))
         fields[name] = block
-    try:
-        x = _uniform_grid(fields["x"][:, 0], "x")
-        t = _uniform_grid(fields["t"][:, 0], "t")
-    except SnapshotFault as exc:
-        # an empty grid is named at its [x] or [t] line
-        section_line, rows = sections[exc.axis]
-        line_no = rows[exc.index][0] if rows else section_line
-        raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
     # each re,im pair as it is: re + 1j * im turns an imaginary -0 into +0
     eigenvalues = fields["eigenvalues"].view(complex)[:, 0]
+    x, t = fields["x"][:, 0], fields["t"][:, 0]
     try:
         return RodModel(fields["left"], fields["right"], eigenvalues, seed, x, t)
-    except ModelFault as exc:
-        line_no = sections["eigenvalues"][1][exc.index][0]
+    except (SnapshotFault, ModelFault) as exc:
+        section_line, rows = sections[exc.axis]
+        line_no = rows[exc.index][0] if rows else section_line
         raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
 
 

@@ -177,12 +177,12 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     products with the model's left factor, the modes' real basis.  The
     projection scores are those of empirical.compare_projections on V0,
     whose walk sums the same energies and products with the same kernel,
-    bit for bit, so fourier must decompose exact itself (ValueError
+    bit for bit, so fourier and ip must be those of exact (ValueError
     otherwise).  A field that is not finite, such as the correlation of
     data whose a^4 overflows, raises ValueError naming the field.
     """
     v0 = exact.values[:, :-1]
-    _check_baseline(fourier, v0)
+    _check_baseline(fourier, v0, ip)
     # a zero twin column is reported before a zero data column
     error, corr, energy, products = _model_scores(
         exact, model, variant, v0.shape[1], [model.left]

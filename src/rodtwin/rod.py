@@ -240,8 +240,10 @@ class InnerProduct:
 
 
 class ModelFault(ValueError):
-    """What RodModel rejects, and where: index the first mode that is
-    neither real nor the first of an exactly conjugate pair."""
+    """What RodModel rejects, and where: index the first eigenvalue
+    that is neither real nor the first of an exactly conjugate pair."""
+
+    axis = "eigenvalues"
 
     def __init__(self, index):
         super().__init__(
@@ -279,11 +281,13 @@ class RodModel:
     amplitudes (α ∓ iβ) / 2.  The views modes (columns of unit
     discrete-L2 norm) and amplitudes are formed on each read.
 
-    rank is the number of eigenvalues, nx and nt + 1 the sizes of the
-    grids x and t; another shape or a non-finite entry raises ValueError
-    naming the array.  Each eigenvalue is real or the first of an
-    adjacent pair, imaginary part positive, whose second is its exact
-    conjugate; ModelFault names the first that is not.
+    x and t are grids as SnapshotMatrix takes them, or SnapshotFault
+    names the axis and index at fault.  rank, at least 1, is the number
+    of eigenvalues, nx and nt + 1 the sizes of x and t; another shape or
+    a non-finite entry raises ValueError naming the array.  Each
+    eigenvalue is real or the first of an adjacent pair, imaginary part
+    positive, whose second is its exact conjugate; ModelFault names the
+    first that is not.
     """
 
     left: np.ndarray
@@ -297,11 +301,14 @@ class RodModel:
     dt = SnapshotMatrix.dt
 
     def __post_init__(self):
+        x, t = _uniform_grid(self.x, "x"), _uniform_grid(self.t, "t")
         rank = np.size(self.eigenvalues)
+        if rank < 1:
+            raise ValueError("model rank must be at least 1")
         for name, value, shape in (
             ("eigenvalues", self.eigenvalues, (rank,)),
-            ("modes", self.left, (np.size(self.x), rank)),
-            ("amplitudes", self.right, (rank, np.size(self.t))),
+            ("modes", self.left, (x.size, rank)),
+            ("amplitudes", self.right, (rank, t.size)),
         ):
             if np.shape(value) != shape:
                 raise ValueError(

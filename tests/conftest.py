@@ -17,6 +17,19 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def put_cell(path, section, cell):
+    """Write cell as the first cell of the last row of a model file's
+    section; returns the line number of that row."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = lines.index("[%s]" % section) + 1
+    line_no = next(
+        (i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines)
+    )
+    lines[line_no - 1] = ",".join([cell] + lines[line_no - 1].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return line_no
+
+
 @pytest.fixture(scope="session")
 def burgers_snapshot():
     return rt.generate_snapshots()

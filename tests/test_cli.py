@@ -15,7 +15,7 @@ import rodtwin as rt
 from rodtwin import cli, io, rod
 from rodtwin.cli import main
 
-from conftest import degenerate_field, two_mode_field
+from conftest import degenerate_field, put_cell, two_mode_field
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -436,6 +436,27 @@ class TestEvaluate:
             )
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])
+    @pytest.mark.parametrize("section", ["x", "t", "left", "right", "eigenvalues"])
+    def test_float_only_model_cell_exits_2(
+        self, ws, tmp_path, capsys, command, cell, section
+    ):
+        # float() takes these cells and numpy's C reader, which reads
+        # every table, refuses them
+        bad = tmp_path / "bad_model.txt"
+        bad.write_bytes((ws / "model.txt").read_bytes())
+        line_no = put_cell(bad, section, cell)
+        argv = ["--input", str(ws / "burgers.csv"), "--model", str(bad)]
+        if command == "evaluate":
+            argv += ["--output", str(tmp_path / "t")]
+        assert main([command] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "rodtwin %s: error: %s:%d: bad cell (" % (command, bad, line_no)
+        )
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_non_finite_model_cell_reports_line(self, ws, tmp_path, capsys, command):
         lines = (ws / "model.txt").read_text().splitlines()
         line_no = lines.index("[right]") + 2
@@ -628,10 +649,10 @@ def test_bad_time_value_is_computation_error(tmp_path, capsys):
     path.write_text("x,0,zero,2\n0,1,2,3\n1,3,4,5\n")
     rc = main(["fit", "--input", str(path), "--output", str(tmp_path / "m.txt")])
     assert rc == 2
-    assert capsys.readouterr().err == (
-        "rodtwin fit: error: %s:1: bad time value "
-        "(could not convert string to float: 'zero')\n" % path
-    )
+    # the header's times are read as its data rows are
+    err = capsys.readouterr().err
+    assert err.startswith("rodtwin fit: error: %s:1: bad cell (" % path)
+    assert "'zero'" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ["x,0,1\n", "x,0,1\n0,1,2\n"])

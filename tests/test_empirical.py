@@ -181,6 +181,21 @@ class TestCompareProjections:
             with pytest.raises(ValueError, match="do not match"):
                 rt.compare_projections(modes, f, v0, ip, same_rank=same_rank)
 
+    @pytest.mark.parametrize("same_rank", [False, True])
+    def test_other_inner_product_rejected(self, rng, same_rank):
+        # the scores scale with ip.dx, so it must be the baseline's own
+        snap = make_snapshot(rng.standard_normal((9, 6)), dx=0.1)
+        f, v0 = rt.fourier_decomposition(snap), snap.values[:, :-1]
+        modes = rng.standard_normal((9, 2))
+        for dx in (1.0, 0.1 * (1 + 2e-12)):
+            message = "^inner product dx %r does not match the data's dx 0.1$" % dx
+            with pytest.raises(ValueError, match=message):
+                rt.compare_projections(modes, f, v0, rt.InnerProduct(dx), same_rank=same_rank)
+        # within 1e-12 of the grid's own step
+        near = rt.compare_projections(modes, f, v0, rt.InnerProduct(0.1 * (1 + 1e-13)))
+        same = rt.compare_projections(modes, f, v0, rt.InnerProduct(0.1))
+        assert near == pytest.approx(same, rel=1e-12)
+
     def test_rank_one_bases_agree(self, rng):
         u0 = rng.standard_normal(13)
         values = np.column_stack([u0 * 0.9**i for i in range(6)])

@@ -161,6 +161,8 @@ class TestQualityReport:
                 burgers_ip,
             )
 
+    _OTHER_IP = "inner product dx %r does not match the data's dx %r"
+
     @pytest.mark.parametrize(
         "shape, dx, variant, message",
         [
@@ -168,14 +170,21 @@ class TestQualityReport:
             ((29, 12), 0.1, "paper", "shape mismatch: (29, 12) vs (30, 12)"),
             ((30, 12), 0.2, "paper", "grid mismatch between the two snapshot sets"),
             ((30, 12), 0.1, "pearson", "unknown correlation variant 'pearson'"),
+            # (the data's dx, the inner product's dx)
+            ((30, 12), (0.1, 1.0), "paper", _OTHER_IP % (1.0, 0.1)),
+            ((30, 12), (0.1, 0.1 * (1 + 2e-12)), "cosine", _OTHER_IP % (0.1 * (1 + 2e-12), 0.1)),
         ],
     )
     def test_data_off_the_model_rejected(self, rng, shape, dx, variant, message):
         model = rt.fit(make_snapshot(rng.standard_normal((30, 12))), 3, seed=1)
-        snap = make_snapshot(rng.standard_normal(shape), dx=dx)
-        fourier, ip = rt.fourier_decomposition(snap), rt.InnerProduct(dx)
+        data_dx, ip_dx = map(float, np.broadcast_to(dx, 2))
+        snap = make_snapshot(rng.standard_normal(shape), dx=data_dx)
+        fourier, ip = rt.fourier_decomposition(snap), rt.InnerProduct(ip_dx)
         calls = [lambda: rt.quality_report(snap, model, fourier, ip, variant=variant)]
-        if variant == "paper":
+        if ip_dx != data_dx:
+            v0 = snap.values[:, :-1]
+            calls.append(lambda: rt.compare_projections(model.modes, fourier, v0, ip))
+        elif variant == "paper":
             calls.append(lambda: rt.objectives(snap, model))
         for call in calls:
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):

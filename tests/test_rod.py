@@ -488,6 +488,31 @@ class TestConjugateForm:
         with pytest.raises(ValueError, match="non-finite"):
             dataclasses.replace(pair, **{field: bad})
 
+    @pytest.mark.parametrize(
+        "axis, grid, index, what",
+        [
+            ("x", np.array([0.0]), 0, "needs at least 2 points"),
+            ("x", np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5]), 2, "must be uniformly spaced"),
+            ("t", np.array([0.0, 0.05, 0.05, 0.15, 0.2]), 2, "must be strictly increasing"),
+            ("t", np.array([0.0, 0.05, 0.1, np.inf, 0.2]), 3, "contains non-finite entries"),
+        ],
+    )
+    def test_grid_fault_names_axis_and_index(self, pair, axis, grid, index, what):
+        # as SnapshotMatrix checks it, so every model can be written and read
+        change = {axis: grid}
+        if grid.size == 1:
+            change["left"] = pair.left[:1]
+        with pytest.raises(rod.SnapshotFault) as err:
+            dataclasses.replace(pair, **change)
+        assert (err.value.axis, err.value.index) == (axis, index)
+        assert str(err.value) == "%s grid %s" % (axis, what)
+
+    def test_rank_zero_rejected(self, pair):
+        with pytest.raises(ValueError, match="^model rank must be at least 1$"):
+            dataclasses.replace(
+                pair, left=pair.left[:, :0], right=pair.right[:0], eigenvalues=pair.eigenvalues[:0]
+            )
+
     def test_rank_is_the_number_of_eigenvalues(self, pair, burgers_model):
         assert (pair.rank, burgers_model.rank) == (3, 10)
 
