@@ -8,31 +8,18 @@ baseline with projection-score comparison, Pareto rank selection, and
 a CLI (`rodtwin`) covering the full pipeline.
 """
 
-from .burgers import BurgersConfig, QuadratureRule, exact_u, gauss_hermite, generate_snapshots, phi0
-from .empirical import FourierModes, compare_projections, fourier_decomposition, mean_projection_norm, project
-from .linalg import EigenPairs, LinalgError
-from .metrics import QualityReport, absolute_error, correlation, quality_report, time_average
-from .rank_select import ParetoPoint, objectives, pareto_sweep, select_rank
-from .rod import (
-    FitStageError,
-    InnerProduct,
-    RodModel,
-    SnapshotMatrix,
-    amplitudes,
-    fit,
-    mode_gram_deviation,
-    propagator,
-    reconstruct,
-    rod_modes,
-    shift_split,
-)
+from .burgers import BurgersConfig, QuadratureRule, exact_u, gauss_hermite, generate_snapshots
+from .empirical import FourierModes, compare_projections, fourier_decomposition, project
+from .linalg import LinalgError
+from .metrics import QualityReport, absolute_error, correlation, quality_report
+from .rank_select import ParetoPoint, pareto_sweep, select_rank
+from .rod import FitStageError, InnerProduct, RodModel, SnapshotMatrix, fit, reconstruct
 from .rsvd import rsvd
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BurgersConfig",
-    "EigenPairs",
     "FitStageError",
     "FourierModes",
     "InnerProduct",
@@ -43,7 +30,6 @@ __all__ = [
     "RodModel",
     "SnapshotMatrix",
     "absolute_error",
-    "amplitudes",
     "compare_projections",
     "correlation",
     "exact_u",
@@ -51,18 +37,10 @@ __all__ = [
     "fourier_decomposition",
     "gauss_hermite",
     "generate_snapshots",
-    "mean_projection_norm",
-    "mode_gram_deviation",
-    "objectives",
     "pareto_sweep",
-    "phi0",
     "project",
-    "propagator",
     "quality_report",
     "reconstruct",
-    "rod_modes",
     "rsvd",
     "select_rank",
-    "shift_split",
-    "time_average",
 ]

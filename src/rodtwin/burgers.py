@@ -47,9 +47,8 @@ T_EPS = 1e-12
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Hermite nodes/weights of a given order, nodes ascending."""
+    """Gauss-Hermite nodes and weights, nodes ascending."""
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -116,15 +115,7 @@ def gauss_hermite(n):
     off = np.sqrt(np.arange(1, n) / 2.0)
     values, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     weights = math.sqrt(math.pi) * vectors[0] ** 2
-    return QuadratureRule(order=n, nodes=values, weights=weights)
-
-
-def phi0(x, nu):
-    """Cole-Hopf image of the -sin(pi x) initial condition."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    c = 1.0 / (2.0 * nu * math.pi)
-    return np.exp(c) * np.exp(-np.cos(np.pi * np.asarray(x)) * c)
+    return QuadratureRule(nodes=values, weights=weights)
 
 
 def exact_u(x, t, cfg=None, rule=None):

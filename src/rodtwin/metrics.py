@@ -36,14 +36,6 @@ from .empirical import _check_baseline, _projection_scores
 from .rod import _pass, _quiet, _scan
 
 
-def time_average(samples):
-    """Arithmetic mean of equally spaced samples."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("time_average of an empty sequence")
-    return float(samples.mean())
-
-
 def _check_matched(exact, x, t):
     """The twin's grids, which fix its shape, must be those of exact."""
     shape = (x.size, t.size)
@@ -71,7 +63,7 @@ def _correlation_pairs(variant):
 
 
 def _error(diff_sq):
-    return time_average(np.sqrt(diff_sq))
+    return float(np.sqrt(diff_sq).mean())
 
 
 def _correlation(variant, cross, twin_pow, exact_pow):
@@ -87,7 +79,7 @@ def _correlation(variant, cross, twin_pow, exact_pow):
             raise ValueError(
                 "zero column(s) in correlation at time index %s" % (bad + 1).tolist()
             )
-        return time_average(num / den)
+        return float((num / den).mean())
 
 
 def _modal_rows(left, right):

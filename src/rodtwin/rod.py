@@ -23,6 +23,7 @@ basis (Re b, Im b), and the model holds the twin's real factors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,7 +288,11 @@ class RodModel:
     a non-finite entry raises ValueError naming the array.  Each
     eigenvalue is real or the first of an adjacent pair, imaginary part
     positive, whose second is its exact conjugate; ModelFault names the
-    first that is not.
+    first that is not.  The model holds what was checked, as
+    SnapshotMatrix does: the grids as float64, left and right as float64
+    (complex ones raise ValueError), the eigenvalues as complex128 and
+    seed as an int (a seed that is not an integer raises ValueError),
+    so every model it accepts can be written and read back.
     """
 
     left: np.ndarray
@@ -302,21 +307,27 @@ class RodModel:
 
     def __post_init__(self):
         x, t = _uniform_grid(self.x, "x"), _uniform_grid(self.t, "t")
-        rank = np.size(self.eigenvalues)
+        values = np.asarray(self.eigenvalues, dtype=complex)
+        rank = values.size
         if rank < 1:
             raise ValueError("model rank must be at least 1")
+        left, right = np.asarray(self.left), np.asarray(self.right)
+        if np.iscomplexobj(left) or np.iscomplexobj(right):
+            raise ValueError("model left and right factors must be real")
+        left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
         for name, value, shape in (
-            ("eigenvalues", self.eigenvalues, (rank,)),
-            ("modes", self.left, (x.size, rank)),
-            ("amplitudes", self.right, (rank, t.size)),
+            ("eigenvalues", values, (rank,)),
+            ("modes", left, (x.size, rank)),
+            ("amplitudes", right, (rank, t.size)),
         ):
-            if np.shape(value) != shape:
-                raise ValueError(
-                    "model %s shape %s is not %s" % (name, np.shape(value), shape)
-                )
+            if value.shape != shape:
+                raise ValueError("model %s shape %s is not %s" % (name, value.shape, shape))
             if not np.isfinite(value).all():
                 raise ValueError("model %s contain non-finite entries" % name)
-        values = self.eigenvalues
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError("model seed %r is not an integer" % (self.seed,)) from None
         j = 0
         while j < values.size:
             k = j + 1 + (values[j].imag != 0)
@@ -324,6 +335,9 @@ class RodModel:
             if values[j].imag < 0 or k > values.size or values[k - 1] != values[j].conj():
                 raise ModelFault(j)
             j = k
+        checked = dict(left=left, right=right, eigenvalues=values, seed=seed, x=x, t=t)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self):
@@ -343,13 +357,6 @@ class RodModel:
         """mode_gram_deviation of the modes left @ E from the real Gram."""
         e = _conjugate_form(np.eye(self.rank), self.eigenvalues, 1)
         return _off_diagonal(e.conj().T @ (self.dx * (self.left.T @ self.left)) @ e)
-
-
-def shift_split(snap):
-    """Time-shifted pair (V0, V1): columns 0..nt-1 and 1..nt."""
-    if snap.values.shape[1] < 2:
-        raise ValueError("need at least 2 snapshot columns to shift")
-    return snap.values[:, :-1], snap.values[:, 1:]
 
 
 def _drop_tiny_singular(svd):
@@ -455,7 +462,7 @@ def sketch(snap, rank_max, seed):
     Returns (Q, P) of shapes (nx, rank_max) and (rank_max, nt + 1).
     """
     rank_max = int(rank_max)
-    v0 = shift_split(snap)[0]
+    v0 = snap.values[:, :-1]
     if not 1 <= rank_max <= min(v0.shape):
         raise ValueError(
             "rank %d outside [1, %d] for this snapshot matrix"
@@ -480,7 +487,7 @@ class RankSpace:
 
     def __init__(self, proj):
         self._proj = proj
-        z, self._r = _stage("rsvd", np.linalg.qr, proj[:, :-1].T)
+        z, self._r = _stage("rank-space QR", np.linalg.qr, proj[:, :-1].T)
         self._g = proj[:, 1:] @ z
 
     def fit(self, k, ip, reorthonormalize=False):
@@ -491,7 +498,7 @@ class RankSpace:
         reorthonormalization, and the real amplitudes X minimizing
         ||B X - P[:k]||_F.  Returns (B, eigenvalues of the kept modes,
         X); the twin is Q[:, :k] B X."""
-        inner = _stage("rsvd", svd_economy, self._r[:k, :k].T)
+        inner = _stage("rank-space SVD", svd_economy, self._r[:k, :k].T)
         prop = _stage("propagator", propagator, inner, self._g[:k, :k])
         eig = _stage("eigendecomposition", eig_general, prop)
         # the propagator keeps the leading directions of T

@@ -107,25 +107,6 @@ class TestGaussHermite:
             rt.gauss_hermite(501)
 
 
-class TestPhi0:
-    def test_reference_values(self):
-        nu = 0.01
-        c = 1.0 / (2.0 * nu * math.pi)
-        assert rt.phi0(0.0, nu) == pytest.approx(1.0, rel=1e-14)
-        assert rt.phi0(0.5, nu) == pytest.approx(math.exp(c), rel=1e-12)
-        assert rt.phi0(1.0, nu) == pytest.approx(math.exp(2 * c), rel=1e-12)
-
-    def test_periodic_and_positive(self):
-        x = np.linspace(-2, 4, 301)
-        vals = rt.phi0(x, 0.01)
-        assert np.all(vals > 0)
-        assert_allclose(rt.phi0(x + 2.0, 0.01), vals, rtol=1e-12)
-
-    def test_invalid_nu(self):
-        with pytest.raises(ValueError):
-            rt.phi0(0.3, 0.0)
-
-
 class TestExactU:
     def test_initial_condition_branch(self):
         x = np.linspace(0, 2, 41)

@@ -91,7 +91,7 @@ class TestMeanProjectionNorm:
         u = rng.standard_normal(12)
         ip = rt.InnerProduct(0.3)
         phi = (u / ip.norm(u))[:, None]
-        rho = rt.mean_projection_norm(phi, u[:, None], ip)
+        rho = empirical.mean_projection_norm(phi, u[:, None], ip)
         assert rho == pytest.approx(1.0, abs=1e-12)
 
     def test_each_aligned_column_contributes_one(self, rng):
@@ -99,24 +99,24 @@ class TestMeanProjectionNorm:
         ip = rt.InnerProduct(0.3)
         phi = (u / ip.norm(u))[:, None]
         v0 = np.column_stack([u, 2.0 * u, -0.5 * u])
-        rho = rt.mean_projection_norm(phi, v0, ip)
+        rho = empirical.mean_projection_norm(phi, v0, ip)
         assert rho == pytest.approx(3.0, abs=1e-10)
 
     def test_orthogonal_mode_contributes_zero(self):
         ip = rt.InnerProduct(1.0)
         phi = np.array([[1.0], [0.0]])
         v0 = np.array([[0.0], [2.0]])
-        assert rt.mean_projection_norm(phi, v0, ip) == 0.0
+        assert empirical.mean_projection_norm(phi, v0, ip) == 0.0
 
     def test_column_rescale_invariance(self, rng):
         ip = rt.InnerProduct(0.02)
         modes = rng.standard_normal((15, 3)) + 1j * rng.standard_normal((15, 3))
         v0 = rng.standard_normal((15, 6))
-        base = rt.mean_projection_norm(modes, v0, ip)
+        base = empirical.mean_projection_norm(modes, v0, ip)
         scaled = v0.copy()
         scaled[:, 2] *= 17.0
         scaled[:, 4] *= -0.003
-        assert rt.mean_projection_norm(modes, scaled, ip) == pytest.approx(
+        assert empirical.mean_projection_norm(modes, scaled, ip) == pytest.approx(
             base, rel=1e-10
         )
 
@@ -124,8 +124,8 @@ class TestMeanProjectionNorm:
         ip = rt.InnerProduct(0.1)
         modes = rng.standard_normal((10, 2))
         v0 = rng.standard_normal((10, 5))
-        rho = rt.mean_projection_norm(modes, v0, ip)
-        half = rt.mean_projection_norm(modes, v0, ip, mode_count=4)
+        rho = empirical.mean_projection_norm(modes, v0, ip)
+        half = empirical.mean_projection_norm(modes, v0, ip, mode_count=4)
         assert half == pytest.approx(rho / 2.0, rel=1e-12)
 
     def test_unit_modes_bounded_by_column_count(self, rng):
@@ -135,7 +135,7 @@ class TestMeanProjectionNorm:
         for _ in range(5):
             phi = rng.standard_normal(11)
             phi = (phi / ip.norm(phi))[:, None]
-            rho = rt.mean_projection_norm(phi, v0, ip)
+            rho = empirical.mean_projection_norm(phi, v0, ip)
             assert 0.0 <= rho <= 7.0 + 1e-12
 
     def test_error_cases(self, rng):
@@ -144,9 +144,9 @@ class TestMeanProjectionNorm:
         v0 = rng.standard_normal((6, 3))
         v0[:, 1] = 0.0
         with pytest.raises(ValueError, match=r"\[1\]"):
-            rt.mean_projection_norm(modes, v0, ip)
+            empirical.mean_projection_norm(modes, v0, ip)
         with pytest.raises(ValueError):
-            rt.mean_projection_norm(modes, rng.standard_normal((6, 3)), ip, mode_count=1)
+            empirical.mean_projection_norm(modes, rng.standard_normal((6, 3)), ip, mode_count=1)
 
 
 class TestCompareProjections:
@@ -167,7 +167,7 @@ class TestCompareProjections:
         ip = rt.InnerProduct(snap.dx)
         v0 = snap.values[:, :-1]
         _, four, _ = rt.compare_projections(f.psi, f, v0, ip)
-        direct = rt.mean_projection_norm(f.psi, v0, ip, mode_count=9)
+        direct = empirical.mean_projection_norm(f.psi, v0, ip, mode_count=9)
         assert four == pytest.approx(direct, rel=1e-14)
 
     @pytest.mark.parametrize("same_rank", [False, True])
@@ -220,7 +220,7 @@ class TestCompareProjections:
         for call in (
             lambda: rt.compare_projections(model.modes, f, v0, ip),
             lambda: rt.compare_projections(model.modes, f, v0, ip, same_rank=True),
-            lambda: rt.mean_projection_norm(model.modes, v0, ip),
+            lambda: empirical.mean_projection_norm(model.modes, v0, ip),
             lambda: rt.quality_report(snap, model, f, ip),
         ):
             walks.clear()
@@ -292,7 +292,7 @@ class TestWeightedRealBasis:
         assert got.tolist() == weights
         v0 = rng.standard_normal((nx, ncols))
         ip = rt.InnerProduct(0.37)
-        score = rt.mean_projection_norm(modes, v0, ip)
+        score = empirical.mean_projection_norm(modes, v0, ip)
         stacked = _stacked_score(modes, v0, ip.dx, modes.shape[1])
         assert score == pytest.approx(stacked, rel=1e-14, abs=0)
 
@@ -325,7 +325,7 @@ class TestProductsInsideTheWalk:
             lambda: rt.quality_report(snap, model, f, ip),
             lambda: rt.compare_projections(model.modes, f, v0, ip),
             lambda: rt.compare_projections(model.modes, f, v0, ip, same_rank=True),
-            lambda: rt.mean_projection_norm(model.modes, v0, ip),
+            lambda: empirical.mean_projection_norm(model.modes, v0, ip),
         )
         f.psi  # the SVD reads V itself; decompose before hiding
         want = [call() for call in calls]
@@ -399,7 +399,7 @@ class TestLazyBaseline:
         v0 = values[:, :-1]
         f = rt.fourier_decomposition(snap)
         score = rt.compare_projections(v0[:, :1], f, v0, ip)[1]
-        direct = rt.mean_projection_norm(f.psi, v0, ip, mode_count=nx)
+        direct = empirical.mean_projection_norm(f.psi, v0, ip, mode_count=nx)
         # the documented bound, evaluated as compare_projections does
         col_sq = ip.dx * np.einsum("ij,ij->j", v0, v0)
         frobenius_sq = col_sq.sum() + ip.dx * float(values[:, -1] @ values[:, -1])
@@ -425,5 +425,5 @@ class TestLazyBaseline:
                 rt.compare_projections(v0[:, :1], f, v0, ip)
         f = rt.fourier_decomposition(snap)
         score = rt.compare_projections(v0[:, :1], f, v0, ip)[1]
-        assert score == rt.mean_projection_norm(f.psi, v0, ip, mode_count=25)
+        assert score == empirical.mean_projection_norm(f.psi, v0, ip, mode_count=25)
         assert score == pytest.approx(9 / 25, rel=1e-12)

@@ -610,30 +610,46 @@ class TestModelFile:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_every_accepted_model_round_trips(self, data):
-        # grids on and off uniform, spectra paired or not, cells of every
-        # magnitude: whatever the constructor accepts, its file holds
+        # grids on and off uniform, int grids, spectra paired or not, cells
+        # of every magnitude, each array as an array, a list or a tuple,
+        # and int or numpy integer seeds: whatever the constructor accepts,
+        # it holds as float64, complex128 and int, and its file holds
         nx, nt, rank = (data.draw(st.integers(1, 5)) for _ in range(3))
 
+        def container(a):
+            kind = data.draw(st.sampled_from(["array", "list", "tuple"]))
+            if kind == "array":
+                return a
+            rows = a.tolist()
+            return rows if kind == "list" else tuple(map(tuple, rows) if a.ndim == 2 else rows)
+
         def grid(n):
+            if data.draw(st.booleans()):
+                start, step = data.draw(st.integers(-1000, 1000)), data.draw(st.integers(-1, 1000))
+                return container(start + step * np.arange(n))
             start = data.draw(st.floats(-1e3, 1e3))
             step = data.draw(st.floats(1e-3, 1e3) | st.sampled_from([0.0, -0.5]))
             wobble = arrays(float, n, elements=st.sampled_from([0.0, 1e-13, -1e-14, 0.5]))
-            return start + step * (np.arange(n) + data.draw(wobble))
+            return container(start + step * (np.arange(n) + data.draw(wobble)))
 
         pieces = [(0.5,), (-0.0,), (0.3 + 0.2j, 0.3 - 0.2j), (1e-300j, -1e-300j), (0.3 - 0.2j,)]
         spectrum = data.draw(st.lists(st.sampled_from(pieces), min_size=rank, max_size=rank))
         cell = st.sampled_from(EDGE_VALUES[:6]) | st.floats(allow_nan=False, allow_infinity=False)
+        seed_type = data.draw(st.sampled_from([int, np.int64, np.uint64]))
         try:
             model = rt.RodModel(
-                left=data.draw(arrays(float, (nx, rank), elements=cell)),
-                right=data.draw(arrays(float, (rank, nt + 1), elements=cell)),
-                eigenvalues=np.array(sum(spectrum, ()), dtype=complex)[:rank],
-                seed=data.draw(st.integers(0, 2**63 - 1)),
+                left=container(data.draw(arrays(float, (nx, rank), elements=cell))),
+                right=container(data.draw(arrays(float, (rank, nt + 1), elements=cell))),
+                eigenvalues=container(np.array(sum(spectrum, ()), dtype=complex)[:rank]),
+                seed=seed_type(data.draw(st.integers(0, 2**63 - 1))),
                 x=grid(nx),
                 t=grid(nt + 1),
             )
         except ValueError:
             return
+        dtypes = [getattr(model, name).dtype for name in _MODEL_FIELDS]
+        assert dtypes == [np.float64] * 4 + [np.complex128]
+        assert type(model.seed) is int
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
             io.write_model(first, model)

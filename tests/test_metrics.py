@@ -10,25 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rodtwin as rt
-from rodtwin import io, metrics, rod
+from rodtwin import empirical, io, metrics, rank_select, rod
 from rodtwin.rod import BLOCK_ROWS, add_column_sums, row_blocks
 
 from conftest import count_calls, make_snapshot, two_mode_field
-
-
-class TestTimeAverage:
-    def test_constant(self):
-        assert rt.time_average([4.0, 4.0, 4.0]) == 4.0
-
-    def test_small_sequence(self):
-        assert rt.time_average([1.0, 2.0, 3.0]) == 2.0
-
-    def test_ramp(self):
-        assert rt.time_average(np.arange(101.0)) == 50.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rt.time_average([])
 
 
 class TestAbsoluteError:
@@ -137,7 +122,7 @@ class TestQualityReport:
         rep = rt.quality_report(
             burgers_snapshot, burgers_model, burgers_fourier, burgers_ip
         )
-        direct = rt.mean_projection_norm(
+        direct = empirical.mean_projection_norm(
             burgers_fourier.psi,
             burgers_snapshot.values[:, :-1],
             burgers_ip,
@@ -185,7 +170,7 @@ class TestQualityReport:
             v0 = snap.values[:, :-1]
             calls.append(lambda: rt.compare_projections(model.modes, fourier, v0, ip))
         elif variant == "paper":
-            calls.append(lambda: rt.objectives(snap, model))
+            calls.append(lambda: rank_select.objectives(snap, model))
         for call in calls:
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 call()
@@ -424,7 +409,7 @@ class TestStreamedPass:
             fourier = rt.fourier_decomposition(snap)
             ip = rt.InnerProduct(snap.dx)
             report = rt.quality_report(snap, model, fourier, ip, variant=variant)
-            j1, j2 = rt.objectives(snap, model)
+            j1, j2 = rank_select.objectives(snap, model)
             twin = rt.reconstruct(model).values
         error, corr = _dense_scores(snap.values, twin, variant)
         v0 = snap.values[:, :-1]
@@ -498,7 +483,7 @@ class TestStreamedEdges:
             self._report(snap, zeroed)
         assert str(streamed.value) == str(public.value)
         with pytest.raises(ValueError, match=r"time index \[4\]"):
-            rt.objectives(snap, zeroed)
+            rank_select.objectives(snap, zeroed)
 
     def test_zero_data_column_same_message(self, tall):
         snap, model = tall
@@ -506,7 +491,7 @@ class TestStreamedEdges:
         values[:, 0] = 0.0
         zero_first = make_snapshot(values)
         with pytest.raises(ValueError) as public:
-            rt.mean_projection_norm(
+            empirical.mean_projection_norm(
                 model.modes, values[:, :-1], rt.InnerProduct(snap.dx)
             )
         with pytest.raises(ValueError, match=r"index \[0\]") as streamed:
@@ -542,7 +527,7 @@ class TestStreamedEdges:
             with pytest.raises(ValueError) as report:
                 rt.quality_report(burgers_snapshot, big, burgers_fourier, ip)
             with pytest.raises(ValueError) as objectives:
-                rt.objectives(burgers_snapshot, big)
+                rank_select.objectives(burgers_snapshot, big)
             with pytest.raises(rod.SnapshotFault) as twin:
                 rt.reconstruct(big)
         for err in (report, objectives, twin):
@@ -567,7 +552,7 @@ class TestStreamedEdges:
             with pytest.raises(ValueError) as report:
                 rt.quality_report(burgers_snapshot, big, burgers_fourier, ip)
             with pytest.raises(ValueError) as objectives:
-                rt.objectives(burgers_snapshot, big)
+                rank_select.objectives(burgers_snapshot, big)
             with pytest.raises(rod.SnapshotFault) as twin:
                 rt.reconstruct(big)
         for err in (report, objectives, twin):
@@ -627,7 +612,7 @@ class TestStreamedEdges:
     def test_public_functions_take_row_blocks_of_the_twin(self, tall):
         snap, model = tall
         twin = rt.reconstruct(model)
-        error, j2 = rt.objectives(snap, model)
+        error, j2 = rank_select.objectives(snap, model)
         corr = -j2
         assert _rel(rt.absolute_error(snap, twin), error) <= 1e-12
         assert _rel(rt.correlation(snap, twin), corr) <= 1e-12

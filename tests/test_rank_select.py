@@ -25,12 +25,12 @@ class TestObjectives:
         values = np.column_stack([u0 * 0.9**i for i in range(8)])
         snap = make_snapshot(values)
         model = rt.fit(snap, 1, seed=0)
-        j1, j2 = rt.objectives(snap, model)
+        j1, j2 = rank_select.objectives(snap, model)
         assert j1 <= 1e-10
         assert j2 == pytest.approx(-1.0, abs=1e-10)
 
     def test_error_objective_matches_metric(self, burgers_snapshot, burgers_model):
-        j1, j2 = rt.objectives(burgers_snapshot, burgers_model)
+        j1, j2 = rank_select.objectives(burgers_snapshot, burgers_model)
         twin = rt.reconstruct(burgers_model)
         assert j1 == rt.absolute_error(burgers_snapshot, twin)
         assert j2 == -rt.correlation(burgers_snapshot, twin)
@@ -220,7 +220,7 @@ class TestNestedSketch:
         for p in rt.pareto_sweep(snap, rank_max, seed):
             if p.failed:
                 continue
-            j1, j2 = rt.objectives(snap, rt.fit(snap, p.rank, seed))
+            j1, j2 = rank_select.objectives(snap, rt.fit(snap, p.rank, seed))
             assert p.j1 == pytest.approx(j1, rel=1e-6, abs=0)
             assert p.j2 == pytest.approx(j2, rel=0, abs=1e-12)
 
@@ -310,7 +310,7 @@ class TestNestedSketch:
         # fit --rank k at the same seed (measured 1.24e-8)
         snap = burgers_snapshot
         for p in rt.pareto_sweep(snap, 20, DEFAULT_SEED):
-            j1, j2 = rt.objectives(snap, rt.fit(snap, p.rank, DEFAULT_SEED))
+            j1, j2 = rank_select.objectives(snap, rt.fit(snap, p.rank, DEFAULT_SEED))
             assert abs(p.j1 - j1) / j1 < 5e-8
             assert p.j2 == pytest.approx(j2, rel=0, abs=1e-12)
 

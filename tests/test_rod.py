@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
-from rodtwin import rod
+from rodtwin import rank_select, rod
 from rodtwin.cli import DEFAULT_SEED
-from rodtwin.linalg import eig_general
+from rodtwin.linalg import EigenPairs, eig_general
 from rodtwin.rsvd import rsvd
 
 from conftest import make_snapshot
@@ -74,8 +74,8 @@ class TestGridScale:
         model = rt.fit(make_snapshot(values, dx=dx), 3, seed=1)
         other = make_snapshot(values, dx=2 * dx)
         with pytest.raises(ValueError, match="^grid mismatch"):
-            rt.objectives(other, model)
-        assert np.isfinite(rt.objectives(make_snapshot(values, dx=dx), model)).all()
+            rank_select.objectives(other, model)
+        assert np.isfinite(rank_select.objectives(make_snapshot(values, dx=dx), model)).all()
 
 
 def test_inner_product_conventions():
@@ -99,33 +99,16 @@ def test_snapshot_matrix_scan_holds_no_field_mask(burgers_2001):
     assert peak < 0.05 * values.nbytes
 
 
-class TestShiftSplit:
-    def test_three_columns(self):
-        snap = make_snapshot(np.arange(6.0).reshape(2, 3))
-        v0, v1 = rt.shift_split(snap)
-        assert np.array_equal(v0, snap.values[:, :2])
-        assert np.array_equal(v1, snap.values[:, 1:])
-
-    def test_overlap_identity(self, burgers_snapshot):
-        v0, v1 = rt.shift_split(burgers_snapshot)
-        assert np.array_equal(v1[:, 0], v0[:, 1])
-
-    def test_benchmark_shapes(self, burgers_snapshot):
-        v0, v1 = rt.shift_split(burgers_snapshot)
-        assert v0.shape == (101, 300)
-        assert v1.shape == (101, 300)
-
-
 class TestPropagator:
     def test_unshifted_data_identity_operator(self, rng):
         # v1 = v0 means nothing moves, so the reduced operator is I
         v0 = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 9))
-        s = rt.propagator(rsvd(v0, 2, seed=0), v0)
+        s = rod.propagator(rsvd(v0, 2, seed=0), v0)
         assert_allclose(s, np.eye(2), atol=1e-10)
 
     def test_uniform_scaling_spectrum(self, rng):
         v0 = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 9))
-        s = rt.propagator(rsvd(v0, 2, seed=0), 2.0 * v0)
+        s = rod.propagator(rsvd(v0, 2, seed=0), 2.0 * v0)
         lam = np.sort(eig_general(s).values.real)
         assert_allclose(lam, [2.0, 2.0], atol=1e-8)
 
@@ -137,7 +120,7 @@ class TestPropagator:
             cols.append(a @ cols[-1])
         v = np.column_stack(cols)
         f = rsvd(v[:, :-1], 2, seed=4)
-        s = rt.propagator(f, v[:, 1:])
+        s = rod.propagator(f, v[:, 1:])
         got = np.sort_complex(eig_general(s).values)
         want = np.sort_complex(np.linalg.eigvals(a))
         assert_allclose(got, want, atol=1e-8)
@@ -145,7 +128,7 @@ class TestPropagator:
     def test_near_zero_direction_truncated(self, rng):
         v0 = np.outer(rng.standard_normal(10), rng.standard_normal(8))
         with pytest.warns(RuntimeWarning) as record:
-            s = rt.propagator(rsvd(v0, 2, seed=0), v0)
+            s = rod.propagator(rsvd(v0, 2, seed=0), v0)
         assert [str(w.message) for w in record] == [
             "rank-deficient QR: 1 negligible diagonal entries in R",
             "truncating 1 near-zero singular directions before inversion",
@@ -158,8 +141,8 @@ class TestModes:
         v0 = rng.standard_normal((30, 12))
         f = rsvd(v0, 4, seed=1)
         ip = rt.InnerProduct(0.1)
-        eye_pairs = rt.EigenPairs(values=np.ones(4), vectors=np.eye(4))
-        modes, values = rt.rod_modes(f.U, eye_pairs, ip)
+        eye_pairs = EigenPairs(values=np.ones(4), vectors=np.eye(4))
+        modes, values = rod.rod_modes(f.U, eye_pairs, ip)
         assert_allclose(values, np.ones(4))
         expected = f.U / np.sqrt(0.1)
         assert_allclose(modes, expected.astype(complex), atol=1e-12)
@@ -172,7 +155,7 @@ class TestModes:
         cols = [basis @ (rates**k * np.array([1.0, 1.0, 1.0])) for k in range(12)]
         snap = make_snapshot(np.column_stack(cols))
         model = rt.fit(snap, 3, seed=0)
-        dev = rt.mode_gram_deviation(model.modes, rt.InnerProduct(snap.dx))
+        dev = rod.mode_gram_deviation(model.modes, rt.InnerProduct(snap.dx))
         assert dev <= 1e-8
 
     def test_unit_norms(self, burgers_model, burgers_ip):
@@ -191,7 +174,7 @@ class TestAmplitudes:
         ip = rt.InnerProduct(0.05)
         phi = phi / ip.norm(phi[:, 0])
         snap = make_snapshot(np.column_stack([phi[:, 0], phi[:, 0]]), dx=0.05)
-        a = rt.amplitudes(phi.astype(complex), snap.values)
+        a = rod.amplitudes(phi.astype(complex), snap.values)
         assert_allclose(a, np.ones((1, 2)), atol=1e-10)
 
     def test_orthonormal_projection_oracle(self, rng):
@@ -199,7 +182,7 @@ class TestAmplitudes:
         ip = rt.InnerProduct(0.2)
         phi = (basis / np.sqrt(0.2)).astype(complex)
         snap = make_snapshot(rng.standard_normal((25, 6)), dx=0.2)
-        a = rt.amplitudes(phi, snap.values)
+        a = rod.amplitudes(phi, snap.values)
         direct = np.array(
             [
                 [ip.dot(snap.values[:, i], phi[:, j]) for i in range(6)]
@@ -213,7 +196,7 @@ class TestAmplitudes:
         phi = np.column_stack([col, col * (1 + 1e-15)]).astype(complex)
         snap = make_snapshot(rng.standard_normal((15, 4)))
         with pytest.warns(RuntimeWarning) as record:
-            rt.amplitudes(phi, snap.values)
+            rod.amplitudes(phi, snap.values)
         # one fact, one warning: the rank and the condition in one message
         assert len(record) == 1
         message = str(record[0].message)
@@ -281,9 +264,9 @@ class TestFit:
         assert np.abs(m2.amplitudes - expected).max() < 1e-6
 
     def test_eigen_residual_invariant(self, burgers_snapshot, burgers_model):
-        v0, v1 = rt.shift_split(burgers_snapshot)
+        v0, v1 = burgers_snapshot.values[:, :-1], burgers_snapshot.values[:, 1:]
         f = rsvd(v0, 10, burgers_model.seed)
-        s = rt.propagator(f, v1)
+        s = rod.propagator(f, v1)
         pairs = eig_general(s)
         resid = np.linalg.norm(s @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
         assert resid.max() <= 1e-8 * np.linalg.norm(s)
@@ -291,22 +274,34 @@ class TestFit:
 
     def test_reorthonormalize_option(self, burgers_snapshot):
         model = rt.fit(burgers_snapshot, 10, DEFAULT_SEED, reorthonormalize=True)
-        dev = rt.mode_gram_deviation(model.modes, rt.InnerProduct(burgers_snapshot.dx))
+        dev = rod.mode_gram_deviation(model.modes, rt.InnerProduct(burgers_snapshot.dx))
         assert dev <= 1e-8
         twin = rt.reconstruct(model)
         # the reconstruction spans the same subspace, so accuracy survives
         assert rt.absolute_error(burgers_snapshot, twin) <= 1e-4
 
     def test_stage_failure_names_the_stage(self, rng, monkeypatch):
-        def boom(s):
-            raise rt.LinalgError("boom")
-
-        monkeypatch.setattr(rod, "eig_general", boom)
         snap = make_snapshot(rng.standard_normal((20, 9)))
-        with pytest.raises(rt.FitStageError) as info:
-            rt.fit(snap, 3, seed=1)
-        assert "stage 'eigendecomposition' failed: boom" in str(info.value)
-        assert isinstance(info.value.__cause__, rt.LinalgError)
+        for stage, module, name in [
+            ("rank-space QR", np.linalg, "qr"),
+            ("rank-space SVD", rod, "svd_economy"),
+            ("eigendecomposition", rod, "eig_general"),
+        ]:
+            real = getattr(module, name)
+
+            def boom(a, *args, real=real):
+                # the sketch factors its (20, 3) sample by QR; the
+                # rank-space steps factor P0^T, (8, 3), and 3 x 3 matrices
+                if a.shape[0] == 20:
+                    return real(a, *args)
+                raise rt.LinalgError("boom")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, boom)
+                with pytest.raises(rt.FitStageError) as info:
+                    rt.fit(snap, 3, seed=1)
+            assert str(info.value) == "stage '%s' failed: boom" % stage
+            assert isinstance(info.value.__cause__, rt.LinalgError)
 
     def test_stage_value_error_passes_through(self, rng, monkeypatch):
         def reject(s):
@@ -322,9 +317,9 @@ class TestFit:
 def dense_reference(snap, rank, seed):
     """The nx-sized pipeline: lifted U = Q T, modes U X at unit norm, and
     amplitudes from a least-squares fit against the full snapshot matrix."""
-    v0, v1 = rt.shift_split(snap)
+    v0, v1 = snap.values[:, :-1], snap.values[:, 1:]
     f = rsvd(v0, rank, seed)
-    s = rt.propagator(f, v1)
+    s = rod.propagator(f, v1)
     pairs = eig_general(s)
     raw = f.U[:, : s.shape[0]] @ pairs.vectors
     modes = raw / np.sqrt(snap.dx * np.sum(np.abs(raw) ** 2, axis=0))
@@ -346,7 +341,7 @@ class TestReducedFit:
         dense = (modes @ amp).real
         twin = rt.reconstruct(model).values
         assert np.linalg.norm(twin - dense) <= 1e-12 * np.linalg.norm(dense)
-        gram = rt.mode_gram_deviation(modes, rt.InnerProduct(snap.dx))
+        gram = rod.mode_gram_deviation(modes, rt.InnerProduct(snap.dx))
         assert model.gram_deviation == pytest.approx(gram, rel=1e-6, abs=1e-14)
 
     @settings(max_examples=40, deadline=None)
@@ -507,6 +502,28 @@ class TestConjugateForm:
         assert (err.value.axis, err.value.index) == (axis, index)
         assert str(err.value) == "%s grid %s" % (axis, what)
 
+    @pytest.mark.parametrize("field", ["left", "right"])
+    def test_complex_factor_rejected(self, pair, field):
+        # a complex cell has no place in the model file
+        complex_factor = getattr(pair, field) + 0j
+        with pytest.raises(ValueError, match="^model left and right factors must be real$"):
+            dataclasses.replace(pair, **{field: complex_factor})
+
+    @pytest.mark.parametrize("seed", [2.0, 2.5, "2", None])
+    def test_non_integer_seed_rejected(self, pair, seed):
+        # the file's seed line is read back as an integer
+        with pytest.raises(ValueError, match="^model seed .* is not an integer$"):
+            dataclasses.replace(pair, seed=seed)
+
+    def test_fitted_arrays_kept_without_copy(self, burgers_snapshot):
+        x, t = burgers_snapshot.x, burgers_snapshot.t
+        model = rt.fit(burgers_snapshot, 4, 3)
+        again = rt.RodModel(model.left, model.right, model.eigenvalues, np.int64(3), x, t)
+        for name in ("left", "right", "eigenvalues"):
+            assert getattr(again, name) is getattr(model, name), name
+        assert again.x is x and again.t is t
+        assert type(again.seed) is int and again.seed == 3
+
     def test_rank_zero_rejected(self, pair):
         with pytest.raises(ValueError, match="^model rank must be at least 1$"):
             dataclasses.replace(
@@ -557,7 +574,7 @@ def test_fit_and_report_never_form_the_complex_views(
     snap = burgers_snapshot
     model = rt.fit(snap, 10, DEFAULT_SEED, reorthonormalize)
     rt.quality_report(snap, model, burgers_fourier, rt.InnerProduct(snap.dx))
-    rt.objectives(snap, model)
+    rank_select.objectives(snap, model)
     rt.reconstruct(model)
     # a sweep records a failing rank instead of raising
     assert not any(p.failed for p in rt.pareto_sweep(snap, 12, DEFAULT_SEED))
@@ -566,7 +583,7 @@ def test_fit_and_report_never_form_the_complex_views(
 
 
 _WARNING_CASES = {
-    "propagator": lambda v: rt.propagator(rsvd(v, 2, seed=0), v),
+    "propagator": lambda v: rod.propagator(rsvd(v, 2, seed=0), v),
     "fit": lambda v: rt.fit(make_snapshot(v), 2, seed=0),
     "pareto_sweep": lambda v: rt.pareto_sweep(make_snapshot(v), 3, seed=0),
     "rsvd_all_zero": lambda v: rsvd(np.zeros_like(v), 2, seed=0),
