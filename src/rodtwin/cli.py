@@ -157,8 +157,11 @@ def cmd_generate(cfg):
         for key in ("length", "t_final", "nu", "quad_order", "dx", "dt")
     }
     io.write_snapshot_csv(cfg["output"], snap, meta=meta)
+    digest = io.file_sha256(cfg["output"])
+    # the later commands read the memo's table instead of parsing the CSV
+    io.write_snapshot_memo(cfg["output"], snap, digest)
     print("wrote %s (%dx%d)" % ((cfg["output"],) + snap.values.shape))
-    print("sha256: %s" % io.file_sha256(cfg["output"]))
+    print("sha256: %s" % digest)
     return 0
 
 

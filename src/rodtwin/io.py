@@ -5,10 +5,14 @@ Every number is written with 17 significant digits so float64 values
 survive a write/read cycle bit-exactly.  Magnitudes outside
 [1e-3, 1e4) use scientific notation; everything uses '.' as the
 decimal separator regardless of locale.  One writer formats every table
-of numbers and numpy's C reader reads every one, so a cell means the
-same in every file.  Config files, the .meta sidecar, the model header
-and the report share one 'key = value' line rule, each key given once;
-'#' comments are allowed only in config and .meta files.
+of numbers and numpy's C reader parses every one, so a cell means the
+same in every file.  The one binary file is the memo generate leaves
+beside its dataset: a snapshot CSV with a memo whose digest is the
+CSV's is read from the memo's table instead of its text, the table the
+parse gives, since the text round trip is exact.  Config files, the
+.meta sidecar, the model header and the report share one 'key = value'
+line rule, each key given once; '#' comments are allowed only in config
+and .meta files.
 """
 
 from __future__ import annotations
@@ -16,13 +20,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import os
 import warnings
+from io import BytesIO
 
 import numpy as np
 
 from .metrics import QualityReport
 from .rank_select import ParetoPoint
-from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix
+from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix, row_blocks
 
 
 # cells per % of the table writer: a constant, as rod.BLOCK_ROWS is
@@ -81,12 +87,23 @@ def _interleaved(values):
     return np.stack((values.real, values.imag), axis=-1).reshape(len(values), -1)
 
 
-def file_sha256(path):
+def _digest(path):
+    """The sha256 hex digest of the file at path, and its counts of
+    newlines and of commas."""
     digest = hashlib.sha256()
+    lines = commas = 0
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
-    return digest.hexdigest()
+            # numpy counts a block's bytes four times faster than bytes.count
+            chars = np.frombuffer(block, np.uint8)
+            lines += int(np.count_nonzero(chars == ord("\n")))
+            commas += int(np.count_nonzero(chars == ord(",")))
+    return digest.hexdigest(), lines, commas
+
+
+def file_sha256(path):
+    return _digest(path)[0]
 
 
 # ---------------------------------------------------------------- snapshots
@@ -105,6 +122,64 @@ def write_snapshot_csv(path, snap, meta=None):
     if meta is not None:
         with open(str(path) + ".meta", "w") as handle:
             handle.writelines("%s = %s\n" % item for item in meta.items())
+
+
+def _memo_header(rows, cols):
+    """The .npy header of a memo of a rows x cols table: one record of
+    the CSV's sha256 hex digest and the little-endian float64 table."""
+    record = np.dtype([("sha256", "S64"), ("table", "<f8", (rows, cols))])
+    header = BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header,
+        {"descr": np.lib.format.dtype_to_descr(record), "fortran_order": False, "shape": ()},
+    )
+    return header.getvalue()
+
+
+def write_snapshot_memo(path, snap, digest):
+    """Leave '<path>.npy' beside the snapshot CSV at path, whose sha256
+    hex digest is digest: a memo of the table read_snapshot_csv parses
+    from that CSV, row 0 holding 0 and the times and row i + 1 x_i and
+    the values of row i.  It is written a block of rows at a time under
+    a temporary name, then renamed into place; its bytes depend on the
+    digest and the table alone.
+    """
+    nx, nt1 = snap.values.shape
+    memo = str(path) + ".npy"
+    part = memo + ".part"
+    try:
+        with open(part, "wb") as handle:
+            handle.write(_memo_header(nx + 1, nt1 + 1) + digest.encode())
+            handle.write(np.concatenate(([0.0], snap.t)).astype("<f8"))
+            for start, stop in row_blocks(nx):
+                rows = np.column_stack((snap.x[start:stop], snap.values[start:stop]))
+                handle.write(rows.astype("<f8", copy=False))
+        os.replace(part, memo)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
+
+
+def _memo_table(path):
+    """The table of the memo beside the snapshot CSV at path, or None
+    when there is none that write_snapshot_memo wrote for this file: its
+    header must be that of a table of one row per line of the CSV and
+    one column per cell of a line, and its digest the CSV's.  Nothing
+    else about a memo raises or warns."""
+    try:
+        with open(str(path) + ".npy", "rb") as memo:
+            digest, lines, commas = _digest(path)
+            if not lines or commas % lines:
+                return None
+            shape = (lines, commas // lines + 1)
+            header = _memo_header(*shape) + digest.encode()
+            size = len(header) + 8 * shape[0] * shape[1]
+            if os.fstat(memo.fileno()).st_size != size or memo.read(len(header)) != header:
+                return None
+            table = np.empty(shape, "<f8")
+            return table if memo.readinto(table) == table.nbytes else None
+    except OSError:
+        return None
 
 
 class _RowFault(ValueError):
@@ -145,6 +220,12 @@ def _read_rows(path, numbered_lines, width):
     return data.reshape(len(line_nos), width), line_nos
 
 
+def _snapshot(data):
+    """The SnapshotMatrix of a parsed table: 0 and the times, then x_i
+    and the values of row i."""
+    return SnapshotMatrix(values=data[1:, 1:], x=data[1:, 0], t=data[0, 1:])
+
+
 def read_snapshot_csv(path):
     """Parse a snapshot CSV back into a SnapshotMatrix, reading it once.
 
@@ -153,8 +234,16 @@ def read_snapshot_csv(path):
     is not copied.  Blank lines are skipped.  A malformed file raises
     ValueError at the path:line of its first fault, and what
     SnapshotMatrix rejects at the header for the time grid or else at
-    the first row at fault.
+    the first row at fault.  When the memo of write_snapshot_memo lies
+    beside the file with its digest, its table stands in for the parse;
+    any other memo is ignored.
     """
+    table = _memo_table(path)
+    if table is not None:
+        try:
+            return _snapshot(table)
+        except SnapshotFault:
+            pass  # the parse names the line at fault
     with open(path) as handle:
         numbered = ((n, ln) for n, ln in enumerate(handle, 1) if not ln.isspace())
         # an empty file reads as a header without times or rows
@@ -167,7 +256,7 @@ def read_snapshot_csv(path):
     if len(line_nos) < 3:
         raise ValueError("%s: need a header and at least 2 data rows" % path)
     try:
-        return SnapshotMatrix(values=data[1:, 1:], x=data[1:, 0], t=data[0, 1:])
+        return _snapshot(data)
     except SnapshotFault as exc:
         line_no = header_no if exc.axis == "t" else line_nos[exc.index + 1]
         raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None

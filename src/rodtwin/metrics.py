@@ -181,9 +181,11 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     )
     # a pair's columns u, v stand for the modes u ± iv, with weight 2 each
     weights = np.where(model.eigenvalues.imag == 0, 1.0, 2.0)
-    rho_rod, rho_fourier, _ = _projection_scores(
-        model.rank, [(model.left, weights)], products, ip.dx * energy, fourier, v0, ip
-    )
+    # scores that overflow are named below, as the error and correlation are
+    with _quiet():
+        rho_rod, rho_fourier, _ = _projection_scores(
+            model.rank, [(model.left, weights)], products, ip.dx * energy, fourier, v0, ip
+        )
     report = QualityReport(
         rank=int(model.rank),
         absolute_error=error,

@@ -459,9 +459,15 @@ def sketch(snap, rank_max, seed):
     once.  The test matrix fills column by column and Householder QR
     keeps a column prefix, so Q[:, :k] and P[:k] are the sketch at rank
     k up to rounding: one sketch at rank_max serves every k <= rank_max.
-    Returns (Q, P) of shapes (nx, rank_max) and (rank_max, nt + 1).
+    Returns (Q, P) of shapes (nx, rank_max) and (rank_max, nt + 1).  A
+    seed of any integer type draws the stream of its int; one that is
+    not an integer raises ValueError.
     """
     rank_max = int(rank_max)
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError("seed %r is not an integer" % (seed,)) from None
     v0 = snap.values[:, :-1]
     if not 1 <= rank_max <= min(v0.shape):
         raise ValueError(
@@ -536,7 +542,7 @@ def fit(snap, rank, seed, reorthonormalize=False):
     basis, eigenvalues, amp = RankSpace(proj).fit(
         len(proj), InnerProduct(snap.dx), reorthonormalize
     )
-    return RodModel(q @ basis, amp, eigenvalues, int(seed), snap.x.copy(), snap.t.copy())
+    return RodModel(q @ basis, amp, eigenvalues, seed, snap.x.copy(), snap.t.copy())
 
 
 def reconstruct(model):

@@ -53,6 +53,8 @@ class TestGenerate:
         assert meta["nu"] == "0.01"
         assert meta["quad_order"] == "100"
         assert meta["dx"] == "0.02"
+        # the CSV, its metadata and the memo of its parsed table
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.meta", "data.csv.npy"]
 
     def test_t_final_off_the_step_exits_2(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
@@ -830,6 +832,63 @@ class TestReadsOfData:
             assert main(argv + data) == 0
             assert callers == walks
         capsys.readouterr()
+
+
+class TestSnapshotMemo:
+    """generate's memo spares the later commands' parse and nothing else."""
+
+    @pytest.mark.parametrize("grid", ["101", "2001"])
+    def test_outputs_same_with_and_without_memo(self, tmp_path, capsys, monkeypatch, grid):
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--grid-points", grid, "--output", str(data)]) == 0
+        capsys.readouterr()
+        hits = []
+        real = io._memo_table
+
+        def memo_table(path):
+            table = real(path)
+            hits.append(table is not None)
+            return table
+
+        monkeypatch.setattr(io, "_memo_table", memo_table)
+        runs = {}
+        for memo in (True, False):
+            out = tmp_path / ("memo" if memo else "parsed")
+            out.mkdir()
+            hits.clear()
+            printed = []
+            for argv in (
+                ["fit", "--output", str(out / "model.txt")],
+                ["sweep", "--output", str(out / "sweep.csv")],
+                ["evaluate", "--model", str(out / "model.txt"), "--output", str(out / "twin")],
+                ["compare", "--model", str(out / "model.txt")],
+            ):
+                code = main(argv + ["--input", str(data)])
+                printed.append((code,) + tuple(capsys.readouterr()))
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            assert len(files) == 5
+            assert hits == [memo] * 4
+            runs[memo] = printed, files
+            if memo:
+                os.remove(str(data) + ".npy")
+        assert runs[True] == runs[False]
+
+    def test_malformed_csv_with_stale_memo(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert main(["generate", "--grid-points", "31", "--output", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        lines[5] = "oops," + lines[5].partition(",")[2]
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        printed = []
+        for memo in (True, False):
+            code = main(["fit", "--input", str(data), "--output", str(tmp_path / "m.txt")])
+            printed.append((code,) + tuple(capsys.readouterr()))
+            if memo:
+                os.remove(str(data) + ".npy")
+        assert printed[0] == printed[1]
+        assert printed[0][0] == 2
+        assert printed[0][2].startswith("rodtwin fit: error: %s:6: bad cell (" % data)
 
 
 class TestBlasThreads:

@@ -4,7 +4,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from io import StringIO
+from io import BytesIO, StringIO
 from types import SimpleNamespace
 from unittest import mock
 
@@ -449,6 +449,126 @@ class TestStreamedRead:
             tracemalloc.stop()
         assert_same_bits(snap, burgers_2001)
         assert peak < 1.5 * snap.values.nbytes
+
+
+def write_with_memo(path, snap):
+    """The snapshot CSV at path and its memo, as generate leaves them."""
+    io.write_snapshot_csv(path, snap)
+    io.write_snapshot_memo(path, snap, io.file_sha256(path))
+    return str(path) + ".npy"
+
+
+def read_parsed(path):
+    """read_snapshot_csv of path with the memo out of the way."""
+    memo = str(path) + ".npy"
+    aside = memo + ".aside"
+    os.replace(memo, aside)
+    try:
+        return io.read_snapshot_csv(path)
+    finally:
+        os.replace(aside, memo)
+
+
+def npy_bytes(array):
+    out = BytesIO()
+    np.save(out, array)
+    return out.getvalue()
+
+
+def record_bytes(digest, table):
+    """The .npy file of one record of digest and table: a well-formed
+    memo when table is the parsed float64 table of the CSV digest names."""
+    record = np.dtype([("sha256", "S64"), ("table", table.dtype, table.shape)])
+    return npy_bytes(np.array((digest, table), dtype=record))
+
+
+class TestSnapshotMemo:
+    """A memo whose digest is its CSV's stands in for the parse, bit for
+    bit; any other memo is ignored without a warning."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nx=st.sampled_from([2, 127, 128, 129, 300]),
+        ncols=st.integers(2, 6),
+        dx=st.sampled_from([0.125, 1e-3, 3.7, 1e5]),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(
+            st.tuples(st.integers(0, 2**31), st.sampled_from(SPECIAL_CELLS + [1e-300, -1e300])),
+            max_size=8,
+        ),
+    )
+    @example(nx=2, ncols=6, dx=0.125, seed=0, specials=list(enumerate(SPECIAL_CELLS)))
+    def test_memo_read_equals_parse(self, nx, ncols, dx, seed, specials):
+        g = np.random.default_rng(seed)
+        # magnitudes from 1e-300 to 1e300
+        values = g.standard_normal((nx, ncols)) * 10.0 ** g.integers(-300, 301, (nx, ncols))
+        for where, cell in specials:
+            values.flat[where % values.size] = cell
+        snap = make_snapshot(values, dx=dx, dt=0.001)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.csv")
+            write_with_memo(path, snap)
+            with mock.patch.object(io, "_read_rows", side_effect=AssertionError("parsed")):
+                memo = io.read_snapshot_csv(path)
+            parsed = read_parsed(path)
+        assert_same_bits(memo, parsed)
+        assert_same_bits(memo, snap)
+        for name in ("values", "x", "t"):
+            assert getattr(memo, name).strides == getattr(parsed, name).strides, name
+
+    def test_memo_is_a_deterministic_npy_record(self, tmp_path, burgers_snapshot):
+        path = tmp_path / "snap.csv"
+        memo = write_with_memo(path, burgers_snapshot)
+        table = np.loadtxt(path, delimiter=",", converters={0: lambda c: 0.0 if c == "x" else float(c)})
+        with open(memo, "rb") as handle:
+            written = handle.read()
+        assert written == record_bytes(io.file_sha256(path), table)
+        write_with_memo(path, burgers_snapshot)
+        with open(memo, "rb") as handle:
+            assert handle.read() == written
+        assert sorted(os.listdir(tmp_path)) == ["snap.csv", "snap.csv.npy"]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["stale", "truncated", "header only", "wrong dtype", "wrong shape", "plain table", "other csv"],
+    )
+    def test_other_memo_ignored(self, tmp_path, rng, case):
+        snap = make_snapshot(rng.standard_normal((130, 4)))
+        path = tmp_path / "snap.csv"
+        memo = write_with_memo(path, snap)
+        with open(memo, "rb") as handle:
+            written = handle.read()
+        digest = io.file_sha256(path)
+        table = io._memo_table(path)
+        if case == "stale":
+            # the CSV edited after its memo was written
+            io.write_snapshot_csv(path, make_snapshot(2.0 * snap.values))
+        elif case == "other csv":
+            write_with_memo(tmp_path / "other.csv", make_snapshot(2.0 * snap.values))
+            os.replace(tmp_path / "other.csv.npy", memo)
+        else:
+            forged = {
+                "truncated": written[:-8],
+                "header only": written[:100],
+                "wrong dtype": record_bytes(digest, table.astype(np.float32)),
+                "wrong shape": record_bytes(digest, table[:-1]),
+                "plain table": npy_bytes(table),
+            }[case]
+            with open(memo, "wb") as handle:
+                handle.write(forged)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert io._memo_table(path) is None
+            got = io.read_snapshot_csv(path)
+        assert_same_bits(got, read_parsed(path))
+
+    def test_reader_writes_no_memo(self, tmp_path, rng):
+        path = tmp_path / "snap.csv"
+        io.write_snapshot_csv(path, make_snapshot(rng.standard_normal((5, 4))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            io.read_snapshot_csv(path)
+        assert os.listdir(tmp_path) == ["snap.csv"]
 
 
 class TestModelFile:

@@ -186,6 +186,21 @@ class TestQualityReport:
                 snap, model, rt.fourier_decomposition(snap), rt.InnerProduct(snap.dx)
             )
 
+    def test_overflowing_scores_raise_without_warning(self, burgers_snapshot):
+        # at 1e160 the squares of the projection scores overflow too; the
+        # report names its first non-finite field and no numpy warning leaks
+        big = rt.SnapshotMatrix(
+            values=burgers_snapshot.values * 1e160, x=burgers_snapshot.x, t=burgers_snapshot.t
+        )
+        model = rt.fit(big, 10, seed=1)
+        fourier, ip = rt.fourier_decomposition(big), rt.InnerProduct(big.dx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match=r"^quality report field absolute_error is not finite \(inf\)$"
+            ):
+                rt.quality_report(big, model, fourier, ip)
+
     def test_text_round_trip(
         self, burgers_snapshot, burgers_model, burgers_fourier, burgers_ip
     ):

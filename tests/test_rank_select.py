@@ -119,15 +119,17 @@ class TestParetoSweep:
 
     def test_deterministic(self, burgers_snapshot):
         a = rt.pareto_sweep(burgers_snapshot, 6, seed=1)
-        b = rt.pareto_sweep(burgers_snapshot, 6, seed=1)
-        for p, q in zip(a, b):
-            assert (p.rank, p.j1, p.j2, p.dominated, p.error) == (
-                q.rank,
-                q.j1,
-                q.j2,
-                q.dominated,
-                q.error,
-            )
+        # a seed of any integer type sweeps as its int
+        for seed in (1, np.int64(1), np.uint64(1), np.int32(1)):
+            b = rt.pareto_sweep(burgers_snapshot, 6, seed=seed)
+            for p, q in zip(a, b):
+                assert (p.rank, p.j1, p.j2, p.dominated, p.error) == (
+                    q.rank,
+                    q.j1,
+                    q.j2,
+                    q.dominated,
+                    q.error,
+                )
 
     def test_rank_max_validation(self, burgers_snapshot):
         with pytest.raises(ValueError, match=re.escape("rank_max 0 outside [1, 101]")):

@@ -523,6 +523,14 @@ class TestConjugateForm:
             assert getattr(again, name) is getattr(model, name), name
         assert again.x is x and again.t is t
         assert type(again.seed) is int and again.seed == 3
+        # a seed of any integer type fits the model of its int
+        for seed in (np.int64(3), np.uint64(3), np.int32(3)):
+            same = rt.fit(burgers_snapshot, 4, seed)
+            for name in ("left", "right", "eigenvalues"):
+                assert getattr(same, name).tobytes() == getattr(model, name).tobytes(), name
+            assert type(same.seed) is int and same.seed == 3
+        with pytest.raises(ValueError, match=r"^seed 3\.0 is not an integer$"):
+            rt.fit(burgers_snapshot, 4, 3.0)
 
     def test_rank_zero_rejected(self, pair):
         with pytest.raises(ValueError, match="^model rank must be at least 1$"):
