@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import svd_economy
-from .rod import _pass
+from .rod import _pass, _quiet
 
 # singular values below RANK_CUTOFF times the largest are discarded
 RANK_CUTOFF = 1e-12
@@ -159,7 +159,7 @@ def _score(product, weights, col_sq, dx, mode_count):
 def _walk(v0, bases):
     """The column energies of v0 under dx = 1 and its products with each
     real basis, from one walk of rod._pass."""
-    _, energies, products = _pass(v0, width=v0.shape[1], bases=[b for b, _ in bases])
+    _, _, energies, products = _pass(v0, width=v0.shape[1], bases=[b for b, _ in bases])
     return energies, products
 
 
@@ -208,6 +208,9 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     and averages both sides over that rank, a like-for-like diagnostic;
     there the truncated basis is scored by the same products as the
     model modes, so a basis compared with itself ties exactly.
+
+    A score that is not finite raises ValueError naming it, with
+    numpy's overflow warnings silenced, as in the quality report.
     """
     rod_modes = np.asarray(rod_modes)
     v0 = np.asarray(v0, dtype=float)
@@ -217,7 +220,12 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     if same_rank:
         bases.append(_real_basis(fourier.psi[:, :m]))
     energies, products = _walk(v0, bases)
-    return _projection_scores(m, bases, products, ip.dx * energies, fourier, v0, ip)
+    with _quiet():
+        scores = _projection_scores(m, bases, products, ip.dx * energies, fourier, v0, ip)
+    for name, value in zip(("rho_rod", "rho_fourier"), scores):
+        if not np.isfinite(value):
+            raise ValueError("projection score %s is not finite (%r)" % (name, value))
+    return scores
 
 
 def _projection_scores(m, bases, products, col_sq, fourier, v0, ip):

@@ -10,9 +10,10 @@ Error and correlation are built from per-column sums that one pass
 over the data accumulates in blocks of BLOCK_ROWS rows; every scorer
 here runs the same pass kernel, rod._pass, against one twin or, for
 the sweep, a list of them.  Each sum is one fused column dot product
-of two per-block factors: (a - b)^2 for the error, a^2 b^2, b^2 b^2
-and a^2 a^2 for the paper correlation, a b, b b and a a for the
-cosine.  The twin side of a block is a slice of a reconstructed
+of two per-block factors, the same three for every twin: Σ(a - b)^2
+for the error, and Σx y and Σy y for the correlation, with the data's
+Σx x once; x, y are a^2, b^2 for the paper correlation and a, b for
+the cosine.  The twin side of a block is a slice of a reconstructed
 SnapshotMatrix or the rows of a real product L R (a model's own
 factors, or a sweep rank's sketch basis times its rank-space
 coefficients), evaluated one block at a time, so the quality report
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .empirical import _check_baseline, _projection_scores
-from .rod import _pass, _quiet, _scan
+from .rod import VARIANTS, _pass, _quiet, _scan
 
 
 def _check_matched(exact, x, t):
@@ -47,19 +48,6 @@ def _check_matched(exact, x, t):
         or np.abs(exact.t - t).max() > 1e-12 * np.abs(exact.t).max()
     ):
         raise ValueError("grid mismatch between the two snapshot sets")
-
-
-# per variant: the correlation's (cross, twin power, data power) pairs
-# of rod._pass factors; the paper variant squares every cosine term, and
-# takes (ab)^2 as a^2 b^2 from the squares it already holds
-_CORRELATION = {"paper": ("AB", "BB", "AA"), "cosine": ("ab", "bb", "aa")}
-VARIANTS = tuple(_CORRELATION)
-
-
-def _correlation_pairs(variant):
-    if variant not in _CORRELATION:
-        raise ValueError("unknown correlation variant %r" % variant)
-    return _CORRELATION[variant]
 
 
 def _error(diff_sq):
@@ -93,29 +81,22 @@ def _snapshot_rows(exact, twin):
     return lambda start, stop, out: np.copyto(out, twin.values[start:stop])
 
 
-def _twin_sums(values, factors, variant, width=0, bases=()):
-    """_pass of values against the twin left @ right of each (left, right)
-    in factors, no twin formed: the pairs are "dd" and the variant's."""
-    twins = [_modal_rows(left, right) for left, right in factors]
-    return _pass(values, twins, ("dd",) + _correlation_pairs(variant), width, bases)
-
-
-def _scores(values, left, right, sums, variant):
+def _scores(values, left, right, sums, data_sums, variant):
     """(absolute_error, correlation) of the twin left @ right from its
-    sums of _twin_sums.  A non-finite twin entry shows in the column t_0,
-    which no sum reads and one product checks, or in a sum with the twin
-    in it, all but the data power; only then are the twin's rows formed
-    again and scanned, and the entry raises ValueError(NON_FINITE)."""
+    sums and the data's of _pass.  A non-finite twin entry shows in
+    the column t_0, which no sum reads and one product checks, or in
+    one of the twin's sums; only then are the twin's rows formed again
+    and scanned, and the entry raises ValueError(NON_FINITE)."""
     with _quiet():
         t0 = left @ right[:, 0]
-    if not (np.isfinite(t0).all() and np.isfinite(sums[:-1]).all()):
+    if not (np.isfinite(t0).all() and np.isfinite(sums).all()):
         _scan(_modal_rows(left, right), values.shape)
-    return _error(sums[0]), _correlation(variant, *sums[1:])
+    return _error(sums[0]), _correlation(variant, *sums[1:], data_sums)
 
 
 def absolute_error(exact, twin):
     """Time-averaged Euclidean distance between matching columns."""
-    (sums,), _, _ = _pass(exact.values, [_snapshot_rows(exact, twin)], ("dd",))
+    (sums,), _, _, _ = _pass(exact.values, [_snapshot_rows(exact, twin)])
     return _error(sums[0])
 
 
@@ -128,9 +109,8 @@ def correlation(exact, twin, variant="paper"):
     variant="cosine" is the squared cosine (sum uv)^2 / (sum u^2 sum v^2).
     Both are scale invariant and bounded by Cauchy-Schwarz.
     """
-    pairs = _correlation_pairs(variant)
-    (sums,), _, _ = _pass(exact.values, [_snapshot_rows(exact, twin)], pairs)
-    return _correlation(variant, *sums)
+    (sums,), data_sums, _, _ = _pass(exact.values, [_snapshot_rows(exact, twin)], variant)
+    return _correlation(variant, *sums[1:], data_sums)
 
 
 def _model_scores(exact, model, variant, width=0, bases=()):
@@ -140,8 +120,10 @@ def _model_scores(exact, model, variant, width=0, bases=()):
     products with bases."""
     _check_matched(exact, model.x, model.t)
     factors = (model.left, model.right)
-    (sums,), energies, products = _twin_sums(exact.values, [factors], variant, width, bases)
-    return (*_scores(exact.values, *factors, sums, variant), energies, products)
+    (sums,), data_sums, energies, products = _pass(
+        exact.values, [_modal_rows(*factors)], variant, width, bases
+    )
+    return (*_scores(exact.values, *factors, sums, data_sums, variant), energies, products)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .rod import InnerProduct, RankSpace, sketch
+from .rod import InnerProduct, RankSpace, _pass, sketch
 
 
 @dataclass
@@ -78,10 +78,11 @@ def _score(snap, q, group, by_rank):
     """Score the twins Q[:, :k] C_k of group, a list of (k, C_k), in one
     walk of the data into by_rank; a rank that fails gets an error point."""
     factors = [(q[:, :k], c) for k, c in group]
-    sums, _, _ = metrics._twin_sums(snap.values, factors, "paper")
+    twins = [metrics._modal_rows(*factor) for factor in factors]
+    sums, data_sums, _, _ = _pass(snap.values, twins, "paper")
     for (rank, _), factor, rank_sums in zip(group, factors, sums):
         try:
-            j1, corr = metrics._scores(snap.values, *factor, rank_sums, "paper")
+            j1, corr = metrics._scores(snap.values, *factor, rank_sums, data_sums, "paper")
             if not (np.isfinite(j1) and np.isfinite(corr)):
                 raise ArithmeticError("non-finite objectives j1=%s, j2=%s" % (j1, -corr))
             by_rank[rank] = ParetoPoint(rank=rank, j1=j1, j2=-corr)

@@ -73,60 +73,62 @@ def _quiet():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _pass(values, twins=(), pairs=(), width=0, bases=()):
+# the correlation variants of metrics, which pick the factors of _pass
+VARIANTS = ("paper", "cosine")
+
+
+def _pass(values, twins=(), variant="paper", width=0, bases=()):
     """Per-column sums of the data values against each of a list of
     twins, the data's column energies and its products with bases, from
     one walk of row_blocks: the one loop that reads the data.
 
     twin(start, stop, out) writes a twin's rows start:stop into out; no
-    sum reads their column t_0.  Each pair names two per-block factors:
-    "a" the data, "b" the twin, "d" = a - b, "A" = a^2 and "B" = b^2,
-    and its sums are add_column_sums of the two over the columns from
-    t_1 on.  Factors are formed over whole block rows: a and A once per
-    block, and the pairs of the data alone summed once; b, d and B once
-    per twin, B squaring b in place, so one pass uses b or B, not both.
-    With width, the energies are the sums of a^2 over the first width
-    columns, and each basis (nx, c) gives the (c, width) product
-    basis^T values[:, :width], both summed block by block in block
-    order.  Returns (sums, one (pairs, nt) array per twin; energies;
-    products, one per basis).
+    sum reads their column t_0.  With a the data's block and b a twin's,
+    the factors are d = a - b, the data's x and the twin's y: a^2 and
+    b^2 for the variant "paper", a and b for "cosine".  Each sum is
+    add_column_sums of two factors over the columns from t_1 on: per
+    twin d d, x y and y y, and x x once.  x is formed once per block
+    and d and y once per twin, all over whole block rows, y squaring b
+    in place; with no twins none of these is formed.  An unknown
+    variant raises ValueError before the walk.  With width, the
+    energies are the sums of a^2 over the first width columns, and each
+    basis (nx, c) gives the (c, width) product basis^T values[:, :width],
+    both summed block by block in block order.  Returns (sums, a
+    (twins, 3, nt) array; the data's sums of x x; energies; products,
+    one per basis).
     """
+    if variant not in VARIANTS:
+        raise ValueError("unknown correlation variant %r" % variant)
     nx, ncols = values.shape
-    letters = set("".join(pairs))
-    own = [i for i, pair in enumerate(pairs) if set(pair) & set("bdB")]
-    alone = [i for i in range(len(pairs)) if i not in own]
-    # one block of sums per twin, and last the sums of the data alone
-    sums = np.zeros((len(twins) + 1, len(pairs), ncols - 1))
+    sums = np.zeros((len(twins), 3, ncols - 1))
+    data_sums = np.zeros(ncols - 1)
     energies = np.zeros(width)
     products = [np.zeros((basis.shape[1], width)) for basis in bases]
-    # the block buffers of d, A and the twin, reused from block to block:
+    # the block buffers of d, a^2 and the twin, reused from block to block:
     # fresh arrays per block made the pass over the 101x301 benchmark 1.6
     # times slower, and a factor formed over whole rows is one flat loop
-    buffers = np.empty((3, min(BLOCK_ROWS, nx) if pairs else 0, ncols))
+    buffers = np.empty((3, min(BLOCK_ROWS, nx) if twins else 0, ncols))
     with _quiet():
         for start, stop in row_blocks(nx):
             block = values[start:stop]
-            diff, data_sq, twin_block = buffers[:, : stop - start]
-            factors = {"a": block, "A": data_sq, "b": twin_block, "d": diff, "B": twin_block}
-            if "A" in letters:
-                np.square(block, out=data_sq)
-            for i in alone:
-                add_column_sums(sums[-1, i], *(factors[n][:, 1:] for n in pairs[i]))
-            for twin, twin_sums in zip(twins, sums):
-                twin(start, stop, twin_block)
-                if "d" in letters:
-                    np.subtract(block, twin_block, out=diff)
-                if "B" in letters:
-                    np.square(twin_block, out=twin_block)
-                for i in own:
-                    add_column_sums(twin_sums[i], *(factors[n][:, 1:] for n in pairs[i]))
+            if twins:
+                diff, data_sq, y = buffers[:, : stop - start]
+                x = np.square(block, out=data_sq) if variant == "paper" else block
+                add_column_sums(data_sums, x[:, 1:], x[:, 1:])
+            for twin, (dd, xy, yy) in zip(twins, sums):
+                twin(start, stop, y)
+                np.subtract(block, y, out=diff)
+                if variant == "paper":
+                    np.square(y, out=y)
+                add_column_sums(dd, diff[:, 1:], diff[:, 1:])
+                add_column_sums(xy, x[:, 1:], y[:, 1:])
+                add_column_sums(yy, y[:, 1:], y[:, 1:])
             if width:
                 window = block[:, :width]
                 add_column_sums(energies, window, window)
                 for product, basis in zip(products, bases):
                     product += basis[start:stop].T @ window
-    sums[:-1, alone] = sums[-1, alone]
-    return sums[:-1], energies, products
+    return sums, data_sums, energies, products
 
 
 def _scan(twin, shape):
@@ -460,14 +462,10 @@ def sketch(snap, rank_max, seed):
     keeps a column prefix, so Q[:, :k] and P[:k] are the sketch at rank
     k up to rounding: one sketch at rank_max serves every k <= rank_max.
     Returns (Q, P) of shapes (nx, rank_max) and (rank_max, nt + 1).  A
-    seed of any integer type draws the stream of its int; one that is
-    not an integer raises ValueError.
+    seed that is not an integer raises the ValueError of the range
+    finder's stream.
     """
     rank_max = int(rank_max)
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValueError("seed %r is not an integer" % (seed,)) from None
     v0 = snap.values[:, :-1]
     if not 1 <= rank_max <= min(v0.shape):
         raise ValueError(

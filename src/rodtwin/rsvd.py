@@ -16,6 +16,8 @@ the same seed; rank sweeps therefore sample nested subspaces.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .linalg import SvdFactors, qr_factor, svd_economy, warn
@@ -33,7 +35,12 @@ def _mix64(z):
 
 
 def _uniforms(seed, count):
-    """count uniforms in [0, 1) from the counter stream of seed."""
+    """count uniforms in [0, 1) from the counter stream of seed, an
+    integer of any type; another seed, 3.0 included, raises ValueError."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError("seed %r is not an integer" % (seed,)) from None
     counters = np.arange(1, count + 1, dtype=np.uint64)
     bits = _mix64(np.uint64(seed % (1 << 64)) + counters * _GAMMA)
     return (bits >> np.uint64(11)).astype(np.float64) / _TWO53

@@ -802,6 +802,21 @@ class TestCompare:
         assert float(re.search(r"ratio = (\S+)", out).group(1)) == 1.0
 
 
+    def test_overflowing_score_exits_2(self, ws, tmp_path, capsys, burgers_snapshot):
+        # the benchmark scaled by 1e160 against the model of the unscaled data
+        big = tmp_path / "big.csv"
+        snap = burgers_snapshot
+        io.write_snapshot_csv(big, rt.SnapshotMatrix(snap.values * 1e160, snap.x, snap.t))
+        rc = main(["compare", "--input", str(big), "--model", str(ws / "model.txt")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        # the one error line, with no numpy overflow warnings before it
+        assert captured.err.splitlines() == [
+            "rodtwin compare: error: projection score rho_rod is not finite (nan)"
+        ]
+
+
 class TestReadsOfData:
     def test_walks_per_command(self, ws, tmp_path, monkeypatch, capsys):
         # the walks of rod.row_blocks, by the function that walks: the

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -195,6 +197,25 @@ class TestCompareProjections:
         near = rt.compare_projections(modes, f, v0, rt.InnerProduct(0.1 * (1 + 1e-13)))
         same = rt.compare_projections(modes, f, v0, rt.InnerProduct(0.1))
         assert near == pytest.approx(same, rel=1e-12)
+
+    @pytest.mark.parametrize("same_rank", [False, True])
+    def test_overflowing_score_raises_without_warning(
+        self, burgers_snapshot, burgers_model, same_rank
+    ):
+        # at 1e160 the squared products overflow and the model's score
+        # reads NaN: it is named, not reported as non-dominance
+        big = rt.SnapshotMatrix(
+            values=burgers_snapshot.values * 1e160, x=burgers_snapshot.x, t=burgers_snapshot.t
+        )
+        fourier, ip = rt.fourier_decomposition(big), rt.InnerProduct(big.dx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match=r"^projection score rho_rod is not finite \(nan\)$"
+            ):
+                rt.compare_projections(
+                    burgers_model.modes, fourier, big.values[:, :-1], ip, same_rank
+                )
 
     def test_rank_one_bases_agree(self, rng):
         u0 = rng.standard_normal(13)

@@ -160,7 +160,9 @@ class TestQualityReport:
             ((30, 12), (0.1, 0.1 * (1 + 2e-12)), "cosine", _OTHER_IP % (0.1 * (1 + 2e-12), 0.1)),
         ],
     )
-    def test_data_off_the_model_rejected(self, rng, shape, dx, variant, message):
+    def test_data_off_the_model_rejected(
+        self, rng, monkeypatch, shape, dx, variant, message
+    ):
         model = rt.fit(make_snapshot(rng.standard_normal((30, 12))), 3, seed=1)
         data_dx, ip_dx = map(float, np.broadcast_to(dx, 2))
         snap = make_snapshot(rng.standard_normal(shape), dx=data_dx)
@@ -171,9 +173,14 @@ class TestQualityReport:
             calls.append(lambda: rt.compare_projections(model.modes, fourier, v0, ip))
         elif variant == "paper":
             calls.append(lambda: rank_select.objectives(snap, model))
+        else:
+            calls.append(lambda: rt.correlation(snap, snap, variant))
+        walks = count_calls(monkeypatch, rod, "row_blocks")
         for call in calls:
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 call()
+        # each is refused before the data is walked
+        assert not walks
 
     def test_non_finite_field_raises(self):
         # at 1e77 the paper correlation's a^4 overflows and it reads NaN
@@ -264,25 +271,21 @@ class TestAddColumnSums:
                 # reduction pairwise: the last bits may differ
                 np.testing.assert_allclose(blocked, in_order, rtol=1e-13)
             # the kernel's energies are these sums
-            _, energies, _ = rod._pass(values, width=ncols)
+            _, _, energies, _ = rod._pass(values, width=ncols)
             assert np.array_equal(blocked, energies)
             np.testing.assert_allclose(blocked, (values**2).sum(axis=0), rtol=1e-12)
 
 
-# the kernel's factors per letter, written out on whole matrices
-_FACTORS = {
-    "a": lambda a, b: a,
-    "b": lambda a, b: b,
-    "d": lambda a, b: a - b,
-    "A": lambda a, b: a * a,
-    "B": lambda a, b: b * b,
-}
+def _kernel_terms(a, b, variant):
+    """The terms of the kernel's sums written out on whole matrices: per
+    twin d d, x y and y y, then the data's x x, with d = a - b and x, y
+    the variant's factors."""
+    x, y = (a * a, b * b) if variant == "paper" else (a, b)
+    return [(a - b) * (a - b), x * y, y * y, x * x]
 
 
-def _fsum_reference(a, b, pair):
-    """Per-column math.fsum of the pair's product over whole matrices,
-    and the fsum of its magnitudes."""
-    terms = _FACTORS[pair[0]](a, b) * _FACTORS[pair[1]](a, b)
+def _fsum_reference(terms):
+    """Per-column math.fsum of terms, and the fsum of its magnitudes."""
     return (
         np.array([math.fsum(column) for column in terms.T]),
         np.array([math.fsum(column) for column in np.abs(terms).T]),
@@ -302,15 +305,14 @@ class TestStreamedPass:
         a = rng.standard_normal((nx, ncols))
         b = rng.standard_normal((nx, ncols))
         # a plain matrix serves: a SnapshotMatrix needs 2 rows
-        pairs = ("dd",) + metrics._CORRELATION[variant]
-        (got,), _, _ = rod._pass(a, [_copy_rows(b)], pairs)
+        (got,), data_sums, _, _ = rod._pass(a, [_copy_rows(b)], variant)
         a1, b1 = a[:, 1:], b[:, 1:]
         if variant == "paper":
             expect = [(a1 * b1) ** 2, b1**4, a1**4]
         else:
             expect = [a1 * b1, b1**2, a1**2]
         expect = [(a1 - b1) ** 2] + expect
-        for value, terms in zip(got, expect):
+        for value, terms in zip([*got, data_sums], expect):
             np.testing.assert_allclose(value, terms.sum(axis=0), rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -325,29 +327,31 @@ class TestStreamedPass:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((nx, ncols))
         b = rng.standard_normal((nx, ncols))
-        pairs = ("dd",) + metrics._CORRELATION[variant]
         width = ncols - 1 if window else 0
         runs = {
-            order: rod._pass(np.asarray(a, order=order), [_copy_rows(b)], pairs, width)
+            order: rod._pass(np.asarray(a, order=order), [_copy_rows(b)], variant, width)
             for order in "CF"
         }
-        (sums,), energies, _ = runs["C"]
+        (sums,), data_sums, energies, _ = runs["C"]
+        got = [*sums, data_sums]
         # blocks of at most 128 rows summed one after another, each term
         # rounded at most four times: within (nx + 4) eps of the sum of
         # the magnitudes, which 1e-12 bounds for nx <= 1000
-        for value, pair in zip(sums, pairs):
-            exact, magnitude = _fsum_reference(a[:, 1:], b[:, 1:], pair)
+        for value, terms in zip(got, _kernel_terms(a[:, 1:], b[:, 1:], variant)):
+            exact, magnitude = _fsum_reference(terms)
             assert np.all(np.abs(value - exact) <= 1e-12 * magnitude)
         if window:
-            exact, _ = _fsum_reference(a[:, :width], b[:, :width], "aa")
+            exact, _ = _fsum_reference(a[:, :width] ** 2)
             assert np.all(np.abs(energies - exact) <= 1e-12 * exact)
-        # the factors d, A and B are formed in C-ordered block buffers, so
-        # their sums do not depend on the data's memory order.  Sums that
-        # read the data itself (a b and a a of the cosine variant, and the
-        # energies) do: numpy reduces an F-ordered block with unrolled
+        # the factors d, a^2 and b^2 are formed in C-ordered block buffers,
+        # so their sums do not depend on the data's memory order.  Sums
+        # that read the data itself (x y and x x of the cosine variant, and
+        # the energies) do: numpy reduces an F-ordered block with unrolled
         # partial sums, and the last bits can differ
-        for (value, other), pair in zip(zip(sums, runs["F"][0][0]), pairs):
-            if "a" not in pair:
+        (other_sums,), other_data, _, _ = runs["F"]
+        reads_data = (False, variant == "cosine", False, variant == "cosine")
+        for value, other, loose in zip(got, [*other_sums, other_data], reads_data):
+            if not loose:
                 assert np.array_equal(value, other)
             else:
                 np.testing.assert_allclose(value, other, rtol=1e-12)
@@ -356,7 +360,7 @@ class TestStreamedPass:
     @given(
         nx=st.sampled_from((2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)),
         ncols=st.integers(2, 14),
-        variant=st.sampled_from((None,) + rt.metrics.VARIANTS),
+        variant=st.sampled_from(rt.metrics.VARIANTS),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -369,18 +373,20 @@ class TestStreamedPass:
         a = np.asarray(rng.standard_normal((nx, ncols)), order=order)
         b = rng.standard_normal((nx, ncols))
         basis = rng.standard_normal((nx, 3))
-        pairs = ("dd",) + (() if variant is None else metrics._CORRELATION[variant])
         twin = _copy_rows(b)
-        sums, energy, (product,) = rod._pass(a, [twin], pairs, ncols - 1, [basis])
+        sums, data_sums, energy, (product,) = rod._pass(
+            a, [twin], variant, ncols - 1, [basis]
+        )
         v0 = a[:, :-1]
-        _, col_sq, (alone,) = rod._pass(v0, width=ncols - 1, bases=[basis])
+        _, _, col_sq, (alone,) = rod._pass(v0, width=ncols - 1, bases=[basis])
         assert np.array_equal(energy, col_sq)
         assert np.array_equal(product, alone)
         np.testing.assert_allclose(energy, np.sum(v0**2, axis=0), rtol=1e-12)
         np.testing.assert_allclose(product, basis.T @ v0, rtol=1e-9, atol=1e-12)
         # and the window leaves the pass's other sums as they were
-        plain, _, _ = rod._pass(a, [twin], pairs)
+        plain, plain_data, _, _ = rod._pass(a, [twin], variant)
         assert np.array_equal(sums, plain)
+        assert np.array_equal(data_sums, plain_data)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -399,12 +405,12 @@ class TestStreamedPass:
         rng = np.random.default_rng(seed)
         a = np.asarray(rng.standard_normal((nx, ncols)), order=order)
         twins = [_copy_rows(rng.standard_normal((nx, ncols))) for _ in range(count)]
-        pairs = ("dd",) + metrics._CORRELATION[variant]
-        together, _, _ = rod._pass(a, twins, pairs)
-        assert together.shape == (count, len(pairs), ncols - 1)
+        together, data_sums, _, _ = rod._pass(a, twins, variant)
+        assert together.shape == (count, 3, ncols - 1)
         for sums, twin in zip(together, twins):
-            (alone,), _, _ = rod._pass(a, [twin], pairs)
+            (alone,), alone_data, _, _ = rod._pass(a, [twin], variant)
             assert np.array_equal(sums, alone)
+            assert np.array_equal(data_sums, alone_data)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -625,12 +631,17 @@ class TestStreamedEdges:
         assert np.array_equal(seen, rt.reconstruct(model).values)
 
     def test_public_functions_take_row_blocks_of_the_twin(self, tall):
+        # one kernel, the same sums: the public functions on the
+        # reconstruction give the report's fields bit for bit
         snap, model = tall
         twin = rt.reconstruct(model)
+        fourier, ip = rt.fourier_decomposition(snap), rt.InnerProduct(snap.dx)
+        for variant in rt.metrics.VARIANTS:
+            report = rt.quality_report(snap, model, fourier, ip, variant=variant)
+            assert rt.absolute_error(snap, twin) == report.absolute_error
+            assert rt.correlation(snap, twin, variant) == report.correlation
         error, j2 = rank_select.objectives(snap, model)
-        corr = -j2
-        assert _rel(rt.absolute_error(snap, twin), error) <= 1e-12
-        assert _rel(rt.correlation(snap, twin), corr) <= 1e-12
+        assert (error, -j2) == (rt.absolute_error(snap, twin), rt.correlation(snap, twin))
 
 
 def test_report_allocates_under_half_the_field():

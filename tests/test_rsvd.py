@@ -50,6 +50,20 @@ class TestGaussianTestMatrix:
 
 
 class TestRsvd:
+    def test_seed_of_any_integer_type(self, rng):
+        # the stream checks its seed: a numpy integer draws its int's
+        # stream, and a float is refused even when it is whole
+        v0 = rng.standard_normal((30, 20))
+        plain, draw = rsvd(v0, 4, 3), gaussian_test_matrix(20, 4, 3)
+        for seed in (np.int64(3), np.uint64(3), np.int32(3)):
+            assert np.array_equal(gaussian_test_matrix(20, 4, seed), draw)
+            same = rsvd(v0, 4, seed)
+            for name in ("U", "sigma", "W"):
+                assert getattr(same, name).tobytes() == getattr(plain, name).tobytes(), name
+        for call in (lambda: rsvd(v0, 4, 3.0), lambda: gaussian_test_matrix(20, 4, 3.0)):
+            with pytest.raises(ValueError, match=r"^seed 3\.0 is not an integer$"):
+                call()
+
     def test_exact_rank_two_recovery(self, rng):
         v0 = np.outer(rng.standard_normal(30), rng.standard_normal(20))
         v0 += np.outer(rng.standard_normal(30), rng.standard_normal(20))
