@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import warn
+from .linalg import integer, warn
 from .rod import SnapshotMatrix
 
 T_EPS = 1e-12
@@ -65,6 +65,8 @@ class BurgersConfig:
     quad_order: int = 100
 
     def __post_init__(self):
+        for name in ("grid_points", "quad_order"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         for name in ("nu", "t_final", "dt", "length"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % name)
@@ -109,7 +111,7 @@ def gauss_hermite(n):
     as fast as a tridiagonal solver at n <= 500; weights are sqrt(pi)
     times the squared first eigenvector components.
     """
-    n = int(n)
+    n = integer(n, "quadrature order")
     if not 1 <= n <= 500:
         raise ValueError("quadrature order must lie in [1, 500]")
     off = np.sqrt(np.arange(1, n) / 2.0)

@@ -1,10 +1,10 @@
 """Fourier empirical orthogonal decomposition and projection comparison.
 
-The baseline expansion writes the data in the left singular vectors of
-the full snapshot matrix, rescaled to unit discrete-L2 norm, with
-inner-product coefficients.  The projection operator measures how much
-of a mode lives along a single data column; averaging its squared norm
-over modes and columns gives the score used to compare mode families.
+The baseline basis is the left singular vectors of the full snapshot
+matrix, rescaled to unit discrete-L2 norm.  The projection operator
+measures how much of a mode lives along a single data column; averaging
+its squared norm over modes and columns gives the score used to compare
+mode families.
 The averaging conventions differ on purpose: the model side divides by
 its own mode count, the Fourier side by the full grid dimension with
 absent modes contributing zero.
@@ -18,7 +18,7 @@ The baseline spans the data columns, so by Parseval every column
 projects fully onto it and the Fourier score is the column count over
 nx.  The score is computed in that closed form whenever a bound shows
 the truncated tail is negligible; the SVD itself runs only when the
-basis, its singular values or its coefficients are read.
+basis is read.
 """
 
 from __future__ import annotations
@@ -40,46 +40,30 @@ class FourierModes:
     """Empirical basis of a snapshot matrix, decomposed on first use.
 
     Holds the decomposed values (by reference, not copied) and the grid
-    spacing dx.  psi (unit-norm basis), sigma (singular values) and
-    coefficients come from one SVD, run the first time any of them is
-    read.  Reconstruction sum_i coefficients[i, j] * psi[:, i]
-    reproduces column j of values.
+    spacing dx.  psi, the left singular vectors of the values above
+    RANK_CUTOFF times the largest singular value, rescaled to unit
+    discrete-L2 norm, comes from one SVD, run the first time it is read.
+    Zero data keep one direction.
     """
 
     values: np.ndarray
     dx: float
 
     @cached_property
-    def _expansion(self):
+    def psi(self):
         factors = svd_economy(self.values)
         sigma = factors.sigma
-        # zero data keeps one direction, with sigma 0
         r = max(1, int(np.count_nonzero(sigma > RANK_CUTOFF * sigma[0])))
-        root_dx = np.sqrt(self.dx)
-        psi = factors.U[:, :r] / root_dx
-        coeff = root_dx * sigma[:r, None] * factors.W[:, :r].conj().T
-        return psi, sigma[:r].copy(), coeff
-
-    @property
-    def psi(self):
-        return self._expansion[0]
-
-    @property
-    def sigma(self):
-        return self._expansion[1]
-
-    @property
-    def coefficients(self):
-        return self._expansion[2]
+        return factors.U[:, :r] / np.sqrt(self.dx)
 
 
 def fourier_decomposition(snap):
-    """Deterministic SVD expansion of a snapshot matrix, computed lazily.
+    """Deterministic SVD basis of a snapshot matrix, computed lazily.
 
     Keeps the numerical rank: singular values below RANK_CUTOFF times
     the largest are discarded.  Modes are rescaled to unit discrete-L2
-    norm and the coefficients absorb the inverse scaling, so the
-    reconstruction identity is preserved exactly.
+    norm, so they are orthonormal in the inner product of dx and span
+    every column of the data to that cutoff.
     """
     return FourierModes(values=snap.values, dx=snap.dx)
 
@@ -200,9 +184,9 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     sigma_0 <= ||V||_F.  When that bound is within machine epsilon the
     score is the closed form (number of columns) / nx and no SVD runs.
     Otherwise psi is computed and a second walk multiplies it with v0:
-    the coefficients hold <psi_i, u_j> only to rounding relative to
-    sigma_0, which is no accuracy at all for a column far smaller than
-    the largest.
+    the SVD's own sigma_i W^H holds <psi_i, u_j> only to rounding
+    relative to sigma_0, which is no accuracy at all for a column far
+    smaller than the largest.
 
     same_rank=True instead truncates the baseline to the model's rank
     and averages both sides over that rank, a like-for-like diagnostic;

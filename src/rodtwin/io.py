@@ -12,7 +12,9 @@ CSV's is read from the memo's table instead of its text, the table the
 parse gives, since the text round trip is exact.  Config files, the
 .meta sidecar, the model header and the report share one 'key = value'
 line rule, each key given once; '#' comments are allowed only in config
-and .meta files.
+and .meta files.  The numbers of the model header and the report are
+cells too; config values are converted by the CLI.  The sweep and
+plot-data CSVs are only written.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ import csv
 import hashlib
 import itertools
 import os
+import re
 import warnings
 from io import BytesIO
 
 import numpy as np
 
 from .metrics import QualityReport
-from .rank_select import ParetoPoint
 from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix, row_blocks
 
 
@@ -80,6 +82,27 @@ def _key_value(line, where, seen):
     if key.replace("-", "_") in seen:
         raise ValueError("%s: repeated key '%s'" % (where, key))
     return key, value.strip()
+
+
+# an integer cell: ASCII digits after an optional sign
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _cell(text, kind):
+    """text as the int or float of one cell: an int is ASCII digits after
+    an optional sign, a float what numpy's C reader, the reader of every
+    table, takes.  Text that kind itself refuses fails with its message;
+    kind also takes '1_0' and the digits of other scripts, which fail
+    here."""
+    value = kind(text)
+    if kind is int:
+        if not _INTEGER.fullmatch(text):
+            raise ValueError("%r is not ASCII digits" % text)
+        return value
+    try:
+        return float(np.loadtxt([text], delimiter=",", comments=None))
+    except ValueError as exc:
+        raise ValueError(str(exc).partition(" at row ")[0]) from None
 
 
 def _interleaved(values):
@@ -318,11 +341,11 @@ def write_model(path, model):
 
 
 def _header_int(header, key, path):
-    """A header value as an int, a count at least 0 but for the seed; a
-    failure names its path:line."""
+    """A header value as an integer cell, a count at least 0 but for the
+    seed; a failure names its path:line."""
     line_no, text = header[key]
     try:
-        value = int(text)
+        value = _cell(text, int)
         if value < 0 and key != "seed":
             raise ValueError("negative count %d" % value)
     except ValueError as exc:
@@ -399,46 +422,17 @@ def read_model(path):
 
 # -------------------------------------------------------------------- sweeps
 
-_SWEEP_HEADER = ["rank", "j1", "j2", "dominated", "error"]
-
-
 def write_sweep_csv(path, points):
-    """Sweep points as CSV rows: rank, j1, j2, dominated, error."""
+    """Sweep points as CSV rows under a header: rank, j1, j2, dominated
+    (0 or 1) and error (empty unless the rank failed), for plotting; the
+    package reads nothing back from it."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_SWEEP_HEADER)
+        writer.writerow(["rank", "j1", "j2", "dominated", "error"])
         for p in points:
             writer.writerow(
                 [p.rank, fmt(p.j1), fmt(p.j2), int(p.dominated), p.error]
             )
-
-
-def read_sweep_csv(path):
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _SWEEP_HEADER:
-            raise ValueError("%s: unexpected sweep CSV header" % path)
-        points = []
-        for row in reader:
-            if not row:
-                continue
-            where = "%s:%d" % (path, reader.line_num)
-            if len(row) != 5:
-                raise ValueError("%s: expected 5 cells, found %d" % (where, len(row)))
-            try:
-                points.append(
-                    ParetoPoint(
-                        rank=int(row[0]),
-                        j1=float(row[1]),
-                        j2=float(row[2]),
-                        dominated=bool(int(row[3])),
-                        error=row[4],
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError("%s: bad cell (%s)" % (where, exc))
-    return points
 
 
 # ------------------------------------------------------------------- reports
@@ -458,18 +452,22 @@ def report_text(report):
 
 
 def parse_report_text(text):
+    """The QualityReport of a report_text block.  Each field is one cell,
+    an integer for rank and seed, and a bad one fails at its line."""
     values = {}
     for line_no, line in enumerate(text.splitlines(), 1):
         if line.strip():
             key, value = _key_value(line, "report line %d" % line_no, values)
-            values[key] = value
+            values[key] = (line_no, value)
     missing = [k for k in QualityReport.FIELDS if k not in values]
     if missing:
         raise ValueError("report text missing fields %s" % missing)
-    return QualityReport(
-        **{
-            name: (int if name in _INTEGER_FIELDS else float)(values[name])
-            for name in QualityReport.FIELDS
-        }
-    )
+    fields = {}
+    for name in QualityReport.FIELDS:
+        line_no, value = values[name]
+        try:
+            fields[name] = _cell(value, int if name in _INTEGER_FIELDS else float)
+        except ValueError as exc:
+            raise ValueError("report line %d: bad %s value (%s)" % (line_no, name, exc)) from None
+    return QualityReport(**fields)
 

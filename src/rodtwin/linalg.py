@@ -6,11 +6,13 @@ the conventions the rest of the package relies on: validated finite
 inputs, nonincreasing singular values, unit-norm eigenvectors with
 conjugate pairs adjacent, and minimum-norm solves for rank-deficient
 systems.  `warn` raises the package's RuntimeWarnings on behalf of the
-caller outside it.
+caller outside it, and `integer` takes every count and seed the package
+is given.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 import warnings
@@ -34,6 +36,15 @@ def warn(message):
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
+def integer(value, name):
+    """value as an int, numpy integers included; anything else, 10.9,
+    3.0 and "3" included, raises ValueError naming name and value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s %r is not an integer" % (name, value)) from None
 
 
 class LinalgError(RuntimeError):
@@ -64,8 +75,6 @@ class EigenPairs:
 
 def _checked(a, name="matrix"):
     a = np.asarray(a)
-    if a.ndim == 1:
-        a = a[:, None]
     if a.ndim != 2 or a.size == 0:
         raise ValueError("%s must be a nonempty 2-D array" % name)
     if not np.isfinite(a).all():
@@ -131,7 +140,7 @@ def eig_general(s):
 
 
 def least_squares(a, b):
-    """Minimize ||A X - B||_F column by column.
+    """Minimize ||A X - B||_F over X for a matrix B of right-hand sides.
 
     Solved through the SVD A = U diag(s) V^H as X = V diag(1/s) U^H B
     over the singular values above 1e-12 * sigma_max, the cutoff of
@@ -139,20 +148,18 @@ def least_squares(a, b):
     systems into minimum-norm solutions, reported with one warning that
     names the rank and the condition number.  The callers' A is
     rank-sized, so its SVD is cheap, and the many right-hand sides cost
-    two matrix products.
+    two matrix products.  A and B must both be 2-D.
     """
     a = _checked(a, "A")
-    b_arr = np.asarray(b)
-    vector_rhs = b_arr.ndim == 1
-    b2 = _checked(b_arr, "B")
-    if a.shape[0] != b2.shape[0]:
+    b = _checked(b, "B")
+    if a.shape[0] != b.shape[0]:
         raise ValueError(
-            "row mismatch: A has %d rows, B has %d" % (a.shape[0], b2.shape[0])
+            "row mismatch: A has %d rows, B has %d" % (a.shape[0], b.shape[0])
         )
     svd = svd_economy(a)
     s = svd.sigma
     rank = int(np.count_nonzero(s > _RCOND * s[0]))
-    x = (svd.W[:, :rank] / s[:rank]) @ (svd.U[:, :rank].conj().T @ b2)
+    x = (svd.W[:, :rank] / s[:rank]) @ (svd.U[:, :rank].conj().T @ b)
     if rank < a.shape[1]:
         # a wide A is singular beyond its min(rows, cols) singular values
         cond = s[0] / s[-1] if s.size == a.shape[1] and s[-1] > 0 else np.inf
@@ -160,4 +167,4 @@ def least_squares(a, b):
             "rank-deficient least squares (rank %d of %d, condition %.3e):"
             " minimum-norm solution" % (rank, a.shape[1], cond)
         )
-    return x[:, 0] if vector_rhs else x
+    return x

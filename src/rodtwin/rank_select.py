@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
+from .linalg import integer
 from .rod import InnerProduct, RankSpace, _pass, sketch
 
 
@@ -104,7 +105,7 @@ def pareto_sweep(snap, rank_max, seed):
     field instead of aborting the sweep; a failed sketch fails every
     point.
     """
-    rank_max = int(rank_max)
+    rank_max = integer(rank_max, "rank_max")
     limit = min(snap.values.shape[0], snap.values.shape[1] - 1)
     if not 1 <= rank_max <= limit:
         raise ValueError("rank_max %d outside [1, %d]" % (rank_max, limit))

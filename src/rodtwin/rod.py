@@ -23,7 +23,6 @@ basis (Re b, Im b), and the model holds the twin's real factors.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ import numpy as np
 from .linalg import (
     SvdFactors,
     eig_general,
+    integer,
     least_squares,
     qr_factor,
     svd_economy,
@@ -326,10 +326,7 @@ class RodModel:
                 raise ValueError("model %s shape %s is not %s" % (name, value.shape, shape))
             if not np.isfinite(value).all():
                 raise ValueError("model %s contain non-finite entries" % name)
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError("model seed %r is not an integer" % (self.seed,)) from None
+        seed = integer(self.seed, "model seed")
         j = 0
         while j < values.size:
             k = j + 1 + (values[j].imag != 0)
@@ -462,10 +459,10 @@ def sketch(snap, rank_max, seed):
     keeps a column prefix, so Q[:, :k] and P[:k] are the sketch at rank
     k up to rounding: one sketch at rank_max serves every k <= rank_max.
     Returns (Q, P) of shapes (nx, rank_max) and (rank_max, nt + 1).  A
-    seed that is not an integer raises the ValueError of the range
-    finder's stream.
+    rank_max or a seed that is not an integer (a numpy integer is one)
+    raises ValueError naming it, as rank or seed.
     """
-    rank_max = int(rank_max)
+    rank_max = integer(rank_max, "rank")
     v0 = snap.values[:, :-1]
     if not 1 <= rank_max <= min(v0.shape):
         raise ValueError(

@@ -16,11 +16,9 @@ the same seed; rank sweeps therefore sample nested subspaces.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .linalg import SvdFactors, qr_factor, svd_economy, warn
+from .linalg import SvdFactors, integer, qr_factor, svd_economy, warn
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -37,10 +35,7 @@ def _mix64(z):
 def _uniforms(seed, count):
     """count uniforms in [0, 1) from the counter stream of seed, an
     integer of any type; another seed, 3.0 included, raises ValueError."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValueError("seed %r is not an integer" % (seed,)) from None
+    seed = integer(seed, "seed")
     counters = np.arange(1, count + 1, dtype=np.uint64)
     bits = _mix64(np.uint64(seed % (1 << 64)) + counters * _GAMMA)
     return (bits >> np.uint64(11)).astype(np.float64) / _TWO53
@@ -51,8 +46,8 @@ def gaussian_test_matrix(n_rows, k, seed):
 
     Same (n_rows, k, seed) always yields the bit-identical matrix.
     """
-    n_rows = int(n_rows)
-    k = int(k)
+    n_rows = integer(n_rows, "n_rows")
+    k = integer(k, "k")
     if n_rows < k or k < 1:
         raise ValueError("need n_rows >= k >= 1, got (%d, %d)" % (n_rows, k))
     total = n_rows * k
@@ -86,13 +81,13 @@ def range_finder(v0, target_rank, seed, oversampling=0):
     if v0.ndim != 2 or v0.size == 0:
         raise ValueError("v0 must be a nonempty 2-D real array")
     nx, nt = v0.shape
-    k = int(target_rank)
+    k = integer(target_rank, "target_rank")
     if not 1 <= k <= min(nx, nt):
         raise ValueError(
             "target_rank %d outside [1, %d] for a %dx%d matrix"
             % (k, min(nx, nt), nx, nt)
         )
-    p = int(oversampling)
+    p = integer(oversampling, "oversampling")
     if p < 0 or k + p > nt:
         raise ValueError("oversampling must satisfy 0 <= p and k + p <= nt")
 
@@ -129,7 +124,7 @@ def rsvd(v0, target_rank, seed, oversampling=0):
     """
     v0 = np.asarray(v0, dtype=float)
     q = range_finder(v0, target_rank, seed, oversampling=oversampling)
-    k = int(target_rank)
+    k = integer(target_rank, "target_rank")
     inner = svd_economy(q.T @ v0)
     return SvdFactors(
         U=(q @ inner.U)[:, :k],

@@ -1,3 +1,5 @@
+import csv
+import re
 from collections import Counter
 
 import numpy as np
@@ -59,6 +61,26 @@ def burgers_fourier(burgers_snapshot):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+# a count or seed the package refuses, and the numpy integers it takes as
+# their int
+NOT_INTEGERS = (10.9, "3")
+NUMPY_INTEGERS = (np.int64, np.uint64, np.int32)
+
+
+def not_an_integer(name, value):
+    """The pattern of the whole ValueError refusing value for name."""
+    return "^%s$" % re.escape("%s %r is not an integer" % (name, value))
+
+
+def sweep_rows(path):
+    """The rows of a sweep CSV under its header, each as (rank, j1, j2,
+    dominated, error), read with csv and float."""
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["rank", "j1", "j2", "dominated", "error"]
+    return [(int(r), float(j1), float(j2), bool(int(d)), e) for r, j1, j2, d, e in rows]
 
 
 def make_snapshot(values, dx=0.1, dt=0.05):

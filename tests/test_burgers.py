@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 
 import rodtwin as rt
 
+from conftest import NOT_INTEGERS, NUMPY_INTEGERS, not_an_integer
+
 
 def hermite_value(n, x):
     """Physicists' Hermite polynomial H_n at x by the three-term recurrence."""
@@ -40,6 +42,17 @@ def gaussian_moment(m):
 
 
 class TestGaussHermite:
+    @pytest.mark.parametrize("order", NOT_INTEGERS)
+    def test_order_that_is_not_an_integer_refused(self, order):
+        with pytest.raises(ValueError, match=not_an_integer("quadrature order", order)):
+            rt.gauss_hermite(order)
+
+    @pytest.mark.parametrize("kind", NUMPY_INTEGERS)
+    def test_order_of_any_integer_type(self, kind):
+        rule, plain = rt.gauss_hermite(kind(10)), rt.gauss_hermite(10)
+        assert rule.nodes.tobytes() == plain.nodes.tobytes()
+        assert rule.weights.tobytes() == plain.weights.tobytes()
+
     def test_order_one(self):
         rule = rt.gauss_hermite(1)
         assert rule.nodes.tolist() == [0.0]
@@ -248,6 +261,19 @@ class TestGenerateSnapshots:
         assert str(err.value) == (
             "t_final = %r must be one or more whole steps of dt = %r" % (t_final, dt)
         )
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["grid_points", "quad_order"])
+    def test_count_that_is_not_an_integer_rejected(self, name, value):
+        with pytest.raises(ValueError, match=not_an_integer(name, value)):
+            rt.BurgersConfig(**{name: value})
+
+    @pytest.mark.parametrize("kind", NUMPY_INTEGERS)
+    def test_counts_of_any_integer_type(self, kind):
+        cfg = rt.BurgersConfig(grid_points=kind(11), quad_order=kind(20), t_final=0.1, dt=0.05)
+        assert (type(cfg.grid_points), type(cfg.quad_order)) == (int, int)
+        assert cfg == rt.BurgersConfig(grid_points=11, quad_order=20, t_final=0.1, dt=0.05)
+        assert rt.generate_snapshots(cfg).values.shape == (11, 3)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

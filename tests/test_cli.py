@@ -15,7 +15,7 @@ import rodtwin as rt
 from rodtwin import cli, io, rod
 from rodtwin.cli import main
 
-from conftest import degenerate_field, put_cell, two_mode_field
+from conftest import degenerate_field, put_cell, sweep_rows, two_mode_field
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -275,17 +275,14 @@ class TestSweep:
         assert rc == 0
         line = capsys.readouterr().out.strip()
         assert re.fullmatch(r"selected_rank = \d+", line)
-        points = io.read_sweep_csv(out)
-        assert [p.rank for p in points] == [1, 2, 3, 4, 5, 6]
-        assert all(not p.failed for p in points)
-        sound = points
-        for p in sound:
+        rows = sweep_rows(out)
+        assert [row[0] for row in rows] == [1, 2, 3, 4, 5, 6]
+        assert all(not error for *_, error in rows)
+        for _, j1, j2, dominated, _ in rows:
             expect = any(
-                q.j1 <= p.j1 and q.j2 <= p.j2 and (q.j1 < p.j1 or q.j2 < p.j2)
-                for q in sound
-                if q is not p
+                q1 <= j1 and q2 <= j2 and (q1 < j1 or q2 < j2) for _, q1, q2, _, _ in rows
             )
-            assert p.dominated == expect
+            assert dominated == expect
 
     def test_byte_determinism(self, ws, tmp_path, capsys):
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

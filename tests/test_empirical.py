@@ -26,7 +26,8 @@ class TestFourierDecomposition:
     def test_reconstruction_identity(self, rng):
         snap = make_snapshot(rng.standard_normal((12, 7)))
         f = rt.fourier_decomposition(snap)
-        assert np.abs(f.psi @ f.coefficients - snap.values).max() < 1e-10
+        coefficients = snap.dx * (f.psi.T @ snap.values)
+        assert np.abs(f.psi @ coefficients - snap.values).max() < 1e-10
 
     def test_orthonormal_in_discrete_inner_product(self, rng):
         snap = make_snapshot(rng.standard_normal((20, 9)), dx=0.37)
@@ -38,20 +39,19 @@ class TestFourierDecomposition:
         basis = rng.standard_normal((16, 2))
         values = basis @ rng.standard_normal((2, 5))
         f = rt.fourier_decomposition(make_snapshot(values))
-        assert f.psi.shape[1] == 2
-        assert f.sigma.shape == (2,)
-        assert f.coefficients.shape == (2, 5)
+        assert f.psi.shape == (16, 2)
 
     def test_all_zero_data_keeps_one_direction(self):
-        f = rt.fourier_decomposition(make_snapshot(np.zeros((8, 5))))
+        snap = make_snapshot(np.zeros((8, 5)))
+        f = rt.fourier_decomposition(snap)
         assert f.psi.shape == (8, 1)
-        assert f.sigma.tolist() == [0.0]
-        assert f.coefficients.shape == (1, 5)
-        assert not f.coefficients.any()
+        assert abs(snap.dx * (f.psi[:, 0] @ f.psi[:, 0]) - 1.0) < 1e-12
 
     def test_sigma_descending(self, burgers_snapshot):
         f = rt.fourier_decomposition(burgers_snapshot)
-        assert np.all(np.diff(f.sigma) <= 0)
+        # row i of psi^T V has norm sigma_i / sqrt(dx), nonincreasing in i
+        sigma = np.linalg.norm(f.psi.T @ burgers_snapshot.values, axis=1)
+        assert np.all(np.diff(sigma) <= 1e-12 * sigma[0])
         # dissipative data keeps far fewer active directions than the grid
         assert f.psi.shape[1] < burgers_snapshot.values.shape[0]
 

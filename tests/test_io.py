@@ -18,7 +18,7 @@ import rodtwin as rt
 from rodtwin import io
 from rodtwin.rod import NON_FINITE, SnapshotFault
 
-from conftest import make_snapshot, put_cell
+from conftest import make_snapshot, put_cell, sweep_rows
 
 # the fields a model file holds
 _MODEL_FIELDS = ("x", "t", "left", "right", "eigenvalues")
@@ -844,7 +844,16 @@ class TestModelFile:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("nx", "six"), ("rank", "2.5"), ("seed", "x"), ("nt", "1e3"), ("nx", "-6")],
+        [
+            ("nx", "six"),
+            ("rank", "2.5"),
+            ("seed", "x"),
+            ("nt", "1e3"),
+            ("nx", "-6"),
+            # int() takes these; an integer cell is ASCII digits
+            ("nx", "1_2"),
+            ("seed", "\u0667"),
+        ],
     )
     def test_bad_header_value_reports_line(self, tmp_path, rng, key, value):
         model = self._small_model(rng)
@@ -853,7 +862,7 @@ class TestModelFile:
         lines = path.read_text().splitlines()
         line_no = [ln.partition(" =")[0] for ln in lines].index(key) + 1
         lines[line_no - 1] = "%s = %s" % (key, value)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(
             ValueError, match=r"model\.txt:%d: bad %s value" % (line_no, key)
         ):
@@ -1022,8 +1031,8 @@ class TestModelFile:
             io.read_model(path)
 
 
-# cells float() takes and numpy's C reader refuses: '_' separators and
-# non-ASCII digits are bad cells in every table
+# cells int() and float() take and numpy's C reader refuses: '_'
+# separators and non-ASCII digits are bad cells in every table
 FLOAT_ONLY_CELLS = ["1_0", "\u0661\u0662"]
 
 
@@ -1051,6 +1060,18 @@ class TestOneCellRule:
             io.read_model(path)
         assert str(err.value).startswith("%s:%d: bad cell (" % (path, line_no))
 
+    @pytest.mark.parametrize("cell", FLOAT_ONLY_CELLS)
+    @pytest.mark.parametrize("name", rt.QualityReport.FIELDS)
+    def test_report_field(self, name, cell):
+        names = [n for n in rt.QualityReport.FIELDS if n not in ("rank", "seed")]
+        report = rt.QualityReport(rank=10, seed=1, **{n: 0.5 for n in names})
+        lines = io.report_text(report).splitlines()
+        line_no = [ln.partition(" =")[0] for ln in lines].index(name) + 1
+        lines[line_no - 1] = "%s = %s" % (name, cell)
+        with pytest.raises(ValueError) as err:
+            io.parse_report_text("\n".join(lines))
+        assert str(err.value).startswith("report line %d: bad %s value (" % (line_no, name))
+
 
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):
@@ -1063,47 +1084,11 @@ class TestSweepCsv:
         ]
         path = tmp_path / "sweep.csv"
         io.write_sweep_csv(path, points)
-        back = io.read_sweep_csv(path)
-        assert len(back) == 3
-        for p, q in zip(points, back):
-            assert (p.rank, p.j1, p.j2, p.dominated, p.error) == (
-                q.rank,
-                q.j1,
-                q.j2,
-                q.dominated,
-                q.error,
-            )
-        assert back[2].failed
-
-    def test_blank_lines_skipped(self, tmp_path):
-        points = [
-            rt.ParetoPoint(rank=1, j1=0.25, j2=-0.5, dominated=True),
-            rt.ParetoPoint(rank=2, j1=1.25e-7, j2=-0.999, error="boom"),
+        assert sweep_rows(path) == [
+            (1, 0.25, -0.5, True, ""),
+            (2, 1.25e-7, -0.999, False, ""),
+            (3, np.inf, np.inf, False, "fit failed, rank too high"),
         ]
-        path = tmp_path / "sweep.csv"
-        io.write_sweep_csv(path, points)
-        header, *rows = path.read_text().splitlines()
-        path.write_text("\n".join([header, "", rows[0], "", "", rows[1], ""]) + "\n")
-        assert io.read_sweep_csv(path) == points
-
-    def test_header_enforced(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("rank,j1,j2\n1,0.5,-0.5\n")
-        with pytest.raises(ValueError, match="header"):
-            io.read_sweep_csv(path)
-
-    def test_short_row_reports_line(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("rank,j1,j2,dominated,error\n1,0.5,-0.5,0,\n2,0.5\n")
-        expect = r"sweep\.csv:3: expected 5 cells, found 2"
-        with pytest.raises(ValueError, match=expect):
-            io.read_sweep_csv(path)
-
-    def test_bad_float_reports_line(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("rank,j1,j2,dominated,error\n1,0.5,oops,0,\n")
-        with pytest.raises(ValueError, match=r"sweep\.csv:2: bad cell .*oops"):
-            io.read_sweep_csv(path)
 
 
 # finite floats, with -0.0, subnormals and both sides of fmt's notation

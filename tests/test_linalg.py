@@ -255,11 +255,16 @@ class TestLeastSquares:
     def test_rank_deficient_minimum_norm(self, rng):
         a = np.zeros((6, 3))
         a[:, 0] = rng.standard_normal(6)
-        b = rng.standard_normal(6)
+        b = rng.standard_normal((6, 1))
         with pytest.warns(RuntimeWarning, match="minimum-norm"):
             x = least_squares(a, b)
         # components outside the column space must stay zero
+        assert x.shape == (3, 1)
         assert np.abs(x[1:]).max() < 1e-12
+
+    def test_vector_right_hand_side_refused(self):
+        with pytest.raises(ValueError, match="B must be a nonempty 2-D array"):
+            least_squares(np.eye(3), np.ones(3))
 
     def test_row_mismatch(self):
         with pytest.raises(ValueError):

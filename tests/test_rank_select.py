@@ -13,7 +13,15 @@ import rodtwin as rt
 from rodtwin import rank_select, rod
 from rodtwin.cli import DEFAULT_SEED
 
-from conftest import count_calls, degenerate_field, make_snapshot, two_mode_field
+from conftest import (
+    NOT_INTEGERS,
+    NUMPY_INTEGERS,
+    count_calls,
+    degenerate_field,
+    make_snapshot,
+    not_an_integer,
+    two_mode_field,
+)
 
 # the package exports the function rsvd under the module's name
 rsvd_module = importlib.import_module("rodtwin.rsvd")
@@ -98,6 +106,16 @@ class TestSelectRank:
 
 
 class TestParetoSweep:
+    @pytest.mark.parametrize("rank_max", NOT_INTEGERS)
+    def test_rank_max_that_is_not_an_integer_refused(self, burgers_snapshot, rank_max):
+        with pytest.raises(ValueError, match=not_an_integer("rank_max", rank_max)):
+            rt.pareto_sweep(burgers_snapshot, rank_max, 1)
+
+    @pytest.mark.parametrize("kind", NUMPY_INTEGERS)
+    def test_rank_max_of_any_integer_type(self, burgers_snapshot, kind):
+        points = rt.pareto_sweep(burgers_snapshot, kind(3), 1)
+        assert points == rt.pareto_sweep(burgers_snapshot, 3, 1)
+
     def test_rank_one_data_sweep(self, rng):
         u0 = rng.standard_normal(20)
         values = np.column_stack([u0 * 0.85**i for i in range(9)])

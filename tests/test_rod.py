@@ -15,7 +15,7 @@ from rodtwin.cli import DEFAULT_SEED
 from rodtwin.linalg import EigenPairs, eig_general
 from rodtwin.rsvd import rsvd
 
-from conftest import make_snapshot
+from conftest import NOT_INTEGERS, NUMPY_INTEGERS, make_snapshot, not_an_integer
 
 
 def test_snapshot_matrix_validation():
@@ -204,6 +204,19 @@ class TestAmplitudes:
 
 
 class TestFit:
+    @pytest.mark.parametrize("rank", NOT_INTEGERS)
+    def test_rank_that_is_not_an_integer_refused(self, burgers_snapshot, rank):
+        with pytest.raises(ValueError, match=not_an_integer("rank", rank)):
+            rt.fit(burgers_snapshot, rank, 1)
+
+    @pytest.mark.parametrize("kind", NUMPY_INTEGERS)
+    def test_rank_of_any_integer_type(self, burgers_snapshot, kind):
+        plain = rt.fit(burgers_snapshot, 10, 1)
+        model = rt.fit(burgers_snapshot, kind(10), 1)
+        assert model.rank == 10
+        for name in ("left", "right", "eigenvalues"):
+            assert getattr(model, name).tobytes() == getattr(plain, name).tobytes(), name
+
     def test_geometric_rank_one_sequence(self, rng):
         u0 = rng.standard_normal(18)
         c = 0.8

@@ -8,11 +8,26 @@ from numpy.testing import assert_allclose
 from rodtwin.linalg import qr_factor, svd_economy
 from rodtwin.rsvd import gaussian_test_matrix, range_finder, rsvd
 
+from conftest import NOT_INTEGERS, NUMPY_INTEGERS, not_an_integer
+
 # the package exports the function rsvd under the module's name
 rsvd_module = importlib.import_module("rodtwin.rsvd")
 
 
 class TestGaussianTestMatrix:
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["n_rows", "k"])
+    def test_count_that_is_not_an_integer_refused(self, name, value):
+        counts = dict(n_rows=20, k=2)
+        counts[name] = value
+        with pytest.raises(ValueError, match=not_an_integer(name, value)):
+            gaussian_test_matrix(counts["n_rows"], counts["k"], 1)
+
+    @pytest.mark.parametrize("kind", NUMPY_INTEGERS)
+    def test_counts_of_any_integer_type(self, kind):
+        draw = gaussian_test_matrix(kind(20), kind(4), 1)
+        assert draw.tobytes() == gaussian_test_matrix(20, 4, 1).tobytes()
+
     def test_deterministic(self):
         a = gaussian_test_matrix(50, 7, 123)
         b = gaussian_test_matrix(50, 7, 123)
@@ -50,6 +65,22 @@ class TestGaussianTestMatrix:
 
 
 class TestRsvd:
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["target_rank", "oversampling"])
+    def test_count_that_is_not_an_integer_refused(self, rng, name, value):
+        counts = dict(target_rank=2, oversampling=0)
+        counts[name] = value
+        with pytest.raises(ValueError, match=not_an_integer(name, value)):
+            rsvd(rng.standard_normal((30, 20)), seed=1, **counts)
+
+    @pytest.mark.parametrize("kind", NUMPY_INTEGERS)
+    def test_counts_of_any_integer_type(self, rng, kind):
+        v0 = rng.standard_normal((30, 20))
+        plain = rsvd(v0, 4, 1, oversampling=2)
+        same = rsvd(v0, kind(4), 1, oversampling=kind(2))
+        for name in ("U", "sigma", "W"):
+            assert getattr(same, name).tobytes() == getattr(plain, name).tobytes(), name
+
     def test_seed_of_any_integer_type(self, rng):
         # the stream checks its seed: a numpy integer draws its int's
         # stream, and a float is refused even when it is whole
