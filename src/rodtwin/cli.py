@@ -17,7 +17,7 @@ import sys
 import warnings
 from typing import Callable, NamedTuple, Optional
 
-from . import burgers, empirical, io, metrics, rank_select, rod
+from . import burgers, empirical, io, metrics, rank_select, rod, walk
 
 DEFAULT_SEED = 1
 
@@ -231,10 +231,7 @@ _INPUT = _Flag("input", default="burgers.csv", help="snapshot CSV", metavar="CSV
 _MODEL = _Flag("model", default="model.txt", help="model file", metavar="MODEL")
 _SEED = _Flag("seed", int, DEFAULT_SEED, help="sampling seed")
 _VARIANT = _Flag(
-    "correlation_variant",
-    default="paper",
-    help="correlation functional",
-    choices=metrics.VARIANTS,
+    "correlation_variant", default="paper", help="correlation functional", choices=walk.VARIANTS
 )
 
 # name: (handler, help, flags); each flag's default, type and check is here only

@@ -12,7 +12,7 @@ absent modes contributing zero.
 The data are real, so a mode family is scored through its weighted
 real basis: a conjugate pair's Re and Im parts carry weight 2 and
 stand for both modes.  Its products with the data, like the column
-energies, are summed block by block in the walk of rod._pass.
+energies, are summed block by block in one walk.data_pass.
 
 The baseline spans the data columns, so by Parseval every column
 projects fully onto it and the Fourier score is the column count over
@@ -28,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import svd_economy
-from .rod import _pass, _quiet
+from . import walk
+from .linalg import integer, svd_economy
 
 # singular values below RANK_CUTOFF times the largest are discarded
 RANK_CUTOFF = 1e-12
@@ -85,7 +85,7 @@ def _check_energies(col_sq):
         )
 
 
-def _check_baseline(fourier, v0, ip):
+def check_baseline(fourier, v0, ip):
     """fourier must decompose v0 plus one final column, read from the
     stored values so as never to force the SVD, and ip must be its inner
     product: the scores scale with ip.dx, within 1e-12 of fourier.dx."""
@@ -140,27 +140,21 @@ def _score(product, weights, col_sq, dx, mode_count):
     return float(np.sum(weights[:, None] * inner**2 / col_sq) / mode_count)
 
 
-def _walk(v0, bases):
-    """The column energies of v0 under dx = 1 and its products with each
-    real basis, from one walk of rod._pass."""
-    _, _, energies, products = _pass(v0, width=v0.shape[1], bases=[b for b, _ in bases])
-    return energies, products
-
-
 def mean_projection_norm(modes, v0, ip, mode_count=None):
     """Mean over modes of summed squared projection norms onto data columns.
 
     Equals (1/m) * sum_i sum_j |<phi_i, u_j>|^2 / <u_j, u_j> with m the
     mode count; pass mode_count to average over a nominal mode total
     larger than the columns actually present (the absent ones add zero).
+    A mode_count that is not an integer raises ValueError naming it.
     """
     modes = np.asarray(modes)
     v0 = np.asarray(v0, dtype=float)
-    m = modes.shape[1] if mode_count is None else int(mode_count)
+    m = modes.shape[1] if mode_count is None else integer(mode_count, "mode_count")
     if m < modes.shape[1]:
         raise ValueError("mode_count below the number of modes present")
     basis = _real_basis(modes)
-    energies, (product,) = _walk(v0, [basis])
+    _, _, energies, (product,) = walk.data_pass(v0, width=v0.shape[1], bases=[basis[0]])
     col_sq = ip.dx * energies
     _check_energies(col_sq)
     return _score(product, basis[1], col_sq, ip.dx, m)
@@ -171,7 +165,7 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
 
     fourier must decompose the snapshot matrix V, v0 and one final
     column, and ip must be its inner product (ValueError otherwise).
-    Returns (rho_rod, rho_fourier, dominates).  One walk of rod._pass
+    Returns (rho_rod, rho_fourier, dominates).  One walk.data_pass
     over v0 sums its column energies and its products with the weighted
     real basis of each mode family, as the quality report's pass does
     over V, so both give the same bits.
@@ -199,20 +193,20 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     rod_modes = np.asarray(rod_modes)
     v0 = np.asarray(v0, dtype=float)
     m = rod_modes.shape[1]
-    _check_baseline(fourier, v0, ip)
+    check_baseline(fourier, v0, ip)
     bases = [_real_basis(rod_modes)]
     if same_rank:
         bases.append(_real_basis(fourier.psi[:, :m]))
-    energies, products = _walk(v0, bases)
-    with _quiet():
-        scores = _projection_scores(m, bases, products, ip.dx * energies, fourier, v0, ip)
+    _, _, energies, products = walk.data_pass(v0, width=v0.shape[1], bases=[b for b, _ in bases])
+    with walk.quiet():
+        scores = projection_scores(m, bases, products, ip.dx * energies, fourier, v0, ip)
     for name, value in zip(("rho_rod", "rho_fourier"), scores):
         if not np.isfinite(value):
             raise ValueError("projection score %s is not finite (%r)" % (name, value))
     return scores
 
 
-def _projection_scores(m, bases, products, col_sq, fourier, v0, ip):
+def projection_scores(m, bases, products, col_sq, fourier, v0, ip):
     """compare_projections for m model modes, given the products of v0
     with the weighted real bases and its column energies col_sq."""
     _check_energies(col_sq)
@@ -227,6 +221,6 @@ def _projection_scores(m, bases, products, col_sq, fourier, v0, ip):
             rho_fourier = v0.shape[1] / nx
         else:
             psi = _real_basis(fourier.psi)
-            _, (product,) = _walk(v0, [psi])
+            _, _, _, (product,) = walk.data_pass(v0, width=v0.shape[1], bases=[psi[0]])
             rho_fourier = _score(product, psi[1], col_sq, ip.dx, nx)
     return rho_rod, rho_fourier, bool(rho_rod > rho_fourier)

@@ -29,11 +29,12 @@ from io import BytesIO
 
 import numpy as np
 
+from . import walk
 from .metrics import QualityReport
-from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix, row_blocks
+from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix
 
 
-# cells per % of the table writer: a constant, as rod.BLOCK_ROWS is
+# cells per % of the table writer: a constant, as walk.BLOCK_ROWS is
 BLOCK_CELLS = 1 << 15
 
 # the format of a cell by (plain, ends a row): see _format
@@ -174,7 +175,7 @@ def write_snapshot_memo(path, snap, digest):
         with open(part, "wb") as handle:
             handle.write(_memo_header(nx + 1, nt1 + 1) + digest.encode())
             handle.write(np.concatenate(([0.0], snap.t)).astype("<f8"))
-            for start, stop in row_blocks(nx):
+            for start, stop in walk.row_blocks(nx):
                 rows = np.column_stack((snap.x[start:stop], snap.values[start:stop]))
                 handle.write(rows.astype("<f8", copy=False))
         os.replace(part, memo)

@@ -6,22 +6,17 @@ excluded).  Column norms here are plain Euclidean vector norms, not
 dx-weighted; this convention is pinned because the reported magnitudes
 depend on it.
 
-Error and correlation are built from per-column sums that one pass
-over the data accumulates in blocks of BLOCK_ROWS rows; every scorer
-here runs the same pass kernel, rod._pass, against one twin or, for
-the sweep, a list of them.  Each sum is one fused column dot product
-of two per-block factors, the same three for every twin: Σ(a - b)^2
-for the error, and Σx y and Σy y for the correlation, with the data's
-Σx x once; x, y are a^2, b^2 for the paper correlation and a, b for
-the cosine.  The twin side of a block is a slice of a reconstructed
-SnapshotMatrix or the rows of a real product L R (a model's own
-factors, or a sweep rank's sketch basis times its rank-space
-coefficients), evaluated one block at a time, so the quality report
-and the sweep never hold an nx x nt twin.  A non-finite twin entry
-shows as a non-finite sum, and only then are that twin's rows scanned
-for it.  The report's pass also sums the column energies of V0 and
-its products with the weighted real basis of the model modes, from
-which it takes the projection scores of empirical.compare_projections:
+Error and correlation are built from the per-column sums of the one
+pass kernel, walk.data_pass, which every scorer here runs against one
+twin or, for the sweep, a list of them: Σ(a - b)^2 for the error, and
+Σx y, Σy y and the data's Σx x for the correlation.  A twin is the
+rows of a reconstructed SnapshotMatrix or walk.modal_rows of a real
+product L R, such as a model's factors, formed a block at a time, so
+the quality report and the sweep never hold an nx x nt twin.  A
+non-finite twin entry shows as a non-finite sum, and only then are
+that twin's rows scanned for it.  The report's pass also sums the
+column energies of V0 and its products with the model's weighted real
+basis, from which it takes the scores of empirical.compare_projections:
 the report reads the data once.  numpy's overflow warnings from these
 sums are silenced: a non-finite result becomes a named error.
 """
@@ -33,8 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .empirical import _check_baseline, _projection_scores
-from .rod import VARIANTS, _pass, _quiet, _scan
+from . import walk
+from .empirical import check_baseline, projection_scores
 
 
 def _check_matched(exact, x, t):
@@ -55,7 +50,7 @@ def _error(diff_sq):
 
 
 def _correlation(variant, cross, twin_pow, exact_pow):
-    with _quiet():
+    with walk.quiet():
         if variant == "paper":
             num = cross
             den = np.sqrt(exact_pow) * np.sqrt(twin_pow)
@@ -70,33 +65,29 @@ def _correlation(variant, cross, twin_pow, exact_pow):
         return float((num / den).mean())
 
 
-def _modal_rows(left, right):
-    """The twin of _pass for the real modal sum left @ right."""
-    return lambda start, stop, out: np.matmul(left[start:stop], right, out=out)
-
-
 def _snapshot_rows(exact, twin):
-    """The twin of _pass for a SnapshotMatrix on exact's grids."""
+    """The twin of walk.data_pass for a SnapshotMatrix on exact's grids."""
     _check_matched(exact, twin.x, twin.t)
     return lambda start, stop, out: np.copyto(out, twin.values[start:stop])
 
 
-def _scores(values, left, right, sums, data_sums, variant):
+def twin_scores(values, left, right, sums, data_sums, variant):
     """(absolute_error, correlation) of the twin left @ right from its
-    sums and the data's of _pass.  A non-finite twin entry shows in
-    the column t_0, which no sum reads and one product checks, or in
-    one of the twin's sums; only then are the twin's rows formed again
-    and scanned, and the entry raises ValueError(NON_FINITE)."""
-    with _quiet():
+    sums and the data's of walk.data_pass.  A non-finite twin entry
+    shows in the column t_0, which no sum reads and one product checks,
+    or in one of the twin's sums; only then are the twin's rows formed
+    again and scanned, and the entry raises ValueError(walk.NON_FINITE)."""
+    with walk.quiet():
         t0 = left @ right[:, 0]
     if not (np.isfinite(t0).all() and np.isfinite(sums).all()):
-        _scan(_modal_rows(left, right), values.shape)
+        if walk.first_non_finite_row(values, walk.modal_rows(left, right)) is not None:
+            raise ValueError(walk.NON_FINITE)
     return _error(sums[0]), _correlation(variant, *sums[1:], data_sums)
 
 
 def absolute_error(exact, twin):
     """Time-averaged Euclidean distance between matching columns."""
-    (sums,), _, _, _ = _pass(exact.values, [_snapshot_rows(exact, twin)])
+    (sums,), _, _, _ = walk.data_pass(exact.values, [_snapshot_rows(exact, twin)])
     return _error(sums[0])
 
 
@@ -109,21 +100,22 @@ def correlation(exact, twin, variant="paper"):
     variant="cosine" is the squared cosine (sum uv)^2 / (sum u^2 sum v^2).
     Both are scale invariant and bounded by Cauchy-Schwarz.
     """
-    (sums,), data_sums, _, _ = _pass(exact.values, [_snapshot_rows(exact, twin)], variant)
+    twins = [_snapshot_rows(exact, twin)]
+    (sums,), data_sums, _, _ = walk.data_pass(exact.values, twins, variant)
     return _correlation(variant, *sums[1:], data_sums)
 
 
-def _model_scores(exact, model, variant, width=0, bases=()):
+def model_scores(exact, model, variant, width=0, bases=()):
     """(absolute_error, correlation) of the model's twin, which must be
     on exact's grids, from one pass that never forms it, followed by
     the pass's energies of the first width data columns and its
     products with bases."""
     _check_matched(exact, model.x, model.t)
     factors = (model.left, model.right)
-    (sums,), data_sums, energies, products = _pass(
-        exact.values, [_modal_rows(*factors)], variant, width, bases
+    (sums,), data_sums, energies, products = walk.data_pass(
+        exact.values, [walk.modal_rows(*factors)], variant, width, bases
     )
-    return (*_scores(exact.values, *factors, sums, data_sums, variant), energies, products)
+    return (*twin_scores(exact.values, *factors, sums, data_sums, variant), energies, products)
 
 
 @dataclass(frozen=True)
@@ -156,16 +148,14 @@ def quality_report(exact, model, fourier, ip, variant="paper"):
     data whose a^4 overflows, raises ValueError naming the field.
     """
     v0 = exact.values[:, :-1]
-    _check_baseline(fourier, v0, ip)
+    check_baseline(fourier, v0, ip)
     # a zero twin column is reported before a zero data column
-    error, corr, energy, products = _model_scores(
-        exact, model, variant, v0.shape[1], [model.left]
-    )
+    error, corr, energy, products = model_scores(exact, model, variant, v0.shape[1], [model.left])
     # a pair's columns u, v stand for the modes u ± iv, with weight 2 each
     weights = np.where(model.eigenvalues.imag == 0, 1.0, 2.0)
     # scores that overflow are named below, as the error and correlation are
-    with _quiet():
-        rho_rod, rho_fourier, _ = _projection_scores(
+    with walk.quiet():
+        rho_rod, rho_fourier, _ = projection_scores(
             model.rank, [(model.left, weights)], products, ip.dx * energy, fourier, v0, ip
         )
     report = QualityReport(

@@ -11,8 +11,8 @@ the rank-k sketch is the first k columns of the rank-k_max one, up to
 rounding (Halko, Martinsson and Tropp, SIAM Review 2011, section 4).
 The sweep runs fit's sketch step once at rank_max and its rank-space
 step on the leading k rows of the projection for every rank k, through
-one rod.RankSpace, and then scores the twins of every rank in one walk
-of the data, with the terms and formulas of objectives.
+one rod.RankSpace, and then scores the twins of every rank in one
+walk.data_pass over the data, with the terms and formulas of objectives.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
+from . import metrics, walk
 from .linalg import integer
-from .rod import InnerProduct, RankSpace, _pass, sketch
+from .rod import InnerProduct, RankSpace, sketch
 
 
 @dataclass
@@ -48,7 +48,7 @@ class ParetoPoint:
 def objectives(snap, model):
     """(j1, j2) for a fitted model: absolute error and negated correlation,
     streamed from the model without forming its twin."""
-    j1, corr = metrics._model_scores(snap, model, "paper")[:2]
+    j1, corr = metrics.model_scores(snap, model, "paper")[:2]
     return j1, -corr
 
 
@@ -67,7 +67,7 @@ def _flag_dominated(points):
 
 
 # The most floats that the coefficients C_k of one scoring walk hold: a
-# constant, as BLOCK_ROWS is, so a sweep's memory is not quadratic in rank.
+# constant, as walk.BLOCK_ROWS is, so a sweep's memory is not quadratic in rank.
 GROUP_FLOATS = 2**20
 
 
@@ -79,11 +79,11 @@ def _score(snap, q, group, by_rank):
     """Score the twins Q[:, :k] C_k of group, a list of (k, C_k), in one
     walk of the data into by_rank; a rank that fails gets an error point."""
     factors = [(q[:, :k], c) for k, c in group]
-    twins = [metrics._modal_rows(*factor) for factor in factors]
-    sums, data_sums, _, _ = _pass(snap.values, twins, "paper")
+    twins = [walk.modal_rows(*factor) for factor in factors]
+    sums, data_sums, _, _ = walk.data_pass(snap.values, twins, "paper")
     for (rank, _), factor, rank_sums in zip(group, factors, sums):
         try:
-            j1, corr = metrics._scores(snap.values, *factor, rank_sums, data_sums, "paper")
+            j1, corr = metrics.twin_scores(snap.values, *factor, rank_sums, data_sums, "paper")
             if not (np.isfinite(j1) and np.isfinite(corr)):
                 raise ArithmeticError("non-finite objectives j1=%s, j2=%s" % (j1, -corr))
             by_rank[rank] = ParetoPoint(rank=rank, j1=j1, j2=-corr)

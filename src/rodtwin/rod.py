@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import walk
 from .linalg import (
     SvdFactors,
     eig_general,
@@ -37,110 +38,6 @@ from .linalg import (
     warn,
 )
 from .rsvd import range_finder
-
-
-NON_FINITE = "snapshot values contain non-finite entries"
-
-# Rows per block wherever a matrix is scanned or a modal sum evaluated
-# block by block: a block's temporaries stay in cache.  A constant, so
-# the sums do not depend on the machine.
-BLOCK_ROWS = 128
-
-
-def row_blocks(nx):
-    """(start, stop) of each BLOCK_ROWS-row block of nx rows, in order."""
-    for start in range(0, nx, BLOCK_ROWS):
-        yield start, min(start + BLOCK_ROWS, nx)
-
-
-def add_column_sums(total, x, y):
-    """total += the column sums of x * y over one block.
-
-    One fused reduction, np.einsum("ij,ij->j"), with no temporary of
-    the product.  The block's sums start at zero and are added to the
-    totals in block order, an order fixed by BLOCK_ROWS alone.  numpy
-    sums each column of a C-ordered block of two or more columns row by
-    row, and an F-ordered block or a single column with unrolled
-    partial sums, which can differ in the last bits.
-    """
-    total += np.einsum("ij,ij->j", x, y)
-
-
-def _quiet():
-    """Silence numpy's overflow and invalid-value warnings: the power
-    sums of data near the top of the float range overflow, and the
-    non-finite result is reported as a named error instead."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-# the correlation variants of metrics, which pick the factors of _pass
-VARIANTS = ("paper", "cosine")
-
-
-def _pass(values, twins=(), variant="paper", width=0, bases=()):
-    """Per-column sums of the data values against each of a list of
-    twins, the data's column energies and its products with bases, from
-    one walk of row_blocks: the one loop that reads the data.
-
-    twin(start, stop, out) writes a twin's rows start:stop into out; no
-    sum reads their column t_0.  With a the data's block and b a twin's,
-    the factors are d = a - b, the data's x and the twin's y: a^2 and
-    b^2 for the variant "paper", a and b for "cosine".  Each sum is
-    add_column_sums of two factors over the columns from t_1 on: per
-    twin d d, x y and y y, and x x once.  x is formed once per block
-    and d and y once per twin, all over whole block rows, y squaring b
-    in place; with no twins none of these is formed.  An unknown
-    variant raises ValueError before the walk.  With width, the
-    energies are the sums of a^2 over the first width columns, and each
-    basis (nx, c) gives the (c, width) product basis^T values[:, :width],
-    both summed block by block in block order.  Returns (sums, a
-    (twins, 3, nt) array; the data's sums of x x; energies; products,
-    one per basis).
-    """
-    if variant not in VARIANTS:
-        raise ValueError("unknown correlation variant %r" % variant)
-    nx, ncols = values.shape
-    sums = np.zeros((len(twins), 3, ncols - 1))
-    data_sums = np.zeros(ncols - 1)
-    energies = np.zeros(width)
-    products = [np.zeros((basis.shape[1], width)) for basis in bases]
-    # the block buffers of d, a^2 and the twin, reused from block to block:
-    # fresh arrays per block made the pass over the 101x301 benchmark 1.6
-    # times slower, and a factor formed over whole rows is one flat loop
-    buffers = np.empty((3, min(BLOCK_ROWS, nx) if twins else 0, ncols))
-    with _quiet():
-        for start, stop in row_blocks(nx):
-            block = values[start:stop]
-            if twins:
-                diff, data_sq, y = buffers[:, : stop - start]
-                x = np.square(block, out=data_sq) if variant == "paper" else block
-                add_column_sums(data_sums, x[:, 1:], x[:, 1:])
-            for twin, (dd, xy, yy) in zip(twins, sums):
-                twin(start, stop, y)
-                np.subtract(block, y, out=diff)
-                if variant == "paper":
-                    np.square(y, out=y)
-                add_column_sums(dd, diff[:, 1:], diff[:, 1:])
-                add_column_sums(xy, x[:, 1:], y[:, 1:])
-                add_column_sums(yy, y[:, 1:], y[:, 1:])
-            if width:
-                window = block[:, :width]
-                add_column_sums(energies, window, window)
-                for product, basis in zip(products, bases):
-                    product += basis[start:stop].T @ window
-    return sums, data_sums, energies, products
-
-
-def _scan(twin, shape):
-    """Form the twin of _pass again, one block of rows at a time: an
-    entry that is not finite raises ValueError(NON_FINITE)."""
-    out = np.empty((min(BLOCK_ROWS, shape[0]), shape[1]))
-    with _quiet():
-        for start, stop in row_blocks(shape[0]):
-            rows = out[: stop - start]
-            twin(start, stop, rows)
-            if not np.isfinite(rows).all():
-                raise ValueError(NON_FINITE)
 
 
 class FitStageError(RuntimeError):
@@ -192,7 +89,7 @@ class SnapshotMatrix:
 
     values has shape (nx, nt + 1); column j is the snapshot at t[j].  A
     bad grid or a non-finite value raises SnapshotFault naming where;
-    values are scanned BLOCK_ROWS rows at a time, so no mask of the
+    values are scanned one block of rows at a time, so no mask of the
     whole matrix is made.  A shape that does not match the grids raises
     ValueError.
     """
@@ -210,11 +107,9 @@ class SnapshotMatrix:
                 "values shape %s does not match grids (%d, %d)"
                 % (values.shape, x.size, t.size)
             )
-        for start, stop in row_blocks(x.size):
-            block = values[start:stop]
-            if not np.isfinite(block).all():
-                bad = np.isfinite(block).all(axis=1)
-                raise SnapshotFault(NON_FINITE, "values", start + int(np.argmin(bad)))
+        row = walk.first_non_finite_row(values)
+        if row is not None:
+            raise SnapshotFault(walk.NON_FINITE, "values", row)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
@@ -544,13 +439,10 @@ def reconstruct(model):
     """Evaluate the modal sum on the stored grid, returning a SnapshotMatrix.
 
     The twin is the real product left @ right of the model, formed one
-    row block at a time, as the quality report forms its twin rows: the
-    bits are those rows', and the product of the whole left changed
+    row block at a time from the twin rows that the quality report sums:
+    the bits are those rows', and the product of the whole left changed
     them with the BLAS thread count.  No numpy overflow warning is
     shown: SnapshotMatrix rejects a non-finite entry with SnapshotFault.
     """
-    values = np.empty((model.x.size, model.t.size))
-    with _quiet():
-        for start, stop in row_blocks(model.x.size):
-            np.matmul(model.left[start:stop], model.right, out=values[start:stop])
+    values = walk.form(walk.modal_rows(model.left, model.right), (model.x.size, model.t.size))
     return SnapshotMatrix(values=values, x=model.x.copy(), t=model.t.copy())

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rodtwin as rt
-from rodtwin import cli, io, rod
+from rodtwin import cli, io, walk
 from rodtwin.cli import main
 
 from conftest import degenerate_field, put_cell, sweep_rows, two_mode_field
@@ -816,29 +816,30 @@ class TestCompare:
 
 class TestReadsOfData:
     def test_walks_per_command(self, ws, tmp_path, monkeypatch, capsys):
-        # the walks of rod.row_blocks, by the function that walks: the
-        # SnapshotMatrix scan (__post_init__) of the data, the report's or
-        # compare's pass, and for evaluate the blocked twin and its scan.
-        # So fit and sweep read V four times (with the sketch's V0 M and
-        # Q^T V), evaluate and compare twice
+        # the walks of walk.row_blocks, by the function that walks: the
+        # finiteness scan of the data that SnapshotMatrix runs, the
+        # report's or compare's pass, and for evaluate the blocked twin
+        # and its scan.  So fit and sweep read V four times (with the
+        # sketch's V0 M and Q^T V), evaluate and compare twice
         callers = []
-        real = rod.row_blocks
+        real = walk.row_blocks
 
-        def walk(nx):
+        def counted(nx):
             callers.append(sys._getframe(1).f_code.co_name)
             return real(nx)
 
-        monkeypatch.setattr(rod, "row_blocks", walk)
+        monkeypatch.setattr(walk, "row_blocks", counted)
+        scan = "first_non_finite_row"
         data = ["--input", str(ws / "burgers.csv")]
         model = ["--model", str(tmp_path / "m.txt")]
         for argv, walks in (
-            (["fit", "--output", str(tmp_path / "m.txt")], ["__post_init__", "_pass"]),
+            (["fit", "--output", str(tmp_path / "m.txt")], [scan, "data_pass"]),
             (
                 ["evaluate", "--output", str(tmp_path / "twin")] + model,
-                ["__post_init__", "reconstruct", "__post_init__", "_pass"],
+                [scan, "form", scan, "data_pass"],
             ),
-            (["compare"] + model, ["__post_init__", "_pass"]),
-            (["sweep", "--output", str(tmp_path / "s.csv")], ["__post_init__", "_pass"]),
+            (["compare"] + model, [scan, "data_pass"]),
+            (["sweep", "--output", str(tmp_path / "s.csv")], [scan, "data_pass"]),
         ):
             callers.clear()
             assert main(argv + data) == 0

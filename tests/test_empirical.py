@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
-from rodtwin import empirical, rod
+from rodtwin import empirical, walk
 
 from conftest import count_calls, make_snapshot
 
@@ -130,6 +130,18 @@ class TestMeanProjectionNorm:
         half = empirical.mean_projection_norm(modes, v0, ip, mode_count=4)
         assert half == pytest.approx(rho / 2.0, rel=1e-12)
 
+    def test_mode_count_is_an_integer(self, rng):
+        # read through linalg.integer, as fit reads its rank: 10.9 is
+        # refused, not truncated to 10, and a numpy integer is its int
+        ip = rt.InnerProduct(0.1)
+        modes = rng.standard_normal((12, 3))
+        v0 = rng.standard_normal((12, 5))
+        with pytest.raises(ValueError, match=r"^mode_count 10\.9 is not an integer$"):
+            empirical.mean_projection_norm(modes, v0, ip, mode_count=10.9)
+        plain = empirical.mean_projection_norm(modes, v0, ip, mode_count=10)
+        numpy_int = empirical.mean_projection_norm(modes, v0, ip, mode_count=np.int64(10))
+        assert numpy_int.hex() == plain.hex()
+
     def test_unit_modes_bounded_by_column_count(self, rng):
         # Cauchy-Schwarz: each (mode, column) term is at most 1
         ip = rt.InnerProduct(0.4)
@@ -237,7 +249,7 @@ class TestCompareProjections:
         ip = rt.InnerProduct(snap.dx)
         f = rt.fourier_decomposition(snap)
         v0 = snap.values[:, :-1]
-        walks = count_calls(monkeypatch, rod, "row_blocks")
+        walks = count_calls(monkeypatch, walk, "row_blocks")
         for call in (
             lambda: rt.compare_projections(model.modes, f, v0, ip),
             lambda: rt.compare_projections(model.modes, f, v0, ip, same_rank=True),
@@ -268,21 +280,21 @@ def _stacked_score(modes, v0, dx, mode_count):
 
 
 def _hide_outside_the_walk(monkeypatch, values, columns):
-    """Fill values[:, :columns] with NaN except while rod.row_blocks has
+    """Fill values[:, :columns] with NaN except while walk.row_blocks has
     yielded a block: the block's rows hold their true values from its
     yield until the walk moves on.  A read of those columns outside a
     walk then gives NaN."""
     truth = values[:, :columns].copy()
     values[:, :columns] = np.nan
-    real = rod.row_blocks
+    real = walk.row_blocks
 
-    def walk(nx):
+    def hiding(nx):
         for start, stop in real(nx):
             values[start:stop, :columns] = truth[start:stop]
             yield start, stop
             values[start:stop, :columns] = np.nan
 
-    monkeypatch.setattr(rod, "row_blocks", walk)
+    monkeypatch.setattr(walk, "row_blocks", hiding)
 
 
 class TestWeightedRealBasis:
@@ -332,7 +344,7 @@ class TestProductsInsideTheWalk:
 
     @pytest.fixture()
     def tall(self, rng):
-        nx, ncols = 2 * rod.BLOCK_ROWS + 3, 9
+        nx, ncols = 2 * walk.BLOCK_ROWS + 3, 9
         values = rng.standard_normal((nx, 3)) @ rng.standard_normal((3, ncols))
         snap = make_snapshot(values + 1e-3 * rng.standard_normal((nx, ncols)))
         return snap, rt.fit(snap, 3, seed=1)
@@ -356,7 +368,7 @@ class TestProductsInsideTheWalk:
     def test_psi_score_walks_again(self, rng, monkeypatch):
         # a column too small for the closed form: psi is scored in a
         # second walk, not in a product of its own
-        values = rng.standard_normal((2 * rod.BLOCK_ROWS + 3, 10))
+        values = rng.standard_normal((2 * walk.BLOCK_ROWS + 3, 10))
         values[:, 3] *= 1e-9
         snap = make_snapshot(values)
         ip = rt.InnerProduct(snap.dx)
@@ -365,7 +377,7 @@ class TestProductsInsideTheWalk:
         f.psi
         modes = v0[:, :1].copy()
         want = rt.compare_projections(modes, f, v0, ip)
-        walks = count_calls(monkeypatch, rod, "row_blocks")
+        walks = count_calls(monkeypatch, walk, "row_blocks")
         _hide_outside_the_walk(monkeypatch, snap.values, v0.shape[1])
         assert rt.compare_projections(modes, f, v0, ip) == want
         assert walks["row_blocks"] == 2

@@ -16,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 
 import rodtwin as rt
 from rodtwin import io
-from rodtwin.rod import NON_FINITE, SnapshotFault
+from rodtwin.rod import SnapshotFault
+from rodtwin.walk import NON_FINITE
 
 from conftest import make_snapshot, put_cell, sweep_rows
 

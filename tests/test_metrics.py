@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rodtwin as rt
-from rodtwin import empirical, io, metrics, rank_select, rod
-from rodtwin.rod import BLOCK_ROWS, add_column_sums, row_blocks
+from rodtwin import empirical, io, rank_select, rod, walk
+from rodtwin.walk import BLOCK_ROWS, add_column_sums, row_blocks
 
 from conftest import count_calls, make_snapshot, two_mode_field
 
@@ -175,7 +175,7 @@ class TestQualityReport:
             calls.append(lambda: rank_select.objectives(snap, model))
         else:
             calls.append(lambda: rt.correlation(snap, snap, variant))
-        walks = count_calls(monkeypatch, rod, "row_blocks")
+        walks = count_calls(monkeypatch, walk, "row_blocks")
         for call in calls:
             with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
                 call()
@@ -246,7 +246,7 @@ def _dense_projection_score(modes, v0, dx, mode_count):
 
 
 def _copy_rows(twin):
-    """The twin of rod._pass for a plain matrix."""
+    """The twin of walk.data_pass for a plain matrix."""
     return lambda start, stop, out: np.copyto(out, twin[start:stop])
 
 
@@ -271,7 +271,7 @@ class TestAddColumnSums:
                 # reduction pairwise: the last bits may differ
                 np.testing.assert_allclose(blocked, in_order, rtol=1e-13)
             # the kernel's energies are these sums
-            _, _, energies, _ = rod._pass(values, width=ncols)
+            _, _, energies, _ = walk.data_pass(values, width=ncols)
             assert np.array_equal(blocked, energies)
             np.testing.assert_allclose(blocked, (values**2).sum(axis=0), rtol=1e-12)
 
@@ -297,7 +297,7 @@ class TestStreamedPass:
     @given(
         nx=st.sampled_from((1,) + BLOCK_EDGES),
         ncols=st.integers(2, 12),
-        variant=st.sampled_from(rt.metrics.VARIANTS),
+        variant=st.sampled_from(walk.VARIANTS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_sums_match_dense(self, nx, ncols, variant, seed):
@@ -305,7 +305,7 @@ class TestStreamedPass:
         a = rng.standard_normal((nx, ncols))
         b = rng.standard_normal((nx, ncols))
         # a plain matrix serves: a SnapshotMatrix needs 2 rows
-        (got,), data_sums, _, _ = rod._pass(a, [_copy_rows(b)], variant)
+        (got,), data_sums, _, _ = walk.data_pass(a, [_copy_rows(b)], variant)
         a1, b1 = a[:, 1:], b[:, 1:]
         if variant == "paper":
             expect = [(a1 * b1) ** 2, b1**4, a1**4]
@@ -319,7 +319,7 @@ class TestStreamedPass:
     @given(
         nx=st.sampled_from((2, 127, 128, 129, 257, 1000)),
         ncols=st.integers(2, 9),
-        variant=st.sampled_from(rt.metrics.VARIANTS),
+        variant=st.sampled_from(walk.VARIANTS),
         window=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -329,7 +329,7 @@ class TestStreamedPass:
         b = rng.standard_normal((nx, ncols))
         width = ncols - 1 if window else 0
         runs = {
-            order: rod._pass(np.asarray(a, order=order), [_copy_rows(b)], variant, width)
+            order: walk.data_pass(np.asarray(a, order=order), [_copy_rows(b)], variant, width)
             for order in "CF"
         }
         (sums,), data_sums, energies, _ = runs["C"]
@@ -360,7 +360,7 @@ class TestStreamedPass:
     @given(
         nx=st.sampled_from((2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)),
         ncols=st.integers(2, 14),
-        variant=st.sampled_from(rt.metrics.VARIANTS),
+        variant=st.sampled_from(walk.VARIANTS),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -374,17 +374,17 @@ class TestStreamedPass:
         b = rng.standard_normal((nx, ncols))
         basis = rng.standard_normal((nx, 3))
         twin = _copy_rows(b)
-        sums, data_sums, energy, (product,) = rod._pass(
+        sums, data_sums, energy, (product,) = walk.data_pass(
             a, [twin], variant, ncols - 1, [basis]
         )
         v0 = a[:, :-1]
-        _, _, col_sq, (alone,) = rod._pass(v0, width=ncols - 1, bases=[basis])
+        _, _, col_sq, (alone,) = walk.data_pass(v0, width=ncols - 1, bases=[basis])
         assert np.array_equal(energy, col_sq)
         assert np.array_equal(product, alone)
         np.testing.assert_allclose(energy, np.sum(v0**2, axis=0), rtol=1e-12)
         np.testing.assert_allclose(product, basis.T @ v0, rtol=1e-9, atol=1e-12)
         # and the window leaves the pass's other sums as they were
-        plain, plain_data, _, _ = rod._pass(a, [twin], variant)
+        plain, plain_data, _, _ = walk.data_pass(a, [twin], variant)
         assert np.array_equal(sums, plain)
         assert np.array_equal(data_sums, plain_data)
 
@@ -393,7 +393,7 @@ class TestStreamedPass:
         nx=st.sampled_from((2, 127, 128, 129, 257)),
         ncols=st.integers(2, 12),
         count=st.integers(2, 4),
-        variant=st.sampled_from(rt.metrics.VARIANTS),
+        variant=st.sampled_from(walk.VARIANTS),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -405,10 +405,10 @@ class TestStreamedPass:
         rng = np.random.default_rng(seed)
         a = np.asarray(rng.standard_normal((nx, ncols)), order=order)
         twins = [_copy_rows(rng.standard_normal((nx, ncols))) for _ in range(count)]
-        together, data_sums, _, _ = rod._pass(a, twins, variant)
+        together, data_sums, _, _ = walk.data_pass(a, twins, variant)
         assert together.shape == (count, 3, ncols - 1)
         for sums, twin in zip(together, twins):
-            (alone,), alone_data, _, _ = rod._pass(a, [twin], variant)
+            (alone,), alone_data, _, _ = walk.data_pass(a, [twin], variant)
             assert np.array_equal(sums, alone)
             assert np.array_equal(data_sums, alone_data)
 
@@ -417,7 +417,7 @@ class TestStreamedPass:
         nx=st.sampled_from((2,) + BLOCK_EDGES),
         ncols=st.integers(3, 14),
         rank=st.integers(1, 4),
-        variant=st.sampled_from(rt.metrics.VARIANTS),
+        variant=st.sampled_from(walk.VARIANTS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_report_and_objectives_match_dense(self, nx, ncols, rank, variant, seed):
@@ -455,7 +455,7 @@ class TestStreamedPass:
         nx=st.sampled_from((2,) + BLOCK_EDGES),
         ncols=st.integers(3, 14),
         rank=st.integers(1, 4),
-        variant=st.sampled_from(rt.metrics.VARIANTS),
+        variant=st.sampled_from(walk.VARIANTS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_report_scores_are_compare_projections(
@@ -552,7 +552,7 @@ class TestStreamedEdges:
             with pytest.raises(rod.SnapshotFault) as twin:
                 rt.reconstruct(big)
         for err in (report, objectives, twin):
-            assert str(err.value) == rod.NON_FINITE
+            assert str(err.value) == walk.NON_FINITE
         assert twin.value.axis == "values"
 
     def test_twin_overflowing_only_at_t0_named(
@@ -577,7 +577,7 @@ class TestStreamedEdges:
             with pytest.raises(rod.SnapshotFault) as twin:
                 rt.reconstruct(big)
         for err in (report, objectives, twin):
-            assert str(err.value) == rod.NON_FINITE
+            assert str(err.value) == walk.NON_FINITE
 
     def test_finite_twin_whose_fourth_power_overflows(
         self, burgers_snapshot, burgers_model, burgers_fourier, monkeypatch
@@ -591,7 +591,7 @@ class TestStreamedEdges:
             right=burgers_model.right * 1e40,
         )
         ip = rt.InnerProduct(burgers_snapshot.dx)
-        walks = count_calls(monkeypatch, rod, "row_blocks")
+        walks = count_calls(monkeypatch, walk, "row_blocks")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = rt.quality_report(burgers_snapshot, big, burgers_fourier, ip)
@@ -614,8 +614,9 @@ class TestStreamedEdges:
     def test_reconstruct_is_the_report_twin(self, tall, monkeypatch):
         # the twin rows the report sums are the reconstruction's, bit for bit
         snap, model = tall
+        twin = rt.reconstruct(model).values
         seen = np.full(snap.values.shape, np.nan)
-        real = metrics._modal_rows
+        real = walk.modal_rows
 
         def recording(left, right):
             rows = real(left, right)
@@ -626,9 +627,9 @@ class TestStreamedEdges:
 
             return record
 
-        monkeypatch.setattr(metrics, "_modal_rows", recording)
+        monkeypatch.setattr(walk, "modal_rows", recording)
         self._report(snap, model)
-        assert np.array_equal(seen, rt.reconstruct(model).values)
+        assert np.array_equal(seen, twin)
 
     def test_public_functions_take_row_blocks_of_the_twin(self, tall):
         # one kernel, the same sums: the public functions on the
@@ -636,7 +637,7 @@ class TestStreamedEdges:
         snap, model = tall
         twin = rt.reconstruct(model)
         fourier, ip = rt.fourier_decomposition(snap), rt.InnerProduct(snap.dx)
-        for variant in rt.metrics.VARIANTS:
+        for variant in walk.VARIANTS:
             report = rt.quality_report(snap, model, fourier, ip, variant=variant)
             assert rt.absolute_error(snap, twin) == report.absolute_error
             assert rt.correlation(snap, twin, variant) == report.correlation

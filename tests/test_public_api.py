@@ -169,3 +169,114 @@ def test_own_definition_does_not_count(tmp_path):
     )
     assert defined_names(path) == {"walk", "Node", "Leaf"}
     assert library_names(path) == {"n", "helper", "Leaf"}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(path):
+    """'module._name' for each private name that the library file takes
+    from another rodtwin module: imported by `from .module import _name`
+    or read as `module._name` on a name bound to that module."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            head, _, module = (node.module or "").partition(".")
+            if node.level:
+                module = node.module or ""
+            elif head != "rodtwin":
+                continue
+            for alias in node.names:
+                if not module and alias.name in MODULES:
+                    bound[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    reads.add("%s.%s" % (module or "rodtwin", alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "rodtwin":
+                    module = alias.name.partition(".")[2]
+                    bound[alias.asname or alias.name] = module or "rodtwin"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            owner = _dotted(node.value)
+            if owner in bound:
+                reads.add("%s.%s" % (bound[owner], node.attr))
+            elif owner and owner.startswith("rodtwin."):
+                reads.add("%s.%s" % (owner.partition(".")[2], node.attr))
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = {"%s: %s" % (path.stem, name) for path in LIBRARY for name in private_reads(path)}
+    assert sorted(reads) == []
+
+
+def test_private_reads_are_seen(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "from . import metrics, rank_select as r\n"
+        "from .rod import _scan, fit\n"
+        "from rodtwin.empirical import _check_baseline\n"
+        "import rodtwin.io\n"
+        "metrics._scores, r.pareto_sweep, r._score, rodtwin.io._cell, rodtwin.__version__\n"
+        "self._own\n"
+    )
+    assert private_reads(path) == {
+        "rod._scan",
+        "empirical._check_baseline",
+        "metrics._scores",
+        "rank_select._score",
+        "io._cell",
+    }
+
+
+def calls_of(path, names):
+    """(name, 'module.function') for each call of one of names, made
+    through the bare name or as an attribute, by the function of the
+    library file that holds it, or by the module outside any function."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = "%s.%s" % (path.stem, child.name)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.add((name, where))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
+def test_only_walk_walks_in_row_blocks():
+    # the walk of the data in row blocks lives in walk; io writes the
+    # parsed table of its memo a block of rows at a time
+    names = {"row_blocks", "add_column_sums"}
+    outside = set().union(*(calls_of(path, names) for path in LIBRARY if path.stem != "walk"))
+    assert sorted(outside) == [("row_blocks", "io.write_snapshot_memo")]
+
+
+def test_calls_are_placed_by_function(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "from . import walk\n"
+        "class Matrix:\n"
+        "    def check(self):\n"
+        "        return [walk.row_blocks(n) for n in (1, 2)]\n"
+        "def total(x):\n"
+        "    f = lambda: add_column_sums(x, x, x)\n"
+        "    return f\n"
+        "blocks = list(row_blocks(3))\n"
+    )
+    assert calls_of(path, {"row_blocks", "add_column_sums"}) == {
+        ("row_blocks", "module.check"),
+        ("add_column_sums", "module.total"),
+        ("row_blocks", "module"),
+    }

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
-from rodtwin import rank_select, rod
+from rodtwin import rank_select, rod, walk
 from rodtwin.cli import DEFAULT_SEED
 
 from conftest import (
@@ -311,7 +311,7 @@ class TestNestedSketch:
         # walk (12.6 MB)
         ncols = burgers_snapshot.values.shape[1]
         assert (_scoring_walks(20, ncols), _scoring_walks(100, ncols)) == (1, 2)
-        walks = count_calls(monkeypatch, rod, "row_blocks")
+        walks = count_calls(monkeypatch, walk, "row_blocks")
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
@@ -348,12 +348,12 @@ class TestNestedSketch:
             return basis, eigenvalues, amp
 
         monkeypatch.setattr(rod.RankSpace, "fit", overflowing_at_three)
-        walks = count_calls(monkeypatch, rod, "row_blocks")
+        walks = count_calls(monkeypatch, walk, "row_blocks")
         with np.errstate(over="ignore", invalid="ignore"):
             points = rt.pareto_sweep(snap, 5, 1)
         # the scoring walk, then rank 3's rows formed again and scanned
         assert walks["row_blocks"] == 2
-        assert [p.error for p in points] == ["", "", rod.NON_FINITE, "", ""]
+        assert [p.error for p in points] == ["", "", walk.NON_FINITE, "", ""]
         assert (points[2].j1, points[2].j2) == (np.inf, np.inf)
         for p, q in zip(points, sound):
             if p.rank != 3:
@@ -421,7 +421,7 @@ class TestRankSpaceScoring:
 
     def test_benchmark_sweep_data_passes(self, burgers_snapshot, monkeypatch):
         # one walk of the data scores every rank
-        walks = count_calls(monkeypatch, rod, "row_blocks")
+        walks = count_calls(monkeypatch, walk, "row_blocks")
         points = rt.pareto_sweep(burgers_snapshot, 20, DEFAULT_SEED)
         assert not any(p.failed for p in points)
         assert walks["row_blocks"] == 1
@@ -474,7 +474,7 @@ class TestDegenerateData:
             with pytest.raises(ValueError, match="^%s$" % message):
                 rt.fit(snap, 4, seed=1)
         # every rank fails in rank space, so the sweep never walks the data
-        walks = count_calls(monkeypatch, rod, "row_blocks")
+        walks = count_calls(monkeypatch, walk, "row_blocks")
         assert self._sweep_errors(snap) == [message] * 4
         assert walks["row_blocks"] == 0
 
