@@ -77,6 +77,11 @@ class BurgersConfig:
         # t_grid ends at t_final only for a whole number of steps; the
         # quotient is rounded (3.0 / 0.01 is 299.99999999999994)
         steps = self.t_final / self.dt
+        if math.isinf(steps):
+            raise ValueError(
+                "t_final = %r over dt = %r is more steps than a float holds"
+                % (self.t_final, self.dt)
+            )
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
                 "t_final = %r must be one or more whole steps of dt = %r"

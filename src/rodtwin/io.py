@@ -357,13 +357,14 @@ def _header_int(header, key, path):
 def read_model(path):
     """Parse a model file written by write_model.
 
-    The header must hold format = 3, nx, nt, rank and seed; a file
-    missing any of them, such as one without a format line, raises
-    ValueError naming the missing keys.  The sections are read by
-    _read_rows and every field reloads bit for bit.  Any other format
-    value, a row with the wrong cell count, a bad or non-finite cell and
-    what RodModel rejects fail at their path:line: a fault of the RodModel
-    axis x, t or eigenvalues at its row (an empty grid at its section).
+    The header must hold format = 3, nx, nt, rank and seed and nothing
+    else; a file missing any of them, such as one without a format line,
+    raises ValueError naming the missing keys.  The sections are read by
+    _read_rows and every field reloads bit for bit.  Any other header
+    key or format value, a repeated or unknown section, a row with the
+    wrong cell count, a bad or non-finite cell and what RodModel rejects
+    fail at their path:line: a fault of the RodModel axis x, t or
+    eigenvalues at its row (an empty grid at its section).
     """
     header = {}
     sections = {}
@@ -374,9 +375,14 @@ def read_model(path):
             if not stripped:
                 continue
             if stripped.startswith("[") and stripped.endswith("]"):
-                current = sections[stripped[1:-1]] = (line_no, [])
+                name = stripped[1:-1]
+                if name in sections:
+                    raise ValueError("%s:%d: repeated section [%s]" % (path, line_no, name))
+                current = sections[name] = (line_no, [])
             elif current is None:
                 key, value = _key_value(stripped, "%s:%d" % (path, line_no), header)
+                if key not in _MODEL_HEADER_KEYS:
+                    raise ValueError("%s:%d: unknown header key '%s'" % (path, line_no, key))
                 header[key] = (line_no, value)
                 if key == "format" and value != _MODEL_FORMAT:
                     raise ValueError(
@@ -410,6 +416,9 @@ def read_model(path):
             line_no = line_nos[int(np.argmin(finite))]
             raise ValueError("%s:%d: non-finite value" % (path, line_no))
         fields[name] = block
+    for name, (line_no, _) in sections.items():
+        if name not in fields:
+            raise ValueError("%s:%d: unknown section [%s]" % (path, line_no, name))
     # each re,im pair as it is: re + 1j * im turns an imaginary -0 into +0
     eigenvalues = fields["eigenvalues"].view(complex)[:, 0]
     x, t = fields["x"][:, 0], fields["t"][:, 0]

@@ -65,14 +65,6 @@ class SvdFactors:
     W: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigenPairs:
-    """Eigenvalues and matching unit-norm eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def _checked(a, name="matrix"):
     a = np.asarray(a)
     if a.ndim != 2 or a.size == 0:
@@ -114,10 +106,11 @@ def svd_economy(a):
 def eig_general(s):
     """Eigendecomposition of a real square matrix.
 
-    Eigenvectors come back with unit 2-norm, complex conjugate pairs are
-    adjacent in the output (the LAPACK ordering for real input), and the
-    residual ||S x - lambda x|| of every pair is verified against
-    1e-8 * ||S||_F before returning.
+    Returns (values, vectors) as np.linalg.eig does: the eigenvalues and
+    the matching eigenvector columns, each of unit 2-norm.  Complex
+    conjugate pairs are adjacent (the LAPACK ordering for real input),
+    and the residual ||S x - lambda x|| of every pair is verified
+    against 1e-8 * ||S||_F before returning.
     """
     s = _checked(s)
     if s.shape[0] != s.shape[1]:
@@ -136,7 +129,7 @@ def eig_general(s):
             raise LinalgError(
                 "eigenpair residual %.3e exceeds 1e-8 * ||S||_F" % worst
             )
-    return EigenPairs(values=values, vectors=vectors)
+    return values, vectors
 
 
 def least_squares(a, b):

@@ -280,29 +280,18 @@ def propagator(svd, v1):
     V1 = P1 Z (see RankSpace); W = Z Y, so this is the same S.
     """
     svd = _drop_tiny_singular(svd)
-    v1 = np.asarray(v1)
-    if v1.shape[0] != svd.U.shape[0] or v1.shape[1] != svd.W.shape[0]:
-        raise ValueError("V1 shape does not match the SVD factors")
     return svd.U.conj().T @ v1 @ (svd.W / svd.sigma)
 
 
-def rod_modes(basis, eig, ip):
+def rod_modes(basis, vectors, ip):
     """Spatial modes: basis-weighted eigenvector combinations at unit L2 norm.
 
-    Column i is basis @ X[:, i] scaled to unit norm under ip.  A column
-    whose norm underflows (defective pairing) is dropped with a warning.
+    Column i is basis @ vectors[:, i] scaled to unit norm under ip.
     Lifting by a Q with orthonormal columns keeps these norms, so the
     fit passes T and gets the coefficients B of the modes Q B.
-    Returns (modes, eigenvalues of the kept modes).
     """
-    raw = np.asarray(basis) @ eig.vectors
-    norms = np.sqrt(ip.dx * np.sum(np.abs(raw) ** 2, axis=0))
-    keep = norms > 1e-14 * max(float(norms.max()), 1e-300)
-    if not keep.all():
-        warn("dropping %d zero-norm mode column(s)" % int((~keep).sum()))
-        if not keep.any():
-            raise ValueError("all mode columns degenerate")
-    return raw[:, keep] / norms[keep], eig.values[keep]
+    raw = basis @ vectors
+    return raw / np.sqrt(ip.dx * np.sum(np.abs(raw) ** 2, axis=0))
 
 
 def amplitudes(modes, values):
@@ -317,10 +306,6 @@ def amplitudes(modes, values):
     cond(Q B) = cond(B) and the part of V outside range(Q) does not
     move the minimizer.
     """
-    modes = np.asarray(modes)
-    values = np.asarray(values)
-    if modes.shape[1] > values.shape[1]:
-        raise ValueError("more modes than snapshot columns")
     return least_squares(modes, values)
 
 
@@ -392,14 +377,14 @@ class RankSpace:
         norm under ip, their real basis B (a real eigenvalue keeps its
         column, the pair b, conj(b) gives Re b, Im b), its optional
         reorthonormalization, and the real amplitudes X minimizing
-        ||B X - P[:k]||_F.  Returns (B, eigenvalues of the kept modes,
-        X); the twin is Q[:, :k] B X."""
+        ||B X - P[:k]||_F.  Returns (B, the propagator's eigenvalues, X);
+        the twin is Q[:, :k] B X."""
         inner = _stage("rank-space SVD", svd_economy, self._r[:k, :k].T)
         prop = _stage("propagator", propagator, inner, self._g[:k, :k])
-        eig = _stage("eigendecomposition", eig_general, prop)
+        eigenvalues, vectors = _stage("eigendecomposition", eig_general, prop)
         # the propagator keeps the leading directions of T
         kept = inner.U[:, : prop.shape[0]]
-        coeff, eigenvalues = _stage("modes", rod_modes, kept, eig, ip)
+        coeff = _stage("modes", rod_modes, kept, vectors, ip)
         # LAPACK puts a pair's member with the positive imaginary part first
         first = np.flatnonzero(eigenvalues.imag > 0)
         # column-major: OpenBLAS then lifts each column of B to the same

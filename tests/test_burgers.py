@@ -262,6 +262,15 @@ class TestGenerateSnapshots:
             "t_final = %r must be one or more whole steps of dt = %r" % (t_final, dt)
         )
 
+    @pytest.mark.parametrize("t_final, dt", [(1e300, 1e-300), (1.5e308, 0.5)])
+    def test_step_count_past_the_float_range_rejected(self, t_final, dt):
+        # refused before any grid is built: t_final / dt is inf
+        with pytest.raises(ValueError) as err:
+            rt.BurgersConfig(t_final=t_final, dt=dt)
+        assert str(err.value) == (
+            "t_final = %r over dt = %r is more steps than a float holds" % (t_final, dt)
+        )
+
     @pytest.mark.parametrize("value", NOT_INTEGERS)
     @pytest.mark.parametrize("name", ["grid_points", "quad_order"])
     def test_count_that_is_not_an_integer_rejected(self, name, value):
@@ -284,3 +293,5 @@ class TestGenerateSnapshots:
             rt.BurgersConfig(quad_order=0)
         with pytest.raises(ValueError):
             rt.BurgersConfig(dt=-0.01)
+        with pytest.raises(ValueError, match="^length must be positive$"):
+            rt.BurgersConfig(length=0.0)

@@ -66,6 +66,26 @@ class TestGenerate:
         )
         assert not out.exists()
 
+    def test_step_count_past_the_float_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        argv = ["generate", "--output", str(out), "--t-final", "1e300", "--dt", "1e-300"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "rodtwin generate: error: "
+            "t_final = 1e+300 over dt = 1e-300 is more steps than a float holds\n"
+        )
+        assert not out.exists()
+
+    def test_memo_that_cannot_be_renamed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        os.mkdir(str(out) + ".npy")
+        argv = ["generate", "--output", str(out), "--grid-points", "11", "--t-final", "0.1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rodtwin generate: error: ") and "data.csv.npy" in err
+        # the temporary memo is removed; the CSV and its .meta stay
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.meta", "data.csv.npy"]
+
     def test_matches_library_dataset(self, ws, burgers_snapshot):
         back = io.read_snapshot_csv(ws / "burgers.csv")
         assert np.array_equal(back.values, burgers_snapshot.values)

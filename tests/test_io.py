@@ -563,6 +563,44 @@ class TestSnapshotMemo:
             got = io.read_snapshot_csv(path)
         assert_same_bits(got, read_parsed(path))
 
+    def test_memo_beside_a_short_row_ignored(self, tmp_path, rng):
+        path = tmp_path / "snap.csv"
+        write_with_memo(path, make_snapshot(rng.standard_normal((5, 4))))
+        lines = path.read_text().splitlines(keepends=True)
+        # row 3 loses its last cell: the comma count is then no multiple
+        # of the line count
+        lines[3] = lines[3].rpartition(",")[0] + "\n"
+        path.write_text("".join(lines))
+        assert io._memo_table(path) is None
+        with pytest.raises(ValueError) as err:
+            io.read_snapshot_csv(path)
+        assert str(err.value) == "%s:4: expected 5 cells, found 4" % path
+
+    def test_memo_of_a_non_finite_table_falls_back_to_the_parse(self, tmp_path, rng):
+        values = rng.standard_normal((5, 4))
+        values[2, 1] = np.nan
+        # the memo writer reads only values, x and t, so it takes a table
+        # that SnapshotMatrix refuses
+        held = SimpleNamespace(values=values, x=np.arange(5) * 0.1, t=np.arange(4) * 0.05)
+        path = tmp_path / "snap.csv"
+        io.write_snapshot_csv(path, held)
+        with pytest.raises(ValueError) as bare:
+            io.read_snapshot_csv(path)
+        io.write_snapshot_memo(path, held, io.file_sha256(path))
+        assert np.isnan(io._memo_table(path)).any()
+        with pytest.raises(ValueError) as err:
+            io.read_snapshot_csv(path)
+        assert str(err.value) == str(bare.value) == "%s:4: %s" % (path, NON_FINITE)
+
+    def test_failed_rename_leaves_no_part_file(self, tmp_path, rng):
+        snap = make_snapshot(rng.standard_normal((5, 4)))
+        path = tmp_path / "snap.csv"
+        io.write_snapshot_csv(path, snap)
+        os.mkdir(str(path) + ".npy")
+        with pytest.raises(OSError):
+            io.write_snapshot_memo(path, snap, io.file_sha256(path))
+        assert sorted(os.listdir(tmp_path)) == ["snap.csv", "snap.csv.npy"]
+
     def test_reader_writes_no_memo(self, tmp_path, rng):
         path = tmp_path / "snap.csv"
         io.write_snapshot_csv(path, make_snapshot(rng.standard_normal((5, 4))))
@@ -999,6 +1037,33 @@ class TestModelFile:
         with pytest.raises(ValueError) as err:
             io.read_model(path)
         assert str(err.value) == "%s:%d: repeated key 'seed'" % (path, line_no)
+
+    def test_unknown_header_key_reports_line(self, tmp_path, rng):
+        # a key a later format might add is not silently ignored
+        path, lines = self._written(tmp_path, self._small_model(rng))
+        lines.insert(4, "oversampling = 5")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == "%s:5: unknown header key 'oversampling'" % path
+
+    def test_repeated_section_reports_line(self, tmp_path, rng):
+        # a second [x] would otherwise replace the first
+        path, lines = self._written(tmp_path, self._small_model(rng))
+        grid = lines[lines.index("[x]") : lines.index("[t]")]
+        lines += grid
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == "%s:%d: repeated section [x]" % (path, len(lines) - len(grid) + 1)
+
+    def test_unknown_section_reports_line(self, tmp_path, rng):
+        path, lines = self._written(tmp_path, self._small_model(rng))
+        lines += ["[notes]", "1"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            io.read_model(path)
+        assert str(err.value) == "%s:%d: unknown section [notes]" % (path, len(lines) - 1)
 
     def test_missing_section(self, tmp_path, rng):
         model = self._small_model(rng)

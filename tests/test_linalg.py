@@ -152,48 +152,60 @@ class TestSvd:
 
 class TestEigGeneral:
     def test_diagonal(self):
-        pairs = eig_general(np.diag([2.0, 5.0]))
-        assert_allclose(sorted(pairs.values.real), [2.0, 5.0], atol=1e-12)
-        assert np.abs(pairs.values.imag).max() < 1e-12
+        values = eig_general(np.diag([2.0, 5.0]))[0]
+        assert_allclose(sorted(values.real), [2.0, 5.0], atol=1e-12)
+        assert np.abs(values.imag).max() < 1e-12
 
     def test_rotation_spectrum(self):
-        pairs = eig_general(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        got = np.sort_complex(pairs.values)
+        values = eig_general(np.array([[0.0, -1.0], [1.0, 0.0]]))[0]
+        got = np.sort_complex(values)
         assert_allclose(got, [-1j, 1j], atol=1e-12)
 
     def test_conjugate_pairs_adjacent(self, rng):
         s = rng.standard_normal((6, 6))
-        pairs = eig_general(s)
+        values = eig_general(s)[0]
         i = 0
         while i < 6:
-            v = pairs.values[i]
+            v = values[i]
             if abs(v.imag) > 1e-12:
-                assert abs(pairs.values[i + 1] - np.conj(v)) < 1e-9
+                assert abs(values[i + 1] - np.conj(v)) < 1e-9
                 i += 2
             else:
                 i += 1
 
     def test_residuals_and_unit_vectors(self, rng):
         s = rng.standard_normal((12, 12))
-        pairs = eig_general(s)
+        values, vectors = eig_general(s)
         norm_s = np.linalg.norm(s)
-        resid = np.linalg.norm(s @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
+        resid = np.linalg.norm(s @ vectors - vectors * values, axis=0)
         assert resid.max() <= 1e-8 * norm_s
-        assert_allclose(np.linalg.norm(pairs.vectors, axis=0), 1.0, atol=1e-12)
+        assert_allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-12)
 
     def test_symmetric_input_real_values(self, rng):
         s = rng.standard_normal((9, 9))
         s = s + s.T
-        pairs = eig_general(s)
-        assert np.abs(pairs.values.imag).max() <= 1e-9 * np.linalg.norm(s)
+        values = eig_general(s)[0]
+        assert np.abs(values.imag).max() <= 1e-9 * np.linalg.norm(s)
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            (np.ones((2, 3)), "eig_general needs a square matrix, got 2x3"),
+            (np.array([[1.0, 1j], [0.0, 2.0]]), "eig_general expects a real matrix"),
+        ],
+    )
+    def test_non_square_or_complex_refused(self, s, message):
+        with pytest.raises(ValueError) as err:
+            eig_general(s)
+        assert str(err.value) == message
 
     def test_char_poly_oracle(self, rng):
         # independent route: trace-recurrence characteristic polynomial,
         # then simultaneous root iteration
         s = rng.standard_normal((8, 8))
-        pairs = eig_general(s)
+        values = eig_general(s)[0]
         roots = durand_kerner_roots(char_poly_coeffs(s))
-        remaining = list(pairs.values)
+        remaining = list(values)
         for root in roots:
             dist = [abs(root - lam) for lam in remaining]
             j = int(np.argmin(dist))

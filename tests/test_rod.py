@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import rodtwin as rt
 from rodtwin import rank_select, rod
 from rodtwin.cli import DEFAULT_SEED
-from rodtwin.linalg import EigenPairs, eig_general
+from rodtwin.linalg import eig_general
 from rodtwin.rsvd import rsvd
 
 from conftest import NOT_INTEGERS, NUMPY_INTEGERS, make_snapshot, not_an_integer
@@ -109,7 +109,7 @@ class TestPropagator:
     def test_uniform_scaling_spectrum(self, rng):
         v0 = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 9))
         s = rod.propagator(rsvd(v0, 2, seed=0), 2.0 * v0)
-        lam = np.sort(eig_general(s).values.real)
+        lam = np.sort(eig_general(s)[0].real)
         assert_allclose(lam, [2.0, 2.0], atol=1e-8)
 
     def test_known_linear_system(self, rng):
@@ -121,7 +121,7 @@ class TestPropagator:
         v = np.column_stack(cols)
         f = rsvd(v[:, :-1], 2, seed=4)
         s = rod.propagator(f, v[:, 1:])
-        got = np.sort_complex(eig_general(s).values)
+        got = np.sort_complex(eig_general(s)[0])
         want = np.sort_complex(np.linalg.eigvals(a))
         assert_allclose(got, want, atol=1e-8)
 
@@ -141,9 +141,7 @@ class TestModes:
         v0 = rng.standard_normal((30, 12))
         f = rsvd(v0, 4, seed=1)
         ip = rt.InnerProduct(0.1)
-        eye_pairs = EigenPairs(values=np.ones(4), vectors=np.eye(4))
-        modes, values = rod.rod_modes(f.U, eye_pairs, ip)
-        assert_allclose(values, np.ones(4))
+        modes = rod.rod_modes(f.U, np.eye(4), ip)
         expected = f.U / np.sqrt(0.1)
         assert_allclose(modes, expected.astype(complex), atol=1e-12)
 
@@ -157,6 +155,38 @@ class TestModes:
         model = rt.fit(snap, 3, seed=0)
         dev = rod.mode_gram_deviation(model.modes, rt.InnerProduct(snap.dx))
         assert dev <= 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.sampled_from((2, 7, 40, 129)),
+        ncols=st.integers(3, 30),
+        data_rank=st.integers(1, 12),
+        rank=st.integers(1, 12),
+        dx=st.sampled_from((1e-3, 0.1, 7.0)),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**63 - 1),
+        reorthonormalize=st.booleans(),
+    )
+    def test_fit_keeps_every_mode_at_unit_norm(
+        self, nx, ncols, data_rank, rank, dx, data_seed, seed, reorthonormalize
+    ):
+        g = np.random.default_rng(data_seed)
+        values = g.standard_normal((nx, data_rank)) @ g.standard_normal((data_rank, ncols))
+        rank = min(rank, nx, ncols - 1)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.filterwarnings("always", "truncating", RuntimeWarning)
+            model = rt.fit(make_snapshot(values, dx=dx), rank, seed, reorthonormalize)
+        norms = np.sqrt(dx * np.sum(np.abs(model.modes) ** 2, axis=0))
+        assert np.abs(norms - 1.0).max() <= 1e-12
+        # a mode is lost only with a direction the propagator truncated
+        truncated = [str(w.message) for w in record if str(w.message).startswith("truncating")]
+        if model.rank < rank:
+            assert truncated == [
+                "truncating %d near-zero singular directions before inversion"
+                % (rank - model.rank)
+            ]
+        else:
+            assert model.rank == rank and not truncated
 
     def test_unit_norms(self, burgers_model, burgers_ip):
         norms = [burgers_ip.norm(burgers_model.modes[:, j]) for j in range(10)]
@@ -280,10 +310,10 @@ class TestFit:
         v0, v1 = burgers_snapshot.values[:, :-1], burgers_snapshot.values[:, 1:]
         f = rsvd(v0, 10, burgers_model.seed)
         s = rod.propagator(f, v1)
-        pairs = eig_general(s)
-        resid = np.linalg.norm(s @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
+        values, vectors = eig_general(s)
+        resid = np.linalg.norm(s @ vectors - vectors * values, axis=0)
         assert resid.max() <= 1e-8 * np.linalg.norm(s)
-        assert_allclose(np.sort(pairs.values), np.sort(burgers_model.eigenvalues))
+        assert_allclose(np.sort(values), np.sort(burgers_model.eigenvalues))
 
     def test_reorthonormalize_option(self, burgers_snapshot):
         model = rt.fit(burgers_snapshot, 10, DEFAULT_SEED, reorthonormalize=True)
@@ -333,11 +363,11 @@ def dense_reference(snap, rank, seed):
     v0, v1 = snap.values[:, :-1], snap.values[:, 1:]
     f = rsvd(v0, rank, seed)
     s = rod.propagator(f, v1)
-    pairs = eig_general(s)
-    raw = f.U[:, : s.shape[0]] @ pairs.vectors
+    values, vectors = eig_general(s)
+    raw = f.U[:, : s.shape[0]] @ vectors
     modes = raw / np.sqrt(snap.dx * np.sum(np.abs(raw) ** 2, axis=0))
     amp = np.linalg.lstsq(modes, snap.values, rcond=None)[0]
-    return modes, amp, pairs.values
+    return modes, amp, values
 
 
 class TestReducedFit:

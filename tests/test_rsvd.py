@@ -199,6 +199,12 @@ class TestRangeFinder:
         # the seeded frame, as before the scan moved behind the sample
         assert np.array_equal(q, qr_factor(gaussian_test_matrix(30, 4, 3))[0])
 
+    @pytest.mark.parametrize("shape", [(5,), (0, 4), (4, 0)])
+    def test_v0_not_a_nonempty_matrix_rejected(self, shape):
+        with pytest.raises(ValueError) as err:
+            range_finder(np.ones(shape), 1, seed=3)
+        assert str(err.value) == "v0 must be a nonempty 2-D real array"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("func", [range_finder, rsvd])
     def test_non_finite_raw_array_rejected(self, rng, func, bad):
