@@ -72,6 +72,9 @@ class BurgersConfig:
                 raise ValueError("%s must be finite" % name)
         if self.nu <= 0:
             raise ValueError("nu must be positive")
+        # exact_u scales its exponents by c = 1/(2 nu pi), inf below ~8.9e-310
+        if math.isinf(1.0 / (2.0 * float(self.nu) * math.pi)):
+            raise ValueError("nu = %r is too small: 1/(2 nu pi) overflows" % self.nu)
         if self.t_final <= 0 or self.dt <= 0:
             raise ValueError("t_final and dt must be positive")
         # t_grid ends at t_final only for a whole number of steps; the

@@ -29,10 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import walk
-from .linalg import integer, svd_economy
-
-# singular values below RANK_CUTOFF times the largest are discarded
-RANK_CUTOFF = 1e-12
+from .linalg import RANK_CUTOFF, integer, numerical_rank, svd_economy
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,7 @@ class FourierModes:
     @cached_property
     def psi(self):
         factors = svd_economy(self.values)
-        sigma = factors.sigma
-        r = max(1, int(np.count_nonzero(sigma > RANK_CUTOFF * sigma[0])))
+        r = max(1, numerical_rank(factors.sigma))
         return factors.U[:, :r] / np.sqrt(self.dx)
 
 

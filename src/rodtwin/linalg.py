@@ -22,8 +22,8 @@ import numpy as np
 
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
-# least_squares keeps the singular values above _RCOND * sigma_max
-_RCOND = 1e-12
+# values at most RANK_CUTOFF times the largest are negligible
+RANK_CUTOFF = 1e-12
 
 
 def warn(message):
@@ -45,6 +45,12 @@ def integer(value, name):
         return operator.index(value)
     except TypeError:
         raise ValueError("%s %r is not an integer" % (name, value)) from None
+
+
+def numerical_rank(values):
+    """How many of the nonnegative values exceed RANK_CUTOFF times the
+    largest: the package's one test of numerical rank.  All zeros give 0."""
+    return int(np.count_nonzero(values > RANK_CUTOFF * values.max(initial=0.0)))
 
 
 class LinalgError(RuntimeError):
@@ -79,15 +85,14 @@ def qr_factor(a):
 
     Returns (Q, R) with Q's columns orthonormal and R upper triangular.
     Rank deficiency does not abort: the factors are still returned and a
-    RuntimeWarning reports how many diagonal entries of R are negligible:
-    at most 1e-12 of the largest, so all of them for a zero matrix.
+    RuntimeWarning reports how many diagonal entries of R numerical_rank
+    finds negligible, so all of them for a zero matrix.
     """
     a = _checked(a)
     if a.shape[0] < a.shape[1]:
         raise ValueError("qr_factor needs rows >= cols, got %dx%d" % a.shape)
     q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
-    small = int(np.count_nonzero(diag <= 1e-12 * diag.max()))
+    small = r.shape[1] - numerical_rank(np.abs(np.diag(r)))
     if small:
         warn("rank-deficient QR: %d negligible diagonal entries in R" % small)
     return q, r
@@ -136,12 +141,12 @@ def least_squares(a, b):
     """Minimize ||A X - B||_F over X for a matrix B of right-hand sides.
 
     Solved through the SVD A = U diag(s) V^H as X = V diag(1/s) U^H B
-    over the singular values above 1e-12 * sigma_max, the cutoff of
-    numpy's lstsq.  The cut turns rank-deficient and ill-conditioned
-    systems into minimum-norm solutions, reported with one warning that
-    names the rank and the condition number.  The callers' A is
-    rank-sized, so its SVD is cheap, and the many right-hand sides cost
-    two matrix products.  A and B must both be 2-D.
+    over the numerical_rank leading singular values, numpy's lstsq
+    cutoff at rcond = RANK_CUTOFF.  The cut turns rank-deficient and
+    ill-conditioned systems into minimum-norm solutions, reported with
+    one warning that names the rank and the condition number.  The
+    callers' A is rank-sized, so its SVD is cheap, and the many
+    right-hand sides cost two matrix products.  A and B must both be 2-D.
     """
     a = _checked(a, "A")
     b = _checked(b, "B")
@@ -151,7 +156,7 @@ def least_squares(a, b):
         )
     svd = svd_economy(a)
     s = svd.sigma
-    rank = int(np.count_nonzero(s > _RCOND * s[0]))
+    rank = numerical_rank(s)
     x = (svd.W[:, :rank] / s[:rank]) @ (svd.U[:, :rank].conj().T @ b)
     if rank < a.shape[1]:
         # a wide A is singular beyond its min(rows, cols) singular values

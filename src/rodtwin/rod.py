@@ -33,6 +33,7 @@ from .linalg import (
     eig_general,
     integer,
     least_squares,
+    numerical_rank,
     qr_factor,
     svd_economy,
     warn,
@@ -256,11 +257,9 @@ class RodModel:
 def _drop_tiny_singular(svd):
     """Directions with negligible singular values cannot be inverted."""
     sigma = svd.sigma
-    smax = float(sigma[0]) if sigma.size else 0.0
-    keep = sigma > 1e-12 * smax
-    if keep.all():
+    kept = numerical_rank(sigma)
+    if kept == sigma.size:
         return svd
-    kept = int(np.count_nonzero(keep))
     if kept == 0:
         raise ValueError("all singular values are negligible; nothing to propagate")
     warn(

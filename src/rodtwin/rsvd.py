@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SvdFactors, integer, qr_factor, svd_economy, warn
+from .linalg import SvdFactors, integer, qr_factor, svd_economy
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -61,21 +61,16 @@ def gaussian_test_matrix(n_rows, k, seed):
     return z[:total].reshape((n_rows, k), order="F")
 
 
-def _all_zero(a):
-    return not a.any()
-
-
 def range_finder(v0, target_rank, seed, oversampling=0):
     """Sketch basis Q of the range of a real matrix: the sampling half of rsvd.
 
     Draws the Gaussian test matrix M, samples V0 M and orthonormalizes
     it into Q.  The inputs are validated as rsvd documents, V0's NaN and
-    inf through the sample, which they reach.  An all-zero matrix has
-    no range to sample: a RuntimeWarning is raised and an arbitrary
-    orthonormal frame of target_rank columns is returned.
+    inf through the sample, which they reach.  A rank-deficient sample,
+    an all-zero one included, gets qr_factor's warning and Q is still
+    orthonormal.
 
-    Returns Q of shape (nx, target_rank + oversampling), or
-    (nx, target_rank) for an all-zero matrix.
+    Returns Q of shape (nx, target_rank + oversampling).
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.ndim != 2 or v0.size == 0:
@@ -92,13 +87,10 @@ def range_finder(v0, target_rank, seed, oversampling=0):
         raise ValueError("oversampling must satisfy 0 <= p and k + p <= nt")
 
     sample = v0 @ gaussian_test_matrix(nt, k + p, seed)
-    # only a non-finite or a zero sample pays for a scan of V0; a finite
-    # V0 whose sample overflows fails in qr_factor
+    # only a non-finite sample pays for a scan of V0; a finite V0 whose
+    # sample overflows fails in qr_factor
     if not np.isfinite(sample).all() and not np.isfinite(v0).all():
         raise ValueError("v0 contains non-finite entries")
-    if _all_zero(sample) and _all_zero(v0):
-        warn("rsvd of an all-zero matrix")
-        return qr_factor(gaussian_test_matrix(nx, k, seed))[0]
     return qr_factor(sample)[0]
 
 
@@ -119,8 +111,9 @@ def rsvd(v0, target_rank, seed, oversampling=0):
 
     Returns
     -------
-    SvdFactors with U (nx, k), sigma (k,) and W (nt, k).
-    An all-zero v0 gives zero sigma between arbitrary orthonormal frames.
+    SvdFactors with U (nx, k), sigma (k,) and W (nt, k), from a Q of
+    k + oversampling columns.  An all-zero v0 gives zero sigma between
+    orthonormal frames, with qr_factor's rank-deficiency warning.
     """
     v0 = np.asarray(v0, dtype=float)
     q = range_finder(v0, target_rank, seed, oversampling=oversampling)

@@ -271,6 +271,16 @@ class TestGenerateSnapshots:
             "t_final = %r over dt = %r is more steps than a float holds" % (t_final, dt)
         )
 
+    @pytest.mark.parametrize("nu", [1e-320, 8.8e-310, 5e-324])
+    def test_nu_whose_exponent_scale_overflows_rejected(self, nu):
+        # exact_u's c = 1/(2 nu pi) is inf and its fields would be NaN
+        with pytest.raises(ValueError) as err:
+            rt.BurgersConfig(nu=nu)
+        assert str(err.value) == "nu = %r is too small: 1/(2 nu pi) overflows" % nu
+
+    def test_smallest_nu_with_a_finite_exponent_scale_accepted(self):
+        assert rt.BurgersConfig(nu=8.9e-310).nu == 8.9e-310
+
     @pytest.mark.parametrize("value", NOT_INTEGERS)
     @pytest.mark.parametrize("name", ["grid_points", "quad_order"])
     def test_count_that_is_not_an_integer_rejected(self, name, value):

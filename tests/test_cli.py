@@ -76,6 +76,15 @@ class TestGenerate:
         )
         assert not out.exists()
 
+    def test_nu_too_small_for_the_exponent_scale_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        assert main(["generate", "--output", str(out), "--nu", "1e-320"]) == 2
+        # one line: no numpy warning before the error
+        assert capsys.readouterr().err == (
+            "rodtwin generate: error: nu = 1e-320 is too small: 1/(2 nu pi) overflows\n"
+        )
+        assert not out.exists()
+
     def test_memo_that_cannot_be_renamed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
         os.mkdir(str(out) + ".npy")
@@ -699,7 +708,7 @@ def _truncating(n):
 _ALL_ZERO = "all singular values are negligible; nothing to propagate"
 _ZERO_T5 = "zero column(s) in correlation at time index [5]"
 _NO_POINT = "error: no successful sweep points; rank 1 failed: "
-_ZERO_RSVD = "warning: rsvd of an all-zero matrix"
+_ZERO_QR = "warning: rank-deficient QR: 4 negligible diagonal entries in R"
 _DEFICIENT_QR = "warning: rank-deficient QR: 3 negligible diagonal entries in R"
 
 
@@ -713,9 +722,9 @@ class TestDegenerateData:
             (
                 "all-zero",
                 2,
-                [_ZERO_RSVD, "error: " + _ALL_ZERO],
+                [_ZERO_QR, "error: " + _ALL_ZERO],
                 2,
-                [_ZERO_RSVD, _NO_POINT + _ALL_ZERO],
+                [_ZERO_QR, _NO_POINT + _ALL_ZERO],
             ),
             ("zero-column-t5", 2, ["error: " + _ZERO_T5], 2, [_NO_POINT + _ZERO_T5]),
             ("zero-column-t0", 2, ["error: zero data column(s) at index [0]"], 0, []),

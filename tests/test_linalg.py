@@ -4,22 +4,29 @@ finding for eigenvalues, sign-change bisection on the recurrence for
 the Gauss-Hermite nodes, and the normal equations for least squares.
 """
 
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import rodtwin as rt
+from rodtwin import empirical, linalg, rod
 from rodtwin.burgers import gauss_hermite
 from rodtwin.linalg import (
+    SvdFactors,
     eig_general,
     least_squares,
+    numerical_rank,
     qr_factor,
     svd_economy,
 )
 
-from conftest import two_mode_field
+from conftest import make_snapshot, two_mode_field
 
 
 def jacobi_eigenvalues(a, sweeps=60):
@@ -307,3 +314,127 @@ class TestLeastSquares:
         with pytest.warns(RuntimeWarning, match=r"rank 0 of 2, condition inf"):
             x = least_squares(np.zeros((5, 2)), np.ones((5, 3)))
         assert np.array_equal(x, np.zeros((2, 3)))
+
+
+@st.composite
+def spectra(draw):
+    """Nonnegative values around the cutoff of their largest: zeros, the
+    largest, 1e-12 of it exactly, one ulp either side, and random ones."""
+    top = draw(st.floats(1e-200, 1e200))
+    edge = 1e-12 * top
+    named = {
+        "zero": 0.0,
+        "top": top,
+        "edge": edge,
+        "above": np.nextafter(edge, np.inf),
+        "below": np.nextafter(edge, 0.0),
+    }
+    cells = st.one_of(st.sampled_from(sorted(named)), st.floats(0.0, 1.0))
+    picks = draw(st.lists(cells, min_size=1, max_size=8))
+    return np.array([named[p] if isinstance(p, str) else p * top for p in picks])
+
+
+def _warned_count(warned, pattern, default):
+    """The count a site's one warning reports, or default without one."""
+    found = [re.search(pattern, str(w.message)) for w in warned]
+    found = [m for m in found if m]
+    assert len(found) <= 1
+    return int(found[0].group(1)) if found else default
+
+
+class TestNumericalRank:
+    """numerical_rank against the inline rules each of its four sites used
+    before it: the count of values above 1e-12 of the largest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=spectra())
+    @example(values=np.zeros(3))
+    @example(values=np.array([0.0, 2.5, 0.0]))
+    @example(values=np.array([1.0, 1e-12]))
+    @example(values=np.array([1.0, np.nextafter(1e-12, 1.0)]))
+    def test_matches_the_inline_rules_at_every_site(self, values):
+        n = values.size
+        ordered = np.sort(values)[::-1]
+        eye = np.eye(n)
+        # qr_factor: negligible diagonal entries of R, at most 1e-12 of the largest
+        small = int(np.count_nonzero(values <= 1e-12 * values.max()))
+        # least_squares, rod._drop_tiny_singular and FourierModes.psi:
+        # above 1e-12 * sigma[0]
+        above = int(np.count_nonzero(ordered > 1e-12 * ordered[0]))
+        assert numerical_rank(values) == n - small == above
+
+        # R of a diagonal matrix is the matrix: every reflector is the identity
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            qr_factor(np.diag(values))
+        assert _warned_count(warned, r"^rank-deficient QR: (\d+)", 0) == small
+
+        factors = SvdFactors(U=eye, sigma=ordered, W=eye)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            with mock.patch.object(linalg, "svd_economy", lambda a: factors):
+                least_squares(eye, eye)
+        assert _warned_count(warned, r"\(rank (\d+) of", n) == above
+
+        with mock.patch.object(empirical, "svd_economy", lambda a: factors):
+            psi = empirical.FourierModes(values=eye, dx=1.0).psi
+        assert psi.shape[1] == max(1, above)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if above == 0:
+                with pytest.raises(ValueError, match="all singular values are negligible"):
+                    rod.propagator(factors, eye)
+            else:
+                assert rod.propagator(factors, eye).shape == (above, above)
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("no convergence")
+
+
+_REAL_EIG = np.linalg.eig
+
+
+def _shifted_eig(s):
+    """np.linalg.eig with every eigenvalue off by one: no pair fits."""
+    values, vectors = _REAL_EIG(s)
+    return values + 1.0, vectors
+
+
+class TestLapackFailures:
+    """numpy's LinAlgError and a bad eigenpair become LinalgError with the
+    kernel's own message, which fit reports as the stage that failed."""
+
+    CASES = [
+        ("svd", _no_convergence, "SVD did not converge: no convergence", "rank-space SVD"),
+        (
+            "eig",
+            _no_convergence,
+            "eigensolver did not converge: no convergence",
+            "eigendecomposition",
+        ),
+        (
+            "eig",
+            _shifted_eig,
+            "eigenpair residual 1.000e+00 exceeds 1e-8 * ||S||_F",
+            "eigendecomposition",
+        ),
+    ]
+
+    @pytest.mark.parametrize("name, patched, message, stage", CASES)
+    def test_kernel_raises_linalg_error(self, monkeypatch, name, patched, message, stage):
+        kernel = svd_economy if name == "svd" else eig_general
+        monkeypatch.setattr(np.linalg, name, patched)
+        with pytest.raises(rt.LinalgError) as info:
+            kernel(np.diag([3.0, 2.0, 1.0]))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name, patched, message, stage", CASES)
+    def test_fit_names_the_stage(self, rng, monkeypatch, name, patched, message, stage):
+        snap = make_snapshot(rng.standard_normal((20, 9)))
+        monkeypatch.setattr(np.linalg, name, patched)
+        with pytest.raises(rt.FitStageError) as info:
+            rt.fit(snap, 3, seed=1)
+        assert str(info.value) == "stage '%s' failed: %s" % (stage, message)
+        assert isinstance(info.value.__cause__, rt.LinalgError)

@@ -155,8 +155,10 @@ class TestRsvd:
         assert resid(boosted) <= 1.2 * base
 
     def test_degenerate_all_zero(self):
-        with pytest.warns(RuntimeWarning, match="all-zero"):
+        qr = "^rank-deficient QR: 3 negligible diagonal entries in R$"
+        with pytest.warns(RuntimeWarning, match=qr) as record:
             f = rsvd(np.zeros((10, 6)), 3, seed=0)
+        assert len(record) == 1
         assert_allclose(f.sigma, np.zeros(3))
         assert np.abs(f.U.T @ f.U - np.eye(3)).max() <= 1e-8
         assert np.abs(f.W.T @ f.W - np.eye(3)).max() <= 1e-8
@@ -174,15 +176,18 @@ class TestRsvd:
 class TestRangeFinder:
     @pytest.fixture()
     def v0_scans(self, monkeypatch):
-        """Shapes of the arrays range_finder checks for all zeros."""
+        """Shapes of the arrays range_finder checks for finite entries."""
         shapes = []
-        real = rsvd_module._all_zero
 
-        def spy(a):
-            shapes.append(a.shape)
-            return real(a)
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(rsvd_module, "_all_zero", spy)
+            def isfinite(self, a):
+                shapes.append(np.shape(a))
+                return np.isfinite(a)
+
+        monkeypatch.setattr(rsvd_module, "np", SpyNumpy())
         return shapes
 
     def test_nonzero_data_is_not_scanned(self, rng, v0_scans):
@@ -191,13 +196,21 @@ class TestRangeFinder:
         assert v0_scans.count(v0.shape) == 0
         assert np.array_equal(q, qr_factor(v0 @ gaussian_test_matrix(20, 4, 3))[0])
 
-    def test_zero_data_is_scanned_once(self, v0_scans):
-        with pytest.warns(RuntimeWarning, match="all-zero") as record:
+    def test_non_finite_data_is_scanned_once(self, rng, v0_scans):
+        v0 = rng.standard_normal((30, 20))
+        v0[4, 7] = np.nan
+        with pytest.raises(ValueError, match="v0 contains non-finite entries"):
+            range_finder(v0, 4, seed=3)
+        assert v0_scans.count(v0.shape) == 1
+
+    def test_zero_data_is_not_scanned(self, v0_scans):
+        qr = "^rank-deficient QR: 4 negligible diagonal entries in R$"
+        with pytest.warns(RuntimeWarning, match=qr) as record:
             q = range_finder(np.zeros((30, 20)), 4, seed=3)
         assert len(record) == 1
-        assert v0_scans.count((30, 20)) == 1
-        # the seeded frame, as before the scan moved behind the sample
-        assert np.array_equal(q, qr_factor(gaussian_test_matrix(30, 4, 3))[0])
+        assert v0_scans.count((30, 20)) == 0
+        # every Householder reflector of a zero column is the identity
+        assert np.array_equal(q, np.eye(30, 4))
 
     @pytest.mark.parametrize("shape", [(5,), (0, 4), (4, 0)])
     def test_v0_not_a_nonempty_matrix_rejected(self, shape):
