@@ -173,8 +173,8 @@ def compare_projections(rod_modes, fourier, v0, ip, same_rank=False):
     by at most RANK_CUTOFF^2 sigma_0^2 / ||u_j||^2, and
     sigma_0 <= ||V||_F.  When that bound is within machine epsilon the
     score is the closed form (number of columns) / nx and no SVD runs.
-    Otherwise psi is computed and a second walk multiplies it with v0:
-    the SVD's own sigma_i W^H holds <psi_i, u_j> only to rounding
+    Otherwise psi is computed and scored by that call, a second walk of
+    v0: the SVD's own sigma_i W^H holds <psi_i, u_j> only to rounding
     relative to sigma_0, which is no accuracy at all for a column far
     smaller than the largest.
 
@@ -216,7 +216,5 @@ def projection_scores(m, bases, products, col_sq, fourier, v0, ip):
         if RANK_CUTOFF**2 * frobenius_sq <= np.finfo(float).eps * col_sq.min():
             rho_fourier = v0.shape[1] / nx
         else:
-            psi = _real_basis(fourier.psi)
-            _, _, _, (product,) = walk.data_pass(v0, width=v0.shape[1], bases=[psi[0]])
-            rho_fourier = _score(product, psi[1], col_sq, ip.dx, nx)
+            rho_fourier = mean_projection_norm(fourier.psi, v0, ip, mode_count=nx)
     return rho_rod, rho_fourier, bool(rho_rod > rho_fourier)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import walk
 from .metrics import QualityReport
-from .rod import ModelFault, RodModel, SnapshotFault, SnapshotMatrix
+from .rod import RodModel, SnapshotFault, SnapshotMatrix
 
 
 # cells per % of the table writer: a constant, as walk.BLOCK_ROWS is
@@ -343,12 +343,14 @@ def write_model(path, model):
 
 def _header_int(header, key, path):
     """A header value as an integer cell, a count at least 0 but for the
-    seed; a failure names its path:line."""
+    seed, and the rank at least 1; a failure names its path:line."""
     line_no, text = header[key]
     try:
         value = _cell(text, int)
         if value < 0 and key != "seed":
             raise ValueError("negative count %d" % value)
+        if value == 0 and key == "rank":
+            raise ValueError("model rank must be at least 1")
     except ValueError as exc:
         raise ValueError("%s:%d: bad %s value (%s)" % (path, line_no, key, exc)) from None
     return value
@@ -361,10 +363,11 @@ def read_model(path):
     else; a file missing any of them, such as one without a format line,
     raises ValueError naming the missing keys.  The sections are read by
     _read_rows and every field reloads bit for bit.  Any other header
-    key or format value, a repeated or unknown section, a row with the
-    wrong cell count, a bad or non-finite cell and what RodModel rejects
-    fail at their path:line: a fault of the RodModel axis x, t or
-    eigenvalues at its row (an empty grid at its section).
+    key or format value, a rank below 1, a repeated or unknown section,
+    a row with the wrong cell count, a bad cell and what RodModel
+    rejects fail at their path:line: a RodModel fault, a non-finite
+    cell included, at the row of its axis and index (an empty grid at
+    its section).
     """
     header = {}
     sections = {}
@@ -410,12 +413,7 @@ def read_model(path):
             raise ValueError(
                 "%s:%d: [%s] must have %d rows" % (path, section_line, name, n_rows)
             )
-        block, line_nos = _read_rows(path, rows, width)
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            line_no = line_nos[int(np.argmin(finite))]
-            raise ValueError("%s:%d: non-finite value" % (path, line_no))
-        fields[name] = block
+        fields[name] = _read_rows(path, rows, width)[0]
     for name, (line_no, _) in sections.items():
         if name not in fields:
             raise ValueError("%s:%d: unknown section [%s]" % (path, line_no, name))
@@ -424,7 +422,7 @@ def read_model(path):
     x, t = fields["x"][:, 0], fields["t"][:, 0]
     try:
         return RodModel(fields["left"], fields["right"], eigenvalues, seed, x, t)
-    except (SnapshotFault, ModelFault) as exc:
+    except SnapshotFault as exc:
         section_line, rows = sections[exc.axis]
         line_no = rows[exc.index][0] if rows else section_line
         raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None

@@ -46,9 +46,10 @@ class FitStageError(RuntimeError):
 
 
 class SnapshotFault(ValueError):
-    """What SnapshotMatrix rejects, and where: axis "x" or "t" with index
-    the first offending grid point, or axis "values" with index the
-    first row holding a non-finite entry."""
+    """What SnapshotMatrix or RodModel rejects, and where: axis "x" or
+    "t" and the first offending grid point; the array ("values",
+    "left", "right" or "eigenvalues") and its first row holding a
+    non-finite entry; or "eigenvalues" and the first one not paired."""
 
     def __init__(self, message, axis, index):
         super().__init__(message)
@@ -138,19 +139,6 @@ class InnerProduct:
         return float(np.sqrt(self.dx * np.sum(np.abs(f) ** 2)))
 
 
-class ModelFault(ValueError):
-    """What RodModel rejects, and where: index the first eigenvalue
-    that is neither real nor the first of an exactly conjugate pair."""
-
-    axis = "eigenvalues"
-
-    def __init__(self, index):
-        super().__init__(
-            "mode %d is neither real nor the first of an exactly conjugate pair" % index
-        )
-        self.index = index
-
-
 def _conjugate_form(real, eigenvalues, sign):
     """real as complex columns, each entry one of real's, its sign flipped
     or not: a pair's u, v become u + sign iv and u - sign iv."""
@@ -180,13 +168,14 @@ class RodModel:
     amplitudes (α ∓ iβ) / 2.  The views modes (columns of unit
     discrete-L2 norm) and amplitudes are formed on each read.
 
-    x and t are grids as SnapshotMatrix takes them, or SnapshotFault
-    names the axis and index at fault.  rank, at least 1, is the number
-    of eigenvalues, nx and nt + 1 the sizes of x and t; another shape or
-    a non-finite entry raises ValueError naming the array.  Each
-    eigenvalue is real or the first of an adjacent pair, imaginary part
-    positive, whose second is its exact conjugate; ModelFault names the
-    first that is not.  The model holds what was checked, as
+    x and t are grids as SnapshotMatrix takes them.  rank, at least 1,
+    is the number of eigenvalues, nx and nt + 1 the sizes of x and t;
+    another shape raises ValueError naming the array.  Each eigenvalue
+    is real or the first of an adjacent pair, imaginary part positive,
+    whose second is its exact conjugate.  SnapshotFault names a grid
+    fault, the first row of left, right or the eigenvalues, in that
+    order, holding a non-finite entry, or the first eigenvalue not so
+    paired.  The model holds what was checked, as
     SnapshotMatrix does: the grids as float64, left and right as float64
     (complex ones raise ValueError), the eigenvalues as complex128 and
     seed as an int (a seed that is not an integer raises ValueError),
@@ -213,22 +202,25 @@ class RodModel:
         if np.iscomplexobj(left) or np.iscomplexobj(right):
             raise ValueError("model left and right factors must be real")
         left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
-        for name, value, shape in (
-            ("eigenvalues", values, (rank,)),
-            ("modes", left, (x.size, rank)),
-            ("amplitudes", right, (rank, t.size)),
+        for axis, name, value, shape in (
+            ("left", "modes", left, (x.size, rank)),
+            ("right", "amplitudes", right, (rank, t.size)),
+            ("eigenvalues", "eigenvalues", values, (rank,)),
         ):
             if value.shape != shape:
                 raise ValueError("model %s shape %s is not %s" % (name, value.shape, shape))
             if not np.isfinite(value).all():
-                raise ValueError("model %s contain non-finite entries" % name)
+                # the row walk runs only on failure: a valid model pays one pass
+                row = walk.first_non_finite_row(value.reshape(len(value), -1))
+                raise SnapshotFault("model %s contain non-finite entries" % name, axis, row)
         seed = integer(self.seed, "model seed")
         j = 0
         while j < values.size:
             k = j + 1 + (values[j].imag != 0)
             # k - 1 must hold the conjugate of j: j itself, or its partner
             if values[j].imag < 0 or k > values.size or values[k - 1] != values[j].conj():
-                raise ModelFault(j)
+                what = "mode %d is neither real nor the first of an exactly conjugate pair"
+                raise SnapshotFault(what % j, "eigenvalues", j)
             j = k
         checked = dict(left=left, right=right, eigenvalues=values, seed=seed, x=x, t=t)
         for name, value in checked.items():

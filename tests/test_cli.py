@@ -437,7 +437,7 @@ class TestEvaluate:
         if command == "evaluate":
             argv += ["--output", str(tmp_path / "t")]
         assert main([command] + argv) == 2
-        reason = "non-finite value"
+        reason = "x grid contains non-finite entries"
         if key == "t_end":
             reason = "t grid must be strictly increasing"
         assert capsys.readouterr().err == "rodtwin %s: error: %s:%d: %s\n" % (
@@ -496,7 +496,7 @@ class TestEvaluate:
             argv += ["--output", str(tmp_path / "t")]
         assert main([command] + argv) == 2
         err = capsys.readouterr().err
-        assert err == "rodtwin %s: error: %s:%d: non-finite value\n" % (
+        assert err == "rodtwin %s: error: %s:%d: model amplitudes contain non-finite entries\n" % (
             command,
             bad,
             line_no,

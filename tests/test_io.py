@@ -889,6 +889,8 @@ class TestModelFile:
             ("seed", "x"),
             ("nt", "1e3"),
             ("nx", "-6"),
+            # refused at its line, not at the first [left] row
+            ("rank", "0"),
             # int() takes these; an integer cell is ASCII digits
             ("nx", "1_2"),
             ("seed", "\u0667"),
@@ -910,9 +912,15 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "section, row, value, reason",
         [
-            ("x", 0, "nan", "non-finite value"),
-            ("x", -1, "inf", "non-finite value"),
-            ("t", 0, "-inf", "non-finite value"),
+            pytest.param(
+                "x", 0, "nan", "x grid contains non-finite entries", id="x-0-nan-non-finite value"
+            ),
+            pytest.param(
+                "x", -1, "inf", "x grid contains non-finite entries", id="x--1-inf-non-finite value"
+            ),
+            pytest.param(
+                "t", 0, "-inf", "t grid contains non-finite entries", id="t-0--inf-non-finite value"
+            ),
             ("t", -1, "0", "t grid must be strictly increasing"),
             ("x", -1, "-1", "x grid must be strictly increasing"),
             ("x", 5, "2.75", "x grid must be uniformly spaced"),
@@ -996,7 +1004,13 @@ class TestModelFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as err:
             io.read_model(path)
-        assert str(err.value) == "%s:%d: non-finite value" % (path, line_no)
+        # what RodModel says, at the row of its axis and index
+        array = {"left": "modes", "right": "amplitudes"}.get(section, section)
+        assert str(err.value) == "%s:%d: model %s contain non-finite entries" % (
+            path,
+            line_no,
+            array,
+        )
 
     def test_unpaired_model_names_eigenvalue_line(self, tmp_path, burgers_model):
         # the benchmark model opens with a conjugate pair; a second

@@ -143,9 +143,9 @@ def script_names():
 
 def test_every_public_name_has_a_reader():
     defined = set().union(*(defined_names(path) for path in LIBRARY))
-    # TRACED alone reads rod.mode_gram_deviation, empirical.mean_projection_norm
-    # and rank_select.objectives; they go once perfbench takes its layers
-    # from a fit record instead of wrapping names (ROADMAP items 24, then 23)
+    # TRACED alone reads rod.mode_gram_deviation and rank_select.objectives;
+    # they go once perfbench takes its layers from a fit record instead of
+    # wrapping names (ROADMAP items 24, then 23)
     read = set().union(
         *(library_names(path) for path in LIBRARY),
         *(reached_names(path) for path in CALLERS),
@@ -261,6 +261,12 @@ def test_only_walk_walks_in_row_blocks():
     names = {"row_blocks", "add_column_sums"}
     outside = set().union(*(calls_of(path, names) for path in LIBRARY if path.stem != "walk"))
     assert sorted(outside) == [("row_blocks", "io.write_snapshot_memo")]
+
+
+def test_io_leaves_finiteness_to_the_constructors():
+    # a non-finite cell is refused by SnapshotMatrix or RodModel, whose
+    # SnapshotFault the readers place at its path:line
+    assert sorted(calls_of(PACKAGE / "io.py", {"isfinite"})) == []
 
 
 def test_calls_are_placed_by_function(tmp_path):
